@@ -79,10 +79,6 @@ def vec_scale(u: Vector, c) -> Vector:
     return tuple(a * c for a in u)
 
 
-def is_zero_vector(u: Vector) -> bool:
-    return all(a == 0 for a in u)
-
-
 def mat_vec(rows: Sequence[Vector], x: Vector) -> Vector:
     return tuple(dot(vector(row), x) for row in rows)
 

@@ -44,7 +44,7 @@ PROJECTION_COEFF_BOUND = 1000
 PROJECTION_MAX_ATTEMPTS = 16
 
 
-def _primitive(direction: Vector) -> Vector:
+def _primitive(direction: Vector) -> tuple[int, ...]:
     """Scale to an integer vector with entry gcd 1 and positive first nonzero."""
     mult = lcm(*(c.denominator for c in direction))
     ints = [int(c * mult) for c in direction]
@@ -53,12 +53,18 @@ def _primitive(direction: Vector) -> Vector:
     first = next(c for c in ints if c != 0)
     if first < 0:
         ints = [-c for c in ints]
-    return tuple(Fraction(c) for c in ints)
+    return tuple(ints)
 
 
 @dataclass(frozen=True)
 class Line:
-    """A line in rational d-space, canonicalized on construction."""
+    """A line in rational d-space, canonicalized on construction.
+
+    Construction also caches integer forms that are not dataclass fields, so
+    equality and hashing see only base and direction: ``_ints`` is the
+    primitive direction, the base numerators over one common denominator, and
+    that denominator.
+    """
 
     base: Vector
     direction: Vector
@@ -74,11 +80,15 @@ class Line:
             raise ValueError("lines need ambient dimension >= 2")
         if all(c == 0 for c in direction):
             raise ValueError("line direction must be nonzero")
-        direction = _primitive(direction)
+        ints = _primitive(direction)
+        direction = tuple(Fraction(c) for c in ints)
         shift = dot(base, direction) / dot(direction, direction)
         base = vec_sub(base, vec_scale(direction, shift))
+        den = lcm(*(c.denominator for c in base))
+        nums = tuple(c.numerator * (den // c.denominator) for c in base)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "_ints", (ints, nums, den))
 
     @property
     def dim(self) -> int:
@@ -161,39 +171,51 @@ def incident(line: Line, point: Vector) -> bool:
     return all(delta[i] == t * line.direction[i] for i in range(line.dim))
 
 
+def _meet(a: Line, b: Line) -> Vector | None:
+    """The common point of two distinct lines, or None if they miss.
+
+    Pure integer arithmetic: scaling base_a + t v_a = base_b + s v_b by the
+    product of the base denominators leaves integer data, and Cramer's rule on
+    the first coordinate pair with a nonzero direction minor gives t and s
+    as numerators over that minor.  Every coordinate is then checked by cross
+    multiplication, and a Fraction point is built only on a hit.  Canonical
+    directions are primitive, so parallel lines have equal directions.
+    """
+    v1, p1, q1 = a._ints
+    v2, p2, q2 = b._ints
+    if v1 == v2:
+        return None
+    r = [y * q1 - x * q2 for x, y in zip(p1, p2)]
+    dim = len(v1)
+    # the first coordinate pair with a nonzero minor; distinct directions have one
+    for i in range(dim - 1):
+        for j in range(i + 1, dim):
+            det = v2[i] * v1[j] - v1[i] * v2[j]
+            if det:
+                break
+        else:
+            continue
+        break
+    tn = v2[i] * r[j] - r[i] * v2[j]
+    sn = v1[i] * r[j] - r[i] * v1[j]
+    for k in range(dim):
+        if tn * v1[k] - sn * v2[k] != r[k] * det:
+            return None
+    scale = q2 * det
+    den = q1 * scale
+    return tuple(Fraction(x * scale + tn * v, den) for x, v in zip(p1, v1))
+
+
 def line_line_intersection(l1: Line, l2: Line) -> Vector | None:
     """The unique common point of two distinct lines, or None if they miss.
 
-    Solves the two-unknown system base1 + t d1 = base2 + s d2 on a coordinate
-    pair where it is invertible, then verifies every remaining coordinate, so
-    parallel and skew pairs both come back as None.
+    Parallel and skew pairs both come back as None.
     """
     if l1.dim != l2.dim:
         raise DimensionMismatchError("lines live in different dimensions")
     if l1 == l2:
         raise IdenticalLinesError(f"identical lines: {l1!r}")
-    v1, v2 = l1.direction, l2.direction
-    rhs = vec_sub(l2.base, l1.base)
-    solved = None
-    for i in range(l1.dim):
-        for j in range(i + 1, l1.dim):
-            det = v2[i] * v1[j] - v1[i] * v2[j]
-            if det != 0:
-                t = (rhs[i] * (-v2[j]) + v2[i] * rhs[j]) / det
-                s = (v1[i] * rhs[j] - rhs[i] * v1[j]) / det
-                solved = (t, s)
-                break
-        if solved:
-            break
-    if solved is None:
-        # All 2x2 direction minors vanish: parallel distinct lines.
-        return None
-    t, s = solved
-    point = tuple(b + t * v for b, v in zip(l1.base, v1))
-    other = tuple(b + s * v for b, v in zip(l2.base, v2))
-    if point != other:
-        return None
-    return point
+    return _meet(l1, l2)
 
 
 def direction_rank(lines: Iterable[Line]) -> int:
@@ -226,38 +248,34 @@ def is_s_joint(config: Configuration, point: Vector, s: int) -> bool:
     return direction_rank(through) >= s
 
 
-def _candidate_points(config: Configuration) -> list[Vector]:
-    # Complete for joints: every joint lies on >= 2 lines, hence on a
-    # pairwise intersection.
-    lines = config.sorted_lines()
-    seen: set[Vector] = set()
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            pt = line_line_intersection(lines[i], lines[j])
-            if pt is not None:
-                seen.add(pt)
-    return sorted(seen)
-
-
 def find_joints(config: Configuration) -> JointSet:
     """All joints of the configuration with their full incidence sets."""
-    incidence: dict[Vector, frozenset[Line]] = {}
-    for pt in _candidate_points(config):
-        through = _incident_lines(config, pt)
-        if len(through) >= config.dim and direction_rank(through) == config.dim:
-            incidence[pt] = through
-    return JointSet(incidence)
+    return find_s_joints(config, config.dim)
 
 
 def find_s_joints(config: Configuration, s: int) -> JointSet:
-    """All points on >= 2 lines whose incident directions have rank >= s."""
+    """All points on >= 2 lines whose incident directions have rank >= s.
+
+    One pass over the pairs of lines builds every incidence set: a line
+    through a point that lies on >= 2 lines meets another line there, so the
+    pairs that meet at a point name all of its lines.  At s = d these points
+    are exactly the joints, since rank d needs at least d lines.
+    """
     if not 2 <= s <= config.dim:
         raise ValueError(f"s must satisfy 2 <= s <= {config.dim}, got {s}")
+    lines = config.sorted_lines()
+    meeting: dict[Vector, set[Line]] = {}
+    for i, a in enumerate(lines):
+        for b in lines[i + 1 :]:
+            pt = _meet(a, b)
+            if pt is not None:
+                meeting.setdefault(pt, set()).update((a, b))
     incidence: dict[Vector, frozenset[Line]] = {}
-    for pt in _candidate_points(config):
-        through = _incident_lines(config, pt)
-        if len(through) >= 2 and direction_rank(through) >= s:
-            incidence[pt] = through
+    for pt in sorted(meeting):
+        through = meeting[pt]
+        # rank <= |through|, so small sets need no rank computation
+        if len(through) >= s and direction_rank(through) >= s:
+            incidence[pt] = frozenset(through)
     return JointSet(incidence)
 
 

@@ -15,6 +15,7 @@ line" is a statement about an exactly computed restriction.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -30,8 +31,9 @@ from .geometry import (
     JointSet,
     Line,
     configuration,
+    direction_rank,
     find_joints,
-    is_joint,
+    incident,
 )
 from .polynomial import (
     Polynomial,
@@ -144,33 +146,55 @@ def prune(config: Configuration, joints: JointSet) -> PruneResult:
     deterministic: among currently eligible lines, the first in canonical
     order goes.  Removing a line also removes its surviving incident joints,
     so surviving joints never reference removed lines.
+
+    Counts only fall and the threshold is frozen, so a line once eligible
+    stays eligible until removed.  The counts are therefore taken once and
+    peeled: a min-heap holds the canonical indices of eligible lines, and
+    each dying joint decrements the counts of its other lines.
     """
     n = config.n
     if n < 1:
         raise ValueError("cannot prune an empty configuration")
     m = len(joints)
     threshold = Fraction(m, 2 * n)
-    alive_lines = config.sorted_lines()
-    alive_points = {p: joints.lines_through(p) for p in joints.points}
+    lines = config.sorted_lines()
+    index = {line: i for i, line in enumerate(lines)}
+    points_on: list[list[Vector]] = [[] for _ in lines]
+    for p in joints.points:
+        for line in joints.lines_through(p):
+            i = index.get(line)  # experiment subsets may reference other lines
+            if i is not None:
+                points_on[i].append(p)
+    counts = [len(on) for on in points_on]
+    eligible = [i for i, count in enumerate(counts) if count < threshold]
+    heapq.heapify(eligible)
     removed_lines: list[Line] = []
     removed_points: set[Vector] = set()
 
-    while True:
-        counts = _surviving_counts(alive_points, alive_lines)
-        victim = next(
-            (line for line in alive_lines if counts[line] < threshold), None
-        )
-        if victim is None:
-            break
-        alive_lines.remove(victim)
-        removed_lines.append(victim)
-        dead = [p for p, through in alive_points.items() if victim in through]
-        for p in dead:
+    while eligible:
+        victim = heapq.heappop(eligible)
+        removed_lines.append(lines[victim])
+        for p in points_on[victim]:
+            if p in removed_points:
+                continue
             removed_points.add(p)
-            del alive_points[p]
+            for line in joints.lines_through(p):
+                i = index.get(line)
+                if i is None or i == victim:
+                    continue
+                counts[i] -= 1
+                if counts[i] < threshold <= counts[i] + 1:  # just became eligible
+                    heapq.heappush(eligible, i)
 
-    surviving = configuration(config.dim, alive_lines)
-    survivors = JointSet(dict(alive_points))
+    dead = set(removed_lines)
+    surviving = configuration(config.dim, (l for l in lines if l not in dead))
+    survivors = JointSet(
+        {
+            p: joints.lines_through(p)
+            for p in joints.points
+            if p not in removed_points
+        }
+    )
     _check_prune_invariants(
         config, surviving, survivors, removed_points, threshold, m
     )
@@ -201,12 +225,20 @@ def _check_prune_invariants(config, surviving, survivors, removed_points, thresh
             raise InternalInvariantViolation(
                 f"surviving line {line!r} carries {count} < threshold joints"
             )
+    # A stored set of surviving lines that all pass through p and whose
+    # directions have rank d witnesses that p is a joint among survivors.
     for p in survivors.points:
-        if not survivors.lines_through(p) <= surviving_set:
+        through = survivors.lines_through(p)
+        if not through <= surviving_set:
             raise InternalInvariantViolation(
                 f"surviving joint {p} references a removed line"
             )
-        if not is_joint(surviving, p):
+        for line in through:
+            if not incident(line, p):
+                raise InternalInvariantViolation(
+                    f"surviving joint {p} stores {line!r}, which misses it"
+                )
+        if len(through) < surviving.dim or direction_rank(through) != surviving.dim:
             raise InternalInvariantViolation(
                 f"surviving point {p} is no longer a joint among survivors"
             )

@@ -209,19 +209,11 @@ def uni_is_zero(p: UniPoly) -> bool:
     return not p
 
 
-def uni_degree(p: UniPoly) -> int:
-    return len(p) - 1
-
-
 def uni_add(a: UniPoly, b: UniPoly) -> UniPoly:
     n = max(len(a), len(b))
     return uni_trim(
         (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
     )
-
-
-def uni_scale(a: UniPoly, c) -> UniPoly:
-    return uni_trim(Fraction(c) * x for x in a)
 
 
 def uni_mul(a: UniPoly, b: UniPoly) -> UniPoly:

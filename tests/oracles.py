@@ -3,11 +3,23 @@
 These deliberately avoid the code paths they check: rank by naive
 Gauss-Jordan over Fractions (the package uses fraction-free Bareiss),
 monomial counting by stars-and-bars recursion (the package filters a
-product and uses math.comb), and identically-zero decisions by sampling
-more points than the degree (the package compares coefficients).
+product and uses math.comb), identically-zero decisions by sampling
+more points than the degree (the package compares coefficients), joints
+by Fraction pair intersections followed by a rescan of every line at each
+candidate point (the package builds incidence from integer pair hits), and
+pruning by recounting every line in every round (the package peels).
 """
 
 from fractions import Fraction
+
+from jointlab.exact import vec_sub
+from jointlab.geometry import (
+    JointSet,
+    configuration,
+    direction_rank,
+    incident,
+)
+from jointlab.pipeline import PruneResult
 
 
 def rank_naive(matrix) -> int:
@@ -76,3 +88,91 @@ def vanishes_on_line_by_sampling(p, line, samples: int) -> bool:
 
 def vanishes_on_curve_by_sampling(p, curve, samples: int) -> bool:
     return all(p.evaluate(curve.point_at(t)) == 0 for t in range(samples))
+
+
+def line_line_intersection_fraction(l1, l2):
+    """Common point of two distinct lines by Fraction Cramer's rule, or None."""
+    v1, v2 = l1.direction, l2.direction
+    rhs = vec_sub(l2.base, l1.base)
+    solved = None
+    for i in range(l1.dim):
+        for j in range(i + 1, l1.dim):
+            det = v2[i] * v1[j] - v1[i] * v2[j]
+            if det != 0:
+                t = (rhs[i] * (-v2[j]) + v2[i] * rhs[j]) / det
+                s = (v1[i] * rhs[j] - rhs[i] * v1[j]) / det
+                solved = (t, s)
+                break
+        if solved:
+            break
+    if solved is None:
+        return None  # all 2x2 direction minors vanish: parallel
+    t, s = solved
+    point = tuple(b + t * v for b, v in zip(l1.base, v1))
+    other = tuple(b + s * v for b, v in zip(l2.base, v2))
+    return point if point == other else None
+
+
+def _candidate_points(config):
+    lines = config.sorted_lines()
+    seen = set()
+    for i in range(len(lines)):
+        for j in range(i + 1, len(lines)):
+            pt = line_line_intersection_fraction(lines[i], lines[j])
+            if pt is not None:
+                seen.add(pt)
+    return sorted(seen)
+
+
+def _incident_lines(config, point):
+    return frozenset(l for l in config.lines if incident(l, point))
+
+
+def find_joints_rescan(config):
+    """Joints from every pair intersection, each point's lines by a rescan."""
+    incidence = {}
+    for pt in _candidate_points(config):
+        through = _incident_lines(config, pt)
+        if len(through) >= config.dim and direction_rank(through) == config.dim:
+            incidence[pt] = through
+    return JointSet(incidence)
+
+
+def find_s_joints_rescan(config, s):
+    incidence = {}
+    for pt in _candidate_points(config):
+        through = _incident_lines(config, pt)
+        if len(through) >= 2 and direction_rank(through) >= s:
+            incidence[pt] = through
+    return JointSet(incidence)
+
+
+def prune_recount(config, joints):
+    """Remove the first eligible line in canonical order, recounting every
+    surviving line's joints in every round, until no line is eligible."""
+    threshold = Fraction(len(joints), 2 * config.n)
+    alive_lines = config.sorted_lines()
+    alive_points = {p: joints.lines_through(p) for p in joints.points}
+    removed_lines = []
+    removed_points = set()
+    while True:
+        counts = {line: 0 for line in alive_lines}
+        for through in alive_points.values():
+            for line in through:
+                if line in counts:
+                    counts[line] += 1
+        victim = next((l for l in alive_lines if counts[l] < threshold), None)
+        if victim is None:
+            break
+        alive_lines.remove(victim)
+        removed_lines.append(victim)
+        for p in [p for p, through in alive_points.items() if victim in through]:
+            removed_points.add(p)
+            del alive_points[p]
+    return PruneResult(
+        surviving=configuration(config.dim, alive_lines),
+        survivors=JointSet(dict(alive_points)),
+        removed_lines=tuple(removed_lines),
+        removed_points=frozenset(removed_points),
+        threshold=threshold,
+    )

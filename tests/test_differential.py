@@ -1,0 +1,144 @@
+"""The integer pair kernel and the peeling prune against their references.
+
+Random lines almost never meet, so the strategies force concurrency:
+pencils through shared points with non-integer coordinates, parallel
+classes, near-parallel directions, the closed-form hyperplane family, and
+spines carrying chains of tripods, which make pruning cascade.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jointlab.geometry import Line, configuration, find_joints, find_s_joints
+from jointlab.pipeline import prune
+
+from oracles import find_joints_rescan, find_s_joints_rescan, prune_recount
+
+offsets = st.integers(min_value=-3, max_value=3)
+fractional = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(
+    lambda f: f.denominator > 1
+)
+
+
+def directions(dim):
+    return st.tuples(*[offsets] * dim).filter(any)
+
+
+@st.composite
+def centers(draw, dim):
+    """A point with at least one non-integer rational coordinate."""
+    point = [Fraction(draw(offsets)) for _ in range(dim)]
+    point[draw(st.integers(0, dim - 1))] = draw(fractional)
+    return tuple(point)
+
+
+@st.composite
+def pencils(draw, dim):
+    center = draw(centers(dim))
+    dirs = draw(st.lists(directions(dim), min_size=2, max_size=5))
+    return [Line(center, v) for v in dirs]
+
+
+@st.composite
+def parallel_classes(draw, dim):
+    v = draw(directions(dim))
+    origin = draw(centers(dim))
+    shifts = draw(st.lists(st.tuples(*[offsets] * dim), min_size=2, max_size=4))
+    return [Line(tuple(o + s for o, s in zip(origin, shift)), v) for shift in shifts]
+
+
+@st.composite
+def near_parallel(draw, dim):
+    """Directions like (1000,1,0) and (1000,1,1) through one or two centers."""
+    tails = st.tuples(*[st.integers(0, 2)] * (dim - 1))
+    dirs = draw(st.lists(tails, min_size=2, max_size=4, unique=True))
+    points = draw(st.lists(centers(dim), min_size=1, max_size=2))
+    return [
+        Line(points[k % len(points)], (1000,) + tail) for k, tail in enumerate(dirs)
+    ]
+
+
+def hyperplane_lines(ts):
+    """Lines of the hyperplanes x.(1,t,t^2) = t^3: line(a,b) is their meet."""
+    return [
+        Line((0, -a * b, a + b), (a * b, -(a + b), 1)) for a, b in combinations(ts, 2)
+    ]
+
+
+hyperplane_params = st.lists(
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+    min_size=3,
+    max_size=6,
+    unique=True,
+)
+
+
+def mixed_configs(dim):
+    part = st.one_of(pencils(dim), parallel_classes(dim), near_parallel(dim))
+    return st.lists(part, min_size=1, max_size=4).map(
+        lambda parts: configuration(dim, [line for p in parts for line in p])
+    )
+
+
+@st.composite
+def tripod_chains(draw):
+    """Ten hyperplanes plus spines carrying tripods, with m/(2n) above 1.
+
+    Each tripod's two branch lines carry one joint, so they fall first; a
+    spine with two tripods then drops below the threshold and falls too,
+    which is a cascade whose order the reference fixes.
+    """
+    lines = hyperplane_lines([Fraction(t) for t in range(1, 11)])
+    for _ in range(draw(st.integers(1, 2))):
+        spine = Line(draw(centers(3)), draw(directions(3)))
+        lines.append(spine)
+        params = draw(st.lists(st.integers(20, 40), min_size=2, max_size=3, unique=True))
+        for t in params:
+            foot = spine.point_at(t)
+            lines.extend(Line(foot, draw(directions(3))) for _ in range(2))
+    return configuration(3, lines)
+
+
+def assert_matches_reference(config):
+    for s in range(2, config.dim + 1):
+        assert find_s_joints(config, s) == find_s_joints_rescan(config, s), s
+    joints = find_joints(config)
+    assert joints == find_joints_rescan(config)
+    if config.n:
+        assert prune(config, joints) == prune_recount(config, joints)
+
+
+class TestAgainstReference:
+    @given(mixed_configs(3))
+    @settings(max_examples=80, deadline=None)
+    def test_mixed_3d(self, config):
+        assert_matches_reference(config)
+
+    @given(mixed_configs(4))
+    @settings(max_examples=40, deadline=None)
+    def test_mixed_4d(self, config):
+        assert_matches_reference(config)
+
+    @given(hyperplane_params, st.lists(pencils(3), max_size=2))
+    @settings(max_examples=40, deadline=None)
+    def test_hyperplane_family(self, ts, extra):
+        config = configuration(3, hyperplane_lines(ts) + [l for p in extra for l in p])
+        if not extra:
+            assert len(find_joints(config)) == len(list(combinations(ts, 3)))
+        assert_matches_reference(config)
+
+    @given(tripod_chains())
+    @settings(max_examples=25, deadline=None)
+    def test_prune_cascades(self, config):
+        joints = find_joints(config)
+        result = prune(config, joints)
+        assert result == prune_recount(config, joints)
+
+    def test_corpus(self, corpus):
+        for name, config in corpus:
+            joints = find_joints(config)
+            assert joints == find_joints_rescan(config), name
+            assert prune(config, joints) == prune_recount(config, joints), name

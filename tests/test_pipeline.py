@@ -4,14 +4,15 @@ from fractions import Fraction
 import pytest
 
 from jointlab.constructions import grid, grid_plus_orphan, planar_bundle
-from jointlab.errors import ZeroPolynomialError
-from jointlab.geometry import Line, configuration, find_joints
+from jointlab.errors import InternalInvariantViolation, ZeroPolynomialError
+from jointlab.geometry import JointSet, Line, configuration, find_joints
 from jointlab.pipeline import (
     ALL_PRUNED,
     BOUND_HOLDS,
     CONTRADICTION_BUG,
     GRADIENT_ZERO,
     NOT_APPLICABLE,
+    _check_prune_invariants,
     bound_check,
     bound_constant,
     cascade,
@@ -97,24 +98,76 @@ class TestPrune:
         assert result.surviving == config
 
     def test_cascading_removal(self):
-        # Two crossing bundles: killing one low-incidence line empties a joint,
-        # which drags other lines below the frozen threshold in later rounds.
-        axes = [
-            Line(vec(0, 0, 0), vec(1, 0, 0)),
-            Line(vec(0, 0, 0), vec(0, 1, 0)),
-            Line(vec(0, 0, 0), vec(0, 0, 1)),
+        # grid(3,7) puts the threshold above 1: n = 152, m = 345.  Two
+        # tripods share the x-line, which starts with 2 joints; it becomes
+        # eligible only after a branch line's removal kills one of them.
+        x_line = Line(vec(0, 10, 10), vec(1, 0, 0))
+        branches = [
+            Line(vec(x, 10, 10), v)
+            for x in (10, 20)
+            for v in (vec(0, 1, 0), vec(0, 0, 1))
         ]
-        config = configuration(3, axes)
+        config = configuration(3, list(grid(3, 7).lines) + [x_line] + branches)
         joints = find_joints(config)
-        assert len(joints) == 1
+        assert (config.n, len(joints)) == (152, 345)
         result = prune(config, joints)
-        # threshold 1/6: every axis carries the single joint, nothing removed
-        assert result.removed_lines == ()
+        assert result.threshold == F("345/304")
+        assert result.removed_lines == (
+            Line(vec(10, 10, 0), vec(0, 0, 1)),
+            Line(vec(20, 10, 0), vec(0, 0, 1)),
+            Line(vec(10, 0, 10), vec(0, 1, 0)),
+            Line(vec(20, 0, 10), vec(0, 1, 0)),
+            x_line,
+        )
+        assert result.removed_points == {vec(10, 10, 10), vec(20, 10, 10)}
+        assert result.surviving == grid(3, 7)
 
     def test_terminates_within_n_iterations(self, corpus):
         for name, config in corpus:
             result = prune(config, find_joints(config))
             assert len(result.removed_lines) <= config.n, name
+
+
+class TestPruneInvariantCheck:
+    """Tampered survivors of grid(3,2) that the check must reject."""
+
+    def check(self, surviving, survivors, threshold=F("1/3")):
+        config = grid(3, 2)
+        _check_prune_invariants(config, surviving, survivors, frozenset(), threshold, 8)
+
+    def tampered(self, point, through):
+        incidence = dict(find_joints(grid(3, 2)).incidence)
+        incidence[point] = frozenset(through)
+        return JointSet(incidence)
+
+    def test_untampered_passes(self):
+        self.check(grid(3, 2), find_joints(grid(3, 2)))
+
+    def test_stored_line_missing_its_point(self):
+        off = Line(vec(1, 0, 0), vec(0, 1, 0))
+        survivors = self.tampered(
+            vec(0, 0, 0), [Line(vec(0, 0, 0), v) for v in (vec(1, 0, 0), vec(0, 0, 1))] + [off]
+        )
+        with pytest.raises(InternalInvariantViolation, match="misses it"):
+            self.check(grid(3, 2), survivors)
+
+    def test_stored_directions_below_full_rank(self):
+        # three surviving lines through the origin, all in the plane z = 0
+        coplanar = [Line(vec(0, 0, 0), v) for v in (vec(1, 0, 0), vec(0, 1, 0), vec(1, 1, 0))]
+        surviving = configuration(3, grid(3, 2).lines | set(coplanar))
+        survivors = self.tampered(vec(0, 0, 0), coplanar)
+        with pytest.raises(InternalInvariantViolation, match="no longer a joint"):
+            self.check(surviving, survivors)
+
+    def test_surviving_line_below_threshold(self):
+        with pytest.raises(InternalInvariantViolation, match="< threshold"):
+            self.check(grid(3, 2), find_joints(grid(3, 2)), threshold=F(3))
+
+    def test_removed_line_still_referenced(self):
+        removed = Line(vec(0, 0, 0), vec(1, 0, 0))
+        surviving = configuration(3, grid(3, 2).lines - {removed})
+        with pytest.raises(InternalInvariantViolation, match="references a removed line"):
+            self.check(surviving, find_joints(grid(3, 2)))
 
 
 class TestCascade:
