@@ -7,16 +7,11 @@ Exit codes: 0 success (and inequality holds), 1 usage or input error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
 from . import constructions, curves, harness
-from .errors import (
-    FileFormatError,
-    GenericityFailureError,
-    InternalInvariantViolation,
-)
+from .errors import GenericityFailureError, InternalInvariantViolation
 from .exact import format_rational, parse_rational
 from .geometry import (
     find_joints,
@@ -24,6 +19,7 @@ from .geometry import (
     load_configuration,
     project_to_generic_flat,
     save_configuration,
+    write_json,
 )
 from .pipeline import bound_check, bound_constant, trace, trace_to_dict
 from .polynomial import (
@@ -108,9 +104,7 @@ def _cmd_trace(args) -> int:
             line += f" ({extras})"
         print(line)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(trace_to_dict(result), fh, indent=2)
-            fh.write("\n")
+        write_json(args.json, trace_to_dict(result))
         print(f"trace written to {args.json}")
     return 0
 
@@ -280,10 +274,7 @@ def main(argv=None) -> int:
         # covers ContradictionBugError as well
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3
-    except GenericityFailureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (FileFormatError, ValueError, OSError) as exc:
+    except (GenericityFailureError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,26 +13,20 @@ searched for globally; curve-curve intersection solving is out of scope.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .errors import (
-    DimensionMismatchError,
-    FileFormatError,
-    InternalInvariantViolation,
-)
+from .errors import DimensionMismatchError, FileFormatError
 from .exact import Vector, format_rational, parse_rational, rank
-from .geometry import Line
+from .geometry import JointSet, Line, read_json, write_json
+from .pipeline import peel
 from .polynomial import (
     Polynomial,
     UniPoly,
-    uni_add,
+    substitute,
     uni_derivative,
     uni_eval,
-    uni_mul,
-    uni_pow,
     uni_trim,
 )
 
@@ -68,9 +62,7 @@ class ParamCurve:
 
 def line_as_curve(line: Line) -> ParamCurve:
     """Degree-1 curve tracing base + t * direction."""
-    return ParamCurve(
-        tuple(uni_trim((b, v)) for b, v in zip(line.base, line.direction))
-    )
+    return ParamCurve(tuple(zip(line.base, line.direction)))
 
 
 @dataclass(frozen=True)
@@ -128,31 +120,11 @@ def curve_joint(pairs: Sequence[tuple[ParamCurve, Fraction]]) -> bool:
     return rank(tangents) == d
 
 
-@dataclass(frozen=True, eq=True)
-class CurveJointSet:
-    """Verified curve joints with their incident curves."""
-
-    incidence: dict[Vector, frozenset[ParamCurve]]
-
-    @property
-    def points(self) -> tuple[Vector, ...]:
-        return tuple(sorted(self.incidence))
-
-    def curves_through(self, point: Vector) -> frozenset[ParamCurve]:
-        return self.incidence[point]
-
-    def __len__(self) -> int:
-        return len(self.incidence)
-
-    def __iter__(self) -> Iterator[Vector]:
-        return iter(self.points)
-
-
 def curve_joint_set(
     groups: Iterable[Sequence[tuple[ParamCurve, Fraction]]]
-) -> CurveJointSet:
+) -> JointSet:
     """Verify each claimed group of (curve, parameter) pairs and collect the
-    resulting joints with their incidence sets."""
+    resulting joints with their incident curves."""
     incidence: dict[Vector, frozenset[ParamCurve]] = {}
     for group in groups:
         if not curve_joint(group):
@@ -160,7 +132,7 @@ def curve_joint_set(
         point = group[0][0].point_at(group[0][1])
         curves = frozenset(curve for curve, _ in group)
         incidence[point] = incidence.get(point, frozenset()) | curves
-    return CurveJointSet(incidence)
+    return JointSet(incidence)
 
 
 def restrict_to_curve(p: Polynomial, curve: ParamCurve) -> UniPoly:
@@ -169,18 +141,7 @@ def restrict_to_curve(p: Polynomial, curve: ParamCurve) -> UniPoly:
     The result has degree <= deg(p) * curve.degree, and is identically zero
     exactly when p vanishes on the whole curve.
     """
-    if p.dim != curve.dim:
-        raise DimensionMismatchError(
-            f"polynomial dimension {p.dim} vs curve dimension {curve.dim}"
-        )
-    total: UniPoly = ()
-    for exps, coeff in p.terms.items():
-        term: UniPoly = (coeff,)
-        for c, e in zip(curve.coords, exps):
-            if e:
-                term = uni_mul(term, uni_pow(c, e))
-        total = uni_add(total, term)
-    return total
+    return substitute(p, curve.coords)
 
 
 # ---------------------------------------------------------------------------
@@ -233,18 +194,11 @@ def curve_configuration_from_dict(obj) -> CurveConfiguration:
 
 
 def save_curve_configuration(cfg: CurveConfiguration, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(curve_configuration_to_dict(cfg), fh, indent=2)
-        fh.write("\n")
+    write_json(path, curve_configuration_to_dict(cfg))
 
 
 def load_curve_configuration(path) -> CurveConfiguration:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
-    return curve_configuration_from_dict(obj)
+    return curve_configuration_from_dict(read_json(path))
 
 
 @dataclass(frozen=True)
@@ -252,58 +206,34 @@ class CurvePruneResult:
     """Degree-weighted pruning fixpoint for curve configurations."""
 
     surviving: CurveConfiguration
-    survivors: CurveJointSet
+    survivors: JointSet
     removed_curves: tuple[ParamCurve, ...]
     removed_points: frozenset[Vector]
     thresholds: dict[ParamCurve, Fraction]
 
 
-def curve_prune(cfg: CurveConfiguration, joints: CurveJointSet) -> CurvePruneResult:
+def curve_prune(cfg: CurveConfiguration, joints: JointSet) -> CurvePruneResult:
     """Remove curves carrying fewer than m * deg / (2n) surviving joints.
 
-    Same fixpoint structure as the line version, but the threshold is scaled
-    per curve by its degree; thresholds are frozen at the start, and fewer
-    than m/2 joints are lost in total.
+    The line fixpoint :func:`~jointlab.pipeline.peel`, with each curve's
+    threshold scaled by its degree; thresholds are frozen at the start, and
+    fewer than m/2 joints are lost in total.
     """
     n = cfg.total_degree
     if n < 1:
         raise ValueError("cannot prune an empty curve configuration")
     m = len(joints)
     thresholds = {c: Fraction(m * c.degree, 2 * n) for c in cfg.curves}
-    alive_curves = sorted(cfg.curves, key=ParamCurve.sort_key)
-    alive_points = {p: joints.curves_through(p) for p in joints.points}
-    removed_curves: list[ParamCurve] = []
-    removed_points: set[Vector] = set()
-
-    while True:
-        counts = {c: 0 for c in alive_curves}
-        for through in alive_points.values():
-            for c in through:
-                if c in counts:
-                    counts[c] += 1
-        victim = next(
-            (c for c in alive_curves if counts[c] < thresholds[c]), None
-        )
-        if victim is None:
-            break
-        alive_curves.remove(victim)
-        removed_curves.append(victim)
-        dead = [p for p, through in alive_points.items() if victim in through]
-        for p in dead:
-            removed_points.add(p)
-            del alive_points[p]
-
-    if m > 0 and not Fraction(len(removed_points)) < Fraction(m, 2):
-        raise InternalInvariantViolation(
-            f"curve pruning removed {len(removed_points)} >= m/2 of {m} joints"
-        )
-    # Points incident to a removed curve were themselves removed, so the
-    # surviving incidence sets already contain only surviving curves.
-    survivors = CurveJointSet(dict(alive_points))
+    curves = sorted(cfg.curves, key=ParamCurve.sort_key)
+    removed, removed_points, survivors = peel(
+        curves, [thresholds[c] for c in curves], joints
+    )
+    dead = set(removed)
+    surviving = tuple(c for c in curves if c not in dead)
     return CurvePruneResult(
-        surviving=CurveConfiguration(cfg.dim, tuple(alive_curves)),
+        surviving=CurveConfiguration(cfg.dim, surviving),
         survivors=survivors,
-        removed_curves=tuple(removed_curves),
+        removed_curves=tuple(removed),
         removed_points=frozenset(removed_points),
         thresholds=thresholds,
     )

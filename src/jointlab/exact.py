@@ -64,11 +64,6 @@ def dot(u: Vector, v: Vector) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), start=Fraction(0))
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    _check_same_dim(u, v)
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u: Vector, v: Vector) -> Vector:
     _check_same_dim(u, v)
     return tuple(a - b for a, b in zip(u, v))

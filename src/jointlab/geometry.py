@@ -137,15 +137,18 @@ def configuration(dim: int, lines: Iterable[Line]) -> Configuration:
 
 @dataclass(frozen=True, eq=True)
 class JointSet:
-    """Joints with their exact incidence sets, iterated in sorted point order."""
+    """Joints with their exact incidence sets, iterated in sorted point order.
 
-    incidence: dict[Vector, frozenset[Line]]
+    The incident objects are lines, or parametrized curves for curve joints.
+    """
+
+    incidence: dict[Vector, frozenset]
 
     @property
     def points(self) -> tuple[Vector, ...]:
         return tuple(sorted(self.incidence))
 
-    def lines_through(self, point: Vector) -> frozenset[Line]:
+    def lines_through(self, point: Vector) -> frozenset:
         return self.incidence[point]
 
     def __len__(self) -> int:
@@ -343,16 +346,17 @@ def project_to_generic_flat(config: Configuration, s: int, seed: int) -> Project
 # JSON wire format
 
 
+def line_to_dict(line: Line) -> dict:
+    return {
+        "base": [format_rational(c) for c in line.base],
+        "dir": [format_rational(c) for c in line.direction],
+    }
+
+
 def configuration_to_dict(config: Configuration) -> dict:
     return {
         "dim": config.dim,
-        "lines": [
-            {
-                "base": [format_rational(c) for c in line.base],
-                "dir": [format_rational(c) for c in line.direction],
-            }
-            for line in config.sorted_lines()
-        ],
+        "lines": [line_to_dict(line) for line in config.sorted_lines()],
     }
 
 
@@ -395,16 +399,25 @@ def configuration_from_dict(obj) -> Configuration:
     return Configuration(dim, deduped)
 
 
-def save_configuration(config: Configuration, path) -> None:
+def write_json(path, obj) -> None:
+    """Write obj as JSON indented by two spaces, ending in a newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(configuration_to_dict(config), fh, indent=2)
+        json.dump(obj, fh, indent=2)
         fh.write("\n")
 
 
-def load_configuration(path) -> Configuration:
+def read_json(path):
+    """Parse a JSON file; malformed JSON raises FileFormatError naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
-    return configuration_from_dict(obj)
+
+
+def save_configuration(config: Configuration, path) -> None:
+    write_json(path, configuration_to_dict(config))
+
+
+def load_configuration(path) -> Configuration:
+    return configuration_from_dict(read_json(path))

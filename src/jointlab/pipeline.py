@@ -34,6 +34,7 @@ from .geometry import (
     direction_rank,
     find_joints,
     incident,
+    line_to_dict,
 )
 from .polynomial import (
     Polynomial,
@@ -139,55 +140,61 @@ def _surviving_counts(
     return counts
 
 
-def prune(config: Configuration, joints: JointSet) -> PruneResult:
-    """Iteratively remove lines carrying fewer than m/(2n) surviving joints.
+def peel(
+    items: list, thresholds: list[Fraction], joints: JointSet
+) -> tuple[list, set[Vector], JointSet]:
+    """Remove items (lines or curves) that carry fewer surviving joints than
+    their frozen thresholds, until none does.
 
-    The threshold stays frozen at its initial value.  Removal order is
-    deterministic: among currently eligible lines, the first in canonical
-    order goes.  Removing a line also removes its surviving incident joints,
-    so surviving joints never reference removed lines.
+    ``items`` is in canonical order and ``thresholds[i]`` belongs to
+    ``items[i]``.  Among currently eligible items the first in canonical order
+    goes, and its surviving joints go with it, so surviving joints never
+    reference removed items.  Returns the removed items in removal order, the
+    removed points, and the surviving joints.
 
-    Counts only fall and the threshold is frozen, so a line once eligible
+    Counts only fall and thresholds are frozen, so an item once eligible
     stays eligible until removed.  The counts are therefore taken once and
-    peeled: a min-heap holds the canonical indices of eligible lines, and
-    each dying joint decrements the counts of its other lines.
+    peeled: a min-heap holds the canonical indices of eligible items, and
+    each dying joint decrements the counts of its other items.  Equal items
+    share their joints and are counted alike.  Each removal loses fewer
+    joints than its threshold, so thresholds summing to m/2, as those of
+    prune and curve_prune do, lose fewer than m/2 joints; that is checked.
     """
-    n = config.n
-    if n < 1:
-        raise ValueError("cannot prune an empty configuration")
-    m = len(joints)
-    threshold = Fraction(m, 2 * n)
-    lines = config.sorted_lines()
-    index = {line: i for i, line in enumerate(lines)}
-    points_on: list[list[Vector]] = [[] for _ in lines]
+    slots: dict = {}
+    for i, item in enumerate(items):
+        slots.setdefault(item, []).append(i)
+    points_on: list[list[Vector]] = [[] for _ in items]
     for p in joints.points:
-        for line in joints.lines_through(p):
-            i = index.get(line)  # experiment subsets may reference other lines
-            if i is not None:
+        for item in joints.lines_through(p):
+            # experiment subsets may reference other lines
+            for i in slots.get(item, ()):
                 points_on[i].append(p)
     counts = [len(on) for on in points_on]
-    eligible = [i for i, count in enumerate(counts) if count < threshold]
+    eligible = [i for i, count in enumerate(counts) if count < thresholds[i]]
     heapq.heapify(eligible)
-    removed_lines: list[Line] = []
+    removed: list = []
     removed_points: set[Vector] = set()
 
     while eligible:
         victim = heapq.heappop(eligible)
-        removed_lines.append(lines[victim])
+        removed.append(items[victim])
         for p in points_on[victim]:
             if p in removed_points:
                 continue
             removed_points.add(p)
-            for line in joints.lines_through(p):
-                i = index.get(line)
-                if i is None or i == victim:
-                    continue
-                counts[i] -= 1
-                if counts[i] < threshold <= counts[i] + 1:  # just became eligible
-                    heapq.heappush(eligible, i)
+            for item in joints.lines_through(p):
+                for i in slots.get(item, ()):
+                    if i == victim:
+                        continue
+                    counts[i] -= 1
+                    # push once, when the item just became eligible
+                    if counts[i] < thresholds[i] <= counts[i] + 1:
+                        heapq.heappush(eligible, i)
 
-    dead = set(removed_lines)
-    surviving = configuration(config.dim, (l for l in lines if l not in dead))
+    if removed_points and not 2 * len(removed_points) < len(joints):
+        raise InternalInvariantViolation(
+            f"pruning removed {len(removed_points)} >= m/2 of {len(joints)} joints"
+        )
     survivors = JointSet(
         {
             p: joints.lines_through(p)
@@ -195,9 +202,24 @@ def prune(config: Configuration, joints: JointSet) -> PruneResult:
             if p not in removed_points
         }
     )
-    _check_prune_invariants(
-        config, surviving, survivors, removed_points, threshold, m
-    )
+    return removed, removed_points, survivors
+
+
+def prune(config: Configuration, joints: JointSet) -> PruneResult:
+    """Iteratively remove lines carrying fewer than m/(2n) surviving joints.
+
+    The threshold stays frozen at its initial value; :func:`peel` fixes the
+    removal order and removes each line's surviving joints with it.
+    """
+    n = config.n
+    if n < 1:
+        raise ValueError("cannot prune an empty configuration")
+    threshold = Fraction(len(joints), 2 * n)
+    lines = config.sorted_lines()
+    removed_lines, removed_points, survivors = peel(lines, [threshold] * n, joints)
+    dead = set(removed_lines)
+    surviving = configuration(config.dim, (l for l in lines if l not in dead))
+    _check_prune_invariants(surviving, survivors, threshold)
     return PruneResult(
         surviving=surviving,
         survivors=survivors,
@@ -207,15 +229,8 @@ def prune(config: Configuration, joints: JointSet) -> PruneResult:
     )
 
 
-def _check_prune_invariants(config, surviving, survivors, removed_points, threshold, m):
+def _check_prune_invariants(surviving, survivors, threshold):
     surviving_set = surviving.lines
-    if m > 0:
-        if not Fraction(len(removed_points)) < Fraction(m, 2):
-            raise InternalInvariantViolation(
-                f"pruning removed {len(removed_points)} >= m/2 of {m} joints"
-            )
-    elif removed_points:
-        raise InternalInvariantViolation("pruning removed points from an empty joint set")
     counts = _surviving_counts(
         {p: survivors.lines_through(p) for p in survivors.points},
         sorted(surviving_set, key=Line.sort_key),
@@ -476,12 +491,6 @@ def trace(config: Configuration) -> ProofTrace:
 
 def trace_to_dict(tr: ProofTrace) -> dict:
     """JSON form: integers as decimal strings, polynomial in text form."""
-    from .geometry import configuration_to_dict  # line serialization helper
-
-    def line_obj(line: Line) -> dict:
-        cfg = configuration_to_dict(configuration(tr.dim, [line]))
-        return cfg["lines"][0]
-
     return {
         "outcome": tr.outcome,
         "dim": str(tr.dim),
@@ -494,7 +503,7 @@ def trace_to_dict(tr: ProofTrace) -> dict:
         if tr.cascade_order is not None
         else None,
         "per_line_joint_counts": [
-            {"line": line_obj(line), "count": str(count)}
+            {"line": line_to_dict(line), "count": str(count)}
             for line, count in sorted(
                 tr.per_line_joint_counts.items(), key=lambda kv: kv[0].sort_key()
             )

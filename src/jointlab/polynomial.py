@@ -17,10 +17,17 @@ import re
 from fractions import Fraction
 from itertools import product
 from math import comb
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError, InternalInvariantViolation
-from .exact import Vector, format_rational, nullspace_vector, parse_rational, rank
+from .exact import (
+    Vector,
+    format_rational,
+    nullspace_vector,
+    parse_rational,
+    rank,
+    vector,
+)
 
 if TYPE_CHECKING:
     from .geometry import Line
@@ -226,13 +233,6 @@ def uni_mul(a: UniPoly, b: UniPoly) -> UniPoly:
     return uni_trim(out)
 
 
-def uni_pow(a: UniPoly, e: int) -> UniPoly:
-    out: UniPoly = (Fraction(1),)
-    for _ in range(e):
-        out = uni_mul(out, a)
-    return out
-
-
 def uni_eval(p: UniPoly, t) -> Fraction:
     t = Fraction(t)
     value = Fraction(0)
@@ -249,20 +249,32 @@ def uni_derivative(p: UniPoly) -> UniPoly:
 # restriction and vanishing fits
 
 
-def restrict_to_line(p: Polynomial, line: "Line") -> UniPoly:
-    """Substitute base + t * direction into p; exact, degree <= deg p."""
-    if p.dim != len(line.base):
+def substitute(p: Polynomial, coords: Sequence[UniPoly]) -> UniPoly:
+    """p(c_1(t), ..., c_d(t)) for univariate coordinate polynomials c_i.
+
+    Each power c_i^e is computed once, by one multiplication from c_i^(e-1),
+    and shared by every term that needs it.
+    """
+    if p.dim != len(coords):
         raise DimensionMismatchError(
-            f"polynomial dimension {p.dim} vs line dimension {len(line.base)}"
+            f"polynomial dimension {p.dim} vs {len(coords)} coordinates"
         )
+    powers: list[list[UniPoly]] = [[(Fraction(1),)] for _ in coords]
     total: UniPoly = ()
     for exps, coeff in p.terms.items():
         term: UniPoly = (coeff,)
-        for b, v, e in zip(line.base, line.direction, exps):
+        for c, cached, e in zip(coords, powers, exps):
             if e:
-                term = uni_mul(term, uni_pow(uni_trim((b, v)), e))
+                while len(cached) <= e:
+                    cached.append(uni_mul(cached[-1], c))
+                term = uni_mul(term, cached[e])
         total = uni_add(total, term)
     return total
+
+
+def restrict_to_line(p: Polynomial, line: "Line") -> UniPoly:
+    """Substitute base + t * direction into p; exact, degree <= deg p."""
+    return substitute(p, tuple(zip(line.base, line.direction)))
 
 
 def vanishes_on_line(p: Polynomial, line: "Line") -> bool:
@@ -284,6 +296,10 @@ def _evaluation_matrix(points: list[Vector], basis: list[MultiIndex]):
     return rows
 
 
+def _distinct_points(points: Iterable[Vector]) -> list[Vector]:
+    return sorted(set(map(vector, points)))
+
+
 def fit_vanishing_at_degree(
     points: Iterable[Vector], d: int, b: int
 ) -> Polynomial | None:
@@ -293,7 +309,7 @@ def fit_vanishing_at_degree(
     basis, and the nullspace selection rule of :func:`nullspace_vector` picks
     the coefficient vector.
     """
-    pts = sorted(set(tuple(Fraction(c) for c in p) for p in points))
+    pts = _distinct_points(points)
     for pt in pts:
         if len(pt) != d:
             raise DimensionMismatchError(f"point {pt} is not {d}-dimensional")
@@ -320,7 +336,7 @@ def fit_vanishing(points: Iterable[Vector], d: int) -> Polynomial:
     The underdetermined evaluation system always has a nontrivial solution;
     failure to find one is an internal bug, never a caller error.
     """
-    pts = sorted(set(tuple(Fraction(c) for c in p) for p in points))
+    pts = _distinct_points(points)
     if not pts:
         raise ValueError("need at least one point")
     b = min_fit_degree(len(pts), d)
@@ -335,7 +351,7 @@ def fit_vanishing(points: Iterable[Vector], d: int) -> Polynomial:
 def minimal_vanishing_degree(points: Iterable[Vector], d: int) -> int:
     """Smallest b admitting a nonzero degree-<= b polynomial that vanishes
     on all the points; 0 for the empty set."""
-    pts = sorted(set(tuple(Fraction(c) for c in p) for p in points))
+    pts = _distinct_points(points)
     if not pts:
         return 0
     cap = min_fit_degree(len(pts), d)
@@ -352,23 +368,15 @@ def minimal_vanishing_degree(points: Iterable[Vector], d: int) -> int:
 _TERM_FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
 
-def _monomial_text(exps: MultiIndex) -> str:
-    factors = []
-    for i, e in enumerate(exps):
-        if e == 1:
-            factors.append(f"x{i + 1}")
-        elif e > 1:
-            factors.append(f"x{i + 1}^{e}")
-    return "*".join(factors)
+def _power_text(var: str, e: int) -> str:
+    return "" if e == 0 else var if e == 1 else f"{var}^{e}"
 
 
-def polynomial_to_text(p: Polynomial) -> str:
-    if p.is_zero():
-        return "0"
+def _terms_text(terms: Iterable[tuple[Fraction, str]]) -> str:
+    """Join nonzero (coefficient, monomial text) pairs in the given order,
+    e.g. "-2*x1^2 + x2 - 1"; "0" when there are none."""
     parts = []
-    for exps in sorted(p.terms, key=grlex_key, reverse=True):
-        coeff = p.terms[exps]
-        mono = _monomial_text(exps)
+    for coeff, mono in terms:
         mag = abs(coeff)
         if not mono:
             body = format_rational(mag)
@@ -380,7 +388,18 @@ def polynomial_to_text(p: Polynomial) -> str:
             parts.append(body if coeff > 0 else f"-{body}")
         else:
             parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(parts)
+    return " ".join(parts) or "0"
+
+
+def _monomial_text(exps: MultiIndex) -> str:
+    return "*".join(_power_text(f"x{i + 1}", e) for i, e in enumerate(exps) if e)
+
+
+def polynomial_to_text(p: Polynomial) -> str:
+    return _terms_text(
+        (p.terms[exps], _monomial_text(exps))
+        for exps in sorted(p.terms, key=grlex_key, reverse=True)
+    )
 
 
 def polynomial_from_text(text: str, dim: int) -> Polynomial:
@@ -418,28 +437,6 @@ def polynomial_from_text(text: str, dim: int) -> Polynomial:
 
 
 def unipoly_to_text(p: UniPoly, var: str = "t") -> str:
-    if uni_is_zero(p):
-        return "0"
-    parts = []
-    for e in range(len(p) - 1, -1, -1):
-        coeff = p[e]
-        if coeff == 0:
-            continue
-        if e == 0:
-            mono = ""
-        elif e == 1:
-            mono = var
-        else:
-            mono = f"{var}^{e}"
-        mag = abs(coeff)
-        if not mono:
-            body = format_rational(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{format_rational(mag)}*{mono}"
-        if not parts:
-            parts.append(body if coeff > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(parts)
+    return _terms_text(
+        (p[e], _power_text(var, e)) for e in range(len(p) - 1, -1, -1) if p[e] != 0
+    )

@@ -4,10 +4,40 @@ from itertools import product
 import pytest
 
 from jointlab.constructions import grid, grid_plus_orphan, planar_bundle, random_config
+from jointlab.curves import line_as_curve
+from jointlab.geometry import Line, configuration
 
 
 def cube_points(k: int, d: int):
     return [tuple(Fraction(c) for c in pt) for pt in product(range(k), repeat=d)]
+
+
+def curve_joint_groups(joints):
+    """Point -> claimed curve joint: each incident line as a degree-1 curve,
+    with the t where base + t * dir reaches the point (first nonzero axis)."""
+    groups = {}
+    for p in joints.points:
+        group = []
+        for line in sorted(joints.lines_through(p), key=Line.sort_key):
+            axis = next(i for i, v in enumerate(line.direction) if v != 0)
+            t = (p[axis] - line.base[axis]) / line.direction[axis]
+            group.append((line_as_curve(line), t))
+        groups[p] = group
+    return groups
+
+
+def grid_with_tripods():
+    """grid(3,7) plus two tripods sharing an x-line: pruning cascades.
+
+    The threshold m/(2n) = 345/304 is above 1.  The x-line starts with 2
+    joints and becomes eligible only after a branch line's removal kills one
+    of them.
+    """
+    x_line = Line((0, 10, 10), (1, 0, 0))
+    branches = [
+        Line((x, 10, 10), v) for x in (10, 20) for v in ((0, 1, 0), (0, 0, 1))
+    ]
+    return configuration(3, list(grid(3, 7).lines) + [x_line] + branches)
 
 
 @pytest.fixture(scope="session")

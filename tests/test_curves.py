@@ -17,10 +17,12 @@ from jointlab.curves import (
     save_curve_configuration,
     tangent_at,
 )
+from jointlab.constructions import grid
 from jointlab.errors import FileFormatError
-from jointlab.geometry import Line
+from jointlab.geometry import Line, find_joints
 from jointlab.polynomial import polynomial_from_text, restrict_to_line
 
+from conftest import curve_joint_groups
 from oracles import vanishes_on_curve_by_sampling
 
 
@@ -152,14 +154,21 @@ class TestCurvePrune:
         assert result.thresholds[orphan] == F("1/5")
 
     def test_thresholds_scale_with_degree(self):
-        deg2 = ParamCurve((uni(0, 0, 1), uni(0, 1), uni(0)))
-        filler = [
-            ParamCurve((uni(j, 1), uni(0), uni(0))) for j in range(10)
-        ]
-        cfg = CurveConfiguration(3, (deg2,) + tuple(filler))
-        m, n = 6, cfg.total_degree
-        assert n == 12
-        assert Fraction(m * deg2.degree, 2 * n) == F("1/2")
+        # The conic carries 2 joints: below its threshold 343 * 2/(2 * 149),
+        # though a flat threshold m/(2n) = 343/298 would keep it.
+        conic = ParamCurve((uni(0, 2), uni(0, 0, 3), uni(0)))
+        lines = grid(3, 7)
+        groups = curve_joint_groups(find_joints(lines))
+        groups[vec(0, 0, 0)].append((conic, F(0)))
+        groups[vec(2, 3, 0)].append((conic, F(1)))
+        cfg = CurveConfiguration(3, tuple(map(line_as_curve, lines.lines)) + (conic,))
+        joints = curve_joint_set(groups.values())
+        assert (cfg.total_degree, len(joints)) == (149, 343)
+        result = curve_prune(cfg, joints)
+        assert result.thresholds[conic] == F("343/149")
+        assert result.removed_curves == (conic,)
+        assert result.removed_points == {vec(0, 0, 0), vec(2, 3, 0)}
+        assert len(result.survivors) == 341
 
     def test_empty_joint_set_removes_nothing(self):
         cfg = CurveConfiguration(3, tuple(AXES))

@@ -3,7 +3,8 @@
 Random lines almost never meet, so the strategies force concurrency:
 pencils through shared points with non-integer coordinates, parallel
 classes, near-parallel directions, the closed-form hyperplane family, and
-spines carrying chains of tripods, which make pruning cascade.
+spines carrying chains of tripods, which make pruning cascade.  On every
+instance, pruning the lines as degree-1 curves must agree with line pruning.
 """
 
 from fractions import Fraction
@@ -12,9 +13,16 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jointlab.curves import (
+    CurveConfiguration,
+    curve_joint_set,
+    curve_prune,
+    line_as_curve,
+)
 from jointlab.geometry import Line, configuration, find_joints, find_s_joints
 from jointlab.pipeline import prune
 
+from conftest import curve_joint_groups, grid_with_tripods
 from oracles import find_joints_rescan, find_s_joints_rescan, prune_recount
 
 offsets = st.integers(min_value=-3, max_value=3)
@@ -102,6 +110,24 @@ def tripod_chains(draw):
     return configuration(3, lines)
 
 
+def assert_curve_prune_matches(config, joints):
+    """Lines are degree-1 curves: curve_prune removes and keeps what prune does.
+
+    Removal order is not compared, since lines and curves sort differently.
+    """
+    lines = prune(config, joints)
+    curves = curve_prune(
+        CurveConfiguration(config.dim, tuple(map(line_as_curve, config.lines))),
+        curve_joint_set(curve_joint_groups(joints).values()),
+    )
+    assert set(curves.removed_curves) == set(map(line_as_curve, lines.removed_lines))
+    assert curves.removed_points == lines.removed_points
+    assert curves.survivors.incidence == {
+        p: frozenset(map(line_as_curve, through))
+        for p, through in lines.survivors.incidence.items()
+    }
+
+
 def assert_matches_reference(config):
     for s in range(2, config.dim + 1):
         assert find_s_joints(config, s) == find_s_joints_rescan(config, s), s
@@ -109,6 +135,7 @@ def assert_matches_reference(config):
     assert joints == find_joints_rescan(config)
     if config.n:
         assert prune(config, joints) == prune_recount(config, joints)
+        assert_curve_prune_matches(config, joints)
 
 
 class TestAgainstReference:
@@ -136,9 +163,17 @@ class TestAgainstReference:
         joints = find_joints(config)
         result = prune(config, joints)
         assert result == prune_recount(config, joints)
+        assert_curve_prune_matches(config, joints)
 
     def test_corpus(self, corpus):
         for name, config in corpus:
             joints = find_joints(config)
             assert joints == find_joints_rescan(config), name
             assert prune(config, joints) == prune_recount(config, joints), name
+            assert_curve_prune_matches(config, joints)
+
+    def test_lines_as_curves_cascade(self):
+        config = grid_with_tripods()
+        joints = find_joints(config)
+        assert len(prune(config, joints).removed_lines) == 5
+        assert_curve_prune_matches(config, joints)

@@ -23,6 +23,8 @@ from jointlab.pipeline import (
 )
 from jointlab.polynomial import Polynomial, polynomial_from_text
 
+from conftest import grid_with_tripods
+
 
 def F(v):
     return Fraction(v)
@@ -98,16 +100,7 @@ class TestPrune:
         assert result.surviving == config
 
     def test_cascading_removal(self):
-        # grid(3,7) puts the threshold above 1: n = 152, m = 345.  Two
-        # tripods share the x-line, which starts with 2 joints; it becomes
-        # eligible only after a branch line's removal kills one of them.
-        x_line = Line(vec(0, 10, 10), vec(1, 0, 0))
-        branches = [
-            Line(vec(x, 10, 10), v)
-            for x in (10, 20)
-            for v in (vec(0, 1, 0), vec(0, 0, 1))
-        ]
-        config = configuration(3, list(grid(3, 7).lines) + [x_line] + branches)
+        config = grid_with_tripods()
         joints = find_joints(config)
         assert (config.n, len(joints)) == (152, 345)
         result = prune(config, joints)
@@ -117,7 +110,7 @@ class TestPrune:
             Line(vec(20, 10, 0), vec(0, 0, 1)),
             Line(vec(10, 0, 10), vec(0, 1, 0)),
             Line(vec(20, 0, 10), vec(0, 1, 0)),
-            x_line,
+            Line(vec(0, 10, 10), vec(1, 0, 0)),
         )
         assert result.removed_points == {vec(10, 10, 10), vec(20, 10, 10)}
         assert result.surviving == grid(3, 7)
@@ -132,8 +125,7 @@ class TestPruneInvariantCheck:
     """Tampered survivors of grid(3,2) that the check must reject."""
 
     def check(self, surviving, survivors, threshold=F("1/3")):
-        config = grid(3, 2)
-        _check_prune_invariants(config, surviving, survivors, frozenset(), threshold, 8)
+        _check_prune_invariants(surviving, survivors, threshold)
 
     def tampered(self, point, through):
         incidence = dict(find_joints(grid(3, 2)).incidence)
