@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, FileFormatError
-from .exact import Vector, format_rational, parse_rational, rank
-from .geometry import JointSet, Line, read_json, write_json
+from .exact import Vector, format_rational, rank
+from .geometry import JointSet, Line, parse_coords, read_json, write_json
 from .pipeline import peel
 from .polynomial import (
     Polynomial,
@@ -176,18 +176,12 @@ def curve_configuration_from_dict(obj) -> CurveConfiguration:
             raise FileFormatError(
                 f"curves[{i}].coords: expected {dim} coordinate polynomials"
             )
-        parsed = []
-        for j, coeffs in enumerate(coords):
-            if not isinstance(coeffs, list):
-                raise FileFormatError(
-                    f"curves[{i}].coords[{j}]: expected a coefficient list"
-                )
-            try:
-                parsed.append(tuple(parse_rational(c) for c in coeffs))
-            except (ValueError, TypeError) as exc:
-                raise FileFormatError(f"curves[{i}].coords[{j}]: {exc}") from exc
+        parsed = tuple(
+            parse_coords(coeffs, f"curves[{i}].coords[{j}]")
+            for j, coeffs in enumerate(coords)
+        )
         try:
-            curves.append(ParamCurve(tuple(parsed)))
+            curves.append(ParamCurve(parsed))
         except ValueError as exc:
             raise FileFormatError(f"curves[{i}]: {exc}") from exc
     return CurveConfiguration(dim, tuple(curves))

@@ -2,9 +2,10 @@
 
 Scalars are arbitrary-precision rationals (``fractions.Fraction``), so every
 comparison in the toolkit is an exact decision rather than a tolerance check.
-Elimination is fraction-free: rows are scaled to integers and each
-intermediate entry stays an integer minor of the input (Bareiss), which keeps
-coefficient growth polynomial without ever rounding.
+Elimination is fraction-free: rows are scaled to integers once, by
+:func:`integer_form`, and each intermediate entry of :func:`echelon` stays an
+integer minor of the input (Bareiss), which keeps coefficient growth
+polynomial without ever rounding.
 
 Vectors are plain tuples of Fractions and matrices are sequences of rows;
 both are treated as immutable values throughout.
@@ -78,31 +79,27 @@ def mat_vec(rows: Sequence[Vector], x: Vector) -> Vector:
     return tuple(dot(vector(row), x) for row in rows)
 
 
-def _validated_rows(matrix: Sequence[Sequence]) -> list[list[Fraction]]:
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    widths = {len(row) for row in rows}
-    if len(widths) > 1:
-        raise ValueError("matrix rows have unequal lengths")
-    return rows
+def integer_form(values: Sequence) -> tuple[list[int], int]:
+    """Rationals (ints or Fractions) as integer numerators over their least
+    common denominator: ``[1/2, 1/3]`` gives ``([3, 2], 6)``."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _integer_rows(rows: list[list[Fraction]]) -> list[list[int]]:
-    # Row scaling changes neither rank nor nullspace.
-    out = []
-    for row in rows:
-        mult = lcm(*(f.denominator for f in row)) if row else 1
-        out.append([int(f * mult) for f in row])
-    return out
+def echelon(matrix: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free row echelon form of a rational matrix.
 
-
-def _fraction_free_echelon(rows: list[list[int]]) -> list[int]:
-    """Reduce integer rows to echelon form in place; return pivot columns.
-
-    One-step Bareiss: after eliminating with pivot p the entries are divided
-    by the previous pivot, an exact integer division because every entry is a
-    minor of the input.  Pivots are found by scanning rows top-to-bottom per
-    column, columns left-to-right, so the result is deterministic.
+    Each row is first scaled to integers, which changes neither rank nor
+    nullspace.  One-step Bareiss then eliminates: after using pivot p the
+    entries are divided by the previous pivot, an exact integer division
+    because every entry is a minor of the input.  Pivots are found by
+    scanning rows top-to-bottom per column, columns left-to-right, so the
+    pivots of a column prefix are that prefix's own pivots.  Returns the
+    reduced integer rows and the pivot columns.
     """
+    rows = [integer_form(row)[0] for row in matrix]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("matrix rows have unequal lengths")
     m = len(rows)
     cols = len(rows[0]) if m else 0
     pivot_cols: list[int] = []
@@ -126,15 +123,12 @@ def _fraction_free_echelon(rows: list[list[int]]) -> list[int]:
         prev = piv
         pivot_cols.append(col)
         r += 1
-    return pivot_cols
+    return rows, pivot_cols
 
 
 def rank(matrix: Sequence[Sequence]) -> int:
     """Exact rank over the rationals; an empty matrix has rank 0."""
-    rows = _validated_rows(matrix)
-    if not rows or not rows[0]:
-        return 0
-    return len(_fraction_free_echelon(_integer_rows(rows)))
+    return len(echelon(matrix)[1])
 
 
 def nullspace_vector(matrix: Sequence[Sequence]) -> Vector | None:
@@ -144,24 +138,16 @@ def nullspace_vector(matrix: Sequence[Sequence]) -> Vector | None:
     is set to 1, every other free column to 0, and the pivot variables are
     back-substituted.
     """
-    rows = _validated_rows(matrix)
+    rows, pivot_cols = echelon(matrix)
     cols = len(rows[0]) if rows else 0
-    if cols == 0:
-        return None
-    ints = _integer_rows(rows)
-    pivot_cols = _fraction_free_echelon(ints)
-    pivots = set(pivot_cols)
-    free = [c for c in range(cols) if c not in pivots]
+    free = set(range(cols)).difference(pivot_cols)
     if not free:
         return None
     x = [Fraction(0)] * cols
-    x[free[-1]] = Fraction(1)
-    for idx in reversed(range(len(pivot_cols))):
-        col = pivot_cols[idx]
-        row = ints[idx]
+    x[max(free)] = Fraction(1)
+    for row, col in reversed(list(zip(rows, pivot_cols))):
         acc = sum(
-            (Fraction(row[j]) * x[j] for j in range(col + 1, cols) if x[j]),
-            start=Fraction(0),
+            (row[j] * x[j] for j in range(col + 1, cols) if x[j]), start=Fraction(0)
         )
         x[col] = -acc / row[col]
     return tuple(x)

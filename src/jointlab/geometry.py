@@ -17,7 +17,7 @@ import logging
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -30,6 +30,7 @@ from .exact import (
     Vector,
     dot,
     format_rational,
+    integer_form,
     mat_vec,
     parse_rational,
     rank,
@@ -46,8 +47,7 @@ PROJECTION_MAX_ATTEMPTS = 16
 
 def _primitive(direction: Vector) -> tuple[int, ...]:
     """Scale to an integer vector with entry gcd 1 and positive first nonzero."""
-    mult = lcm(*(c.denominator for c in direction))
-    ints = [int(c * mult) for c in direction]
+    ints, _ = integer_form(direction)
     g = gcd(*ints)
     ints = [c // g for c in ints]
     first = next(c for c in ints if c != 0)
@@ -84,11 +84,10 @@ class Line:
         direction = tuple(Fraction(c) for c in ints)
         shift = dot(base, direction) / dot(direction, direction)
         base = vec_sub(base, vec_scale(direction, shift))
-        den = lcm(*(c.denominator for c in base))
-        nums = tuple(c.numerator * (den // c.denominator) for c in base)
+        nums, den = integer_form(base)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "_ints", (ints, nums, den))
+        object.__setattr__(self, "_ints", (ints, tuple(nums), den))
 
     @property
     def dim(self) -> int:
@@ -223,7 +222,7 @@ def line_line_intersection(l1: Line, l2: Line) -> Vector | None:
 
 def direction_rank(lines: Iterable[Line]) -> int:
     """Dimension of the linear span of the lines' primitive directions."""
-    rows = [line.direction for line in sorted(lines, key=Line.sort_key)]
+    rows = [line._ints[0] for line in lines]
     if not rows:
         raise ValueError("direction_rank needs at least one line")
     return rank(rows)
@@ -360,9 +359,12 @@ def configuration_to_dict(config: Configuration) -> dict:
     }
 
 
-def _parse_coords(values, dim: int, where: str) -> Vector:
-    if not isinstance(values, list) or len(values) != dim:
-        raise FileFormatError(f"{where}: expected a list of {dim} rationals")
+def parse_coords(values, where: str, dim: int | None = None) -> Vector:
+    """Rationals from a JSON list of strings like "-7/2"; ``dim``, when
+    given, is the required length.  Errors name the offending entry."""
+    if not isinstance(values, list) or dim is not None and len(values) != dim:
+        count = "" if dim is None else f"{dim} "
+        raise FileFormatError(f"{where}: expected a list of {count}rationals")
     out = []
     for k, item in enumerate(values):
         if not isinstance(item, str):
@@ -387,8 +389,8 @@ def configuration_from_dict(obj) -> Configuration:
     for i, raw in enumerate(raw_lines):
         if not isinstance(raw, dict):
             raise FileFormatError(f"lines[{i}]: expected an object")
-        base = _parse_coords(raw.get("base"), dim, f"lines[{i}].base")
-        direction = _parse_coords(raw.get("dir"), dim, f"lines[{i}].dir")
+        base = parse_coords(raw.get("base"), f"lines[{i}].base", dim)
+        direction = parse_coords(raw.get("dir"), f"lines[{i}].dir", dim)
         try:
             lines.append(Line(base, direction))
         except ValueError as exc:

@@ -374,9 +374,11 @@ def trace(config: Configuration) -> ProofTrace:
         )
     )
 
-    outcome: str | None = None
-    if m_surv == 0:
-        outcome = ALL_PRUNED
+    b = fitted = order = None
+    counts: dict[Line, int] = {}
+
+    def finish(outcome: str) -> ProofTrace:
+        """Close the narrative with the outcome; fields not reached stay None."""
         steps.append(TraceStep(name="outcome", verdict=outcome))
         return ProofTrace(
             outcome=outcome,
@@ -384,13 +386,17 @@ def trace(config: Configuration) -> ProofTrace:
             n=n,
             m=m,
             threshold=pr.threshold,
-            b=None,
-            per_line_joint_counts={},
-            fitted=None,
-            cascade_order=None,
+            b=b,
+            per_line_joint_counts=counts,
+            fitted=fitted,
+            cascade_order=order,
             narrative=tuple(steps),
         )
 
+    if m_surv == 0:
+        return finish(ALL_PRUNED)
+
+    outcome: str | None = None
     if chk.holds:
         outcome = BOUND_HOLDS
 
@@ -449,23 +455,10 @@ def trace(config: Configuration) -> ProofTrace:
     )
 
     if order >= fitted.degree():
-        steps.append(TraceStep(name="outcome", verdict=CONTRADICTION_BUG))
-        partial = ProofTrace(
-            outcome=CONTRADICTION_BUG,
-            dim=d,
-            n=n,
-            m=m,
-            threshold=pr.threshold,
-            b=b,
-            per_line_joint_counts=counts,
-            fitted=fitted,
-            cascade_order=order,
-            narrative=tuple(steps),
-        )
         raise ContradictionBugError(
             "every derivative of every order vanished identically on all "
             "surviving lines; a nonzero constant cannot do that",
-            trace=partial,
+            trace=finish(CONTRADICTION_BUG),
         )
     if outcome is None:
         # Bound violated yet every surviving line dominated b and the cascade
@@ -474,19 +467,7 @@ def trace(config: Configuration) -> ProofTrace:
             "inequality violated but the proof machinery found no failing step"
         )
 
-    steps.append(TraceStep(name="outcome", verdict=outcome))
-    return ProofTrace(
-        outcome=outcome,
-        dim=d,
-        n=n,
-        m=m,
-        threshold=pr.threshold,
-        b=b,
-        per_line_joint_counts=counts,
-        fitted=fitted,
-        cascade_order=order,
-        narrative=tuple(steps),
-    )
+    return finish(outcome)
 
 
 def trace_to_dict(tr: ProofTrace) -> dict:

@@ -16,16 +16,17 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, prod
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError, InternalInvariantViolation
 from .exact import (
     Vector,
+    echelon,
     format_rational,
+    integer_form,
     nullspace_vector,
     parse_rational,
-    rank,
     vector,
 )
 
@@ -283,21 +284,35 @@ def vanishes_on_line(p: Polynomial, line: "Line") -> bool:
 
 
 def _evaluation_matrix(points: list[Vector], basis: list[MultiIndex]):
+    """Integer rows: the point x = a/q (a integer, q the common denominator)
+    evaluated at every basis monomial and scaled by q^b, b the top degree.
+
+    The entry for exponents e is a^e * q^(b - |e|); the powers of every
+    coordinate and of q are computed once per point.  Scaling a row keeps
+    the nullspace, and q^b is the least common denominator of the row, so
+    these are the rows that elimination would scale to anyway.
+    """
+    b = sum(basis[-1])
     rows = []
     for pt in points:
-        row = []
-        for exps in basis:
-            value = Fraction(1)
-            for x, e in zip(pt, exps):
-                if e:
-                    value *= Fraction(x) ** e
-            row.append(value)
-        rows.append(row)
+        nums, q = integer_form(pt)
+        pows = [[a**k for k in range(b + 1)] for a in nums]
+        q_pows = [q**k for k in range(b + 1)]
+        rows.append(
+            [
+                prod(pw[e] for pw, e in zip(pows, exps)) * q_pows[b - sum(exps)]
+                for exps in basis
+            ]
+        )
     return rows
 
 
-def _distinct_points(points: Iterable[Vector]) -> list[Vector]:
-    return sorted(set(map(vector, points)))
+def _distinct_points(points: Iterable[Vector], d: int) -> list[Vector]:
+    pts = sorted(set(map(vector, points)))
+    for pt in pts:
+        if len(pt) != d:
+            raise DimensionMismatchError(f"point {pt} is not {d}-dimensional")
+    return pts
 
 
 def fit_vanishing_at_degree(
@@ -309,10 +324,7 @@ def fit_vanishing_at_degree(
     basis, and the nullspace selection rule of :func:`nullspace_vector` picks
     the coefficient vector.
     """
-    pts = _distinct_points(points)
-    for pt in pts:
-        if len(pt) != d:
-            raise DimensionMismatchError(f"point {pt} is not {d}-dimensional")
+    pts = _distinct_points(points, d)
     basis = monomial_basis(d, b)
     if not pts:
         return Polynomial(d, {basis[0]: Fraction(1)})
@@ -336,7 +348,7 @@ def fit_vanishing(points: Iterable[Vector], d: int) -> Polynomial:
     The underdetermined evaluation system always has a nontrivial solution;
     failure to find one is an internal bug, never a caller error.
     """
-    pts = _distinct_points(points)
+    pts = _distinct_points(points, d)
     if not pts:
         raise ValueError("need at least one point")
     b = min_fit_degree(len(pts), d)
@@ -350,15 +362,21 @@ def fit_vanishing(points: Iterable[Vector], d: int) -> Polynomial:
 
 def minimal_vanishing_degree(points: Iterable[Vector], d: int) -> int:
     """Smallest b admitting a nonzero degree-<= b polynomial that vanishes
-    on all the points; 0 for the empty set."""
-    pts = _distinct_points(points)
+    on all the points; 0 for the empty set.
+
+    The basis of degree b is a prefix of the basis at the fit bound, and
+    :func:`echelon` chooses pivots left to right, so one elimination at the
+    fit bound ranks every prefix: b is the degree of the first free column.
+    At the fit bound there are more columns than points, so one is free.
+    """
+    pts = _distinct_points(points, d)
     if not pts:
         return 0
-    cap = min_fit_degree(len(pts), d)
-    for b in range(cap + 1):
-        basis = monomial_basis(d, b)
-        if rank(_evaluation_matrix(pts, basis)) < len(basis):
-            return b
+    basis = monomial_basis(d, min_fit_degree(len(pts), d))
+    pivots = set(echelon(_evaluation_matrix(pts, basis))[1])
+    for col, exps in enumerate(basis):
+        if col not in pivots:
+            return sum(exps)
     raise InternalInvariantViolation("no vanishing polynomial up to the fit bound")
 
 

@@ -1,48 +1,116 @@
 """Independent oracles used to freeze expected values.
 
-These deliberately avoid the code paths they check: rank by naive
-Gauss-Jordan over Fractions (the package uses fraction-free Bareiss),
-monomial counting by stars-and-bars recursion (the package filters a
-product and uses math.comb), identically-zero decisions by sampling
-more points than the degree (the package compares coefficients), joints
-by Fraction pair intersections followed by a rescan of every line at each
-candidate point (the package builds incidence from integer pair hits), and
-pruning by recounting every line in every round (the package peels).
+These deliberately avoid the code paths they check: rank and nullspace by
+naive Gauss-Jordan over Fractions (the package uses fraction-free Bareiss
+on integer rows), vanishing fits from a Fraction evaluation matrix and the
+minimal degree by one rank per degree (the package scales rows to integers
+and eliminates once), monomial counting by stars-and-bars recursion (the
+package filters a product and uses math.comb), identically-zero decisions
+by sampling more points than the degree (the package compares
+coefficients), joints by Fraction pair intersections followed by a rescan
+of every line at each candidate point with a Gauss-Jordan rank of the
+Fraction directions (the package builds incidence from integer pair hits),
+and pruning by recounting every line in every round (the package peels).
 """
 
 from fractions import Fraction
 
 from jointlab.exact import vec_sub
-from jointlab.geometry import (
-    JointSet,
-    configuration,
-    direction_rank,
-    incident,
-)
+from jointlab.geometry import JointSet, configuration, incident
 from jointlab.pipeline import PruneResult
+from jointlab.polynomial import Polynomial, monomial_basis
 
 
-def rank_naive(matrix) -> int:
-    """Rank by plain rational Gauss-Jordan elimination."""
+def reduced_row_echelon(matrix):
+    """Plain rational Gauss-Jordan: (reduced rows, pivot columns)."""
     rows = [[Fraction(v) for v in row] for row in matrix]
-    if not rows or not rows[0]:
-        return 0
-    m, cols = len(rows), len(rows[0])
-    r = 0
+    m, cols = len(rows), len(rows[0]) if rows else 0
+    pivots = []
     for col in range(cols):
+        r = len(pivots)
+        if r == m:
+            break
         piv = next((i for i in range(r, m) if rows[i][col] != 0), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r]
+        lead = [v / rows[r][col] for v in rows[r]]
+        rows[r] = lead
         for i in range(m):
             if i != r and rows[i][col] != 0:
-                f = rows[i][col] / lead[col]
+                f = rows[i][col]
                 rows[i] = [a - f * b for a, b in zip(rows[i], lead)]
-        r += 1
-        if r == m:
-            break
-    return r
+        pivots.append(col)
+    return rows, pivots
+
+
+def rank_naive(matrix) -> int:
+    """Rank by plain rational Gauss-Jordan elimination."""
+    return len(reduced_row_echelon(matrix)[1])
+
+
+def nullspace_vector_naive(matrix):
+    """The kernel vector with the package's selection rule, from the reduced
+    rows: the highest free column is 1, other free columns 0, and each pivot
+    variable is minus its row's entry in that column."""
+    rows, pivots = reduced_row_echelon(matrix)
+    cols = len(rows[0]) if rows else 0
+    free = [c for c in range(cols) if c not in pivots]
+    if not free:
+        return None
+    x = [Fraction(0)] * cols
+    x[free[-1]] = Fraction(1)
+    for row, col in zip(rows, pivots):
+        x[col] = -row[free[-1]]
+    return tuple(x)
+
+
+def evaluation_matrix_fraction(points, basis):
+    """Rows of Fraction monomial values, one row per point."""
+    rows = []
+    for pt in points:
+        row = []
+        for exps in basis:
+            value = Fraction(1)
+            for x, e in zip(pt, exps):
+                value *= Fraction(x) ** e
+            row.append(value)
+        rows.append(row)
+    return rows
+
+
+def _sorted_distinct(points):
+    return sorted({tuple(Fraction(x) for x in pt) for pt in points})
+
+
+def fit_at_degree_naive(points, d, b):
+    """The package's fit at degree b, from a Fraction matrix and
+    Gauss-Jordan; None when no nonzero polynomial of degree <= b vanishes."""
+    pts = _sorted_distinct(points)
+    basis = monomial_basis(d, b)
+    if not pts:
+        return Polynomial(d, {basis[0]: 1})
+    x = nullspace_vector_naive(evaluation_matrix_fraction(pts, basis))
+    return None if x is None else Polynomial(d, dict(zip(basis, x)))
+
+
+def fit_naive(points, d):
+    b = min_fit_degree_enum(len(_sorted_distinct(points)), d)
+    return fit_at_degree_naive(points, d, b)
+
+
+def minimal_degree_naive(points, d):
+    """Smallest b whose evaluation matrix has a column outside the rank,
+    trying b = 0, 1, 2, ... with a fresh matrix each time."""
+    pts = _sorted_distinct(points)
+    if not pts:
+        return 0
+    b = 0
+    while True:
+        basis = monomial_basis(d, b)
+        if rank_naive(evaluation_matrix_fraction(pts, basis)) < len(basis):
+            return b
+        b += 1
 
 
 def nullspace_is_trivial_naive(matrix) -> bool:
@@ -124,6 +192,10 @@ def _candidate_points(config):
     return sorted(seen)
 
 
+def _rank_of_directions(lines):
+    return rank_naive([line.direction for line in lines])
+
+
 def _incident_lines(config, point):
     return frozenset(l for l in config.lines if incident(l, point))
 
@@ -133,7 +205,7 @@ def find_joints_rescan(config):
     incidence = {}
     for pt in _candidate_points(config):
         through = _incident_lines(config, pt)
-        if len(through) >= config.dim and direction_rank(through) == config.dim:
+        if len(through) >= config.dim and _rank_of_directions(through) == config.dim:
             incidence[pt] = through
     return JointSet(incidence)
 
@@ -142,7 +214,7 @@ def find_s_joints_rescan(config, s):
     incidence = {}
     for pt in _candidate_points(config):
         through = _incident_lines(config, pt)
-        if len(through) >= 2 and direction_rank(through) >= s:
+        if len(through) >= 2 and _rank_of_directions(through) >= s:
             incidence[pt] = through
     return JointSet(incidence)
 

@@ -219,6 +219,15 @@ class TestErrorPaths:
         assert code == 1
         assert "lines[0]" in err
 
+    def test_numeric_curve_coefficient_names_field(self, tmp_path, capsys):
+        path = tmp_path / "curve.json"
+        curve = {"coords": [[0, 1], ["0"], ["0"]]}
+        path.write_text(json.dumps({"dim": 3, "curves": [curve]}))
+        code, out, err = run(capsys, "curve", "restrict", str(path), "--poly", "x1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: curves[0].coords[0][0]: rationals must be strings\n"
+
     def test_usage_error(self, capsys):
         code = main(["frobnicate"])
         capsys.readouterr()

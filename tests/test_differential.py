@@ -1,10 +1,17 @@
-"""The integer pair kernel and the peeling prune against their references.
+"""The integer pair kernel, the peeling prune and the integer fits against
+their references.
 
 Random lines almost never meet, so the strategies force concurrency:
 pencils through shared points with non-integer coordinates, parallel
 classes, near-parallel directions, the closed-form hyperplane family, and
 spines carrying chains of tripods, which make pruning cascade.  On every
 instance, pruning the lines as degree-1 curves must agree with line pruning.
+
+The kernel vector under the selection rule does not depend on how the
+system is eliminated, so the fits must equal the Gauss-Jordan reference
+exactly.  Point sets mix shared and coprime denominators, negative
+coordinates and repeated points, and some lie on a plane, which lowers the
+minimal degree below the fit bound.
 """
 
 from fractions import Fraction
@@ -21,9 +28,22 @@ from jointlab.curves import (
 )
 from jointlab.geometry import Line, configuration, find_joints, find_s_joints
 from jointlab.pipeline import prune
+from jointlab.polynomial import (
+    fit_vanishing,
+    fit_vanishing_at_degree,
+    min_fit_degree,
+    minimal_vanishing_degree,
+)
 
 from conftest import curve_joint_groups, grid_with_tripods
-from oracles import find_joints_rescan, find_s_joints_rescan, prune_recount
+from oracles import (
+    find_joints_rescan,
+    find_s_joints_rescan,
+    fit_at_degree_naive,
+    fit_naive,
+    minimal_degree_naive,
+    prune_recount,
+)
 
 offsets = st.integers(min_value=-3, max_value=3)
 fractional = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(
@@ -177,3 +197,36 @@ class TestAgainstReference:
         joints = find_joints(config)
         assert len(prune(config, joints).removed_lines) == 5
         assert_curve_prune_matches(config, joints)
+
+
+DENOMINATORS = ((1,), (2,), (6,), (2, 3), (5, 7), (1, 4, 9))
+
+
+@st.composite
+def point_sets(draw):
+    """(d, points): rational points in d = 3 or 4, with repeats, and on a
+    plane through rational coefficients when ``planar`` is drawn."""
+    d = draw(st.sampled_from((3, 4)))
+    dens = draw(st.sampled_from(DENOMINATORS))
+    coord = st.builds(Fraction, st.integers(-4, 4), st.sampled_from(dens))
+    points = draw(st.lists(st.tuples(*[coord] * d), max_size=12))
+    if points and draw(st.booleans()):
+        c = draw(st.tuples(coord, coord, coord))
+        points = [p[:-1] + (c[0] + c[1] * p[0] + c[2] * p[1],) for p in points]
+    repeats = draw(st.lists(st.sampled_from(points), max_size=3)) if points else []
+    return d, points + repeats
+
+
+class TestFitsAgainstReference:
+    @given(point_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_fits_and_minimal_degree(self, drawn):
+        d, points = drawn
+        distinct = len(set(points))
+        if distinct:
+            assert fit_vanishing(points, d) == fit_naive(points, d)
+        for b in range(min_fit_degree(distinct, d) + 2):
+            assert fit_vanishing_at_degree(points, d, b) == fit_at_degree_naive(
+                points, d, b
+            ), b
+        assert minimal_vanishing_degree(points, d) == minimal_degree_naive(points, d)

@@ -10,6 +10,7 @@ from jointlab.errors import DimensionMismatchError
 from jointlab.exact import (
     dot,
     format_rational,
+    integer_form,
     nullspace_vector,
     parse_rational,
     rank,
@@ -78,6 +79,12 @@ class TestVectors:
         v = (Fraction(2), Fraction(5))
         assert vec_sub(v, u) == (Fraction(1), Fraction(5))
         assert vec_scale(v, Fraction(1, 2)) == (Fraction(1), Fraction(5, 2))
+
+
+class TestIntegerForm:
+    def test_numerators_over_least_common_denominator(self):
+        assert integer_form([Fraction(1, 2), Fraction(-1, 3), 2]) == ([3, -2, 12], 6)
+        assert integer_form([4, 0]) == ([4, 0], 1)
 
 
 class TestRank:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jointlab import polynomial
 from jointlab.errors import DimensionMismatchError
+from jointlab.exact import echelon, nullspace_vector
 from jointlab.geometry import Line
 from jointlab.polynomial import (
     Polynomial,
@@ -237,6 +239,19 @@ class TestFitVanishing:
             for pt in pts:
                 assert p.evaluate(pt) == 0
 
+    def test_fit_matrix_reaches_kernel_as_integers(self, monkeypatch):
+        pts = [vec(F(1) / 2, F(-2) / 3, 5), vec(0, F(1) / 7, 1), vec(3, 2, 1)]
+        matrices = []
+
+        def spy(matrix):
+            matrices.append(matrix)
+            return nullspace_vector(matrix)
+
+        monkeypatch.setattr(polynomial, "nullspace_vector", spy)
+        fit_vanishing(pts, 3)
+        assert len(matrices) == 1
+        assert all(type(v) is int for row in matrices[0] for v in row)
+
     def test_fit_at_degree_none_when_impossible(self):
         # No nonzero linear polynomial vanishes on an affinely spanning set.
         pts = [vec(0, 0, 0), vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)]
@@ -258,6 +273,32 @@ class TestMinimalVanishingDegree:
     def test_never_exceeds_fit_bound(self):
         pts = cube_points(2, 3)
         assert minimal_vanishing_degree(pts, 3) <= min_fit_degree(len(pts), 3)
+
+    def test_one_integer_elimination_per_call(self, monkeypatch):
+        # Half-integer cube corners: the rows reach the kernel scaled to ints.
+        pts = [tuple(F(c) / 2 for c in pt) for pt in cube_points(2, 3)]
+        matrices = []
+
+        def spy(matrix):
+            matrices.append(matrix)
+            return echelon(matrix)
+
+        monkeypatch.setattr(polynomial, "echelon", spy)
+        assert minimal_vanishing_degree(pts, 3) == 2
+        assert len(matrices) == 1
+        assert all(type(v) is int for row in matrices[0] for v in row)
+
+
+class TestDimensionChecks:
+    @pytest.mark.parametrize("bad", [(1, 2, 3, 4), (1, 2)])
+    def test_every_fit_entry_point_rejects_wrong_dimension(self, bad):
+        pts = [vec(*bad), vec(*(c + 1 for c in bad))]
+        with pytest.raises(DimensionMismatchError):
+            fit_vanishing(pts, 3)
+        with pytest.raises(DimensionMismatchError):
+            fit_vanishing_at_degree(pts, 3, 2)
+        with pytest.raises(DimensionMismatchError):
+            minimal_vanishing_degree(pts, 3)
 
 
 class TestTextForm:
