@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
+from numbers import Rational
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError
@@ -89,15 +90,19 @@ def integer_form(values: Sequence) -> tuple[list[int], int]:
 def echelon(matrix: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
     """Fraction-free row echelon form of a rational matrix.
 
-    Each row is first scaled to integers, which changes neither rank nor
-    nullspace.  One-step Bareiss then eliminates: after using pivot p the
-    entries are divided by the previous pivot, an exact integer division
-    because every entry is a minor of the input.  Pivots are found by
-    scanning rows top-to-bottom per column, columns left-to-right, so the
-    pivots of a column prefix are that prefix's own pivots.  Returns the
-    reduced integer rows and the pivot columns.
+    Entries are ints or Fractions; anything else ``Fraction`` accepts (a
+    string like ``"1/2"``, a float, a Decimal) is converted first.  Each row
+    is scaled to integers, which changes neither rank nor nullspace.
+    One-step Bareiss then eliminates: after using pivot p the entries are
+    divided by the previous pivot, an exact integer division because every
+    entry is a minor of the input.  Pivots are found by scanning rows
+    top-to-bottom per column, columns left-to-right.  Returns the reduced
+    integer rows and the pivot columns.
     """
-    rows = [integer_form(row)[0] for row in matrix]
+    rows = [
+        integer_form([v if isinstance(v, Rational) else Fraction(v) for v in row])[0]
+        for row in matrix
+    ]
     if len({len(row) for row in rows}) > 1:
         raise ValueError("matrix rows have unequal lengths")
     m = len(rows)

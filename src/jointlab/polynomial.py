@@ -22,11 +22,11 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 from .errors import DimensionMismatchError, InternalInvariantViolation
 from .exact import (
     Vector,
-    echelon,
     format_rational,
     integer_form,
     nullspace_vector,
     parse_rational,
+    rank,
     vector,
 )
 
@@ -362,21 +362,14 @@ def fit_vanishing(points: Iterable[Vector], d: int) -> Polynomial:
 
 def minimal_vanishing_degree(points: Iterable[Vector], d: int) -> int:
     """Smallest b admitting a nonzero degree-<= b polynomial that vanishes
-    on all the points; 0 for the empty set.
-
-    The basis of degree b is a prefix of the basis at the fit bound, and
-    :func:`echelon` chooses pivots left to right, so one elimination at the
-    fit bound ranks every prefix: b is the degree of the first free column.
-    At the fit bound there are more columns than points, so one is free.
-    """
+    on all the points; 0 for the empty set."""
     pts = _distinct_points(points, d)
     if not pts:
         return 0
-    basis = monomial_basis(d, min_fit_degree(len(pts), d))
-    pivots = set(echelon(_evaluation_matrix(pts, basis))[1])
-    for col, exps in enumerate(basis):
-        if col not in pivots:
-            return sum(exps)
+    for b in range(min_fit_degree(len(pts), d) + 1):
+        basis = monomial_basis(d, b)
+        if rank(_evaluation_matrix(pts, basis)) < len(basis):
+            return b
     raise InternalInvariantViolation("no vanishing polynomial up to the fit bound")
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from jointlab import polynomial
 from jointlab.errors import DimensionMismatchError
-from jointlab.exact import echelon, nullspace_vector
+from jointlab.exact import nullspace_vector, rank
 from jointlab.geometry import Line
 from jointlab.polynomial import (
     Polynomial,
@@ -274,19 +274,20 @@ class TestMinimalVanishingDegree:
         pts = cube_points(2, 3)
         assert minimal_vanishing_degree(pts, 3) <= min_fit_degree(len(pts), 3)
 
-    def test_one_integer_elimination_per_call(self, monkeypatch):
-        # Half-integer cube corners: the rows reach the kernel scaled to ints.
+    def test_ranks_integer_rows_one_degree_at_a_time(self, monkeypatch):
+        # Half-integer cube corners: the rows reach the kernel scaled to ints,
+        # and the ranking stops at the minimal degree.
         pts = [tuple(F(c) / 2 for c in pt) for pt in cube_points(2, 3)]
         matrices = []
 
         def spy(matrix):
             matrices.append(matrix)
-            return echelon(matrix)
+            return rank(matrix)
 
-        monkeypatch.setattr(polynomial, "echelon", spy)
+        monkeypatch.setattr(polynomial, "rank", spy)
         assert minimal_vanishing_degree(pts, 3) == 2
-        assert len(matrices) == 1
-        assert all(type(v) is int for row in matrices[0] for v in row)
+        assert [len(m[0]) for m in matrices] == [1, 4, 10]
+        assert all(type(v) is int for m in matrices for row in m for v in row)
 
 
 class TestDimensionChecks:
