@@ -24,9 +24,8 @@ from .geometry import (
 from .pipeline import bound_check, bound_constant, trace, trace_to_dict
 from .polynomial import (
     fit_vanishing,
-    fit_vanishing_at_degree,
     min_fit_degree,
-    minimal_vanishing_degree,
+    minimal_fit,
     polynomial_from_text,
     polynomial_to_text,
     unipoly_to_text,
@@ -84,9 +83,8 @@ def _cmd_fit(args) -> int:
     b = min_fit_degree(m, config.dim)
     print(f"degree bound b: {b}")
     if args.minimal:
-        b_star = minimal_vanishing_degree(joints.points, config.dim)
-        print(f"minimal degree: {b_star}")
-        poly = fit_vanishing_at_degree(joints.points, config.dim, b_star)
+        poly = minimal_fit(joints.points, config.dim)
+        print(f"minimal degree: {poly.degree()}")
     else:
         poly = fit_vanishing(joints.points, config.dim)
     print(f"polynomial: {polynomial_to_text(poly)}")

@@ -23,7 +23,7 @@ from .errors import DimensionMismatchError
 
 Vector = tuple[Fraction, ...]
 
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"^-?[0-9]+(?:/[0-9]+)?$")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -87,17 +87,28 @@ def integer_form(values: Sequence) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def echelon(matrix: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form of a rational matrix.
+def echelon(
+    matrix: Sequence[Sequence],
+) -> tuple[list[list[int]], list[int], list[tuple]]:
+    """Left-looking fraction-free column echelon walk of a rational matrix.
 
     Entries are ints or Fractions; anything else ``Fraction`` accepts (a
     string like ``"1/2"``, a float, a Decimal) is converted first.  Each row
     is scaled to integers, which changes neither rank nor nullspace.
-    One-step Bareiss then eliminates: after using pivot p the entries are
-    divided by the previous pivot, an exact integer division because every
-    entry is a minor of the input.  Pivots are found by scanning rows
-    top-to-bottom per column, columns left-to-right.  Returns the reduced
-    integer rows and the pivot columns.
+    Columns are walked left to right.  A column is brought up to date only
+    when the walk reaches it, by :func:`_replay` of every pivot step so far;
+    its first nonzero entry at or below the next pivot row then becomes a
+    pivot, and the step (row swap, pivot, the entries below it) is recorded.
+    The walk stops once every row holds a pivot.
+
+    One-step Bareiss: each update divides by the previous pivot, an exact
+    integer division because every entry is a minor of the input.  An update
+    of one column reads only that column and the pivot column, so every
+    reduced column holds the integers a right-looking elimination would give.
+
+    Returns the integer columns, the pivot columns and the recorded steps.
+    Columns the walk did not reach (those after the last pivot, when every
+    row holds one) are scaled but not reduced; ``_replay`` reduces one.
     """
     rows = [
         integer_form([v if isinstance(v, Rational) else Fraction(v) for v in row])[0]
@@ -105,30 +116,46 @@ def echelon(matrix: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
     ]
     if len({len(row) for row in rows}) > 1:
         raise ValueError("matrix rows have unequal lengths")
+    columns = [list(col) for col in zip(*rows)]
     m = len(rows)
-    cols = len(rows[0]) if m else 0
     pivot_cols: list[int] = []
+    steps: list[tuple] = []
     prev = 1
-    r = 0
-    for col in range(cols):
+    for j, col in enumerate(columns):
+        r = len(pivot_cols)
         if r == m:
             break
-        sel = next((i for i in range(r, m) if rows[i][col] != 0), None)
+        _replay(col, steps)
+        sel = next((i for i in range(r, m) if col[i] != 0), None)
         if sel is None:
             continue
-        if sel != r:
-            rows[r], rows[sel] = rows[sel], rows[r]
-        piv = rows[r][col]
-        for i in range(r + 1, m):
-            factor = rows[i][col]
-            row_i, row_r = rows[i], rows[r]
-            for j in range(col + 1, cols):
-                row_i[j] = (piv * row_i[j] - factor * row_r[j]) // prev
-            row_i[col] = 0
+        col[r], col[sel] = col[sel], col[r]
+        piv = col[r]
+        steps.append((sel, piv, prev, col[r + 1 :]))
+        col[r + 1 :] = [0] * (m - r - 1)
         prev = piv
-        pivot_cols.append(col)
-        r += 1
-    return rows, pivot_cols
+        pivot_cols.append(j)
+    return columns, pivot_cols, steps
+
+
+def _replay(column: list[int], steps: list[tuple]) -> None:
+    """Apply the recorded pivot steps to one column, in order and in place:
+    step r swaps rows r and sel, then each entry v below row r, beside the
+    entry f of the pivot column, becomes (piv * v - f * column[r]) / prev.
+
+    Zero operands skip the multiplications.  Fit matrices of grid points
+    are sparse: there the pivot-row entry column[r] is zero in most steps.
+    """
+    for r, (sel, piv, prev, below) in enumerate(steps):
+        column[r], column[sel] = column[sel], column[r]
+        top = column[r]
+        if top:
+            column[r + 1 :] = [
+                (piv * v - f * top) // prev if v or f else 0
+                for v, f in zip(column[r + 1 :], below)
+            ]
+        else:
+            column[r + 1 :] = [piv * v // prev if v else 0 for v in column[r + 1 :]]
 
 
 def rank(matrix: Sequence[Sequence]) -> int:
@@ -141,18 +168,24 @@ def nullspace_vector(matrix: Sequence[Sequence]) -> Vector | None:
 
     Selection rule, fixed for reproducibility: the highest-index free column
     is set to 1, every other free column to 0, and the pivot variables are
-    back-substituted.
+    back-substituted.  When the walk stopped early, that column is the last
+    one, and the only column past the last pivot that is ever reduced.
     """
-    rows, pivot_cols = echelon(matrix)
-    cols = len(rows[0]) if rows else 0
-    free = set(range(cols)).difference(pivot_cols)
+    columns, pivot_cols, steps = echelon(matrix)
+    free = set(range(len(columns))).difference(pivot_cols)
     if not free:
         return None
-    x = [Fraction(0)] * cols
-    x[max(free)] = Fraction(1)
-    for row, col in reversed(list(zip(rows, pivot_cols))):
+    sel = max(free)
+    # With a pivot in every row the walk stopped at the last pivot, so a
+    # column after it is not reduced yet.
+    if len(pivot_cols) == len(columns[sel]) and sel > pivot_cols[-1]:
+        _replay(columns[sel], steps)
+    x = [Fraction(0)] * len(columns)
+    x[sel] = Fraction(1)
+    for r, col in reversed(list(enumerate(pivot_cols))):
         acc = sum(
-            (row[j] * x[j] for j in range(col + 1, cols) if x[j]), start=Fraction(0)
+            (columns[j][r] * x[j] for j in range(col + 1, len(columns)) if x[j]),
+            start=Fraction(0),
         )
-        x[col] = -acc / row[col]
+        x[col] = -acc / columns[col][r]
     return tuple(x)

@@ -26,7 +26,6 @@ from .exact import (
     integer_form,
     nullspace_vector,
     parse_rational,
-    rank,
     vector,
 )
 
@@ -360,23 +359,29 @@ def fit_vanishing(points: Iterable[Vector], d: int) -> Polynomial:
     return poly
 
 
+def minimal_fit(points: Iterable[Vector], d: int) -> Polynomial:
+    """The fit at the smallest degree b that admits one: the first of
+    :func:`fit_vanishing_at_degree` at b = 0, 1, ... that is not None, one
+    elimination per degree.  Its degree is b, since a fit of lower degree
+    would be one at a smaller b; the constant 1 for the empty set."""
+    pts = _distinct_points(points, d)
+    for b in range(min_fit_degree(len(pts), d) + 1):
+        poly = fit_vanishing_at_degree(pts, d, b)
+        if poly is not None:
+            return poly
+    raise InternalInvariantViolation("no vanishing polynomial up to the fit bound")
+
+
 def minimal_vanishing_degree(points: Iterable[Vector], d: int) -> int:
     """Smallest b admitting a nonzero degree-<= b polynomial that vanishes
     on all the points; 0 for the empty set."""
-    pts = _distinct_points(points, d)
-    if not pts:
-        return 0
-    for b in range(min_fit_degree(len(pts), d) + 1):
-        basis = monomial_basis(d, b)
-        if rank(_evaluation_matrix(pts, basis)) < len(basis):
-            return b
-    raise InternalInvariantViolation("no vanishing polynomial up to the fit bound")
+    return minimal_fit(points, d).degree()
 
 
 # ---------------------------------------------------------------------------
 # text form: terms in descending graded-lex order, e.g. "x1^2 - x1"
 
-_TERM_FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
+_TERM_FACTOR_RE = re.compile(r"^x([0-9]+)(?:\^([0-9]+))?$")
 
 
 def _power_text(var: str, e: int) -> str:

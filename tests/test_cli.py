@@ -228,6 +228,16 @@ class TestErrorPaths:
         assert out == ""
         assert err == "error: curves[0].coords[0][0]: rationals must be strings\n"
 
+    def test_non_ascii_digit_names_field(self, tmp_path, capsys):
+        # "\u0663" is ARABIC-INDIC DIGIT THREE; only 0-9 are rational digits.
+        path = tmp_path / "arabic.json"
+        line = {"base": ["\u0663", "0", "0"], "dir": ["1", "0", "0"]}
+        path.write_text(json.dumps({"dim": 3, "lines": [line]}))
+        code, out, err = run(capsys, "joints", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: lines[0].base[0]: invalid rational literal '\u0663'\n"
+
     def test_usage_error(self, capsys):
         code = main(["frobnicate"])
         capsys.readouterr()

@@ -8,16 +8,21 @@ spines carrying chains of tripods, which make pruning cascade.  On every
 instance, pruning the lines as degree-1 curves must agree with line pruning.
 
 The kernel vector under the selection rule does not depend on how the
-system is eliminated, so the fits must equal the Gauss-Jordan reference
-exactly.  Point sets mix shared and coprime denominators, negative
-coordinates and repeated points, and some lie on a plane, which lowers the
-minimal degree below the fit bound.
+system is eliminated, so the rank, the kernel vector and the fits must equal
+the Gauss-Jordan reference exactly.  Matrix shapes are drawn to reach every
+path of the left-looking walk: wide with a pivot in every row (the walk
+stops early), rows that fill only at the last column, rank-deficient wide
+and tall, zero rows and columns, and int, Fraction and string entries.
+Point sets mix shared and coprime denominators, negative coordinates and
+repeated points, and some lie on a plane, which lowers the minimal degree
+below the fit bound.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jointlab.curves import (
@@ -26,6 +31,7 @@ from jointlab.curves import (
     curve_prune,
     line_as_curve,
 )
+from jointlab.exact import nullspace_vector, rank
 from jointlab.geometry import Line, configuration, find_joints, find_s_joints
 from jointlab.pipeline import prune
 from jointlab.polynomial import (
@@ -42,7 +48,9 @@ from oracles import (
     fit_at_degree_naive,
     fit_naive,
     minimal_degree_naive,
+    nullspace_vector_naive,
     prune_recount,
+    rank_naive,
 )
 
 offsets = st.integers(min_value=-3, max_value=3)
@@ -230,3 +238,76 @@ class TestFitsAgainstReference:
                 points, d, b
             ), b
         assert minimal_vanishing_degree(points, d) == minimal_degree_naive(points, d)
+
+
+entries = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 1, 2, 3)))
+
+
+def matrices(m, c):
+    return st.lists(st.lists(entries, min_size=c, max_size=c), min_size=m, max_size=m)
+
+
+def times(left, right, c):
+    """The product of an m x k and a k x c matrix; k may be 0."""
+    return [
+        [sum((a * r[j] for a, r in zip(row, right)), Fraction(0)) for j in range(c)]
+        for row in left
+    ]
+
+
+def written(draw, rows):
+    """The rows as ints (each row scaled by its common denominator),
+    Fractions, strings like "-3/2", or a mix of the three."""
+    style = draw(st.sampled_from(("int", "fraction", "string", "mixed")))
+    if style == "int":
+        dens = [lcm(*(v.denominator for v in row)) for row in rows]
+        return [[int(v * den) for v in row] for row, den in zip(rows, dens)]
+    forms = {"fraction": (Fraction,), "string": (str,), "mixed": (Fraction, str)}[style]
+    out = []
+    for row in rows:
+        cells = []
+        for v in row:
+            whole = (int,) if style == "mixed" and v.denominator == 1 else ()
+            cells.append(draw(st.sampled_from(forms + whole))(v))
+        out.append(cells)
+    return out
+
+
+@st.composite
+def kernel_cases(draw):
+    """A matrix whose shape drives one path of the walk, with zero rows and
+    zero columns inserted and its entries written in a drawn form."""
+    shape = draw(st.sampled_from(("wide", "last", "deficient", "any")))
+    m = draw(st.integers(1, 5))
+    if shape == "wide":  # a pivot in every row before the last column
+        c = draw(st.integers(m + 1, m + 4))
+        rows = draw(matrices(m, c))
+        assume(rank_naive(rows) == m)
+    elif shape == "last":  # the last column completes the row rank
+        c = draw(st.integers(m, m + 3))
+        rows = times(draw(matrices(m, m - 1)), draw(matrices(m - 1, c - 1)), c - 1)
+        rows = [row + [draw(entries)] for row in rows]
+        assume(rank_naive(rows) == m)
+    elif shape == "deficient":  # rank below both m and c, wide or tall
+        c = draw(st.integers(1, 7))
+        k = draw(st.integers(0, min(m, c) - 1))
+        rows = times(draw(matrices(m, k)), draw(matrices(k, c)), c)
+    else:
+        rows = draw(matrices(m, draw(st.integers(1, 7))))
+    zeros = st.sampled_from((0, 0, 0, 1, 2))
+    for _ in range(draw(zeros)):
+        at = draw(st.integers(0, len(rows)))
+        rows.insert(at, [Fraction(0)] * len(rows[0]))
+    for _ in range(draw(zeros)):
+        at = draw(st.integers(0, len(rows[0])))
+        for row in rows:
+            row.insert(at, Fraction(0))
+    return written(draw, rows)
+
+
+class TestKernelAgainstReference:
+    @given(kernel_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_rank_and_vector_equal_gauss_jordan(self, matrix):
+        assert rank(matrix) == rank_naive(matrix)
+        assert nullspace_vector(matrix) == nullspace_vector_naive(matrix)

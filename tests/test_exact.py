@@ -1,12 +1,13 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jointlab import exact
 from jointlab.errors import DimensionMismatchError
 from jointlab.exact import (
     dot,
@@ -18,9 +19,9 @@ from jointlab.exact import (
     vec_scale,
     vec_sub,
 )
-from jointlab.polynomial import monomial_basis
+from jointlab.polynomial import fit_vanishing, monomial_basis
 
-from oracles import nullspace_is_trivial_naive, rank_naive
+from oracles import fit_naive, nullspace_is_trivial_naive, rank_naive
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 
@@ -56,7 +57,7 @@ class TestRationalText:
             parse_rational("3/0")
 
     def test_rejects_decimals_and_junk(self):
-        for bad in ("1.5", "x", "", "1/2/3", "2e3"):
+        for bad in ("1.5", "x", "", "1/2/3", "2e3", "\u0663", "\uff13/\uff14"):
             with pytest.raises(ValueError):
                 parse_rational(bad)
 
@@ -195,3 +196,35 @@ class TestEliminationProperties:
         scaled = [list(r) for r in rows]
         scaled[i] = [scale * v for v in scaled[i]]
         assert rank(scaled) == base
+
+
+class TestEarlyStop:
+    def test_hyperplane_fit_reduces_pivot_columns_and_the_last(self, monkeypatch):
+        # Seven generic hyperplanes x.(1,t,t^2) = t^3, t = 1..7: the joint of
+        # a, b, c is (abc, -(ab+ac+bc), a+b+c).  The 35 joints fill the rows of
+        # the 35 x 56 fit matrix at b = 5 by column 34, so the walk stops there
+        # and only the selected last column is reduced past it.
+        points = [
+            (a * b * c, -(a * b + a * c + b * c), a + b + c)
+            for a, b, c in combinations(range(1, 8), 3)
+        ]
+        walks, replayed = [], []
+        echelon, replay = exact.echelon, exact._replay
+
+        def echelon_spy(matrix):
+            walks.append(echelon(matrix))
+            return walks[-1]
+
+        def replay_spy(column, steps):
+            replayed.append(column)
+            replay(column, steps)
+
+        monkeypatch.setattr(exact, "echelon", echelon_spy)
+        monkeypatch.setattr(exact, "_replay", replay_spy)
+        fit = fit_vanishing(points, 3)
+        [(columns, pivot_cols, _)] = walks
+        assert (len(columns[0]), len(columns)) == (35, 56)
+        assert pivot_cols == list(range(35))
+        reduced = [next(j for j, c in enumerate(columns) if c is col) for col in replayed]
+        assert reduced == list(range(35)) + [55]
+        assert fit == fit_naive(points, 3)

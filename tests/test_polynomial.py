@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from jointlab import polynomial
 from jointlab.errors import DimensionMismatchError
-from jointlab.exact import nullspace_vector, rank
+from jointlab.exact import nullspace_vector
 from jointlab.geometry import Line
 from jointlab.polynomial import (
     Polynomial,
@@ -276,15 +276,16 @@ class TestMinimalVanishingDegree:
 
     def test_ranks_integer_rows_one_degree_at_a_time(self, monkeypatch):
         # Half-integer cube corners: the rows reach the kernel scaled to ints,
-        # and the ranking stops at the minimal degree.
+        # each degree is eliminated once, and the search stops at the minimal
+        # degree.
         pts = [tuple(F(c) / 2 for c in pt) for pt in cube_points(2, 3)]
         matrices = []
 
         def spy(matrix):
             matrices.append(matrix)
-            return rank(matrix)
+            return nullspace_vector(matrix)
 
-        monkeypatch.setattr(polynomial, "rank", spy)
+        monkeypatch.setattr(polynomial, "nullspace_vector", spy)
         assert minimal_vanishing_degree(pts, 3) == 2
         assert [len(m[0]) for m in matrices] == [1, 4, 10]
         assert all(type(v) is int for m in matrices for row in m for v in row)
@@ -319,6 +320,11 @@ class TestTextForm:
     def test_out_of_range_variable(self):
         with pytest.raises(ValueError):
             polynomial_from_text("x4", 3)
+
+    def test_non_ascii_digits_rejected(self):
+        for bad in ("x\u0661", "x1^\u0662", "\uff13*x1"):
+            with pytest.raises(ValueError):
+                polynomial_from_text(bad, 3)
 
     @given(polynomials())
     @settings(max_examples=80)
