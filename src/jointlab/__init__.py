@@ -16,9 +16,6 @@ from .geometry import (
     find_joints,
     find_s_joints,
     incident,
-    is_joint,
-    is_s_joint,
-    line_line_intersection,
     load_configuration,
     project_to_generic_flat,
     save_configuration,
@@ -28,7 +25,6 @@ from .polynomial import (
     Polynomial,
     fit_vanishing,
     min_fit_degree,
-    minimal_vanishing_degree,
     monomial_basis,
     polynomial_from_text,
     polynomial_to_text,

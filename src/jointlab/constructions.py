@@ -11,6 +11,12 @@ from .geometry import Configuration, Line, configuration, incident
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
+# random_config gives up after 100 draws per line asked for, plus 1000: a
+# small coordinate bound allows only finitely many distinct lines (16 at
+# d = 2 and 193 at d = 3 for bound 1), and collecting all 193 takes ~2000.
+DRAWS_PER_LINE = 100
+EXTRA_DRAWS = 1000
+
 
 def grid(d: int, k: int) -> Configuration:
     """Axis-parallel lines through the integer grid {0..k-1}^d.
@@ -36,7 +42,11 @@ def grid(d: int, k: int) -> Configuration:
 
 
 def random_config(d: int, n: int, seed: int, coord_bound: int) -> Configuration:
-    """n distinct random lines with small integer base and direction entries."""
+    """n distinct random lines with small integer base and direction entries.
+
+    Raises ValueError when the draw budget runs out first, which happens
+    when n exceeds the number of distinct lines the bound allows.
+    """
     if n < 1:
         raise ValueError("need n >= 1 lines")
     if d < 2:
@@ -45,7 +55,8 @@ def random_config(d: int, n: int, seed: int, coord_bound: int) -> Configuration:
         raise ValueError("coordinate bound must be >= 1")
     rng = random.Random(seed)
     lines: set[Line] = set()
-    while len(lines) < n:
+    budget = DRAWS_PER_LINE * n + EXTRA_DRAWS
+    for _ in range(budget):
         base = tuple(Fraction(rng.randint(-coord_bound, coord_bound)) for _ in range(d))
         direction = tuple(
             Fraction(rng.randint(-coord_bound, coord_bound)) for _ in range(d)
@@ -53,7 +64,12 @@ def random_config(d: int, n: int, seed: int, coord_bound: int) -> Configuration:
         if all(c == 0 for c in direction):
             continue
         lines.add(Line(base, direction))
-    return configuration(d, lines)
+        if len(lines) == n:
+            return configuration(d, lines)
+    raise ValueError(
+        f"found only {len(lines)} distinct lines of n = {n} with coordinate "
+        f"bound {coord_bound} in {budget} draws"
+    )
 
 
 def planar_bundle(d: int, n: int) -> Configuration:

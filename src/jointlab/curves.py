@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, FileFormatError
-from .exact import Vector, format_rational, rank
-from .geometry import JointSet, Line, parse_coords, read_json, write_json
+from .exact import Vector, rank
+from .geometry import JointSet, Line, parse_coords, read_json
 from .pipeline import peel
 from .polynomial import (
     Polynomial,
@@ -148,16 +148,6 @@ def restrict_to_curve(p: Polynomial, curve: ParamCurve) -> UniPoly:
 # JSON wire format: coefficient lists in ascending powers of t
 
 
-def curve_configuration_to_dict(cfg: CurveConfiguration) -> dict:
-    return {
-        "dim": cfg.dim,
-        "curves": [
-            {"coords": [[format_rational(c) for c in coord] for coord in curve.coords]}
-            for curve in cfg.curves
-        ],
-    }
-
-
 def curve_configuration_from_dict(obj) -> CurveConfiguration:
     if not isinstance(obj, dict):
         raise FileFormatError("top level: expected an object")
@@ -185,10 +175,6 @@ def curve_configuration_from_dict(obj) -> CurveConfiguration:
         except ValueError as exc:
             raise FileFormatError(f"curves[{i}]: {exc}") from exc
     return CurveConfiguration(dim, tuple(curves))
-
-
-def save_curve_configuration(cfg: CurveConfiguration, path) -> None:
-    write_json(path, curve_configuration_to_dict(cfg))
 
 
 def load_curve_configuration(path) -> CurveConfiguration:

@@ -228,26 +228,12 @@ def direction_rank(lines: Iterable[Line]) -> int:
     return rank(rows)
 
 
-def _incident_lines(config: Configuration, point: Vector) -> frozenset[Line]:
-    return frozenset(l for l in config.lines if incident(l, point))
-
-
 def is_joint(config: Configuration, point: Vector) -> bool:
     """At least d incident lines whose directions span all of d-space."""
-    through = _incident_lines(config, point)
+    through = [l for l in config.lines if incident(l, point)]
     if len(through) < config.dim:
         return False
     return direction_rank(through) == config.dim
-
-
-def is_s_joint(config: Configuration, point: Vector, s: int) -> bool:
-    """Incident directions span a subspace of dimension at least s."""
-    if not 2 <= s <= config.dim:
-        raise ValueError(f"s must satisfy 2 <= s <= {config.dim}, got {s}")
-    through = _incident_lines(config, point)
-    if not through:
-        return False
-    return direction_rank(through) >= s
 
 
 def find_joints(config: Configuration) -> JointSet:
@@ -289,9 +275,6 @@ class Projection:
     matrix: tuple[Vector, ...]
     line_images: dict[Line, Line]
     attempts: int
-
-    def apply(self, point: Vector) -> Vector:
-        return mat_vec(self.matrix, vector(point))
 
 
 def project_to_generic_flat(config: Configuration, s: int, seed: int) -> Projection:

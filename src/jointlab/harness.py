@@ -111,26 +111,3 @@ def write_csv(rows: Iterable[SweepRow], path) -> None:
                     row.ratio,
                 ]
             )
-
-
-def read_csv(path) -> list[SweepRow]:
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_COLUMNS:
-            raise ValueError(f"unexpected CSV header {reader.fieldnames}")
-        for rec in reader:
-            rows.append(
-                SweepRow(
-                    d=int(rec["d"]),
-                    k_or_n=int(rec["k_or_n"]),
-                    seed=None if rec["seed"] == "" else int(rec["seed"]),
-                    n=int(rec["n"]),
-                    m=int(rec["m"]),
-                    lhs=int(rec["lhs"]),
-                    rhs=int(rec["rhs"]),
-                    holds=rec["holds"] == "true",
-                    ratio=rec["ratio"],
-                )
-            )
-    return rows

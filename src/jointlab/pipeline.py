@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import exp, factorial, log
 
 from .errors import (
     ContradictionBugError,
@@ -108,8 +108,12 @@ class GradientCheckReport:
 
 
 def bound_constant(d: int) -> float:
-    """Decimal approximation of (2^(d+1) d!)^(1/(d-1)), for display only."""
-    return float(2 ** (d + 1) * factorial(d)) ** (1.0 / (d - 1))
+    """Decimal approximation of (2^(d+1) d!)^(1/(d-1)), for display only.
+
+    The logarithm of the exact integer keeps it finite where the integer
+    itself is too large for a float (d >= 151).
+    """
+    return exp(log(2 ** (d + 1) * factorial(d)) / (d - 1))
 
 
 def bound_check(n: int, m: int, d: int) -> BoundCheck:

@@ -97,18 +97,6 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
-    @classmethod
-    def constant(cls, dim: int, value) -> "Polynomial":
-        return cls(dim, {(0,) * dim: Fraction(value)})
-
-    @classmethod
-    def variable(cls, dim: int, axis: int) -> "Polynomial":
-        """The monomial x_{axis+1} (axes are 0-based, display names 1-based)."""
-        if not 0 <= axis < dim:
-            raise ValueError(f"axis {axis} out of range for dimension {dim}")
-        exps = tuple(1 if i == axis else 0 for i in range(dim))
-        return cls(dim, {exps: Fraction(1)})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -151,43 +139,6 @@ class Polynomial:
             for axis in range(self.dim)
         )
 
-    def _binary(self, other, sign) -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(self.dim, other)
-        if other.dim != self.dim:
-            raise DimensionMismatchError("mixed-dimension polynomial arithmetic")
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + sign * coeff
-        return Polynomial(self.dim, out)
-
-    def __add__(self, other):
-        return self._binary(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, -1)
-
-    def __neg__(self):
-        return Polynomial(self.dim, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            return Polynomial(
-                self.dim, {e: c * Fraction(other) for e, c in self.terms.items()}
-            )
-        if other.dim != self.dim:
-            raise DimensionMismatchError("mixed-dimension polynomial arithmetic")
-        out: dict[MultiIndex, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return Polynomial(self.dim, out)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)
@@ -210,10 +161,6 @@ def uni_trim(coeffs: Iterable) -> UniPoly:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
-
-
-def uni_is_zero(p: UniPoly) -> bool:
-    return not p
 
 
 def uni_add(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -279,7 +226,7 @@ def restrict_to_line(p: Polynomial, line: "Line") -> UniPoly:
 
 def vanishes_on_line(p: Polynomial, line: "Line") -> bool:
     """True iff p is identically zero along the line."""
-    return uni_is_zero(restrict_to_line(p, line))
+    return not restrict_to_line(p, line)
 
 
 def _evaluation_matrix(points: list[Vector], basis: list[MultiIndex]):
@@ -372,12 +319,6 @@ def minimal_fit(points: Iterable[Vector], d: int) -> Polynomial:
     raise InternalInvariantViolation("no vanishing polynomial up to the fit bound")
 
 
-def minimal_vanishing_degree(points: Iterable[Vector], d: int) -> int:
-    """Smallest b admitting a nonzero degree-<= b polynomial that vanishes
-    on all the points; 0 for the empty set."""
-    return minimal_fit(points, d).degree()
-
-
 # ---------------------------------------------------------------------------
 # text form: terms in descending graded-lex order, e.g. "x1^2 - x1"
 
@@ -419,22 +360,24 @@ def polynomial_to_text(p: Polynomial) -> str:
 
 
 def polynomial_from_text(text: str, dim: int) -> Polynomial:
-    """Parse the report text form back into a polynomial."""
+    """Parse the report text form back into a polynomial.
+
+    A leading sign is allowed; a sign with no term after it is a ValueError.
+    """
     compact = text.replace(" ", "")
     if compact in ("", "0"):
         return Polynomial(dim, {})
-    chunks = re.findall(r"[+-]?[^+-]+", compact)
+    if compact[0] not in "+-":
+        compact = "+" + compact
+    # "+x1-2" splits into "", "+", "x1", "-", "2": signs and terms alternate
+    _, *parts = re.split(r"([+-])", compact)
     terms: dict[MultiIndex, Fraction] = {}
-    for chunk in chunks:
-        sign = Fraction(1)
-        body = chunk
-        if body[0] in "+-":
-            if body[0] == "-":
-                sign = Fraction(-1)
-            body = body[1:]
+    for sign, body in zip(parts[::2], parts[1::2]):
         if not body:
-            raise ValueError(f"empty term in polynomial text {text!r}")
-        coeff = sign
+            raise ValueError(
+                f"sign {sign!r} without a term in polynomial text {text!r}"
+            )
+        coeff = Fraction(-1 if sign == "-" else 1)
         exps = [0] * dim
         for factor in body.split("*"):
             m = _TERM_FACTOR_RE.match(factor)

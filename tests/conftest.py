@@ -6,10 +6,24 @@ import pytest
 from jointlab.constructions import grid, grid_plus_orphan, planar_bundle, random_config
 from jointlab.curves import line_as_curve
 from jointlab.geometry import Line, configuration
+from jointlab.polynomial import Polynomial
 
 
 def cube_points(k: int, d: int):
     return [tuple(Fraction(c) for c in pt) for pt in product(range(k), repeat=d)]
+
+
+def poly_product(dim: int, factors) -> Polynomial:
+    """The product of the given polynomials in dim variables; 1 for none."""
+    terms = {(0,) * dim: Fraction(1)}
+    for factor in factors:
+        out = {}
+        for e1, c1 in terms.items():
+            for e2, c2 in factor.terms.items():
+                key = tuple(a + b for a, b in zip(e1, e2))
+                out[key] = out.get(key, 0) + c1 * c2
+        terms = out
+    return Polynomial(dim, terms)
 
 
 def curve_joint_groups(joints):

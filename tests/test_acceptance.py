@@ -22,6 +22,7 @@ from jointlab.curves import (
     restrict_to_curve,
 )
 from jointlab.errors import GenericityFailureError
+from jointlab.exact import mat_vec
 from jointlab.geometry import (
     Line,
     find_joints,
@@ -43,10 +44,12 @@ from jointlab.polynomial import (
     Polynomial,
     fit_vanishing,
     min_fit_degree,
+    polynomial_from_text,
     restrict_to_line,
     vanishes_on_line,
 )
 
+from conftest import poly_product
 from oracles import nullspace_is_trivial_naive, rank_naive
 
 
@@ -75,12 +78,9 @@ def vec(*vals):
 
 
 def grid_product_poly(d, k):
-    p = Polynomial.constant(d, 1)
-    for axis in range(d):
-        x = Polynomial.variable(d, axis)
-        for j in range(k):
-            p = p * (x - Polynomial.constant(d, j))
-    return p
+    """Product over axes and grid levels of (x_i - j)."""
+    factors = (f"x{i} - {j}" for i in range(1, d + 1) for j in range(k))
+    return poly_product(d, [polynomial_from_text(f, d) for f in factors])
 
 
 @criterion(1, "grid exactness via CLI")
@@ -224,7 +224,8 @@ def test_criterion_8_projection():
                 continue
             successes += 1
             for p in joints.points:
-                assert is_joint(projection.config, projection.apply(p)), (k, seed)
+                image = mat_vec(projection.matrix, p)
+                assert is_joint(projection.config, image), (k, seed)
             projected_joints = find_joints(projection.config)
             chk = bound_check(projection.config.n, len(projected_joints), 2)
             assert chk.holds, (k, seed)

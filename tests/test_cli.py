@@ -1,10 +1,10 @@
+import csv
 import json
 
 import pytest
 
 from jointlab.cli import main
 from jointlab.errors import ContradictionBugError
-from jointlab.harness import read_csv
 
 
 def run(capsys, *argv):
@@ -54,6 +54,16 @@ class TestBound:
         code, out, _ = run(capsys, "bound", path)
         assert code == 0
         assert "holds" in out
+
+    def test_constant_past_float_range(self, tmp_path, capsys):
+        # 2^152 * 151! is too large for a float
+        path = tmp_path / "line.json"
+        path.write_text(
+            json.dumps({"dim": 151, "lines": [{"base": ["0"] * 151, "dir": ["1"] * 151}]})
+        )
+        code, out, _ = run(capsys, "bound", str(path))
+        assert code == 0
+        assert "A(151) = 117.837\n" in out
 
     def test_violation_exits_2(self, tmp_path, capsys, monkeypatch):
         # No real configuration can violate the inequality, so fake the count.
@@ -147,15 +157,16 @@ class TestSweep:
         code, out, _ = run(capsys, "sweep", "grid", "--dim", "3", "--k", "2..4",
                            "--csv", str(csv_path))
         assert code == 0
-        rows = read_csv(csv_path)
-        assert [(r.n, r.m) for r in rows] == [(12, 8), (27, 27), (48, 64)]
+        header, *records = csv.reader(csv_path.read_text().splitlines())
+        n_m = [(rec[header.index("n")], rec[header.index("m")]) for rec in records]
+        assert n_m == [("12", "8"), ("27", "27"), ("48", "64")]
 
     def test_random_sweep(self, tmp_path, capsys):
         csv_path = tmp_path / "sweep.csv"
         code, _, _ = run(capsys, "sweep", "random", "--dim", "3", "--n", "5,10",
                          "--seeds", "1..3", "--csv", str(csv_path))
         assert code == 0
-        assert len(read_csv(csv_path)) == 6
+        assert len(list(csv.reader(csv_path.read_text().splitlines()))) == 1 + 6
 
     def test_guard_message(self, tmp_path, capsys):
         code, _, err = run(capsys, "sweep", "random", "--dim", "3", "--n", "1001",
@@ -193,6 +204,12 @@ class TestCurveCommands:
         code, out, _ = run(capsys, "curve", "restrict", moment_file, "--poly", "x1")
         assert code == 0
         assert out.splitlines()[0] == "curve 0: t"
+
+    def test_stray_sign_exits_1(self, moment_file, capsys):
+        code, out, err = run(capsys, "curve", "restrict", moment_file,
+                             "--poly", "x1 - - x1")
+        assert (code, out) == (1, "")
+        assert "'x1 - - x1'" in err
 
     def test_joint_verdicts(self, moment_file, capsys):
         code, out, _ = run(capsys, "curve", "joint", moment_file,
@@ -248,3 +265,10 @@ class TestErrorPaths:
                            "-o", str(tmp_path / "x.json"))
         assert code == 1
         assert "dimension" in err
+
+    def test_more_random_lines_than_the_bound_allows(self, tmp_path, capsys):
+        code, _, err = run(capsys, "gen", "random", "--dim", "2", "--n", "17",
+                           "--coord-bound", "1", "--seed", "1",
+                           "-o", str(tmp_path / "x.json"))
+        assert code == 1
+        assert "found only 16 distinct lines of n = 17" in err

@@ -37,6 +37,13 @@ class TestRandomConfig:
         config = random_config(3, 1, seed=4, coord_bound=5)
         assert len(find_joints(config)) == 0
 
+    def test_every_line_a_small_bound_allows(self):
+        # bound 1 allows 16 distinct lines in the plane and 193 in space
+        assert random_config(2, 16, seed=1, coord_bound=1).n == 16
+        assert random_config(3, 193, seed=1, coord_bound=1).n == 193
+        with pytest.raises(ValueError, match="only 16 distinct lines of n = 17 with"):
+            random_config(2, 17, seed=1, coord_bound=1)
+
     def test_deterministic(self):
         a = random_config(3, 12, seed=42, coord_bound=10)
         b = random_config(3, 12, seed=42, coord_bound=10)

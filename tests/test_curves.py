@@ -7,19 +7,17 @@ from jointlab.curves import (
     CurveConfiguration,
     ParamCurve,
     curve_configuration_from_dict,
-    curve_configuration_to_dict,
     curve_joint,
     curve_joint_set,
     curve_prune,
     line_as_curve,
     load_curve_configuration,
     restrict_to_curve,
-    save_curve_configuration,
     tangent_at,
 )
 from jointlab.constructions import grid
 from jointlab.errors import FileFormatError
-from jointlab.geometry import Line, find_joints
+from jointlab.geometry import Line, find_joints, write_json
 from jointlab.polynomial import polynomial_from_text, restrict_to_line
 
 from conftest import curve_joint_groups
@@ -198,18 +196,11 @@ class TestCurvePrune:
 
 
 class TestCurveFiles:
-    def test_moment_curve_round_trip(self, tmp_path):
-        cfg = CurveConfiguration(3, (MOMENT,))
+    def test_wire_shape(self, tmp_path):
         path = tmp_path / "c.json"
-        save_curve_configuration(cfg, path)
-        assert load_curve_configuration(path) == cfg
-
-    def test_wire_shape(self):
-        obj = curve_configuration_to_dict(CurveConfiguration(3, (MOMENT,)))
-        assert obj == {
-            "dim": 3,
-            "curves": [{"coords": [["0", "1"], ["0", "0", "1"], ["0", "0", "0", "1"]]}],
-        }
+        coords = [["0", "1"], ["0", "0", "1"], ["0", "0", "0", "1"]]
+        write_json(path, {"dim": 3, "curves": [{"coords": coords}]})
+        assert load_curve_configuration(path) == CurveConfiguration(3, (MOMENT,))
 
     def test_malformed_named_fields(self):
         with pytest.raises(FileFormatError) as err:

@@ -38,7 +38,7 @@ from jointlab.polynomial import (
     fit_vanishing,
     fit_vanishing_at_degree,
     min_fit_degree,
-    minimal_vanishing_degree,
+    minimal_fit,
 )
 
 from conftest import curve_joint_groups, grid_with_tripods
@@ -237,7 +237,7 @@ class TestFitsAgainstReference:
             assert fit_vanishing_at_degree(points, d, b) == fit_at_degree_naive(
                 points, d, b
             ), b
-        assert minimal_vanishing_degree(points, d) == minimal_degree_naive(points, d)
+        assert minimal_fit(points, d).degree() == minimal_degree_naive(points, d)
 
 
 entries = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 1, 2, 3)))

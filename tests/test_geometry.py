@@ -12,6 +12,7 @@ from jointlab.errors import (
     FileFormatError,
     IdenticalLinesError,
 )
+from jointlab.exact import mat_vec
 from jointlab.geometry import (
     Configuration,
     Line,
@@ -23,7 +24,6 @@ from jointlab.geometry import (
     find_s_joints,
     incident,
     is_joint,
-    is_s_joint,
     line_line_intersection,
     load_configuration,
     project_to_generic_flat,
@@ -192,21 +192,21 @@ class TestJointPredicates:
 
     def test_s_joint_two_lines(self):
         config = configuration(3, [X_AXIS, Y_AXIS])
-        assert is_s_joint(config, vec(0, 0, 0), 2)
+        assert vec(0, 0, 0) in find_s_joints(config, 2)
 
     def test_single_line_never_an_s_joint(self):
         config = configuration(3, [X_AXIS])
-        assert not is_s_joint(config, vec(1, 0, 0), 2)
+        assert vec(1, 0, 0) not in find_s_joints(config, 2)
 
     def test_grid_origin_is_3_joint(self):
-        assert is_s_joint(grid(3, 2), vec(0, 0, 0), 3)
+        assert vec(0, 0, 0) in find_s_joints(grid(3, 2), 3)
 
     def test_s_out_of_range(self):
         config = configuration(3, [X_AXIS])
         with pytest.raises(ValueError):
-            is_s_joint(config, vec(0, 0, 0), 1)
+            find_s_joints(config, 1)
         with pytest.raises(ValueError):
-            is_s_joint(config, vec(0, 0, 0), 4)
+            find_s_joints(config, 4)
 
 
 class TestFindJoints:
@@ -258,7 +258,7 @@ class TestProjection:
         assert projection.config.n == 12
         projected_joints = find_joints(projection.config)
         for p in joints.points:
-            image = projection.apply(p)
+            image = mat_vec(projection.matrix, p)
             # incident to the images of exactly its original three lines
             expected = frozenset(
                 projection.line_images[l] for l in joints.lines_through(p)
@@ -270,7 +270,7 @@ class TestProjection:
         s_joints = find_s_joints(config, 2)
         projection = project_to_generic_flat(config, 2, 3)
         for p in s_joints.points:
-            assert is_joint(projection.config, projection.apply(p))
+            assert is_joint(projection.config, mat_vec(projection.matrix, p))
 
     def test_s_equal_to_dim_rejected(self):
         with pytest.raises(ValueError):

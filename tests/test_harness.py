@@ -1,6 +1,8 @@
+import csv
+
 import pytest
 
-from jointlab.harness import read_csv, sweep_grids, sweep_random, write_csv
+from jointlab.harness import CSV_COLUMNS, sweep_grids, sweep_random, write_csv
 
 
 class TestSweepGrids:
@@ -48,19 +50,20 @@ class TestCsv:
         rows = sweep_grids(3, 2, 4) + sweep_random(3, [5], [1, 2])
         path = tmp_path / "sweep.csv"
         write_csv(rows, path)
-        assert read_csv(path) == rows
+        header, *records = csv.reader(path.read_text().splitlines())
+        assert header == CSV_COLUMNS
+        assert records == [
+            [str(r.d), str(r.k_or_n), "" if r.seed is None else str(r.seed)]
+            + [str(v) for v in (r.n, r.m, r.lhs, r.rhs)]
+            + ["true" if r.holds else "false", r.ratio]
+            for r in rows
+        ]
 
     def test_header(self, tmp_path):
         path = tmp_path / "sweep.csv"
         write_csv([], path)
         header = path.read_text().splitlines()[0]
         assert header == "d,k_or_n,seed,n,m,lhs,rhs,holds,ratio"
-
-    def test_unexpected_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError):
-            read_csv(path)
 
     def test_seed_column_empty_for_grids(self, tmp_path):
         path = tmp_path / "sweep.csv"

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -23,7 +24,7 @@ from jointlab.pipeline import (
 )
 from jointlab.polynomial import Polynomial, polynomial_from_text
 
-from conftest import grid_with_tripods
+from conftest import grid_with_tripods, poly_product
 
 
 def F(v):
@@ -36,12 +37,8 @@ def vec(*vals):
 
 def cube_product_poly(d=3, k=2):
     """Product over axes and grid levels of (x_i - j)."""
-    p = Polynomial.constant(d, 1)
-    for axis in range(d):
-        x = Polynomial.variable(d, axis)
-        for j in range(k):
-            p = p * (x - Polynomial.constant(d, j))
-    return p
+    factors = (f"x{i} - {j}" for i in range(1, d + 1) for j in range(k))
+    return poly_product(d, [polynomial_from_text(f, d) for f in factors])
 
 
 class TestBoundCheck:
@@ -70,6 +67,10 @@ class TestBoundCheck:
 
     def test_display_constant(self):
         assert abs(bound_constant(3) - 96**0.5) < 1e-12
+        for d in range(2, 151):
+            power = float(2 ** (d + 1) * factorial(d)) ** (1 / (d - 1))
+            assert f"{bound_constant(d):.6g}" == f"{power:.6g}", d
+        assert f"{bound_constant(151):.6g}" == "117.837"
 
 
 class TestPrune:
@@ -228,7 +229,7 @@ class TestGradientCheck:
             config = configuration(d, set(lines))
             if len(config.lines) < 3:
                 continue
-            p = Polynomial.constant(d, 1)
+            forms = []
             for line in config.sorted_lines():
                 v = line.direction
                 # a linear form with w . v = 0
@@ -239,7 +240,8 @@ class TestGradientCheck:
                 form = Polynomial(
                     d, {tuple(1 if i == j else 0 for i in range(d)): w[j] for j in range(d)}
                 )
-                p = p * form
+                forms.append(form)
+            p = poly_product(d, forms)
             if p.is_zero():
                 continue
             joints = find_joints(config)

@@ -15,7 +15,7 @@ from jointlab.polynomial import (
     fit_vanishing_at_degree,
     grlex_key,
     min_fit_degree,
-    minimal_vanishing_degree,
+    minimal_fit,
     monomial_basis,
     polynomial_from_text,
     polynomial_to_text,
@@ -28,7 +28,7 @@ from jointlab.polynomial import (
     vanishes_on_line,
 )
 
-from conftest import cube_points
+from conftest import cube_points, poly_product
 from oracles import (
     integer_root_ceiling,
     min_fit_degree_enum,
@@ -139,9 +139,7 @@ class TestDerivatives:
         assert poly("x1^2 - x1").gradient(vec(0, 0, 0)) == vec(-1, 0, 0)
 
     def test_gradient_of_cube_product_vanishes_on_cube(self):
-        p = poly("1")
-        for i in range(1, 4):
-            p = p * poly(f"x{i}^2 - x{i}")
+        p = poly_product(3, [poly(f"x{i}^2 - x{i}") for i in range(1, 4)])
         for pt in cube_points(2, 3):
             assert p.gradient(pt) == vec(0, 0, 0)
 
@@ -262,17 +260,17 @@ class TestFitVanishing:
 
 class TestMinimalVanishingDegree:
     def test_cube_needs_degree_two(self):
-        assert minimal_vanishing_degree(cube_points(2, 3), 3) == 2
+        assert minimal_fit(cube_points(2, 3), 3).degree() == 2
 
     def test_single_point(self):
-        assert minimal_vanishing_degree([vec(0, 0, 0)], 3) == 1
+        assert minimal_fit([vec(0, 0, 0)], 3).degree() == 1
 
     def test_empty_set(self):
-        assert minimal_vanishing_degree([], 3) == 0
+        assert minimal_fit([], 3).degree() == 0
 
     def test_never_exceeds_fit_bound(self):
         pts = cube_points(2, 3)
-        assert minimal_vanishing_degree(pts, 3) <= min_fit_degree(len(pts), 3)
+        assert minimal_fit(pts, 3).degree() <= min_fit_degree(len(pts), 3)
 
     def test_ranks_integer_rows_one_degree_at_a_time(self, monkeypatch):
         # Half-integer cube corners: the rows reach the kernel scaled to ints,
@@ -286,7 +284,7 @@ class TestMinimalVanishingDegree:
             return nullspace_vector(matrix)
 
         monkeypatch.setattr(polynomial, "nullspace_vector", spy)
-        assert minimal_vanishing_degree(pts, 3) == 2
+        assert minimal_fit(pts, 3).degree() == 2
         assert [len(m[0]) for m in matrices] == [1, 4, 10]
         assert all(type(v) is int for m in matrices for row in m for v in row)
 
@@ -300,14 +298,15 @@ class TestDimensionChecks:
         with pytest.raises(DimensionMismatchError):
             fit_vanishing_at_degree(pts, 3, 2)
         with pytest.raises(DimensionMismatchError):
-            minimal_vanishing_degree(pts, 3)
+            minimal_fit(pts, 3)
 
 
 class TestTextForm:
     def test_examples(self):
         assert polynomial_to_text(poly("x1^2 - x1")) == "x1^2 - x1"
         assert polynomial_to_text(Polynomial(3, {})) == "0"
-        assert polynomial_to_text(Polynomial.constant(3, F("-7/2"))) == "-7/2"
+        assert polynomial_to_text(Polynomial(3, {(0, 0, 0): F("-7/2")})) == "-7/2"
+        assert poly("+x1 - 2") == poly("- 2 + x1")
 
     def test_descending_graded_lex_order(self):
         p = poly("x3 + x1^2*x2 + 5")
@@ -325,6 +324,12 @@ class TestTextForm:
         for bad in ("x\u0661", "x1^\u0662", "\uff13*x1"):
             with pytest.raises(ValueError):
                 polynomial_from_text(bad, 3)
+
+    @pytest.mark.parametrize("bad", ["x1 - - x2", "x1 + + x2", "+", "-", "x1 -", "--x1"])
+    def test_sign_without_a_term_rejected(self, bad):
+        with pytest.raises(ValueError, match="without a term") as err:
+            polynomial_from_text(bad, 3)
+        assert repr(bad) in str(err.value)
 
     @given(polynomials())
     @settings(max_examples=80)
