@@ -259,10 +259,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_poly(argv: list[str]) -> list[str]:
+    """``--poly VALUE`` as ``--poly=VALUE`` when VALUE starts with a sign.
+
+    argparse reads a separate value that starts with "-" as an option, but
+    the polynomial text that fit and trace print starts with "-" whenever
+    its leading coefficient is negative.
+    """
+    out: list[str] = []
+    for arg in argv:
+        signed = arg.startswith("-") and not arg.startswith("--")
+        if out and out[-1] == "--poly" and signed:
+            out[-1] = f"--poly={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_poly(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1

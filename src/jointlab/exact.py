@@ -2,10 +2,17 @@
 
 Scalars are arbitrary-precision rationals (``fractions.Fraction``), so every
 comparison in the toolkit is an exact decision rather than a tolerance check.
-Elimination is fraction-free: rows are scaled to integers once, by
-:func:`integer_form`, and each intermediate entry of :func:`echelon` stays an
-integer minor of the input (Bareiss), which keeps coefficient growth
-polynomial without ever rounding.
+
+Rank and nullspace come from one certified modular walk.  Rows are scaled to
+integers once, by :func:`integer_form`, and eliminated modulo a prime below
+2^61, so every intermediate stays a few machine words long (Cabay, "Exact
+solution of linear equations", SYMSAC 1971).  The kernel vectors an answer needs are
+back-substituted mod p, recovered as rationals by rational reconstruction
+(Wang, Guy and Davenport, "P-adic reconstruction of rational numbers",
+SIGSAM Bull. 1982) and checked exactly in integers, M x = 0.  The checks
+prove that the pivots found mod p are the rational ones, so every answer is
+exact and is the one the selection rule defines.  When a reconstruction or a
+check fails, the next prime joins by the Chinese remainder theorem.
 
 Vectors are plain tuples of Fractions and matrices are sequences of rows;
 both are treated as immutable values throughout.
@@ -14,10 +21,11 @@ both are treated as immutable values throughout.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from numbers import Rational
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatchError
 
@@ -87,80 +95,241 @@ def integer_form(values: Sequence) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def echelon(
-    matrix: Sequence[Sequence],
-) -> tuple[list[list[int]], list[int], list[tuple]]:
-    """Left-looking fraction-free column echelon walk of a rational matrix.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIMES: list[int] = []  # found by _primes, largest first
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin: the bases 2..37 decide every odd n below
+    3.3 * 10^24, far above 2^61."""
+    if n in _BASES:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes() -> Iterator[int]:
+    """The primes below 2^61 in descending order, from the Mersenne prime
+    2^61 - 1.  Each is searched for once and kept in ``_PRIMES``."""
+    i = 0
+    while True:
+        if i == len(_PRIMES):
+            p = _PRIMES[-1] - 2 if _PRIMES else 2**61 - 1
+            while not _is_prime(p):
+                p -= 2
+            _PRIMES.append(p)
+        yield _PRIMES[i]
+        i += 1
+
+
+def _walk(columns: Sequence[Sequence[int]], m: int, p: int):
+    """Left-looking row echelon walk of integer columns mod p.
+
+    Columns are walked left to right.  A column is reduced only when the walk
+    reaches it, by :func:`_reduce` with the pivot steps recorded so far.  Its
+    first nonzero entry at or below the next pivot row then becomes a pivot,
+    and the step (row swap, pivot inverse, multipliers below it) is recorded.
+    The walk stops once every row holds a pivot.
+
+    Returns the pivot columns, the reduced columns the walk reached and the
+    steps.  Entry r of a reduced column is final once r steps precede it.
+    """
+    pivots: list[int] = []
+    reduced: list[list[int]] = []
+    steps: list[tuple] = []
+    for j, column in enumerate(columns):
+        r = len(pivots)
+        if r == m:
+            break
+        col = _reduce(column, steps, p)
+        reduced.append(col)
+        sel = next((i for i in range(r, m) if col[i]), None)
+        if sel is None:
+            continue
+        col[r], col[sel] = col[sel], col[r]
+        inv = pow(col[r], -1, p)
+        steps.append((sel, inv, [v * inv % p for v in col[r + 1 :]]))
+        pivots.append(j)
+    return pivots, reduced, steps
+
+
+def _reduce(column: Sequence[int], steps: list[tuple], p: int) -> list[int]:
+    """One integer column mod p with the recorded steps applied in order:
+    step r swaps rows r and sel, then takes its multiplier times entry r
+    from each entry below row r.  A zero entry r skips the subtraction.
+
+    Only entry r is reduced mod p at step r; the entries below it are
+    reduced once at the end, which stays exact and saves a division per
+    update.
+    """
+    col = [v % p for v in column]
+    for r, (sel, _, below) in enumerate(steps):
+        col[r], col[sel] = col[sel], col[r]
+        top = col[r] % p
+        col[r] = top
+        if top:
+            col[r + 1 :] = [v - f * top for v, f in zip(col[r + 1 :], below)]
+    return [v % p for v in col]
+
+
+def _back_substitute(
+    col: list[int],
+    k: int,
+    reduced: list[list[int]],
+    pivots: list[int],
+    steps: list[tuple],
+    p: int,
+) -> list[int]:
+    """The kernel vector mod p that is 1 at a free column, 0 at the other
+    free columns and supported on the k pivots before it: its pivot entries,
+    in pivot order.  col is the free column reduced by those k steps."""
+    y = col[:k]
+    for r in reversed(range(k)):
+        t = y[r] * steps[r][1] % p
+        y[r] = t
+        if t:
+            y[:r] = [(v - u * t) % p for v, u in zip(y[:r], reduced[pivots[r]])]
+    return [-t % p for t in y]
+
+
+def _rational_numerators(residues: list[int], modulus: int):
+    """Integer numerators over one common denominator for residues mod
+    modulus: ``(nums, den)``, or None.
+
+    Each residue is scaled by the denominator found so far.  Only when that
+    is not already a small integer does rational reconstruction (the
+    extended Euclidean algorithm, stopped at the bound) find a further
+    denominator.  Numerators and the denominator stay within
+    ``isqrt(modulus // 2)``, so a reconstruction is unique; whether it is
+    the right one is decided by the exact check.
+    """
+    bound = isqrt(modulus // 2)
+    den, nums = 1, []
+    for a in residues:
+        v = a * den % modulus
+        if v > bound:  # either a small negative or no integer at all
+            v -= modulus
+        if -v > bound:
+            r0, r1, t0, t1 = modulus, v + modulus, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+            if t1 < 0:
+                r1, t1 = -r1, -t1
+            den *= t1
+            if den > bound:
+                return None
+            nums = [x * t1 for x in nums]
+            v = r1
+        nums.append(v)
+    return nums, den
+
+
+def _in_kernel(
+    columns: Sequence[Sequence[int]], f: int, support: list[int], nums: list[int], den: int
+) -> bool:
+    """Exact integer check of M x = 0 for x with den at column f, nums at
+    the support columns and 0 elsewhere."""
+    acc = [den * v for v in columns[f]]
+    for j, a in zip(support, nums):
+        if a:
+            acc = [s + a * v for s, v in zip(acc, columns[j])]
+    return not any(acc)
+
+
+def _integer_row(row: Sequence) -> Sequence[int]:
+    """The row scaled to integers; a row of ints is returned as it is."""
+    if all(type(v) is int for v in row):
+        return row
+    nums, _ = integer_form([v if isinstance(v, Rational) else Fraction(v) for v in row])
+    return nums
+
+
+def _certified_walk(matrix: Sequence[Sequence], select: bool):
+    """The pivot columns over Q and, if select, the selection rule's kernel
+    vector (None when the kernel is zero); without select, None.
 
     Entries are ints or Fractions; anything else ``Fraction`` accepts (a
     string like ``"1/2"``, a float, a Decimal) is converted first.  Each row
     is scaled to integers, which changes neither rank nor nullspace.
-    Columns are walked left to right.  A column is brought up to date only
-    when the walk reaches it, by :func:`_replay` of every pivot step so far;
-    its first nonzero entry at or below the next pivot row then becomes a
-    pivot, and the step (row swap, pivot, the entries below it) is recorded.
-    The walk stops once every row holds a pivot.
 
-    One-step Bareiss: each update divides by the previous pivot, an exact
-    integer division because every entry is a minor of the input.  An update
-    of one column reads only that column and the pivot column, so every
-    reduced column holds the integers a right-looking elimination would give.
+    Certificate.  Pivots found mod p are pivots over Q, since a minor that
+    is nonzero mod p is nonzero.  A free column the walk reached is free
+    over Q once the kernel vector with 1 there, supported on the pivots
+    before it, passes the exact check.  So rank needs these checks only when
+    the mod-p rank is below both dimensions.  The selected column, the
+    highest free one, is checked the same way, and the vector that passes is
+    the only kernel vector with its support.
 
-    Returns the integer columns, the pivot columns and the recorded steps.
-    Columns the walk did not reach (those after the last pivot, when every
-    row holds one) are scaled but not reduced; ``_replay`` reduces one.
+    A failed reconstruction or check takes the next prime.  Primes whose
+    pivot lists agree are combined by CRT.  A prime with a smaller key
+    (-len, pivots) restarts the accumulation, one with a larger key is
+    skipped.  No prime's key is below that of the rational pivots, and all
+    but finitely many primes have that key, so the loop ends.
     """
-    rows = [
-        integer_form([v if isinstance(v, Rational) else Fraction(v) for v in row])[0]
-        for row in matrix
-    ]
+    rows = [_integer_row(row) for row in matrix]
     if len({len(row) for row in rows}) > 1:
         raise ValueError("matrix rows have unequal lengths")
-    columns = [list(col) for col in zip(*rows)]
     m = len(rows)
-    pivot_cols: list[int] = []
-    steps: list[tuple] = []
-    prev = 1
-    for j, col in enumerate(columns):
-        r = len(pivot_cols)
-        if r == m:
-            break
-        _replay(col, steps)
-        sel = next((i for i in range(r, m) if col[i] != 0), None)
-        if sel is None:
+    columns = list(zip(*rows))
+    n = len(columns)
+    best = None
+    for p in _primes():
+        pivots, reduced, steps = _walk(columns, m, p)
+        if len(pivots) == n or (len(pivots) == m and not select):
+            return pivots, None
+        key = (-len(pivots), pivots)
+        if best is not None and key > best:
             continue
-        col[r], col[sel] = col[sel], col[r]
-        piv = col[r]
-        steps.append((sel, piv, prev, col[r + 1 :]))
-        col[r + 1 :] = [0] * (m - r - 1)
-        prev = piv
-        pivot_cols.append(j)
-    return columns, pivot_cols, steps
-
-
-def _replay(column: list[int], steps: list[tuple]) -> None:
-    """Apply the recorded pivot steps to one column, in order and in place:
-    step r swaps rows r and sel, then each entry v below row r, beside the
-    entry f of the pivot column, becomes (piv * v - f * column[r]) / prev.
-
-    Zero operands skip the multiplications.  Fit matrices of grid points
-    are sparse: there the pivot-row entry column[r] is zero in most steps.
-    """
-    for r, (sel, piv, prev, below) in enumerate(steps):
-        column[r], column[sel] = column[sel], column[r]
-        top = column[r]
-        if top:
-            column[r + 1 :] = [
-                (piv * v - f * top) // prev if v or f else 0
-                for v, f in zip(column[r + 1 :], below)
-            ]
+        pivot_set = set(pivots)
+        needed = [j for j in range(len(reduced)) if j not in pivot_set]
+        cols = [reduced[j] for j in needed]
+        if select and len(reduced) < n:
+            needed.append(n - 1)
+            cols.append(_reduce(columns[-1], steps, p))
+        residues = [
+            _back_substitute(col, bisect_left(pivots, f), reduced, pivots, steps, p)
+            for f, col in zip(needed, cols)
+        ]
+        if key != best:
+            best, modulus, acc = key, p, residues
         else:
-            column[r + 1 :] = [piv * v // prev if v else 0 for v in column[r + 1 :]]
+            inv = pow(modulus, -1, p)
+            acc = [
+                [a + modulus * ((b - a) * inv % p) for a, b in zip(old, new)]
+                for old, new in zip(acc, residues)
+            ]
+            modulus *= p
+        found = [_rational_numerators(res, modulus) for res in acc]
+        if all(
+            v is not None and _in_kernel(columns, f, pivots[: len(res)], *v)
+            for f, res, v in zip(needed, acc, found)
+        ):
+            if not select:
+                return pivots, None
+            nums, den = found[-1]
+            x = [Fraction(0)] * n
+            x[needed[-1]] = Fraction(1)
+            for j, a in zip(pivots, nums):
+                x[j] = Fraction(a, den)
+            return pivots, tuple(x)
 
 
 def rank(matrix: Sequence[Sequence]) -> int:
     """Exact rank over the rationals; an empty matrix has rank 0."""
-    return len(echelon(matrix)[1])
+    return len(_certified_walk(matrix, select=False)[0])
 
 
 def nullspace_vector(matrix: Sequence[Sequence]) -> Vector | None:
@@ -171,21 +340,4 @@ def nullspace_vector(matrix: Sequence[Sequence]) -> Vector | None:
     back-substituted.  When the walk stopped early, that column is the last
     one, and the only column past the last pivot that is ever reduced.
     """
-    columns, pivot_cols, steps = echelon(matrix)
-    free = set(range(len(columns))).difference(pivot_cols)
-    if not free:
-        return None
-    sel = max(free)
-    # With a pivot in every row the walk stopped at the last pivot, so a
-    # column after it is not reduced yet.
-    if len(pivot_cols) == len(columns[sel]) and sel > pivot_cols[-1]:
-        _replay(columns[sel], steps)
-    x = [Fraction(0)] * len(columns)
-    x[sel] = Fraction(1)
-    for r, col in reversed(list(enumerate(pivot_cols))):
-        acc = sum(
-            (columns[j][r] * x[j] for j in range(col + 1, len(columns)) if x[j]),
-            start=Fraction(0),
-        )
-        x[col] = -acc / columns[col][r]
-    return tuple(x)
+    return _certified_walk(matrix, select=True)[1]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import exp, factorial, log
+from math import factorial
 
 from .errors import (
     ContradictionBugError,
@@ -113,6 +113,8 @@ def bound_constant(d: int) -> float:
     The logarithm of the exact integer keeps it finite where the integer
     itself is too large for a float (d >= 151).
     """
+    from math import exp, log  # the package's only float functions
+
     return exp(log(2 ** (d + 1) * factorial(d)) / (d - 1))
 
 

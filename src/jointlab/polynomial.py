@@ -17,6 +17,7 @@ import re
 from fractions import Fraction
 from itertools import product
 from math import comb, prod
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError, InternalInvariantViolation
@@ -274,14 +275,18 @@ def fit_vanishing_at_degree(
     basis = monomial_basis(d, b)
     if not pts:
         return Polynomial(d, {basis[0]: Fraction(1)})
-    coeffs = nullspace_vector(_evaluation_matrix(pts, basis))
+    matrix = _evaluation_matrix(pts, basis)
+    coeffs = nullspace_vector(matrix)
     if coeffs is None:
         return None
     poly = Polynomial(d, dict(zip(basis, coeffs)))
     if poly.is_zero():
         raise InternalInvariantViolation("nullspace vector produced zero polynomial")
-    for pt in pts:
-        if poly.evaluate(pt) != 0:
+    # Row i is the monomials at point i times a nonzero integer, so the fit
+    # vanishes at every point exactly when the integer coefficients give M x = 0.
+    nums, _ = integer_form(coeffs)
+    for pt, row in zip(pts, matrix):
+        if sum(map(mul, row, nums)):
             raise InternalInvariantViolation(
                 f"fit does not vanish at {pt}: got {poly.evaluate(pt)}"
             )
@@ -362,11 +367,16 @@ def polynomial_to_text(p: Polynomial) -> str:
 def polynomial_from_text(text: str, dim: int) -> Polynomial:
     """Parse the report text form back into a polynomial.
 
-    A leading sign is allowed; a sign with no term after it is a ValueError.
+    A leading sign is allowed; a sign with no term after it, or a sign on an
+    exponent, is a ValueError.
     """
     compact = text.replace(" ", "")
     if compact in ("", "0"):
         return Polynomial(dim, {})
+    signed = re.search(r"\^([+-])", compact)
+    if signed:
+        kind = "negative" if signed.group(1) == "-" else "signed"
+        raise ValueError(f"{kind} exponent in polynomial text {text!r}")
     if compact[0] not in "+-":
         compact = "+" + compact
     # "+x1-2" splits into "", "+", "x1", "-", "2": signs and terms alternate

@@ -1,8 +1,11 @@
+from contextlib import contextmanager
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
+from math import isqrt
 
 import pytest
 
+from jointlab import exact
 from jointlab.constructions import grid, grid_plus_orphan, planar_bundle, random_config
 from jointlab.curves import line_as_curve
 from jointlab.geometry import Line, configuration
@@ -24,6 +27,22 @@ def poly_product(dim: int, factors) -> Polynomial:
                 out[key] = out.get(key, 0) + c1 * c2
         terms = out
     return Polynomial(dim, terms)
+
+
+def small_primes():
+    """3, 5, 7, 11, ...: primes so small that the modular kernel takes its
+    rare paths (unlucky primes, failed reconstructions, CRT) all the time."""
+    for n in count(3, 2):
+        if all(n % q for q in range(3, isqrt(n) + 1, 2)):
+            yield n
+
+
+@contextmanager
+def prime_source(source):
+    """Run the exact kernel with its primes drawn from source()."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact, "_primes", source)
+        yield
 
 
 def curve_joint_groups(joints):

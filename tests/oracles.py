@@ -1,8 +1,9 @@
 """Independent oracles used to freeze expected values.
 
 These deliberately avoid the code paths they check: rank and nullspace by
-naive Gauss-Jordan over Fractions (the package uses fraction-free Bareiss
-on integer rows), vanishing fits from a Fraction evaluation matrix and the
+naive Gauss-Jordan over Fractions and by fraction-free Bareiss elimination
+over the integers (the package eliminates modulo a prime and checks the
+answer exactly), vanishing fits from a Fraction evaluation matrix and the
 minimal degree by one rank per degree (the package scales rows to integers
 and eliminates once), monomial counting by stars-and-bars recursion (the
 package filters a product and uses math.comb), identically-zero decisions
@@ -15,7 +16,7 @@ and pruning by recounting every line in every round (the package peels).
 
 from fractions import Fraction
 
-from jointlab.exact import vec_sub
+from jointlab.exact import integer_form, vec_sub
 from jointlab.geometry import JointSet, configuration, incident
 from jointlab.pipeline import PruneResult
 from jointlab.polynomial import Polynomial, monomial_basis
@@ -62,6 +63,84 @@ def nullspace_vector_naive(matrix):
     x[free[-1]] = Fraction(1)
     for row, col in zip(rows, pivots):
         x[col] = -row[free[-1]]
+    return tuple(x)
+
+
+def echelon(matrix):
+    """Left-looking fraction-free column echelon walk of a rational matrix.
+
+    Each row is scaled to integers.  Columns are walked left to right; a
+    column is brought up to date only when the walk reaches it, by
+    :func:`_replay` of every pivot step so far.  Its first nonzero entry at
+    or below the next pivot row then becomes a pivot, and the step (row
+    swap, pivot, the entries below it) is recorded.  The walk stops once
+    every row holds a pivot.
+
+    One-step Bareiss: each update divides by the previous pivot, an exact
+    integer division because every entry is a minor of the input.
+
+    Returns the integer columns, the pivot columns and the recorded steps.
+    Columns the walk did not reach are scaled but not reduced.
+    """
+    rows = [integer_form([Fraction(v) for v in row])[0] for row in matrix]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("matrix rows have unequal lengths")
+    columns = [list(col) for col in zip(*rows)]
+    m = len(rows)
+    pivot_cols, steps = [], []
+    prev = 1
+    for j, col in enumerate(columns):
+        r = len(pivot_cols)
+        if r == m:
+            break
+        _replay(col, steps)
+        sel = next((i for i in range(r, m) if col[i] != 0), None)
+        if sel is None:
+            continue
+        col[r], col[sel] = col[sel], col[r]
+        piv = col[r]
+        steps.append((sel, piv, prev, col[r + 1 :]))
+        col[r + 1 :] = [0] * (m - r - 1)
+        prev = piv
+        pivot_cols.append(j)
+    return columns, pivot_cols, steps
+
+
+def _replay(column, steps):
+    """Apply the recorded pivot steps to one column, in order and in place:
+    step r swaps rows r and sel, then each entry v below row r, beside the
+    entry f of the pivot column, becomes (piv * v - f * column[r]) / prev."""
+    for r, (sel, piv, prev, below) in enumerate(steps):
+        column[r], column[sel] = column[sel], column[r]
+        top = column[r]
+        column[r + 1 :] = [
+            (piv * v - f * top) // prev for v, f in zip(column[r + 1 :], below)
+        ]
+
+
+def rank_bareiss(matrix) -> int:
+    return len(echelon(matrix)[1])
+
+
+def nullspace_vector_bareiss(matrix):
+    """The selection rule's kernel vector by back-substitution on the
+    Bareiss columns; the selected column is reduced if the walk stopped
+    before it."""
+    columns, pivot_cols, steps = echelon(matrix)
+    free = set(range(len(columns))).difference(pivot_cols)
+    if not free:
+        return None
+    sel = max(free)
+    if len(pivot_cols) == len(columns[sel]) and sel > pivot_cols[-1]:
+        _replay(columns[sel], steps)
+    x = [Fraction(0)] * len(columns)
+    x[sel] = Fraction(1)
+    for r, col in reversed(list(enumerate(pivot_cols))):
+        acc = sum(
+            (columns[j][r] * x[j] for j in range(col + 1, len(columns)) if x[j]),
+            start=Fraction(0),
+        )
+        x[col] = -acc / columns[col][r]
     return tuple(x)
 
 

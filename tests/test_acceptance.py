@@ -285,7 +285,7 @@ def test_criterion_9_curves():
     assert Fraction(len(result.removed_points)) < Fraction(m, 2)
 
 
-@criterion(10, "fraction-free vs naive elimination")
+@criterion(10, "modular vs naive elimination")
 def test_criterion_10_oracle_equivalence():
     from jointlab.exact import nullspace_vector, rank
 

@@ -211,6 +211,19 @@ class TestCurveCommands:
         assert (code, out) == (1, "")
         assert "'x1 - - x1'" in err
 
+    def test_poly_with_a_leading_sign_in_either_form(self, moment_file, capsys):
+        joined = run(capsys, "curve", "restrict", moment_file, "--poly=-x1+2*x3^2")
+        separate = run(capsys, "curve", "restrict", moment_file, "--poly", "-x1+2*x3^2")
+        assert joined == separate
+        code, out, err = separate
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "curve 0: 2*t^6 - t"
+
+    def test_negative_exponent_exits_1(self, moment_file, capsys):
+        code, out, err = run(capsys, "curve", "restrict", moment_file, "--poly", "x1^-2")
+        assert (code, out) == (1, "")
+        assert err == "error: negative exponent in polynomial text 'x1^-2'\n"
+
     def test_joint_verdicts(self, moment_file, capsys):
         code, out, _ = run(capsys, "curve", "joint", moment_file,
                            "--curves", "1,2,3", "--params", "0,0,0")

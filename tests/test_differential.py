@@ -13,6 +13,9 @@ the Gauss-Jordan reference exactly.  Matrix shapes are drawn to reach every
 path of the left-looking walk: wide with a pivot in every row (the walk
 stops early), rows that fill only at the last column, rank-deficient wide
 and tall, zero rows and columns, and int, Fraction and string entries.
+The kernel and fit tests run again with the primes 3, 5, 7, ..., which are
+often unlucky and too small to hold an answer, so the modular kernel's
+restarts, skipped primes and CRT steps all run.
 Point sets mix shared and coprime denominators, negative coordinates and
 repeated points, and some lie on a plane, which lowers the minimal degree
 below the fit bound.
@@ -41,15 +44,17 @@ from jointlab.polynomial import (
     minimal_fit,
 )
 
-from conftest import curve_joint_groups, grid_with_tripods
+from conftest import curve_joint_groups, grid_with_tripods, prime_source, small_primes
 from oracles import (
     find_joints_rescan,
     find_s_joints_rescan,
     fit_at_degree_naive,
     fit_naive,
     minimal_degree_naive,
+    nullspace_vector_bareiss,
     nullspace_vector_naive,
     prune_recount,
+    rank_bareiss,
     rank_naive,
 )
 
@@ -225,19 +230,28 @@ def point_sets(draw):
     return d, points + repeats
 
 
+def assert_fits_match(d, points):
+    distinct = len(set(points))
+    if distinct:
+        assert fit_vanishing(points, d) == fit_naive(points, d)
+    for b in range(min_fit_degree(distinct, d) + 2):
+        assert fit_vanishing_at_degree(points, d, b) == fit_at_degree_naive(
+            points, d, b
+        ), b
+    assert minimal_fit(points, d).degree() == minimal_degree_naive(points, d)
+
+
 class TestFitsAgainstReference:
     @given(point_sets())
     @settings(max_examples=60, deadline=None)
     def test_fits_and_minimal_degree(self, drawn):
-        d, points = drawn
-        distinct = len(set(points))
-        if distinct:
-            assert fit_vanishing(points, d) == fit_naive(points, d)
-        for b in range(min_fit_degree(distinct, d) + 2):
-            assert fit_vanishing_at_degree(points, d, b) == fit_at_degree_naive(
-                points, d, b
-            ), b
-        assert minimal_fit(points, d).degree() == minimal_degree_naive(points, d)
+        assert_fits_match(*drawn)
+
+    @given(point_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_fits_with_small_primes(self, drawn):
+        with prime_source(small_primes):
+            assert_fits_match(*drawn)
 
 
 entries = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 1, 2, 3)))
@@ -305,9 +319,26 @@ def kernel_cases(draw):
     return written(draw, rows)
 
 
+def assert_kernel_matches(matrix):
+    assert rank(matrix) == rank_naive(matrix)
+    assert nullspace_vector(matrix) == nullspace_vector_naive(matrix)
+
+
 class TestKernelAgainstReference:
     @given(kernel_cases())
     @settings(max_examples=300, deadline=None)
     def test_rank_and_vector_equal_gauss_jordan(self, matrix):
-        assert rank(matrix) == rank_naive(matrix)
-        assert nullspace_vector(matrix) == nullspace_vector_naive(matrix)
+        assert_kernel_matches(matrix)
+
+    @given(kernel_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_small_primes_give_the_same_answers(self, matrix):
+        with prime_source(small_primes):
+            assert_kernel_matches(matrix)
+
+    @given(kernel_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_modular_bareiss_and_gauss_jordan_agree(self, matrix):
+        assert rank(matrix) == rank_bareiss(matrix) == rank_naive(matrix)
+        x = nullspace_vector(matrix)
+        assert x == nullspace_vector_bareiss(matrix) == nullspace_vector_naive(matrix)

@@ -1,7 +1,8 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +20,18 @@ from jointlab.exact import (
     vec_scale,
     vec_sub,
 )
-from jointlab.polynomial import fit_vanishing, monomial_basis
+from jointlab.polynomial import fit_vanishing, min_fit_degree, monomial_basis
 
-from oracles import fit_naive, nullspace_is_trivial_naive, rank_naive
+from conftest import cube_points, prime_source, small_primes
+from oracles import (
+    evaluation_matrix_fraction,
+    fit_naive,
+    nullspace_is_trivial_naive,
+    nullspace_vector_bareiss,
+    nullspace_vector_naive,
+    rank_bareiss,
+    rank_naive,
+)
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 
@@ -198,33 +208,161 @@ class TestEliminationProperties:
         assert rank(scaled) == base
 
 
+def hyperplane_joints(ts):
+    """Joints of the generic hyperplanes x.(1,t,t^2) = t^3: the joint of
+    a, b, c is (abc, -(ab+ac+bc), a+b+c)."""
+    return [
+        (a * b * c, -(a * b + a * c + b * c), a + b + c)
+        for a, b, c in combinations(ts, 3)
+    ]
+
+
+def fit_matrix(points, d):
+    """The Fraction evaluation matrix of the fit at the fit bound."""
+    basis = monomial_basis(d, min_fit_degree(len(points), d))
+    return evaluation_matrix_fraction(points, basis)
+
+
 class TestEarlyStop:
     def test_hyperplane_fit_reduces_pivot_columns_and_the_last(self, monkeypatch):
-        # Seven generic hyperplanes x.(1,t,t^2) = t^3, t = 1..7: the joint of
-        # a, b, c is (abc, -(ab+ac+bc), a+b+c).  The 35 joints fill the rows of
-        # the 35 x 56 fit matrix at b = 5 by column 34, so the walk stops there
-        # and only the selected last column is reduced past it.
-        points = [
-            (a * b * c, -(a * b + a * c + b * c), a + b + c)
-            for a, b, c in combinations(range(1, 8), 3)
-        ]
-        walks, replayed = [], []
-        echelon, replay = exact.echelon, exact._replay
+        # Seven generic hyperplanes, t = 1..7.  The 35 joints fill the rows of
+        # the 35 x 56 fit matrix at b = 5 by column 34, so the walk stops
+        # before column 35.  Every free column past the stop is free over Q
+        # as well, so the selected last column is the only one reduced past
+        # the stop, back-substituted and checked, and the first prime does.
+        points = hyperplane_joints(range(1, 8))
+        walks, substituted, checked, drawn = [], [], [], []
+        walk, back_substitute = exact._walk, exact._back_substitute
+        in_kernel = exact._in_kernel
 
-        def echelon_spy(matrix):
-            walks.append(echelon(matrix))
-            return walks[-1]
+        def walk_spy(columns, m, p):
+            pivots, reduced, steps = walk(columns, m, p)
+            walks.append((columns, p, list(pivots), len(reduced), steps))
+            return pivots, reduced, steps
 
-        def replay_spy(column, steps):
-            replayed.append(column)
-            replay(column, steps)
+        def back_substitute_spy(col, k, *rest):
+            substituted.append((list(col), k))
+            return back_substitute(col, k, *rest)
 
-        monkeypatch.setattr(exact, "echelon", echelon_spy)
-        monkeypatch.setattr(exact, "_replay", replay_spy)
+        def in_kernel_spy(columns, f, *rest):
+            checked.append(f)
+            return in_kernel(columns, f, *rest)
+
+        monkeypatch.setattr(exact, "_walk", walk_spy)
+        monkeypatch.setattr(exact, "_back_substitute", back_substitute_spy)
+        monkeypatch.setattr(exact, "_in_kernel", in_kernel_spy)
+        monkeypatch.setattr(exact, "_primes", draws(exact._primes, drawn))
         fit = fit_vanishing(points, 3)
-        [(columns, pivot_cols, _)] = walks
+        [(columns, p, pivots, reached, steps)] = walks
         assert (len(columns[0]), len(columns)) == (35, 56)
-        assert pivot_cols == list(range(35))
-        reduced = [next(j for j, c in enumerate(columns) if c is col) for col in replayed]
-        assert reduced == list(range(35)) + [55]
+        assert pivots == list(range(35))
+        assert reached == 35
+        assert substituted == [(exact._reduce(columns[55], steps, p), 35)]
+        assert checked == [55]
+        assert drawn == [p]
         assert fit == fit_naive(points, 3)
+
+
+def draws(source, log):
+    """A prime source that yields what source() yields and logs it."""
+
+    def logged():
+        for p in source():
+            log.append(p)
+            yield p
+
+    return logged
+
+
+class TestModularRarePaths:
+    P = 2**61 - 1  # the first prime of the kernel
+
+    def assert_matches_reference(self, matrix):
+        assert rank(matrix) == rank_naive(matrix)
+        assert nullspace_vector(matrix) == nullspace_vector_naive(matrix)
+
+    def test_primes_descend_from_the_mersenne_prime(self):
+        first = list(islice(exact._primes(), 3))
+        assert first[0] == self.P
+        assert first == sorted(first, reverse=True)
+        assert all(pow(3, p - 1, p) == 1 for p in first)
+        assert exact._PRIMES[:3] == first
+
+    def test_miller_rabin_against_trial_division(self):
+        odd = range(3, 3000, 2)
+        small = [n for n in odd if all(n % q for q in range(3, isqrt(n) + 1, 2))]
+        assert [n for n in odd if exact._is_prime(n)] == small
+        # a strong pseudoprime to every base up to 23
+        assert not exact._is_prime(3825123056546413051)
+        assert exact._is_prime(self.P)
+
+    def test_singular_mod_the_first_prime_but_not_over_q(self):
+        p = self.P
+        self.assert_matches_reference([[1, 0], [0, p]])
+        self.assert_matches_reference([[1, 0, 1], [0, p, 1]])
+        self.assert_matches_reference([[p, 1, 1]])
+
+    def test_entries_all_multiples_of_the_prime(self):
+        p = self.P
+        self.assert_matches_reference([[p, 2 * p], [3 * p, p]])
+        self.assert_matches_reference([[p, 2 * p, 5 * p], [3 * p, p, 4 * p]])
+        self.assert_matches_reference([[Fraction(p, 7), p], [2 * p, Fraction(p, 3)]])
+
+    def test_numerators_too_large_for_one_prime_need_crt(self):
+        big = ([[1, 2**40 + 1]], [[3**30, 2**40 + 1]], [[1, 0, 2**70], [0, 1, -(3**50)]])
+        for matrix in big:
+            drawn = []
+            with prime_source(draws(exact._primes, drawn)):
+                self.assert_matches_reference(matrix)
+            assert len(drawn) >= 2, matrix
+
+    def test_first_prime_with_fewer_pivots_restarts(self):
+        walks = []
+        walk = exact._walk
+
+        def walk_spy(columns, m, p):
+            result = walk(columns, m, p)
+            walks.append((p, list(result[0])))
+            return result
+
+        with prime_source(small_primes), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exact, "_walk", walk_spy)
+            self.assert_matches_reference([[3, 1], [0, 1]])
+        # rank: 3 loses the pivot at column 0, 5 finds both
+        assert walks[:2] == [(3, [1]), (5, [0, 1])]
+
+    def test_first_prime_with_later_pivots_restarts(self):
+        drawn = []
+        with prime_source(draws(small_primes, drawn)):
+            assert nullspace_vector([[3, 1, 1]]) == (Fraction(-1, 3), 0, 1)
+        # 3 puts the pivot at column 1, 5 at column 0 but cannot hold -1/3
+        # alone, 7 joins 5 by CRT
+        assert drawn == [3, 5, 7]
+
+    def test_a_later_prime_with_a_worse_pivot_list_is_skipped(self):
+        def source():
+            yield from (5, 3, 7)
+
+        drawn = []
+        with prime_source(draws(source, drawn)):
+            assert nullspace_vector([[3, 1, 1]]) == (Fraction(-1, 3), 0, 1)
+        # 5 puts the pivot at column 0 but cannot hold -1/3 alone, 3 puts it
+        # at column 1 and is skipped, 7 joins 5 by CRT
+        assert drawn == [5, 3, 7]
+
+
+class TestThreeReferences:
+    """The modular kernel, fraction-free Bareiss and Gauss-Jordan agree on
+    the benchmark's fit shapes."""
+
+    @pytest.mark.parametrize(
+        "points",
+        [hyperplane_joints(range(1, 8)), cube_points(4, 3)],
+        ids=["hyperplanes-1..7", "grid(3,4)"],
+    )
+    def test_fit_matrices(self, points):
+        matrix = fit_matrix(points, 3)
+        assert rank(matrix) == rank_bareiss(matrix) == rank_naive(matrix)
+        x = nullspace_vector(matrix)
+        assert x is not None
+        assert x == nullspace_vector_bareiss(matrix) == nullspace_vector_naive(matrix)

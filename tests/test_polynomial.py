@@ -331,6 +331,14 @@ class TestTextForm:
             polynomial_from_text(bad, 3)
         assert repr(bad) in str(err.value)
 
+    @pytest.mark.parametrize(
+        "bad, kind", [("x1^-2", "negative"), ("3*x2 ^ -1", "negative"), ("x1^+2", "signed")]
+    )
+    def test_signed_exponent_rejected(self, bad, kind):
+        with pytest.raises(ValueError, match=f"{kind} exponent") as err:
+            polynomial_from_text(bad, 3)
+        assert repr(bad) in str(err.value)
+
     @given(polynomials())
     @settings(max_examples=80)
     def test_round_trip(self, p):
