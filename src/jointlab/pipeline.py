@@ -10,7 +10,7 @@ step by step in a narrative.
 Every comparison along the way is exact: the pruning threshold m/(2n) is a
 rational, the inequality m <= A * n^(d/(d-1)) is decided in the equivalent
 integer form m^(d-1) <= 2^(d+1) * d! * n^d, and "vanishes identically on a
-line" is a statement about an exactly computed restriction.
+line" is decided by exact integer values at deg p + 1 points of the line.
 """
 
 from __future__ import annotations

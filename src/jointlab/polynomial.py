@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import product
-from math import comb, prod
+from itertools import accumulate, product, repeat
+from math import comb
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -226,31 +226,76 @@ def restrict_to_line(p: Polynomial, line: "Line") -> UniPoly:
 
 
 def vanishes_on_line(p: Polynomial, line: "Line") -> bool:
-    """True iff p is identically zero along the line."""
-    return not restrict_to_line(p, line)
+    """True iff p is identically zero along the line.
+
+    The restriction t -> p(base + t * dir) has degree at most D = deg p, and
+    a nonzero univariate polynomial of degree at most D has at most D roots.
+    So p vanishes on the line exactly when it vanishes at the D + 1
+    parameters t = 0, 1, ..., D, and the first nonzero value decides; most
+    lines that fail do so at t = 0, the base point.
+
+    Each value is computed in integers: with the line's integer form
+    (v, a, q), the point at t is x = (a + t*q*v)/q, and with p's coefficients
+    scaled to integers n_e, q^D p(x) is a positive multiple of
+    sum n_e (a + t*q*v)^e q^(D - |e|).
+    """
+    if p.dim != line.dim:
+        raise DimensionMismatchError(
+            f"polynomial dimension {p.dim} vs line dimension {line.dim}"
+        )
+    if p.is_zero():
+        return True
+    top = p.degree()
+    v, a, q = line._ints
+    nums, _ = integer_form(list(p.terms.values()))
+    q_pows = [q**k for k in range(top + 1)]
+    # each term as its nonzero (coordinate, exponent) pairs and weight n_e q^(D-|e|)
+    terms = [
+        ([(i, e) for i, e in enumerate(exps) if e], n * q_pows[top - sum(exps)])
+        for exps, n in zip(p.terms, nums)
+    ]
+    reach = [max(exps[i] for exps in p.terms) for i in range(p.dim)]
+    for t in range(top + 1):
+        pows = [
+            list(accumulate(repeat(ai + t * q * vi, k), mul, initial=1))
+            for ai, vi, k in zip(a, v, reach)
+        ]
+        total = 0
+        for factors, w in terms:
+            for i, e in factors:
+                w *= pows[i][e]
+            total += w
+        if total:
+            return False
+    return True
 
 
 def _evaluation_matrix(points: list[Vector], basis: list[MultiIndex]):
     """Integer rows: the point x = a/q (a integer, q the common denominator)
     evaluated at every basis monomial and scaled by q^b, b the top degree.
 
-    The entry for exponents e is a^e * q^(b - |e|); the powers of every
-    coordinate and of q are computed once per point.  Scaling a row keeps
-    the nullspace, and q^b is the least common denominator of the row, so
-    these are the rows that elimination would scale to anyway.
+    The entry for exponents e is a^e * q^(b - |e|).  Each a^e is one
+    multiplication from the value of an earlier basis monomial, e less one in
+    its first nonzero exponent, and the powers of q are computed once per
+    point.  Scaling a row keeps the nullspace, and q^b is the least common
+    denominator of the row, so these are the rows that elimination would
+    scale to anyway.
     """
     b = sum(basis[-1])
+    index = {exps: k for k, exps in enumerate(basis)}
+    steps = []  # (earlier basis index, coordinate) for every monomial but 1
+    for exps in basis[1:]:
+        i = next(i for i, e in enumerate(exps) if e)
+        steps.append((index[exps[:i] + (exps[i] - 1,) + exps[i + 1 :]], i))
+    scale = [b - sum(exps) for exps in basis]
     rows = []
     for pt in points:
         nums, q = integer_form(pt)
-        pows = [[a**k for k in range(b + 1)] for a in nums]
         q_pows = [q**k for k in range(b + 1)]
-        rows.append(
-            [
-                prod(pw[e] for pw, e in zip(pows, exps)) * q_pows[b - sum(exps)]
-                for exps in basis
-            ]
-        )
+        values = [1]
+        for k, i in steps:
+            values.append(values[k] * nums[i])
+        rows.append([x * q_pows[s] for x, s in zip(values, scale)])
     return rows
 
 
@@ -399,7 +444,12 @@ def polynomial_from_text(text: str, dim: int) -> Polynomial:
                     )
                 exps[index - 1] += int(m.group(2) or 1)
             else:
-                coeff *= parse_rational(factor)
+                try:
+                    coeff *= parse_rational(factor)
+                except ValueError:
+                    raise ValueError(
+                        f"malformed factor {factor!r} in polynomial text {text!r}"
+                    ) from None
         key = tuple(exps)
         terms[key] = terms.get(key, Fraction(0)) + coeff
     return Polynomial(dim, terms)

@@ -5,16 +5,20 @@ naive Gauss-Jordan over Fractions and by fraction-free Bareiss elimination
 over the integers (the package eliminates modulo a prime and checks the
 answer exactly), vanishing fits from a Fraction evaluation matrix and the
 minimal degree by one rank per degree (the package scales rows to integers
-and eliminates once), monomial counting by stars-and-bars recursion (the
-package filters a product and uses math.comb), identically-zero decisions
-by sampling more points than the degree (the package compares
-coefficients), joints by Fraction pair intersections followed by a rescan
-of every line at each candidate point with a Gauss-Jordan rank of the
-Fraction directions (the package builds incidence from integer pair hits),
-and pruning by recounting every line in every round (the package peels).
+and eliminates once), integer evaluation rows by a product of coordinate
+powers per entry (the package extends an earlier monomial by one factor),
+monomial counting by stars-and-bars recursion (the package filters a
+product and uses math.comb), identically-zero decisions on a line by
+sampling more Fraction points than the degree (the package evaluates in
+integers; its restriction compares coefficients), joints by Fraction pair
+intersections followed by a rescan of every line at each candidate point
+with a Gauss-Jordan rank of the Fraction directions (the package builds
+incidence from integer pair hits), and pruning by recounting every line in
+every round (the package peels).
 """
 
 from fractions import Fraction
+from math import prod
 
 from jointlab.exact import integer_form, vec_sub
 from jointlab.geometry import JointSet, configuration, incident
@@ -155,6 +159,25 @@ def evaluation_matrix_fraction(points, basis):
                 value *= Fraction(x) ** e
             row.append(value)
         rows.append(row)
+    return rows
+
+
+def evaluation_matrix_by_powers(points, basis):
+    """The package's integer evaluation rows, each entry a product over the
+    coordinate powers: a^e q^(b - |e|) for the point a/q, b the top degree
+    (the package builds each a^e from an earlier basis monomial)."""
+    b = sum(basis[-1])
+    rows = []
+    for pt in points:
+        nums, q = integer_form(pt)
+        pows = [[a**k for k in range(b + 1)] for a in nums]
+        q_pows = [q**k for k in range(b + 1)]
+        rows.append(
+            [
+                prod(pw[e] for pw, e in zip(pows, exps)) * q_pows[b - sum(exps)]
+                for exps in basis
+            ]
+        )
     return rows
 
 

@@ -224,6 +224,17 @@ class TestCurveCommands:
         assert (code, out) == (1, "")
         assert err == "error: negative exponent in polynomial text 'x1^-2'\n"
 
+    @pytest.mark.parametrize(
+        "text,factor",
+        [("x1**2", ""), ("x1^2^3", "x1^2^3"), ("2*", ""), ("x1*x", "x")],
+    )
+    def test_malformed_factor_exits_1(self, moment_file, capsys, text, factor):
+        code, out, err = run(capsys, "curve", "restrict", moment_file, "--poly", text)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: malformed factor {factor!r} in polynomial text {text!r}\n"
+        )
+
     def test_joint_verdicts(self, moment_file, capsys):
         code, out, _ = run(capsys, "curve", "joint", moment_file,
                            "--curves", "1,2,3", "--params", "0,0,0")

@@ -18,7 +18,14 @@ often unlucky and too small to hold an answer, so the modular kernel's
 restarts, skipped primes and CRT steps all run.
 Point sets mix shared and coprime denominators, negative coordinates and
 repeated points, and some lie on a plane, which lowers the minimal degree
-below the fit bound.
+below the fit bound.  The integer evaluation rows under the fits must equal
+the per-entry products of coordinate powers.
+
+Vanishing on a line is decided by integer evaluation at deg p + 1
+parameters; it must agree with the full restriction and with Fraction
+sampling.  Lines have non-integer bases and directions off the axes, and
+vanishing is forced by multiplying with powers of a linear form that is
+zero on the line, whose partial derivatives below that power vanish too.
 """
 
 from fractions import Fraction
@@ -34,18 +41,31 @@ from jointlab.curves import (
     curve_prune,
     line_as_curve,
 )
+from jointlab.constructions import grid
 from jointlab.exact import nullspace_vector, rank
 from jointlab.geometry import Line, configuration, find_joints, find_s_joints
-from jointlab.pipeline import prune
+from jointlab.pipeline import cascade, prune
 from jointlab.polynomial import (
+    Polynomial,
+    _evaluation_matrix,
     fit_vanishing,
     fit_vanishing_at_degree,
     min_fit_degree,
     minimal_fit,
+    monomial_basis,
+    restrict_to_line,
+    vanishes_on_line,
 )
 
-from conftest import curve_joint_groups, grid_with_tripods, prime_source, small_primes
+from conftest import (
+    curve_joint_groups,
+    grid_with_tripods,
+    poly_product,
+    prime_source,
+    small_primes,
+)
 from oracles import (
+    evaluation_matrix_by_powers,
     find_joints_rescan,
     find_s_joints_rescan,
     fit_at_degree_naive,
@@ -56,6 +76,7 @@ from oracles import (
     prune_recount,
     rank_bareiss,
     rank_naive,
+    vanishes_on_line_by_sampling,
 )
 
 offsets = st.integers(min_value=-3, max_value=3)
@@ -249,9 +270,118 @@ class TestFitsAgainstReference:
 
     @given(point_sets())
     @settings(max_examples=60, deadline=None)
+    def test_evaluation_rows_equal_power_products(self, drawn):
+        d, points = drawn
+        pts = sorted(set(points))
+        for b in range(5):
+            basis = monomial_basis(d, b)
+            assert _evaluation_matrix(pts, basis) == evaluation_matrix_by_powers(
+                pts, basis
+            ), b
+
+    def test_evaluation_rows_on_the_families(self):
+        families = {
+            "grid(3,5)": grid(3, 5),
+            "grid(4,3)": grid(4, 3),
+            "hyperplanes": configuration(
+                3, hyperplane_lines([Fraction(t, 2) for t in (-7, -3, -1, 1, 2, 5, 9)])
+            ),
+        }
+        for name, config in families.items():
+            pts = sorted(prune(config, find_joints(config)).survivors.points)
+            basis = monomial_basis(config.dim, min_fit_degree(len(pts), config.dim))
+            rows = _evaluation_matrix(pts, basis)
+            assert len(rows) == len(pts) > 30, name
+            assert rows == evaluation_matrix_by_powers(pts, basis), name
+
+    @given(point_sets())
+    @settings(max_examples=60, deadline=None)
     def test_fits_with_small_primes(self, drawn):
         with prime_source(small_primes):
             assert_fits_match(*drawn)
+
+
+@st.composite
+def slanted_lines(draw, dim):
+    """A line with a non-integer base and at least two nonzero direction
+    entries."""
+    v = draw(directions(dim).filter(lambda v: sum(c != 0 for c in v) >= 2))
+    line = Line(draw(centers(dim)), v)
+    assume(any(c.denominator > 1 for c in line.base))
+    return line
+
+
+@st.composite
+def polynomials(draw, dim, max_degree):
+    """Sparse polynomials with rational coefficients: zero, constants and up
+    to six terms of degree <= max_degree."""
+    basis = monomial_basis(dim, draw(st.integers(0, max_degree)))
+    terms = draw(st.dictionaries(st.sampled_from(basis), fractional | offsets, max_size=6))
+    return Polynomial(dim, terms)
+
+
+@st.composite
+def polys_on_lines(draw):
+    dim = draw(st.sampled_from((3, 4)))
+    return draw(polynomials(dim, 4)), draw(slanted_lines(dim))
+
+
+def zero_form(line, u):
+    """w.(x - base) with w the part of u orthogonal to the line's direction:
+    a linear form that is zero on the line, or None when u is parallel."""
+    v = line.direction
+    vv = sum(c * c for c in v)
+    uv = sum(a * c for a, c in zip(u, v))
+    w = [vv * a - uv * c for a, c in zip(u, v)]
+    if not any(w):
+        return None
+    unit = [tuple(int(i == j) for j in range(line.dim)) for i in range(line.dim)]
+    terms = dict(zip(unit, w))
+    terms[(0,) * line.dim] = -sum(a * b for a, b in zip(w, line.base))
+    return Polynomial(line.dim, terms)
+
+
+def assert_vanishing_matches(p, line):
+    got = vanishes_on_line(p, line)
+    assert got == (restrict_to_line(p, line) == ())
+    assert got == vanishes_on_line_by_sampling(p, line, max(p.degree(), 0) + 1)
+    return got
+
+
+def partials(p, order):
+    """Every partial derivative of p of the given order."""
+    current = [p]
+    for _ in range(order):
+        current = [q.partial_derivative(i) for q in current for i in range(p.dim)]
+    return current
+
+
+class TestVanishingAgainstReference:
+    @given(polys_on_lines())
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_polynomials(self, drawn):
+        assert_vanishing_matches(*drawn)
+
+    @given(polys_on_lines(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_forced_by_a_linear_form_and_its_derivatives(self, drawn, data):
+        g, line = drawn
+        u = data.draw(st.tuples(*[offsets] * line.dim))
+        form = zero_form(line, u)
+        assume(form is not None and not g.is_zero())
+        k = data.draw(st.integers(1, 3))
+        p = poly_product(line.dim, [g] + [form] * k)
+        # every partial of order < k keeps a factor of the form
+        for order in range(k + 1):
+            for q in partials(p, order):
+                assert assert_vanishing_matches(q, line) or order == k
+        assert cascade(p, [line]) >= k - 1
+
+    def test_zero_and_constants(self):
+        line = Line((Fraction(1, 2), 0, Fraction(-5, 3)), (2, -1, 3))
+        assert assert_vanishing_matches(Polynomial(3, {}), line)
+        for c in (1, -2, Fraction(3, 7)):
+            assert not assert_vanishing_matches(Polynomial(3, {(0, 0, 0): c}), line)
 
 
 entries = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 1, 2, 3)))

@@ -1,14 +1,16 @@
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointlab import polynomial
+from jointlab import curves, polynomial
 from jointlab.errors import DimensionMismatchError
 from jointlab.exact import nullspace_vector
-from jointlab.geometry import Line
+from jointlab.geometry import Line, configuration
+from jointlab.pipeline import trace
 from jointlab.polynomial import (
     Polynomial,
     fit_vanishing,
@@ -20,6 +22,7 @@ from jointlab.polynomial import (
     polynomial_from_text,
     polynomial_to_text,
     restrict_to_line,
+    substitute,
     uni_add,
     uni_derivative,
     uni_eval,
@@ -198,6 +201,59 @@ class TestRestriction:
         assert len(q) - 1 <= max(p.degree(), 0)
 
 
+def falling_factorial_on(line, degree):
+    """prod_{k < degree} (v.x - k v.v): on the line base + t*v, whose base is
+    orthogonal to v, it restricts to (v.v)^degree t(t-1)...(t-degree+1), zero
+    at t = 0, ..., degree - 1 and nonzero at t = degree."""
+    v = line.direction
+    vv = sum(c * c for c in v)
+    forms = []
+    for k in range(degree):
+        terms = {tuple(int(i == j) for j in range(line.dim)): c for i, c in enumerate(v)}
+        terms[(0,) * line.dim] = -k * vv
+        forms.append(Polynomial(line.dim, terms))
+    return poly_product(line.dim, forms)
+
+
+class TestVanishesOnLine:
+    AXIS = Line(vec(0, 0, 0), vec(1, 0, 0))
+    SLANTED = Line(vec(F(1) / 2, F(-1) / 3, 2), vec(1, 2, -1))
+
+    @pytest.mark.parametrize("line", [AXIS, SLANTED], ids=["axis", "slanted"])
+    @pytest.mark.parametrize("degree", range(1, 7))
+    def test_needs_all_deg_plus_one_parameters(self, line, degree):
+        # Zero at the first deg p parameters, so a test that stops one short
+        # calls the line vanishing.  On the x1-axis p is prod_{k < deg} (x1 - k).
+        p = falling_factorial_on(line, degree)
+        assert p.degree() == degree
+        assert all(p.evaluate(line.point_at(t)) == 0 for t in range(degree))
+        assert p.evaluate(line.point_at(degree)) != 0
+        assert not vanishes_on_line(p, line)
+        assert restrict_to_line(p, line) != ()
+
+    def test_rejects_wrong_dimension(self):
+        with pytest.raises(DimensionMismatchError):
+            vanishes_on_line(poly("x1", 4), self.SLANTED)
+
+    def test_trace_never_restricts(self, monkeypatch):
+        calls = []
+
+        def spy(p, coords):
+            calls.append(p)
+            return substitute(p, coords)
+
+        for module in (polynomial, curves):
+            monkeypatch.setattr(module, "substitute", spy)
+        lines = [
+            Line(vec(0, -a * b, a + b), vec(a * b, -(a + b), 1))
+            for a, b in combinations(range(1, 8), 2)
+        ]
+        trace(configuration(3, lines))
+        assert calls == []
+        restrict_to_line(poly("x1"), lines[0])
+        assert len(calls) == 1
+
+
 class TestFitVanishing:
     def test_cube_fit_is_deterministic(self):
         got = fit_vanishing(cube_points(2, 3), 3)
@@ -338,6 +394,17 @@ class TestTextForm:
         with pytest.raises(ValueError, match=f"{kind} exponent") as err:
             polynomial_from_text(bad, 3)
         assert repr(bad) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "bad, factor",
+        [("x1**2", ""), ("x1^2^3", "x1^2^3"), ("2*", ""), ("x1*x", "x"), ("1/0*x1", "1/0")],
+    )
+    def test_malformed_factor_named_with_the_text(self, bad, factor):
+        with pytest.raises(ValueError) as err:
+            polynomial_from_text(bad, 3)
+        assert str(err.value) == (
+            f"malformed factor {factor!r} in polynomial text {bad!r}"
+        )
 
     @given(polynomials())
     @settings(max_examples=80)

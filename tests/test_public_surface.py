@@ -11,6 +11,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "jointlab"
 ALLOWED = {
     "is_joint": "perfbench/layers.py wraps it by name (ROADMAP item 8)",
     "line_line_intersection": "perfbench/layers.py wraps it by name (ROADMAP item 8)",
+    "restrict_to_line": "perfbench/layers.py wraps it by name (ROADMAP item 8)",
     "curve_joint_set": "building block of the curve trace (ROADMAP item 3)",
     "curve_prune": "building block of the curve trace (ROADMAP item 3)",
     "gradient_at_joints_check": "building block of the curve trace (ROADMAP item 3)",
