@@ -2,6 +2,10 @@
 
 Exit codes: 0 success (and inequality holds), 1 usage or input error,
 2 inequality violated, 3 internal invariant violation.
+
+Each command imports the modules it runs inside its handler, so a run loads
+and compiles only those: ``sweep`` never loads the polynomial layer, and
+only ``curve`` loads the curve module.
 """
 
 from __future__ import annotations
@@ -10,34 +14,32 @@ import argparse
 import sys
 from fractions import Fraction
 
-from . import constructions, curves, harness
 from .errors import GenericityFailureError, InternalInvariantViolation
 from .exact import format_rational, parse_rational
-from .geometry import (
-    find_joints,
-    find_s_joints,
-    load_configuration,
-    project_to_generic_flat,
-    save_configuration,
-    write_json,
-)
-from .pipeline import bound_check, bound_constant, trace, trace_to_dict
-from .polynomial import (
-    fit_vanishing,
-    min_fit_degree,
-    minimal_fit,
-    polynomial_from_text,
-    polynomial_to_text,
-    unipoly_to_text,
-)
 
 
 def _parse_range(text: str) -> list[int]:
     """Accept "2..6" or a comma list "2,3,6"."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",") if part != ""]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(part) for part in text.split(",") if part != ""]
+    except ValueError:
+        raise ValueError(
+            f"invalid range {text!r}: expected A..B or a comma list such as 2,3,6"
+        ) from None
+
+
+def _load_lines(path):
+    """The configuration in the file; refuses one with no lines, on which
+    the bound and the trace are undefined (n >= 1)."""
+    from .geometry import load_configuration
+
+    config = load_configuration(path)
+    if config.n == 0:
+        raise ValueError(f"{path}: the configuration has no lines")
+    return config
 
 
 def _point_str(point) -> str:
@@ -45,6 +47,9 @@ def _point_str(point) -> str:
 
 
 def _cmd_gen(args) -> int:
+    from . import constructions
+    from .geometry import save_configuration
+
     if args.family == "grid":
         config = constructions.grid(args.dim, args.k)
     elif args.family == "random":
@@ -61,6 +66,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_joints(args) -> int:
+    from .geometry import find_joints, find_s_joints, load_configuration
+
     config = load_configuration(args.file)
     if args.s is not None:
         joints = find_s_joints(config, args.s)
@@ -73,6 +80,14 @@ def _cmd_joints(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from .geometry import find_joints, load_configuration
+    from .polynomial import (
+        fit_vanishing,
+        min_fit_degree,
+        minimal_fit,
+        polynomial_to_text,
+    )
+
     config = load_configuration(args.file)
     joints = find_joints(config)
     m = len(joints)
@@ -93,7 +108,10 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    config = load_configuration(args.file)
+    from .geometry import write_json
+    from .pipeline import trace, trace_to_dict
+
+    config = _load_lines(args.file)
     result = trace(config)
     for step in result.narrative:
         extras = ", ".join(f"{k}={v}" for k, v in step.detail.items())
@@ -108,7 +126,10 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    config = load_configuration(args.file)
+    from .geometry import bound_check, find_joints
+    from .pipeline import bound_constant
+
+    config = _load_lines(args.file)
     joints = find_joints(config)
     n, m, d = config.n, len(joints), config.dim
     chk = bound_check(n, m, d)
@@ -121,6 +142,12 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_project(args) -> int:
+    from .geometry import (
+        load_configuration,
+        project_to_generic_flat,
+        save_configuration,
+    )
+
     config = load_configuration(args.file)
     projection = project_to_generic_flat(config, args.s, args.seed)
     save_configuration(projection.config, args.output)
@@ -134,6 +161,8 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from . import harness
+
     if args.family == "grid":
         ks = _parse_range(args.k)
         if not ks:
@@ -154,6 +183,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_curve(args) -> int:
+    from . import curves
+    from .polynomial import polynomial_from_text, unipoly_to_text
+
     cfg = curves.load_curve_configuration(args.file)
     if args.action == "restrict":
         poly = polynomial_from_text(args.poly, cfg.dim)

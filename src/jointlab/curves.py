@@ -13,13 +13,12 @@ searched for globally; curve-curve intersection solving is out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, FileFormatError
 from .exact import Vector, rank
-from .geometry import JointSet, Line, parse_coords, read_json
+from .geometry import JointSet, Line, _Frozen, parse_coords, read_json
 from .pipeline import peel
 from .polynomial import (
     Polynomial,
@@ -31,19 +30,29 @@ from .polynomial import (
 )
 
 
-@dataclass(frozen=True)
-class ParamCurve:
+class ParamCurve(_Frozen):
     """A curve t -> (c_1(t), ..., c_d(t)) with polynomial coordinates."""
 
-    coords: tuple[UniPoly, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        coords = tuple(uni_trim(c) for c in self.coords)
+    def __init__(self, coords: tuple[UniPoly, ...]):
+        coords = tuple(uni_trim(c) for c in coords)
         if len(coords) < 2:
             raise ValueError("curves need ambient dimension >= 2")
         if max((len(c) - 1 for c in coords), default=-1) < 1:
             raise ValueError("curve must have a nonconstant coordinate")
         object.__setattr__(self, "coords", coords)
+
+    def __eq__(self, other):
+        if other.__class__ is not ParamCurve:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self):
+        return hash((self.coords,))
+
+    def __repr__(self):
+        return f"ParamCurve(coords={self.coords!r})"
 
     @property
     def dim(self) -> int:
@@ -65,19 +74,27 @@ def line_as_curve(line: Line) -> ParamCurve:
     return ParamCurve(tuple(zip(line.base, line.direction)))
 
 
-@dataclass(frozen=True)
-class CurveConfiguration:
+class CurveConfiguration(_Frozen):
     """Curves sharing one ambient dimension; n is the total degree."""
 
-    dim: int
-    curves: tuple[ParamCurve, ...]
+    __slots__ = ("dim", "curves")
 
-    def __post_init__(self):
-        for c in self.curves:
-            if c.dim != self.dim:
+    def __init__(self, dim: int, curves: tuple[ParamCurve, ...]):
+        for c in curves:
+            if c.dim != dim:
                 raise DimensionMismatchError(
-                    f"curve of dimension {c.dim} in {self.dim}-dimensional configuration"
+                    f"curve of dimension {c.dim} in {dim}-dimensional configuration"
                 )
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "curves", curves)
+
+    def __eq__(self, other):
+        if other.__class__ is not CurveConfiguration:
+            return NotImplemented
+        return self.dim == other.dim and self.curves == other.curves
+
+    def __hash__(self):
+        return hash((self.dim, self.curves))
 
     @property
     def total_degree(self) -> int:
@@ -181,8 +198,7 @@ def load_curve_configuration(path) -> CurveConfiguration:
     return curve_configuration_from_dict(read_json(path))
 
 
-@dataclass(frozen=True)
-class CurvePruneResult:
+class CurvePruneResult(NamedTuple):
     """Degree-weighted pruning fixpoint for curve configurations."""
 
     surviving: CurveConfiguration

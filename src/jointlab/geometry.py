@@ -13,12 +13,10 @@ predicate is a rank test.
 from __future__ import annotations
 
 import json
-import logging
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Iterator
+from math import factorial, gcd
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     DimensionMismatchError,
@@ -39,8 +37,6 @@ from .exact import (
     vector,
 )
 
-log = logging.getLogger(__name__)
-
 PROJECTION_COEFF_BOUND = 1000
 PROJECTION_MAX_ATTEMPTS = 16
 
@@ -56,22 +52,33 @@ def _primitive(direction: Vector) -> tuple[int, ...]:
     return tuple(ints)
 
 
-@dataclass(frozen=True)
-class Line:
+class _Frozen:
+    """Instances reject attribute assignment: ``__init__`` fills the slots
+    with ``object.__setattr__``, and hashable instances stay valid keys."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Line(_Frozen):
     """A line in rational d-space, canonicalized on construction.
 
-    Construction also caches integer forms that are not dataclass fields, so
-    equality and hashing see only base and direction: ``_ints`` is the
-    primitive direction, the base numerators over one common denominator, and
-    that denominator.
+    Construction also caches, next to base and direction, their integer
+    forms and the hash.  ``_ints`` is the primitive direction, the base
+    numerators over one common denominator, and that denominator; equal
+    lines have equal ``_ints``, so equality compares those.  Lines are set
+    members and dict keys throughout, so the hash is computed once; it is
+    that of ``(base, direction)``, which fixes the iteration order of every
+    set of lines and hence the outputs.  Lines are immutable.
     """
 
-    base: Vector
-    direction: Vector
+    __slots__ = ("base", "direction", "_ints", "_hash")
 
-    def __post_init__(self):
-        base = vector(self.base)
-        direction = vector(self.direction)
+    def __init__(self, base: Vector, direction: Vector):
+        base = vector(base)
+        direction = vector(direction)
         if len(base) != len(direction):
             raise DimensionMismatchError(
                 f"base has dimension {len(base)}, direction {len(direction)}"
@@ -88,6 +95,15 @@ class Line:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "direction", direction)
         object.__setattr__(self, "_ints", (ints, tuple(nums), den))
+        object.__setattr__(self, "_hash", hash((base, direction)))
+
+    def __eq__(self, other):
+        if other.__class__ is not Line:
+            return NotImplemented
+        return self._ints == other._ints
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def dim(self) -> int:
@@ -106,21 +122,29 @@ class Line:
         return f"Line(({base}) + t*({direction}))"
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(_Frozen):
     """A dimension together with a deduplicated set of lines."""
 
-    dim: int
-    lines: frozenset[Line] = field(default_factory=frozenset)
+    __slots__ = ("dim", "lines")
 
-    def __post_init__(self):
-        if self.dim < 2:
+    def __init__(self, dim: int, lines: frozenset[Line] = frozenset()):
+        if dim < 2:
             raise ValueError("configurations need dimension >= 2")
-        for line in self.lines:
-            if line.dim != self.dim:
+        for line in lines:
+            if line.dim != dim:
                 raise DimensionMismatchError(
-                    f"line of dimension {line.dim} in {self.dim}-dimensional configuration"
+                    f"line of dimension {line.dim} in {dim}-dimensional configuration"
                 )
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "lines", lines)
+
+    def __eq__(self, other):
+        if other.__class__ is not Configuration:
+            return NotImplemented
+        return self.dim == other.dim and self.lines == other.lines
+
+    def __hash__(self):
+        return hash((self.dim, self.lines))
 
     @property
     def n(self) -> int:
@@ -134,14 +158,23 @@ def configuration(dim: int, lines: Iterable[Line]) -> Configuration:
     return Configuration(dim, frozenset(lines))
 
 
-@dataclass(frozen=True, eq=True)
-class JointSet:
+class JointSet(_Frozen):
     """Joints with their exact incidence sets, iterated in sorted point order.
 
     The incident objects are lines, or parametrized curves for curve joints.
     """
 
-    incidence: dict[Vector, frozenset]
+    __slots__ = ("incidence",)
+
+    def __init__(self, incidence: dict[Vector, frozenset]):
+        object.__setattr__(self, "incidence", incidence)
+
+    def __eq__(self, other):
+        if other.__class__ is not JointSet:
+            return NotImplemented
+        return self.incidence == other.incidence
+
+    __hash__ = None  # the incidence is a dict
 
     @property
     def points(self) -> tuple[Vector, ...]:
@@ -267,8 +300,30 @@ def find_s_joints(config: Configuration, s: int) -> JointSet:
     return JointSet(incidence)
 
 
-@dataclass(frozen=True)
-class Projection:
+class BoundCheck(NamedTuple):
+    holds: bool
+    lhs: int
+    rhs: int
+
+
+def bound_check(n: int, m: int, d: int) -> BoundCheck:
+    """Decide m <= A(d) * n^(d/(d-1)) in exact integers.
+
+    Raising both sides to the (d-1)-th power turns the irrational constant
+    into the integer comparison m^(d-1) <= 2^(d+1) * d! * n^d.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if m < 0:
+        raise ValueError("need m >= 0")
+    if d < 2:
+        raise ValueError("need dimension >= 2")
+    lhs = m ** (d - 1)
+    rhs = 2 ** (d + 1) * factorial(d) * n**d
+    return BoundCheck(holds=lhs <= rhs, lhs=lhs, rhs=rhs)
+
+
+class Projection(NamedTuple):
     """Result of a verified generic projection to a lower dimension."""
 
     config: Configuration
@@ -380,7 +435,11 @@ def configuration_from_dict(obj) -> Configuration:
             raise FileFormatError(f"lines[{i}]: {exc}") from exc
     deduped = frozenset(lines)
     if len(deduped) < len(lines):
-        log.warning("deduplicated %d duplicate line(s)", len(lines) - len(deduped))
+        import logging  # only this warning logs; most runs never load it
+
+        logging.getLogger(__name__).warning(
+            "deduplicated %d duplicate line(s)", len(lines) - len(deduped)
+        )
     return Configuration(dim, deduped)
 
 

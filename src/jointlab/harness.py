@@ -8,19 +8,16 @@ the integers, the decimal is 6-significant-digit display.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, fields
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .constructions import grid, random_config
 from .errors import InternalInvariantViolation
-from .geometry import find_joints
-from .pipeline import bound_check
+from .geometry import bound_check, find_joints
 
 PAIR_GUARD = 1_000_000
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     d: int
     k_or_n: int
     seed: int | None
@@ -90,7 +87,7 @@ def sweep_random(
     return rows
 
 
-CSV_COLUMNS = [f.name for f in fields(SweepRow)]
+CSV_COLUMNS = list(SweepRow._fields)
 
 
 def write_csv(rows: Iterable[SweepRow], path) -> None:

@@ -16,9 +16,9 @@ line" is decided by exact integer values at deg p + 1 points of the line.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from .errors import (
     ContradictionBugError,
@@ -30,6 +30,7 @@ from .geometry import (
     Configuration,
     JointSet,
     Line,
+    bound_check,
     configuration,
     direction_rank,
     find_joints,
@@ -53,8 +54,7 @@ GRADIENT_ZERO = "GRADIENT_ZERO"
 NOT_APPLICABLE = "NOT_APPLICABLE"
 
 
-@dataclass(frozen=True)
-class PruneResult:
+class PruneResult(NamedTuple):
     """Fixpoint of removing lines that carry too few surviving joints.
 
     The threshold m/(2n) is frozen at the start; every surviving line ends up
@@ -69,22 +69,13 @@ class PruneResult:
     threshold: Fraction
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    holds: bool
-    lhs: int
-    rhs: int
-
-
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     name: str
     verdict: str
-    detail: dict[str, str] = field(default_factory=dict)
+    detail: dict[str, str]
 
 
-@dataclass(frozen=True)
-class ProofTrace:
+class ProofTrace(NamedTuple):
     outcome: str
     dim: int
     n: int
@@ -97,13 +88,12 @@ class ProofTrace:
     narrative: tuple[TraceStep, ...]
 
 
-@dataclass(frozen=True)
-class GradientCheckReport:
+class GradientCheckReport(NamedTuple):
     """Per-joint status of the orthogonality argument."""
 
     statuses: dict[Vector, str]
 
-    def count(self, status: str) -> int:
+    def count(self, status: str) -> int:  # replaces tuple.count
         return sum(1 for s in self.statuses.values() if s == status)
 
 
@@ -116,23 +106,6 @@ def bound_constant(d: int) -> float:
     from math import exp, log  # the package's only float functions
 
     return exp(log(2 ** (d + 1) * factorial(d)) / (d - 1))
-
-
-def bound_check(n: int, m: int, d: int) -> BoundCheck:
-    """Decide m <= A(d) * n^(d/(d-1)) in exact integers.
-
-    Raising both sides to the (d-1)-th power turns the irrational constant
-    into the integer comparison m^(d-1) <= 2^(d+1) * d! * n^d.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if m < 0:
-        raise ValueError("need m >= 0")
-    if d < 2:
-        raise ValueError("need dimension >= 2")
-    lhs = m ** (d - 1)
-    rhs = 2 ** (d + 1) * factorial(d) * n**d
-    return BoundCheck(holds=lhs <= rhs, lhs=lhs, rhs=rhs)
 
 
 def _surviving_counts(
@@ -385,7 +358,7 @@ def trace(config: Configuration) -> ProofTrace:
 
     def finish(outcome: str) -> ProofTrace:
         """Close the narrative with the outcome; fields not reached stay None."""
-        steps.append(TraceStep(name="outcome", verdict=outcome))
+        steps.append(TraceStep(name="outcome", verdict=outcome, detail={}))
         return ProofTrace(
             outcome=outcome,
             dim=d,

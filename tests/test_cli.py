@@ -73,7 +73,9 @@ class TestBound:
 
             points = ()
 
-        monkeypatch.setattr("jointlab.cli.find_joints", lambda config: FakeJoints())
+        monkeypatch.setattr(
+            "jointlab.geometry.find_joints", lambda config: FakeJoints()
+        )
         path = str(tmp_path / "g.json")
         run(capsys, "gen", "grid", "--dim", "3", "--k", "2", "-o", path)
         code, out, _ = run(capsys, "bound", path)
@@ -122,12 +124,29 @@ class TestTrace:
         def boom(config):
             raise ContradictionBugError("impossible cascade")
 
-        monkeypatch.setattr("jointlab.cli.trace", boom)
+        monkeypatch.setattr("jointlab.pipeline.trace", boom)
         path = str(tmp_path / "g.json")
         run(capsys, "gen", "grid", "--dim", "3", "--k", "2", "-o", path)
         code, _, err = run(capsys, "trace", path)
         assert code == 3
         assert "internal invariant violation" in err
+
+
+class TestEmptyConfiguration:
+    @pytest.mark.parametrize("command", ["trace", "bound"])
+    def test_refused_naming_the_file(self, tmp_path, capsys, command):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"dim": 3, "lines": []}))
+        code, out, err = run(capsys, command, str(path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {path}: the configuration has no lines\n"
+
+    def test_fit_still_accepts_it(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"dim": 3, "lines": []}))
+        code, out, _ = run(capsys, "fit", str(path))
+        assert code == 0 and out == "joints: 0\nnothing to fit\n"
 
 
 class TestProject:
@@ -173,6 +192,27 @@ class TestSweep:
                            "--seeds", "1", "--csv", str(tmp_path / "x.csv"))
         assert code == 1
         assert "force" in err
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["grid", "--dim", "3", "--k", "2.."], "2.."),
+            (["grid", "--dim", "3", "--k", "a..4"], "a..4"),
+            (["random", "--dim", "3", "--n", "5,x", "--seeds", "1"], "5,x"),
+            (["random", "--dim", "3", "--n", "5", "--seeds", "1..z"], "1..z"),
+            (["random", "--dim", "3", "--n", "5", "--seeds", "1;2"], "1;2"),
+        ],
+    )
+    def test_bad_range_names_the_text(self, tmp_path, capsys, argv, text):
+        csv_path = tmp_path / "x.csv"
+        code, out, err = run(capsys, "sweep", *argv, "--csv", str(csv_path))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: invalid range {text!r}: expected A..B or a comma list "
+            "such as 2,3,6\n"
+        )
+        assert not csv_path.exists()
 
 
 class TestCurveCommands:

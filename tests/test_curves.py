@@ -61,6 +61,37 @@ class TestParamCurve:
         assert MOMENT.point_at(2) == vec(2, 4, 8)
 
 
+class TestCurveIdentity:
+    """Curves are set members and dict keys, like lines: equality and hash
+    follow the trimmed coordinate polynomials."""
+
+    def test_hash_is_that_of_the_coordinates(self):
+        for curve in [MOMENT, *AXES, line_as_curve(Line(vec(1, 2, 3), vec(1, -1, 2)))]:
+            assert hash(curve) == hash((curve.coords,))
+
+    def test_trailing_zeros_do_not_matter(self):
+        padded = ParamCurve((uni(0, 1, 0), uni(0, 0, 1, 0, 0), uni(0, 0, 0, 1)))
+        assert padded == MOMENT and hash(padded) == hash(MOMENT)
+        assert padded.coords == MOMENT.coords
+        assert len({padded, MOMENT, *AXES}) == 4
+
+    def test_other_types_compare_unequal(self):
+        assert MOMENT.__eq__(MOMENT.coords) is NotImplemented
+        assert MOMENT != MOMENT.coords and MOMENT != AXES[0]
+        cfg = CurveConfiguration(3, (MOMENT,))
+        assert cfg.__eq__((3, (MOMENT,))) is NotImplemented
+        assert cfg != (3, (MOMENT,)) and cfg != MOMENT
+        assert cfg == CurveConfiguration(3, (MOMENT,)) != CurveConfiguration(3, ())
+        assert hash(cfg) == hash((3, (MOMENT,)))
+
+    def test_curves_are_immutable(self):
+        with pytest.raises(AttributeError):
+            MOMENT.coords = AXES[0].coords
+        with pytest.raises(AttributeError):
+            CurveConfiguration(3, ()).dim = 4
+        assert MOMENT.degree == 3
+
+
 class TestTangent:
     def test_moment_curve(self):
         assert tangent_at(MOMENT, 1) == vec(1, 2, 3)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointlab.constructions import grid
+from jointlab.constructions import grid, random_config
 from jointlab.errors import (
     DimensionMismatchError,
     FileFormatError,
@@ -92,6 +92,81 @@ class TestLineCanonicalization:
     def test_canonicalization_idempotent(self, line):
         assert Line(line.base, line.direction) == line
         assert dot_is_zero(line)
+
+
+def hyperplane_lines(ts):
+    """Lines of the hyperplanes x.(1,t,t^2) = t^3: line(a,b) is their meet."""
+    return [
+        Line((0, -a * b, a + b), (a * b, -(a + b), 1))
+        for i, a in enumerate(ts)
+        for b in ts[i + 1 :]
+    ]
+
+
+FAMILIES = {
+    "grid": sorted(grid(3, 3).lines, key=Line.sort_key),
+    "random": sorted(random_config(4, 30, 5, 10).lines, key=Line.sort_key),
+    "hyperplanes": hyperplane_lines([F(0), F(1), F(-2), F("1/2"), F("-4/3"), F(3)]),
+}
+
+
+class TestLineIdentity:
+    """Lines are set members and dict keys: the cached hash and the equality
+    on integer forms must agree with the (base, direction) pair they stand
+    for, so set and dict iteration order stays as it was."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_hash_is_that_of_base_and_direction(self, family):
+        for line in FAMILIES[family]:
+            assert hash(line) == hash((line.base, line.direction))
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_rewritten_lines_are_equal_and_hash_equal(self, family):
+        for k, line in enumerate(FAMILIES[family]):
+            scale = Fraction(-3, 2) if k % 2 else Fraction(5)
+            shifted = line.point_at(Fraction(k + 1, 3))
+            other = Line(shifted, tuple(scale * c for c in line.direction))
+            assert other == line and not other != line
+            assert hash(other) == hash(line)
+            assert other in set(FAMILIES[family])
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_distinct_lines_are_unequal(self, family):
+        lines = FAMILIES[family]
+        assert len(set(lines)) == len(lines)
+        assert all(a != b for i, a in enumerate(lines) for b in lines[i + 1 :])
+
+    @given(lines(), lines())
+    @settings(max_examples=80)
+    def test_equality_matches_base_and_direction(self, a, b):
+        assert (a == b) == ((a.base, a.direction) == (b.base, b.direction))
+
+    def test_other_types_compare_unequal(self):
+        pair = (X_AXIS.base, X_AXIS.direction)
+        assert X_AXIS.__eq__(pair) is NotImplemented
+        assert X_AXIS != pair and pair != X_AXIS
+        assert X_AXIS != "x-axis" and X_AXIS != None  # noqa: E711
+        config = configuration(3, [X_AXIS])
+        assert config.__eq__((3, frozenset([X_AXIS]))) is NotImplemented
+        assert config != (3, frozenset([X_AXIS])) and config != X_AXIS
+
+    def test_lines_are_immutable(self):
+        line = Line(vec(1, 2, 3), vec(0, 0, 1))
+        with pytest.raises(AttributeError):
+            line.base = vec(0, 0, 0)
+        with pytest.raises(AttributeError):
+            line.direction = vec(1, 0, 0)
+        assert line.base == vec(1, 2, 0)
+
+    def test_configuration_identity(self):
+        empty = Configuration(3)
+        assert empty.n == 0 and empty.lines == frozenset()
+        assert empty == Configuration(3, frozenset()) != Configuration(4)
+        same = configuration(3, [Y_AXIS, X_AXIS])
+        assert same == configuration(3, [X_AXIS, Y_AXIS, X_AXIS])
+        assert hash(same) == hash((3, frozenset([X_AXIS, Y_AXIS])))
+        with pytest.raises(AttributeError):
+            same.dim = 4
 
 
 def dot_is_zero(line):

@@ -1,6 +1,6 @@
 """src/jointlab keeps only what its commands run: every public module-level
 function or class is referenced somewhere in the package besides its own
-definition and the re-exports of __init__.py."""
+definition.  __init__.py re-exports nothing, and is skipped all the same."""
 
 import ast
 from pathlib import Path
