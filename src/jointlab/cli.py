@@ -11,6 +11,7 @@ only ``curve`` loads the curve module.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -18,13 +19,28 @@ from .errors import GenericityFailureError, InternalInvariantViolation
 from .exact import format_rational, parse_rational
 
 
+_INTEGER_RE = re.compile(r"^-?[0-9]+$")
+
+
+def integer(text: str) -> int:
+    """Parse an integer argument in ASCII digits, like ``"12"`` or ``"-3"``.
+
+    ``int`` alone would also take other scripts' digits and underscores.
+    As an argparse ``type`` a ValueError reads "invalid integer value".
+    """
+    literal = text.strip()
+    if not _INTEGER_RE.match(literal):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(literal)
+
+
 def _parse_range(text: str) -> list[int]:
     """Accept "2..6" or a comma list "2,3,6"."""
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(part) for part in text.split(",") if part != ""]
+            return list(range(integer(lo), integer(hi) + 1))
+        return [integer(part) for part in text.split(",") if part != ""]
     except ValueError:
         raise ValueError(
             f"invalid range {text!r}: expected A..B or a comma list such as 2,3,6"
@@ -196,7 +212,7 @@ def _cmd_curve(args) -> int:
             restriction = curves.restrict_to_curve(poly, cfg.curves[i])
             print(f"curve {i}: {unipoly_to_text(restriction)}")
         return 0
-    indices = [int(x) for x in args.curves.split(",")]
+    indices = [integer(x) for x in args.curves.split(",")]
     params = [parse_rational(x) for x in args.params.split(",")]
     if len(indices) != len(params):
         raise ValueError("--curves and --params must have the same length")
@@ -221,20 +237,22 @@ def build_parser() -> argparse.ArgumentParser:
     gen_sub = gen.add_subparsers(dest="family", required=True)
     for family in ("grid", "random", "planar", "grid-orphan"):
         g = gen_sub.add_parser(family)
-        g.add_argument("--dim", type=int, required=True)
+        g.add_argument("--dim", type=integer, required=True)
         if family in ("grid", "grid-orphan"):
-            g.add_argument("--k", type=int, required=True)
+            g.add_argument("--k", type=integer, required=True)
         else:
-            g.add_argument("--n", type=int, required=True)
+            g.add_argument("--n", type=integer, required=True)
         if family == "random":
-            g.add_argument("--seed", type=int, required=True)
-            g.add_argument("--coord-bound", type=int, default=10)
+            g.add_argument("--seed", type=integer, required=True)
+            g.add_argument("--coord-bound", type=integer, default=10)
         g.add_argument("-o", "--output", required=True)
         g.set_defaults(handler=_cmd_gen)
 
     joints = sub.add_parser("joints", help="count and list joints")
     joints.add_argument("file")
-    joints.add_argument("--s", type=int, default=None, help="detect s-joints instead")
+    joints.add_argument(
+        "--s", type=integer, default=None, help="detect s-joints instead"
+    )
     joints.set_defaults(handler=_cmd_joints)
 
     fit = sub.add_parser("fit", help="fit a vanishing polynomial on the joints")
@@ -253,24 +271,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     project = sub.add_parser("project", help="generic projection to dimension s")
     project.add_argument("file")
-    project.add_argument("--s", type=int, required=True)
-    project.add_argument("--seed", type=int, required=True)
+    project.add_argument("--s", type=integer, required=True)
+    project.add_argument("--seed", type=integer, required=True)
     project.add_argument("-o", "--output", required=True)
     project.set_defaults(handler=_cmd_project)
 
     sweep = sub.add_parser("sweep", help="sweep a family and emit CSV")
     sweep_sub = sweep.add_subparsers(dest="family", required=True)
     sg = sweep_sub.add_parser("grid")
-    sg.add_argument("--dim", type=int, required=True)
+    sg.add_argument("--dim", type=integer, required=True)
     sg.add_argument("--k", required=True, help='range like "2..6"')
     sg.add_argument("--csv", required=True)
     sg.add_argument("--force", action="store_true")
     sg.set_defaults(handler=_cmd_sweep)
     sr = sweep_sub.add_parser("random")
-    sr.add_argument("--dim", type=int, required=True)
+    sr.add_argument("--dim", type=integer, required=True)
     sr.add_argument("--n", required=True, help='list like "10,20" or range "5..8"')
     sr.add_argument("--seeds", required=True, help='list or range of seeds')
-    sr.add_argument("--coord-bound", type=int, default=10)
+    sr.add_argument("--coord-bound", type=integer, default=10)
     sr.add_argument("--csv", required=True)
     sr.add_argument("--force", action="store_true")
     sr.set_defaults(handler=_cmd_sweep)
@@ -280,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     cr = curve_sub.add_parser("restrict")
     cr.add_argument("file")
     cr.add_argument("--poly", required=True, help='polynomial text, e.g. "x2^2 - x1*x3"')
-    cr.add_argument("--index", type=int, default=None)
+    cr.add_argument("--index", type=integer, default=None)
     cr.set_defaults(handler=_cmd_curve)
     cj = curve_sub.add_parser("joint")
     cj.add_argument("file")

@@ -59,7 +59,8 @@ def format_rational(value: Fraction) -> str:
 
 
 def vector(values: Iterable) -> Vector:
-    return tuple(Fraction(v) for v in values)
+    # Fraction(v) of a Fraction is an equal copy, so those are kept as they are
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
 def _check_same_dim(u: Sequence, v: Sequence) -> None:
@@ -72,16 +73,6 @@ def _check_same_dim(u: Sequence, v: Sequence) -> None:
 def dot(u: Vector, v: Vector) -> Fraction:
     _check_same_dim(u, v)
     return sum((a * b for a, b in zip(u, v)), start=Fraction(0))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    _check_same_dim(u, v)
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(u: Vector, c) -> Vector:
-    c = Fraction(c)
-    return tuple(a * c for a in u)
 
 
 def mat_vec(rows: Sequence[Vector], x: Vector) -> Vector:

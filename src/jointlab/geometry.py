@@ -26,14 +26,11 @@ from .errors import (
 )
 from .exact import (
     Vector,
-    dot,
     format_rational,
     integer_form,
     mat_vec,
     parse_rational,
     rank,
-    vec_scale,
-    vec_sub,
     vector,
 )
 
@@ -66,12 +63,17 @@ class Line(_Frozen):
     """A line in rational d-space, canonicalized on construction.
 
     Construction also caches, next to base and direction, their integer
-    forms and the hash.  ``_ints`` is the primitive direction, the base
+    forms and the hash.  ``_ints`` is the primitive direction v, the base
     numerators over one common denominator, and that denominator; equal
-    lines have equal ``_ints``, so equality compares those.  Lines are set
-    members and dict keys throughout, so the hash is computed once; it is
-    that of ``(base, direction)``, which fixes the iteration order of every
-    set of lines and hence the outputs.  Lines are immutable.
+    lines have equal ``_ints``, so equality compares those.  The canonical
+    form is computed in integers: with the given base written P/q over one
+    denominator, the foot of the perpendicular is
+    (P |v|^2 - (P.v) v) / (q |v|^2), and one gcd over those numerators and
+    that denominator reduces it to ``_ints``, whose entries the
+    ``Fraction`` base is then read from.  Lines are set members and dict keys
+    throughout, so the hash is computed once; it is that of
+    ``(base, direction)``, which fixes the iteration order of every set of
+    lines and hence the outputs.  Lines are immutable.
     """
 
     __slots__ = ("base", "direction", "_ints", "_hash")
@@ -88,13 +90,19 @@ class Line(_Frozen):
         if all(c == 0 for c in direction):
             raise ValueError("line direction must be nonzero")
         ints = _primitive(direction)
+        given, q = integer_form(base)
+        norm = sum(v * v for v in ints)
+        along = sum(p * v for p, v in zip(given, ints))
+        nums = [p * norm - along * v for p, v in zip(given, ints)]
+        den = q * norm
+        g = gcd(den, *nums)
+        nums = tuple(c // g for c in nums)
+        den //= g
+        base = tuple(Fraction(c, den) for c in nums)
         direction = tuple(Fraction(c) for c in ints)
-        shift = dot(base, direction) / dot(direction, direction)
-        base = vec_sub(base, vec_scale(direction, shift))
-        nums, den = integer_form(base)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "_ints", (ints, tuple(nums), den))
+        object.__setattr__(self, "_ints", (ints, nums, den))
         object.__setattr__(self, "_hash", hash((base, direction)))
 
     def __eq__(self, other):
@@ -114,7 +122,8 @@ class Line(_Frozen):
         return tuple(b + t * v for b, v in zip(self.base, self.direction))
 
     def sort_key(self):
-        return (self.direction, self.base)
+        # the primitive integers order as the integral direction Fractions do
+        return (self._ints[0], self.base)
 
     def __repr__(self):
         base = ", ".join(format_rational(c) for c in self.base)
@@ -123,9 +132,12 @@ class Line(_Frozen):
 
 
 class Configuration(_Frozen):
-    """A dimension together with a deduplicated set of lines."""
+    """A dimension together with a deduplicated set of lines.
 
-    __slots__ = ("dim", "lines")
+    The canonical order of the lines is sorted once, on first use, and kept.
+    """
+
+    __slots__ = ("dim", "lines", "_sorted")
 
     def __init__(self, dim: int, lines: frozenset[Line] = frozenset()):
         if dim < 2:
@@ -137,6 +149,7 @@ class Configuration(_Frozen):
                 )
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "lines", lines)
+        object.__setattr__(self, "_sorted", None)
 
     def __eq__(self, other):
         if other.__class__ is not Configuration:
@@ -150,8 +163,11 @@ class Configuration(_Frozen):
     def n(self) -> int:
         return len(self.lines)
 
-    def sorted_lines(self) -> list[Line]:
-        return sorted(self.lines, key=Line.sort_key)
+    def sorted_lines(self) -> tuple[Line, ...]:
+        if self._sorted is None:
+            order = tuple(sorted(self.lines, key=Line.sort_key))
+            object.__setattr__(self, "_sorted", order)
+        return self._sorted
 
 
 def configuration(dim: int, lines: Iterable[Line]) -> Configuration:
@@ -162,12 +178,15 @@ class JointSet(_Frozen):
     """Joints with their exact incidence sets, iterated in sorted point order.
 
     The incident objects are lines, or parametrized curves for curve joints.
+    The incidence is not changed after construction, so the points are
+    sorted once, on first use, and kept.
     """
 
-    __slots__ = ("incidence",)
+    __slots__ = ("incidence", "_points")
 
     def __init__(self, incidence: dict[Vector, frozenset]):
         object.__setattr__(self, "incidence", incidence)
+        object.__setattr__(self, "_points", None)
 
     def __eq__(self, other):
         if other.__class__ is not JointSet:
@@ -178,7 +197,9 @@ class JointSet(_Frozen):
 
     @property
     def points(self) -> tuple[Vector, ...]:
-        return tuple(sorted(self.incidence))
+        if self._points is None:
+            object.__setattr__(self, "_points", tuple(sorted(self.incidence)))
+        return self._points
 
     def lines_through(self, point: Vector) -> frozenset:
         return self.incidence[point]
@@ -194,21 +215,31 @@ class JointSet(_Frozen):
 
 
 def incident(line: Line, point: Vector) -> bool:
-    """True iff point - base is an exact rational multiple of the direction."""
+    """True iff point - base is an exact rational multiple of the direction.
+
+    Decided in integers: with the point a/r and the base p/q over their own
+    common denominators, w = a q - p r is a positive multiple of
+    point - base, and it is parallel to the primitive direction v exactly
+    when w_i v_k = w_k v_i at every i, for k the first axis where v is
+    nonzero.
+    """
     point = vector(point)
     if len(point) != line.dim:
         raise DimensionMismatchError(
             f"point of dimension {len(point)} against line of dimension {line.dim}"
         )
-    delta = vec_sub(point, line.base)
-    axis = next(i for i, c in enumerate(line.direction) if c != 0)
-    t = delta[axis] / line.direction[axis]
-    return all(delta[i] == t * line.direction[i] for i in range(line.dim))
+    v, p, q = line._ints
+    a, r = integer_form(point)
+    w = [x * q - y * r for x, y in zip(a, p)]
+    k = next(i for i, c in enumerate(v) if c)
+    return all(wi * v[k] == w[k] * vi for wi, vi in zip(w, v))
 
 
 def _meet(a: Line, b: Line) -> Vector | None:
     """The common point of two distinct lines, or None if they miss.
 
+    This is the exact decision for every pair that passes the side filter
+    of :func:`find_s_joints`, and the only place a joint's point is built.
     Pure integer arithmetic: scaling base_a + t v_a = base_b + s v_b by the
     product of the base denominators leaves integer data, and Cramer's rule on
     the first coordinate pair with a nonzero direction minor gives t and s
@@ -274,6 +305,29 @@ def find_joints(config: Configuration) -> JointSet:
     return find_s_joints(config, config.dim)
 
 
+def _side_form(line: Line) -> tuple[int, ...]:
+    """Six integers (q v, m') for the line's projection onto the first three
+    axes, zero-padded from the plane: v the primitive direction, P/q the
+    base and m' = P x v, so (v, m'/q) are its Plücker coordinates.
+
+    With B = (m', q v) the same six integers swapped, A_a . B_b is
+    q_a q_b times the side product of the two projections, which is 0
+    exactly when they are coplanar: they meet, are parallel, or one is a
+    point (its direction projects to zero, and then A = 0).
+    """
+    v, p, q = line._ints
+    v1, v2, v3 = (v + (0,))[:3]
+    p1, p2, p3 = (p + (0,))[:3]
+    return (
+        q * v1,
+        q * v2,
+        q * v3,
+        p2 * v3 - p3 * v2,
+        p3 * v1 - p1 * v3,
+        p1 * v2 - p2 * v1,
+    )
+
+
 def find_s_joints(config: Configuration, s: int) -> JointSet:
     """All points on >= 2 lines whose incident directions have rank >= s.
 
@@ -281,13 +335,26 @@ def find_s_joints(config: Configuration, s: int) -> JointSet:
     through a point that lies on >= 2 lines meets another line there, so the
     pairs that meet at a point name all of its lines.  At s = d these points
     are exactly the joints, since rank d needs at least d lines.
+
+    The pairs first pass an exact integer side filter (:func:`_side_form`):
+    two lines that meet project onto the first three axes as coplanar lines,
+    so their side product is 0, and a row of pairs is filtered in one
+    comprehension.  :func:`_meet` decides each pair that passes; in d = 3
+    these are the coplanar pairs, and in the plane every pair passes.
     """
     if not 2 <= s <= config.dim:
         raise ValueError(f"s must satisfy 2 <= s <= {config.dim}, got {s}")
     lines = config.sorted_lines()
+    sides = [_side_form(line) for line in lines]
     meeting: dict[Vector, set[Line]] = {}
     for i, a in enumerate(lines):
-        for b in lines[i + 1 :]:
+        a0, a1, a2, a3, a4, a5 = sides[i]
+        candidates = [
+            b
+            for b, (b0, b1, b2, b3, b4, b5) in zip(lines[i + 1 :], sides[i + 1 :])
+            if not a0 * b3 + a1 * b4 + a2 * b5 + a3 * b0 + a4 * b1 + a5 * b2
+        ]
+        for b in candidates:
             pt = _meet(a, b)
             if pt is not None:
                 meeting.setdefault(pt, set()).update((a, b))

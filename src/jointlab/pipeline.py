@@ -212,7 +212,7 @@ def _check_prune_invariants(surviving, survivors, threshold):
     surviving_set = surviving.lines
     counts = _surviving_counts(
         {p: survivors.lines_through(p) for p in survivors.points},
-        sorted(surviving_set, key=Line.sort_key),
+        surviving.sorted_lines(),
     )
     for line, count in counts.items():
         if Fraction(count) < threshold:
@@ -241,6 +241,8 @@ def _check_prune_invariants(surviving, survivors, threshold):
 def cascade(p: Polynomial, lines) -> int:
     """Largest r such that every partial derivative of every order <= r
     vanishes identically on every line; -1 if p itself fails somewhere.
+    The lines are checked in the order given; the answer does not depend
+    on it.
 
     Capped at deg p: some derivative of order deg p is a nonzero constant, so
     with at least one line present the check must fail by then; returning the
@@ -249,7 +251,7 @@ def cascade(p: Polynomial, lines) -> int:
     """
     if p.is_zero():
         raise ZeroPolynomialError("cascade needs a nonzero polynomial")
-    lines = sorted(lines, key=Line.sort_key)
+    lines = tuple(lines)
     top = p.degree()
     if not lines:
         return top
@@ -420,7 +422,7 @@ def trace(config: Configuration) -> ProofTrace:
         )
     )
 
-    order = cascade(fitted, pr.surviving.lines)
+    order = cascade(fitted, pr.surviving.sorted_lines())
     steps.append(
         TraceStep(
             name="cascade",

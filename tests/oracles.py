@@ -10,18 +10,20 @@ powers per entry (the package extends an earlier monomial by one factor),
 monomial counting by stars-and-bars recursion (the package filters a
 product and uses math.comb), identically-zero decisions on a line by
 sampling more Fraction points than the degree (the package evaluates in
-integers; its restriction compares coefficients), joints by Fraction pair
-intersections followed by a rescan of every line at each candidate point
-with a Gauss-Jordan rank of the Fraction directions (the package builds
-incidence from integer pair hits), and pruning by recounting every line in
-every round (the package peels).
+integers; its restriction compares coefficients), canonical lines and
+incidence in Fraction arithmetic (the package reduces integer forms),
+joints by Fraction intersections of every pair followed by a rescan of every
+line at each candidate point with a Gauss-Jordan rank of the Fraction
+directions (the package meets in integers only the pairs an integer side
+product admits, and builds incidence from the hits), and pruning by
+recounting every line in every round (the package peels).
 """
 
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
-from jointlab.exact import integer_form, vec_sub
-from jointlab.geometry import JointSet, configuration, incident
+from jointlab.exact import integer_form, vector
+from jointlab.geometry import JointSet, configuration
 from jointlab.pipeline import PruneResult
 from jointlab.polynomial import Polynomial, monomial_basis
 
@@ -260,6 +262,39 @@ def vanishes_on_curve_by_sampling(p, curve, samples: int) -> bool:
     return all(p.evaluate(curve.point_at(t)) == 0 for t in range(samples))
 
 
+def vec_sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def canonical_line_fraction(base, direction):
+    """The canonical fields of Line(base, direction) in Fraction arithmetic:
+    (base, direction, _ints, hash).  The direction is scaled to a primitive
+    integer vector with positive first nonzero entry, and the base is moved
+    along it to the foot of the perpendicular from the origin (the package
+    computes that foot over one integer denominator)."""
+    base, direction = vector(base), vector(direction)
+    nums, _ = integer_form(direction)
+    g = gcd(*nums)
+    ints = [c // g for c in nums]
+    if next(c for c in ints if c) < 0:
+        ints = [-c for c in ints]
+    ints = tuple(ints)
+    direction = tuple(Fraction(c) for c in ints)
+    shift = sum(b * v for b, v in zip(base, direction)) / sum(v * v for v in ints)
+    base = vec_sub(base, tuple(shift * v for v in direction))
+    nums, den = integer_form(base)
+    return base, direction, (ints, tuple(nums), den), hash((base, direction))
+
+
+def incident_fraction(line, point):
+    """point - base is t * direction for the t one nonzero axis gives
+    (the package cross-multiplies integer forms)."""
+    delta = vec_sub(vector(point), line.base)
+    axis = next(i for i, c in enumerate(line.direction) if c != 0)
+    t = delta[axis] / line.direction[axis]
+    return all(delta[i] == t * line.direction[i] for i in range(line.dim))
+
+
 def line_line_intersection_fraction(l1, l2):
     """Common point of two distinct lines by Fraction Cramer's rule, or None."""
     v1, v2 = l1.direction, l2.direction
@@ -299,7 +334,7 @@ def _rank_of_directions(lines):
 
 
 def _incident_lines(config, point):
-    return frozenset(l for l in config.lines if incident(l, point))
+    return frozenset(l for l in config.lines if incident_fraction(l, point))
 
 
 def find_joints_rescan(config):
@@ -325,7 +360,7 @@ def prune_recount(config, joints):
     """Remove the first eligible line in canonical order, recounting every
     surviving line's joints in every round, until no line is eligible."""
     threshold = Fraction(len(joints), 2 * config.n)
-    alive_lines = config.sorted_lines()
+    alive_lines = list(config.sorted_lines())
     alive_points = {p: joints.lines_through(p) for p in joints.points}
     removed_lines = []
     removed_points = set()

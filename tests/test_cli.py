@@ -336,3 +336,100 @@ class TestErrorPaths:
                            "-o", str(tmp_path / "x.json"))
         assert code == 1
         assert "found only 16 distinct lines of n = 17" in err
+
+
+class TestIntegerArguments:
+    """Integer options and ranges take ASCII digits with an optional minus
+    sign, as rational literals do; int() alone would also take other
+    scripts' digits ("٥" is ARABIC-INDIC DIGIT FIVE) and underscores."""
+
+    @pytest.fixture
+    def grid_file(self, tmp_path, capsys):
+        path = str(tmp_path / "g.json")
+        run(capsys, "gen", "grid", "--dim", "3", "--k", "2", "-o", path)
+        return path
+
+    @pytest.mark.parametrize("value", ["٥", "1_0", "+5", "5.0", "", "0x5"])
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["gen", "grid", "--dim", "{}", "--k", "2"], "--dim"),
+            (["gen", "grid", "--dim", "3", "--k", "{}"], "--k"),
+            (["gen", "random", "--dim", "3", "--n", "{}", "--seed", "1"], "--n"),
+            (["gen", "random", "--dim", "3", "--n", "5", "--seed", "{}"], "--seed"),
+            (
+                ["gen", "random", "--dim", "3", "--n", "5", "--seed", "1",
+                 "--coord-bound", "{}"],
+                "--coord-bound",
+            ),
+            (["sweep", "grid", "--dim", "{}", "--k", "2"], "--dim"),
+        ],
+    )
+    def test_options_refuse_and_name_the_value(
+        self, tmp_path, capsys, argv, option, value
+    ):
+        out_path = tmp_path / "x.out"
+        argv = [a.replace("{}", value) for a in argv]
+        flag = "--csv" if argv[0] == "sweep" else "-o"
+        code, out, err = run(capsys, *argv, flag, str(out_path))
+        assert code == 1
+        assert out == ""
+        assert f"argument {option}: invalid integer value: {value!r}" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("value", ["٢", "1_0"])
+    def test_file_commands_refuse_and_name_the_value(
+        self, grid_file, tmp_path, capsys, value
+    ):
+        code, _, err = run(capsys, "joints", grid_file, "--s", value)
+        assert code == 1
+        assert f"argument --s: invalid integer value: {value!r}" in err
+        for option in ("--s", "--seed"):
+            argv = {"--s": "2", "--seed": "1", option: value}
+            code, _, err = run(capsys, "project", grid_file, "--s", argv["--s"],
+                               "--seed", argv["--seed"], "-o", str(tmp_path / "p.json"))
+            assert code == 1
+            assert f"argument {option}: invalid integer value: {value!r}" in err
+
+    def test_curve_index_and_indices(self, tmp_path, capsys):
+        path = tmp_path / "line.json"
+        curve = {"coords": [["0", "1"], ["0"], ["0"]]}
+        path.write_text(json.dumps({"dim": 3, "curves": [curve]}))
+        code, _, err = run(capsys, "curve", "restrict", str(path), "--poly", "x1",
+                           "--index", "٠")
+        assert code == 1
+        assert "argument --index: invalid integer value: '٠'" in err
+        code, out, err = run(capsys, "curve", "joint", str(path),
+                             "--curves", "0_0", "--params", "0")
+        assert code == 1
+        assert out == ""
+        assert err == "error: invalid integer '0_0'\n"
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["--n", "٥", "--seeds", "1"], "٥"),
+            (["--n", "5", "--seeds", "1_0"], "1_0"),
+            (["--n", "5", "--seeds", "1..٣"], "1..٣"),
+            (["--n", "5,+6", "--seeds", "1"], "5,+6"),
+        ],
+    )
+    def test_ranges_refuse_and_name_the_text(self, tmp_path, capsys, argv, text):
+        csv_path = tmp_path / "x.csv"
+        code, out, err = run(capsys, "sweep", "random", "--dim", "3", *argv,
+                             "--csv", str(csv_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: invalid range {text!r}")
+        assert not csv_path.exists()
+
+    def test_ascii_integers_still_accepted(self, tmp_path, capsys):
+        csv_path = tmp_path / "x.csv"
+        code, _, _ = run(capsys, "sweep", "random", "--dim", " 3", "--n", "5",
+                         "--seeds", "-2,-1, 7", "--coord-bound", "010",
+                         "--csv", str(csv_path))
+        assert code == 0
+        rows = list(csv.DictReader(csv_path.read_text().splitlines()))
+        assert [(r["n"], r["seed"]) for r in rows] == [
+            ("5", "-2"), ("5", "-1"), ("5", "7")
+        ]

@@ -4,8 +4,10 @@ their references.
 Random lines almost never meet, so the strategies force concurrency:
 pencils through shared points with non-integer coordinates, parallel
 classes, near-parallel directions, the closed-form hyperplane family, and
-spines carrying chains of tripods, which make pruning cascade.  On every
-instance, pruning the lines as degree-1 curves must agree with line pruning.
+spines carrying chains of tripods, which make pruning cascade.  In d >= 4
+some lines have directions zero on the first three axes, where the pair
+search's side filter projects.  On every instance, pruning the lines as
+degree-1 curves must agree with line pruning.
 
 The kernel vector under the selection rule does not depend on how the
 system is eliminated, so the rank, the kernel vector and the fits must equal
@@ -32,6 +34,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -43,7 +46,13 @@ from jointlab.curves import (
 )
 from jointlab.constructions import grid
 from jointlab.exact import nullspace_vector, rank
-from jointlab.geometry import Line, configuration, find_joints, find_s_joints
+from jointlab.geometry import (
+    Line,
+    configuration,
+    find_joints,
+    find_s_joints,
+    incident,
+)
 from jointlab.pipeline import cascade, prune
 from jointlab.polynomial import (
     Polynomial,
@@ -65,11 +74,13 @@ from conftest import (
     small_primes,
 )
 from oracles import (
+    canonical_line_fraction,
     evaluation_matrix_by_powers,
     find_joints_rescan,
     find_s_joints_rescan,
     fit_at_degree_naive,
     fit_naive,
+    incident_fraction,
     minimal_degree_naive,
     nullspace_vector_bareiss,
     nullspace_vector_naive,
@@ -138,9 +149,25 @@ hyperplane_params = st.lists(
 )
 
 
+@st.composite
+def off_axes(draw, dim):
+    """Lines in d >= 4 through one or two centers, most with directions zero
+    on the first three axes, so that their projections there are points,
+    and one line in a general direction through the first center."""
+    tails = st.tuples(*[offsets] * (dim - 3)).filter(any)
+    points = draw(st.lists(centers(dim), min_size=1, max_size=2))
+    dirs = draw(st.lists(tails, min_size=1, max_size=4))
+    lines = [
+        Line(points[k % len(points)], (0, 0, 0) + tail) for k, tail in enumerate(dirs)
+    ]
+    return lines + [Line(points[0], draw(directions(dim)))]
+
+
 def mixed_configs(dim):
-    part = st.one_of(pencils(dim), parallel_classes(dim), near_parallel(dim))
-    return st.lists(part, min_size=1, max_size=4).map(
+    parts = [pencils(dim), parallel_classes(dim), near_parallel(dim)]
+    if dim >= 4:
+        parts.append(off_axes(dim))
+    return st.lists(st.one_of(*parts), min_size=1, max_size=4).map(
         lambda parts: configuration(dim, [line for p in parts for line in p])
     )
 
@@ -231,6 +258,57 @@ class TestAgainstReference:
         joints = find_joints(config)
         assert len(prune(config, joints).removed_lines) == 5
         assert_curve_prune_matches(config, joints)
+
+
+def rationals_in(dim, nonzero=False):
+    coord = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    vec = st.tuples(*[coord] * dim)
+    return vec.filter(any) if nonzero else vec
+
+
+@st.composite
+def line_inputs(draw):
+    """(base, direction) in d = 2..5, some directions zero on several axes."""
+    dim = draw(st.integers(2, 5))
+    base = draw(rationals_in(dim))
+    direction = list(draw(rationals_in(dim, nonzero=True)))
+    for axis in draw(st.lists(st.integers(0, dim - 1), max_size=dim - 1)):
+        direction[axis] = Fraction(0)
+    assume(any(direction))
+    return base, tuple(direction)
+
+
+class TestPairFilterAgainstReference:
+    """The side filter may only skip pairs that miss: the s-joints equal
+    the Fraction rescan's over every pair.  Lines are canonicalized and
+    tested for incidence in integers: every field and verdict equals the
+    Fraction reference's."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_s_joints_in_each_dimension(self, dim, data):
+        config = data.draw(mixed_configs(dim))
+        for s in range(2, dim + 1):
+            assert find_s_joints(config, s) == find_s_joints_rescan(config, s), s
+
+    @given(line_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_line_fields_equal_the_fraction_canonical_form(self, drawn):
+        base, direction = drawn
+        line = Line(base, direction)
+        fields = (line.base, line.direction, line._ints, hash(line))
+        assert fields == canonical_line_fraction(base, direction)
+
+    @given(line_inputs(), st.fractions(max_denominator=12), rationals_in(5))
+    @settings(max_examples=200, deadline=None)
+    def test_incidence_equals_the_fraction_reference(self, drawn, t, shift):
+        line = Line(*drawn)
+        on = line.point_at(t)
+        near = tuple(a + b for a, b in zip(on, shift))
+        for point in (on, near):
+            assert incident(line, point) == incident_fraction(line, point)
+        assert incident(line, on)
 
 
 DENOMINATORS = ((1,), (2,), (6,), (2, 3), (5, 7), (1, 4, 9))

@@ -17,8 +17,6 @@ from jointlab.exact import (
     nullspace_vector,
     parse_rational,
     rank,
-    vec_scale,
-    vec_sub,
 )
 from jointlab.polynomial import fit_vanishing, min_fit_degree, monomial_basis
 
@@ -85,12 +83,6 @@ class TestVectors:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             dot((Fraction(1),), (Fraction(1), Fraction(2)))
-
-    def test_add_sub_scale(self):
-        u = (Fraction(1), Fraction(0))
-        v = (Fraction(2), Fraction(5))
-        assert vec_sub(v, u) == (Fraction(1), Fraction(5))
-        assert vec_scale(v, Fraction(1, 2)) == (Fraction(1), Fraction(5, 2))
 
 
 class TestIntegerForm:

@@ -12,6 +12,7 @@ from jointlab.errors import (
     FileFormatError,
     IdenticalLinesError,
 )
+from jointlab import geometry
 from jointlab.exact import mat_vec
 from jointlab.geometry import (
     Configuration,
@@ -308,6 +309,48 @@ class TestFindJoints:
 
     def test_empty_configuration(self):
         assert len(find_joints(Configuration(3))) == 0
+
+
+def coplanar(a, b):
+    """(base_b - base_a) . (v_a x v_b) = 0, in Fractions (3-space only)."""
+    u, v = a.direction, b.direction
+    cross = [u[i] * v[j] - u[j] * v[i] for i, j in ((1, 2), (2, 0), (0, 1))]
+    return sum((p - q) * c for p, q, c in zip(b.base, a.base, cross)) == 0
+
+
+class TestPairFilterWork:
+    @pytest.fixture
+    def met(self, monkeypatch):
+        """The pairs that find_s_joints hands to the exact pair test."""
+        calls = []
+        meet = geometry._meet
+        monkeypatch.setattr(
+            geometry, "_meet", lambda a, b: calls.append(frozenset((a, b))) or meet(a, b)
+        )
+        return calls
+
+    def test_meet_runs_only_on_the_coplanar_pairs(self, met):
+        """In 3-space the side filter admits exactly the coplanar pairs, so
+        the exact pair test runs on 68 of the 19,900 pairs here, of which
+        60 meet and 8 are parallel."""
+        config = random_config(3, 200, 653160, 10)
+        lines = config.sorted_lines()
+        expected = {
+            frozenset((a, b))
+            for i, a in enumerate(lines)
+            for b in lines[i + 1 :]
+            if coplanar(a, b)
+        }
+        find_joints(config)
+        assert len(expected) == 68
+        assert len(met) == len(expected) and set(met) == expected
+        parallel = [pair for pair in met if len({l.direction for l in pair}) == 1]
+        assert len(parallel) == 8
+
+    def test_every_planar_pair_is_met(self, met):
+        lines = [Line(vec(j, 0), vec(1, j + 1)) for j in range(6)]
+        find_s_joints(configuration(2, lines), 2)
+        assert len(met) == 15
 
 
 class TestFindSJoints:
