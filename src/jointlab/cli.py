@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from fractions import Fraction
 
 from .errors import GenericityFailureError, InternalInvariantViolation
 from .exact import format_rational, parse_rational
@@ -142,8 +141,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    from .geometry import bound_check, find_joints
-    from .pipeline import bound_constant
+    from .geometry import bound_check, bound_constant, find_joints
 
     config = _load_lines(args.file)
     joints = find_joints(config)
@@ -180,11 +178,11 @@ def _cmd_sweep(args) -> int:
     from . import harness
 
     if args.family == "grid":
-        ks = _parse_range(args.k)
-        if not ks:
-            rows = []
-        else:
-            rows = harness.sweep_grids(args.dim, min(ks), max(ks), force=args.force)
+        rows = [
+            row
+            for k in _parse_range(args.k)
+            for row in harness.sweep_grids(args.dim, k, k, force=args.force)
+        ]
     else:
         rows = harness.sweep_random(
             args.dim,
@@ -220,7 +218,7 @@ def _cmd_curve(args) -> int:
     for i, t in zip(indices, params):
         if not 0 <= i < len(cfg.curves):
             raise ValueError(f"curve index {i} out of range")
-        pairs.append((cfg.curves[i], Fraction(t)))
+        pairs.append((cfg.curves[i], t))
     verdict = curves.curve_joint(pairs)
     print("joint" if verdict else "not a joint")
     return 0

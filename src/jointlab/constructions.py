@@ -30,11 +30,9 @@ def grid(d: int, k: int) -> Configuration:
         raise ValueError("grid needs k >= 2")
     lines = []
     for axis in range(d):
-        unit = tuple(Fraction(1 if i == axis else 0) for i in range(d))
+        unit = tuple(1 if i == axis else 0 for i in range(d))
         for rest in product(range(k), repeat=d - 1):
-            coords = list(rest)
-            coords.insert(axis, 0)
-            lines.append(Line(tuple(Fraction(c) for c in coords), unit))
+            lines.append(Line(rest[:axis] + (0,) + rest[axis:], unit))
     config = configuration(d, lines)
     if config.n != d * k ** (d - 1):
         raise InternalInvariantViolation("grid produced duplicate lines")
@@ -57,10 +55,8 @@ def random_config(d: int, n: int, seed: int, coord_bound: int) -> Configuration:
     lines: set[Line] = set()
     budget = DRAWS_PER_LINE * n + EXTRA_DRAWS
     for _ in range(budget):
-        base = tuple(Fraction(rng.randint(-coord_bound, coord_bound)) for _ in range(d))
-        direction = tuple(
-            Fraction(rng.randint(-coord_bound, coord_bound)) for _ in range(d)
-        )
+        base = tuple(rng.randint(-coord_bound, coord_bound) for _ in range(d))
+        direction = tuple(rng.randint(-coord_bound, coord_bound) for _ in range(d))
         if all(c == 0 for c in direction):
             continue
         lines.add(Line(base, direction))
@@ -78,11 +74,8 @@ def planar_bundle(d: int, n: int) -> Configuration:
         raise ValueError("planar bundle needs dimension >= 3")
     if n < 1:
         raise ValueError("need n >= 1 lines")
-    origin = tuple(Fraction(0) for _ in range(d))
-    lines = []
-    for j in range(n):
-        direction = (Fraction(1), Fraction(j)) + tuple(Fraction(0) for _ in range(d - 2))
-        lines.append(Line(origin, direction))
+    origin = (0,) * d
+    lines = [Line(origin, (1, j) + (0,) * (d - 2)) for j in range(n)]
     return configuration(d, lines)
 
 
@@ -100,10 +93,10 @@ def grid_plus_orphan(d: int, k: int) -> Configuration:
         raise ValueError(f"orphan construction supports dimension <= {len(_PRIMES)}")
     orphan = Line(
         tuple(Fraction(1, p) for p in _PRIMES[:d]),
-        tuple(Fraction(1) for _ in range(d)),
+        (1,) * d,
     )
     for point in product(range(k), repeat=d):
-        if incident(orphan, tuple(Fraction(c) for c in point)):
+        if incident(orphan, point):
             raise InternalInvariantViolation(
                 f"orphan line passes through grid point {point}"
             )

@@ -14,8 +14,10 @@ prove that the pivots found mod p are the rational ones, so every answer is
 exact and is the one the selection rule defines.  When a reconstruction or a
 check fails, the next prime joins by the Chinese remainder theorem.
 
-Vectors are plain tuples of Fractions and matrices are sequences of rows;
-both are treated as immutable values throughout.
+Inputs are sequences of ints or Fractions, taken as they are: each is
+converted to integers once, by :func:`integer_form`, where an integer
+decision needs it.  Rational results are tuples of Fractions and matrices
+are sequences of rows; both are treated as immutable values throughout.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import isqrt, lcm
 from numbers import Rational
-from typing import Iterable, Iterator, Sequence
+from operator import mul
+from typing import Iterator, Sequence
 
 from .errors import DimensionMismatchError
 
@@ -50,33 +53,24 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(literal))
 
 
-def format_rational(value: Fraction) -> str:
-    """Render as ``"p/q"``, omitting the denominator when it is 1."""
-    value = Fraction(value)
+def format_rational(value: int | Fraction) -> str:
+    """Render an int or a Fraction as ``"p/q"``, omitting the denominator
+    when it is 1."""
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
 
 
-def vector(values: Iterable) -> Vector:
-    # Fraction(v) of a Fraction is an equal copy, so those are kept as they are
-    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
-
-
-def _check_same_dim(u: Sequence, v: Sequence) -> None:
-    if len(u) != len(v):
-        raise DimensionMismatchError(
-            f"vector dimensions differ: {len(u)} vs {len(v)}"
-        )
-
-
-def dot(u: Vector, v: Vector) -> Fraction:
-    _check_same_dim(u, v)
-    return sum((a * b for a, b in zip(u, v)), start=Fraction(0))
-
-
-def mat_vec(rows: Sequence[Vector], x: Vector) -> Vector:
-    return tuple(dot(vector(row), x) for row in rows)
+def mat_vec(rows: Sequence[Sequence], x: Sequence) -> Vector:
+    """The product of a matrix and a vector of ints or Fractions."""
+    out = []
+    for row in rows:
+        if len(row) != len(x):
+            raise DimensionMismatchError(
+                f"vector dimensions differ: {len(row)} vs {len(x)}"
+            )
+        out.append(sum(map(mul, row, x), start=Fraction(0)))
+    return tuple(out)
 
 
 def integer_form(values: Sequence) -> tuple[list[int], int]:

@@ -16,7 +16,7 @@ import json
 import random
 from fractions import Fraction
 from math import factorial, gcd
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -31,14 +31,13 @@ from .exact import (
     mat_vec,
     parse_rational,
     rank,
-    vector,
 )
 
 PROJECTION_COEFF_BOUND = 1000
 PROJECTION_MAX_ATTEMPTS = 16
 
 
-def _primitive(direction: Vector) -> tuple[int, ...]:
+def _primitive(direction: Sequence) -> tuple[int, ...]:
     """Scale to an integer vector with entry gcd 1 and positive first nonzero."""
     ints, _ = integer_form(direction)
     g = gcd(*ints)
@@ -62,25 +61,23 @@ class _Frozen:
 class Line(_Frozen):
     """A line in rational d-space, canonicalized on construction.
 
-    Construction also caches, next to base and direction, their integer
-    forms and the hash.  ``_ints`` is the primitive direction v, the base
-    numerators over one common denominator, and that denominator; equal
-    lines have equal ``_ints``, so equality compares those.  The canonical
-    form is computed in integers: with the given base written P/q over one
-    denominator, the foot of the perpendicular is
+    Base and direction are given as sequences of ints or Fractions and are
+    stored as tuples of Fractions.  Construction also caches, next to them,
+    their integer forms and the hash.  ``_ints`` is the primitive direction
+    v, the base numerators over one common denominator, and that
+    denominator; equal lines have equal ``_ints``, so equality compares
+    those.  The canonical form is computed in integers: with the given base
+    written P/q over one denominator, the foot of the perpendicular is
     (P |v|^2 - (P.v) v) / (q |v|^2), and one gcd over those numerators and
     that denominator reduces it to ``_ints``, whose entries the
-    ``Fraction`` base is then read from.  Lines are set members and dict keys
-    throughout, so the hash is computed once; it is that of
-    ``(base, direction)``, which fixes the iteration order of every set of
-    lines and hence the outputs.  Lines are immutable.
+    ``Fraction`` base is then read from.  The hash, that of
+    ``(base, direction)``, is cached because lines are set members and dict
+    keys throughout.  Lines are immutable.
     """
 
     __slots__ = ("base", "direction", "_ints", "_hash")
 
-    def __init__(self, base: Vector, direction: Vector):
-        base = vector(base)
-        direction = vector(direction)
+    def __init__(self, base: Sequence, direction: Sequence):
         if len(base) != len(direction):
             raise DimensionMismatchError(
                 f"base has dimension {len(base)}, direction {len(direction)}"
@@ -214,16 +211,15 @@ class JointSet(_Frozen):
         return iter(self.points)
 
 
-def incident(line: Line, point: Vector) -> bool:
+def incident(line: Line, point: Sequence) -> bool:
     """True iff point - base is an exact rational multiple of the direction.
 
     Decided in integers: with the point a/r and the base p/q over their own
     common denominators, w = a q - p r is a positive multiple of
     point - base, and it is parallel to the primitive direction v exactly
     when w_i v_k = w_k v_i at every i, for k the first axis where v is
-    nonzero.
+    nonzero.  The point's entries are ints or Fractions.
     """
-    point = vector(point)
     if len(point) != line.dim:
         raise DimensionMismatchError(
             f"point of dimension {len(point)} against line of dimension {line.dim}"
@@ -390,11 +386,22 @@ def bound_check(n: int, m: int, d: int) -> BoundCheck:
     return BoundCheck(holds=lhs <= rhs, lhs=lhs, rhs=rhs)
 
 
+def bound_constant(d: int) -> float:
+    """Decimal approximation of (2^(d+1) d!)^(1/(d-1)), for display only.
+
+    The logarithm of the exact integer keeps it finite where the integer
+    itself is too large for a float (d >= 151).
+    """
+    from math import exp, log  # the package's only float functions
+
+    return exp(log(2 ** (d + 1) * factorial(d)) / (d - 1))
+
+
 class Projection(NamedTuple):
     """Result of a verified generic projection to a lower dimension."""
 
     config: Configuration
-    matrix: tuple[Vector, ...]
+    matrix: tuple[tuple[int, ...], ...]
     line_images: dict[Line, Line]
     attempts: int
 
@@ -415,7 +422,7 @@ def project_to_generic_flat(config: Configuration, s: int, seed: int) -> Project
         rng = random.Random(seed * PROJECTION_MAX_ATTEMPTS + attempt)
         matrix = tuple(
             tuple(
-                Fraction(rng.randint(-PROJECTION_COEFF_BOUND, PROJECTION_COEFF_BOUND))
+                rng.randint(-PROJECTION_COEFF_BOUND, PROJECTION_COEFF_BOUND)
                 for _ in range(config.dim)
             )
             for _ in range(s)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import factorial
 from typing import NamedTuple
 
 from .errors import (
@@ -31,6 +30,7 @@ from .geometry import (
     JointSet,
     Line,
     bound_check,
+    bound_constant,
     configuration,
     direction_rank,
     find_joints,
@@ -95,17 +95,6 @@ class GradientCheckReport(NamedTuple):
 
     def count(self, status: str) -> int:  # replaces tuple.count
         return sum(1 for s in self.statuses.values() if s == status)
-
-
-def bound_constant(d: int) -> float:
-    """Decimal approximation of (2^(d+1) d!)^(1/(d-1)), for display only.
-
-    The logarithm of the exact integer keeps it finite where the integer
-    itself is too large for a float (d >= 151).
-    """
-    from math import exp, log  # the package's only float functions
-
-    return exp(log(2 ** (d + 1) * factorial(d)) / (d - 1))
 
 
 def _surviving_counts(
@@ -215,7 +204,7 @@ def _check_prune_invariants(surviving, survivors, threshold):
         surviving.sorted_lines(),
     )
     for line, count in counts.items():
-        if Fraction(count) < threshold:
+        if count < threshold:
             raise InternalInvariantViolation(
                 f"surviving line {line!r} carries {count} < threshold joints"
             )

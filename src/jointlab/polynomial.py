@@ -27,7 +27,6 @@ from .exact import (
     integer_form,
     nullspace_vector,
     parse_rational,
-    vector,
 )
 
 if TYPE_CHECKING:
@@ -299,8 +298,9 @@ def _evaluation_matrix(points: list[Vector], basis: list[MultiIndex]):
     return rows
 
 
-def _distinct_points(points: Iterable[Vector], d: int) -> list[Vector]:
-    pts = sorted(set(map(vector, points)))
+def _distinct_points(points: Iterable[Sequence], d: int) -> list[tuple]:
+    """The points as sorted distinct tuples of their ints or Fractions."""
+    pts = sorted(set(map(tuple, points)))
     for pt in pts:
         if len(pt) != d:
             raise DimensionMismatchError(f"point {pt} is not {d}-dimensional")

@@ -22,7 +22,7 @@ recounting every line in every round (the package peels).
 from fractions import Fraction
 from math import gcd, prod
 
-from jointlab.exact import integer_form, vector
+from jointlab.exact import integer_form
 from jointlab.geometry import JointSet, configuration
 from jointlab.pipeline import PruneResult
 from jointlab.polynomial import Polynomial, monomial_basis
@@ -260,6 +260,11 @@ def vanishes_on_line_by_sampling(p, line, samples: int) -> bool:
 
 def vanishes_on_curve_by_sampling(p, curve, samples: int) -> bool:
     return all(p.evaluate(curve.point_at(t)) == 0 for t in range(samples))
+
+
+def vector(values):
+    """The entries as Fractions, in which these references compute."""
+    return tuple(Fraction(v) for v in values)
 
 
 def vec_sub(u, v):

@@ -180,6 +180,19 @@ class TestSweep:
         n_m = [(rec[header.index("n")], rec[header.index("m")]) for rec in records]
         assert n_m == [("12", "8"), ("27", "27"), ("48", "64")]
 
+    @pytest.mark.parametrize(
+        "ks, expected",
+        [("2,4", ["2", "4"]), ("4,2", ["4", "2"]), (",", [])],
+    )
+    def test_grid_sweep_runs_exactly_the_listed_k(self, tmp_path, capsys, ks, expected):
+        csv_path = tmp_path / "sweep.csv"
+        code, out, _ = run(capsys, "sweep", "grid", "--dim", "3", "--k", ks,
+                           "--csv", str(csv_path))
+        assert code == 0
+        assert out == f"wrote {len(expected)} row(s) to {csv_path}\n"
+        header, *records = csv.reader(csv_path.read_text().splitlines())
+        assert [rec[header.index("k_or_n")] for rec in records] == expected
+
     def test_random_sweep(self, tmp_path, capsys):
         csv_path = tmp_path / "sweep.csv"
         code, _, _ = run(capsys, "sweep", "random", "--dim", "3", "--n", "5,10",

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from jointlab import exact
 from jointlab.errors import DimensionMismatchError
 from jointlab.exact import (
-    dot,
     format_rational,
     integer_form,
+    mat_vec,
     nullspace_vector,
     parse_rational,
     rank,
@@ -75,14 +75,14 @@ class TestRationalText:
 
 
 class TestVectors:
-    def test_dot(self):
-        u = (Fraction(1), Fraction(2))
+    def test_mat_vec(self):
+        rows = [(Fraction(1), Fraction(2)), (0, 4)]
         v = (Fraction(3), Fraction(-1, 2))
-        assert dot(u, v) == Fraction(2)
+        assert mat_vec(rows, v) == (Fraction(2), Fraction(-2))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            dot((Fraction(1),), (Fraction(1), Fraction(2)))
+            mat_vec([(Fraction(1),)], (Fraction(1), Fraction(2)))
 
 
 class TestIntegerForm:

@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from jointlab import harness
 from jointlab.harness import CSV_COLUMNS, sweep_grids, sweep_random, write_csv
 
 
@@ -27,6 +28,13 @@ class TestSweepGrids:
     def test_pair_guard(self):
         with pytest.raises(ValueError, match="force"):
             sweep_grids(3, 19, 19)
+
+    def test_guard_fires_before_building(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(harness, "grid", lambda d, k: built.append(k))
+        with pytest.raises(ValueError, match="force"):
+            sweep_grids(3, 150, 150)
+        assert built == []
 
 
 class TestSweepRandom:

@@ -69,13 +69,18 @@ def test_sweep_random_skips_the_polynomial_layer(tmp_path):
     assert (tmp_path / "s.csv").is_file()
 
 
-def test_trace_skips_curves_sweeps_generators_and_logging(tmp_path):
+def write_axes(tmp_path: Path) -> None:
+    """axes.json: the three coordinate axes of 3-space, one joint."""
     lines = [
         {"base": ["0", "0", "0"], "dir": ["1", "0", "0"]},
         {"base": ["0", "0", "0"], "dir": ["0", "1", "0"]},
         {"base": ["0", "0", "0"], "dir": ["0", "0", "1"]},
     ]
     (tmp_path / "axes.json").write_text(json.dumps({"dim": 3, "lines": lines}))
+
+
+def test_trace_skips_curves_sweeps_generators_and_logging(tmp_path):
+    write_axes(tmp_path)
     loaded = loaded_by(run_cli("trace", "axes.json"), tmp_path)
     assert {"jointlab.pipeline", "jointlab.polynomial"} <= loaded
     skipped = {
@@ -86,6 +91,13 @@ def test_trace_skips_curves_sweeps_generators_and_logging(tmp_path):
         "logging",
     }
     assert loaded & skipped == set()
+
+
+def test_bound_skips_the_trace_layer(tmp_path):
+    write_axes(tmp_path)
+    loaded = loaded_by(run_cli("bound", "axes.json"), tmp_path)
+    assert "jointlab.geometry" in loaded
+    assert loaded & {"jointlab.pipeline", "jointlab.polynomial"} == set()
 
 
 def test_no_module_imports_dataclasses():

@@ -12,7 +12,7 @@ INTEGER_MATH = {"gcd", "lcm", "isqrt", "comb", "prod", "factorial"}
 
 # "module.function" -> why a float may appear there
 ALLOWED = {
-    "pipeline.bound_constant": "exp and log give the decimal A(d) that `bound` "
+    "geometry.bound_constant": "exp and log give the decimal A(d) that `bound` "
     "prints next to its exact integer check",
     "harness._make_row": "the 6-significant-digit ratio column of a sweep CSV; "
     "the row's verdict comes from the integers",
