@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import InternalInvariantViolation
+from .exact import Point
 from .geometry import Configuration, Line, configuration, incident
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
@@ -96,7 +97,7 @@ def grid_plus_orphan(d: int, k: int) -> Configuration:
         (1,) * d,
     )
     for point in product(range(k), repeat=d):
-        if incident(orphan, point):
+        if incident(orphan, Point(point, 1)):
             raise InternalInvariantViolation(
                 f"orphan line passes through grid point {point}"
             )

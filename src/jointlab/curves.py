@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, FileFormatError
-from .exact import Vector, rank
-from .geometry import JointSet, Line, _Frozen, parse_coords, read_json
+from .exact import Point, Vector, _Frozen, rank
+from .geometry import JointSet, Line, parse_coords, read_json
 from .pipeline import peel
 from .polynomial import (
     Polynomial,
@@ -141,12 +141,14 @@ def curve_joint_set(
     groups: Iterable[Sequence[tuple[ParamCurve, Fraction]]]
 ) -> JointSet:
     """Verify each claimed group of (curve, parameter) pairs and collect the
-    resulting joints with their incident curves."""
-    incidence: dict[Vector, frozenset[ParamCurve]] = {}
+    resulting joints with their incident curves.  Each joint's Fraction
+    point is made a Point once, so curve and line joints share one point
+    type and one :func:`~jointlab.pipeline.peel`."""
+    incidence: dict[Point, frozenset[ParamCurve]] = {}
     for group in groups:
         if not curve_joint(group):
             raise ValueError(f"claimed joint is not one: {group!r}")
-        point = group[0][0].point_at(group[0][1])
+        point = Point.of(group[0][0].point_at(group[0][1]))
         curves = frozenset(curve for curve, _ in group)
         incidence[point] = incidence.get(point, frozenset()) | curves
     return JointSet(incidence)
@@ -204,7 +206,7 @@ class CurvePruneResult(NamedTuple):
     surviving: CurveConfiguration
     survivors: JointSet
     removed_curves: tuple[ParamCurve, ...]
-    removed_points: frozenset[Vector]
+    removed_points: frozenset[Point]
     thresholds: dict[ParamCurve, Fraction]
 
 

@@ -18,6 +18,9 @@ Inputs are sequences of ints or Fractions, taken as they are: each is
 converted to integers once, by :func:`integer_form`, where an integer
 decision needs it.  Rational results are tuples of Fractions and matrices
 are sequences of rows; both are treated as immutable values throughout.
+A :class:`Point` is a rational point kept in integers, numerators over one
+denominator; the package's joint points are Points, and Fractions are made
+from them only to print or evaluate.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from numbers import Rational
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatchError
 
@@ -78,6 +81,82 @@ def integer_form(values: Sequence) -> tuple[list[int], int]:
     common denominator: ``[1/2, 1/3]`` gives ``([3, 2], 6)``."""
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+class _Frozen:
+    """Instances reject attribute assignment: ``__init__`` fills the slots
+    with ``object.__setattr__``, and hashable instances stay valid keys."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Point(_Frozen):
+    """A rational point as integer numerators over one positive denominator.
+
+    The form is canonical: ``Point(nums, den)`` divides out the gcd of all
+    d + 1 integers and makes the denominator positive, so it is the least
+    common denominator of the coordinates, and equal points have equal
+    ``nums`` and ``den``.  Equality compares those, and the hash, that of
+    ``(nums, den)``, is computed once, so sets and dicts of points hash and
+    compare integers only.  Iterating a point yields its coordinates as
+    Fractions, for the edges that print, evaluate or project it; ``len`` is
+    its dimension.  Points have no order of their own: :func:`sort_points`
+    orders a collection as its Fraction tuples order.
+    """
+
+    __slots__ = ("nums", "den", "_hash")
+
+    def __init__(self, nums: Sequence[int], den: int):
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        nums = tuple(n // g for n in nums)
+        den //= g
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_hash", hash((nums, den)))
+
+    @classmethod
+    def of(cls, values: Sequence) -> "Point":
+        """The point with these coordinates, ints or Fractions."""
+        return cls(*integer_form(values))
+
+    def __eq__(self, other):
+        if other.__class__ is not Point:
+            return NotImplemented
+        return self.den == other.den and self.nums == other.nums
+
+    def __hash__(self):
+        return self._hash
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __iter__(self) -> Iterator[Fraction]:
+        return (Fraction(n, self.den) for n in self.nums)
+
+    def __repr__(self):
+        return f"Point({', '.join(map(format_rational, self))})"
+
+
+def sort_points(points: Iterable[Point]) -> list[Point]:
+    """The points in the order of their Fraction tuples.
+
+    One integer key orders them: the numerators scaled to the points' common
+    denominator.  Tuples over different denominators would not do, since
+    1/3 < 1/2 but (1, 3) > (1, 2).
+    """
+    points = list(points)
+    den = lcm(*(p.den for p in points))
+
+    def key(p: Point):
+        scale = den // p.den
+        return p.nums if scale == 1 else tuple(n * scale for n in p.nums)
+
+    return sorted(points, key=key)
 
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -7,7 +7,9 @@ perpendicular from the origin (a rational point, so exactly representable).
 A joint of a configuration is a point incident to at least d of its lines
 whose directions span all of d-space; concurrent lines lie in a common
 hyperplane exactly when their directions fit in a (d-1)-subspace, so the
-predicate is a rank test.
+predicate is a rank test.  Joint points are :class:`~jointlab.exact.Point`s,
+built from the integer pair solve and compared, hashed and sorted in
+integers.
 """
 
 from __future__ import annotations
@@ -25,12 +27,15 @@ from .errors import (
     IdenticalLinesError,
 )
 from .exact import (
+    Point,
     Vector,
+    _Frozen,
     format_rational,
     integer_form,
     mat_vec,
     parse_rational,
     rank,
+    sort_points,
 )
 
 PROJECTION_COEFF_BOUND = 1000
@@ -46,16 +51,6 @@ def _primitive(direction: Sequence) -> tuple[int, ...]:
     if first < 0:
         ints = [-c for c in ints]
     return tuple(ints)
-
-
-class _Frozen:
-    """Instances reject attribute assignment: ``__init__`` fills the slots
-    with ``object.__setattr__``, and hashable instances stay valid keys."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class Line(_Frozen):
@@ -174,14 +169,15 @@ def configuration(dim: int, lines: Iterable[Line]) -> Configuration:
 class JointSet(_Frozen):
     """Joints with their exact incidence sets, iterated in sorted point order.
 
-    The incident objects are lines, or parametrized curves for curve joints.
-    The incidence is not changed after construction, so the points are
-    sorted once, on first use, and kept.
+    The keys are Points and the incident objects lines, or parametrized
+    curves for curve joints.  The incidence is not changed after
+    construction, so the points are sorted once, on first use, by
+    :func:`~jointlab.exact.sort_points`, and kept.
     """
 
     __slots__ = ("incidence", "_points")
 
-    def __init__(self, incidence: dict[Vector, frozenset]):
+    def __init__(self, incidence: dict[Point, frozenset]):
         object.__setattr__(self, "incidence", incidence)
         object.__setattr__(self, "_points", None)
 
@@ -193,45 +189,44 @@ class JointSet(_Frozen):
     __hash__ = None  # the incidence is a dict
 
     @property
-    def points(self) -> tuple[Vector, ...]:
+    def points(self) -> tuple[Point, ...]:
         if self._points is None:
-            object.__setattr__(self, "_points", tuple(sorted(self.incidence)))
+            object.__setattr__(self, "_points", tuple(sort_points(self.incidence)))
         return self._points
 
-    def lines_through(self, point: Vector) -> frozenset:
+    def lines_through(self, point: Point) -> frozenset:
         return self.incidence[point]
 
     def __len__(self) -> int:
         return len(self.incidence)
 
-    def __contains__(self, point: Vector) -> bool:
+    def __contains__(self, point: Point) -> bool:
         return point in self.incidence
 
-    def __iter__(self) -> Iterator[Vector]:
+    def __iter__(self) -> Iterator[Point]:
         return iter(self.points)
 
 
-def incident(line: Line, point: Sequence) -> bool:
+def incident(line: Line, point: Point) -> bool:
     """True iff point - base is an exact rational multiple of the direction.
 
-    Decided in integers: with the point a/r and the base p/q over their own
-    common denominators, w = a q - p r is a positive multiple of
-    point - base, and it is parallel to the primitive direction v exactly
-    when w_i v_k = w_k v_i at every i, for k the first axis where v is
-    nonzero.  The point's entries are ints or Fractions.
+    Decided in integers: with the point a/r and the base p/q in their
+    integer forms, w = a q - p r is a positive multiple of point - base, and
+    it is parallel to the primitive direction v exactly when
+    w_i v_k = w_k v_i at every i, for k the first axis where v is nonzero.
     """
-    if len(point) != line.dim:
+    a, r = point.nums, point.den
+    if len(a) != line.dim:
         raise DimensionMismatchError(
-            f"point of dimension {len(point)} against line of dimension {line.dim}"
+            f"point of dimension {len(a)} against line of dimension {line.dim}"
         )
     v, p, q = line._ints
-    a, r = integer_form(point)
     w = [x * q - y * r for x, y in zip(a, p)]
     k = next(i for i, c in enumerate(v) if c)
     return all(wi * v[k] == w[k] * vi for wi, vi in zip(w, v))
 
 
-def _meet(a: Line, b: Line) -> Vector | None:
+def _meet(a: Line, b: Line) -> Point | None:
     """The common point of two distinct lines, or None if they miss.
 
     This is the exact decision for every pair that passes the side filter
@@ -240,8 +235,9 @@ def _meet(a: Line, b: Line) -> Vector | None:
     product of the base denominators leaves integer data, and Cramer's rule on
     the first coordinate pair with a nonzero direction minor gives t and s
     as numerators over that minor.  Every coordinate is then checked by cross
-    multiplication, and a Fraction point is built only on a hit.  Canonical
-    directions are primitive, so parallel lines have equal directions.
+    multiplication, and on a hit the Point is made from the numerators of
+    base_a + t v_a over their one denominator.  Canonical directions are
+    primitive, so parallel lines have equal directions.
     """
     v1, p1, q1 = a._ints
     v2, p2, q2 = b._ints
@@ -264,11 +260,10 @@ def _meet(a: Line, b: Line) -> Vector | None:
         if tn * v1[k] - sn * v2[k] != r[k] * det:
             return None
     scale = q2 * det
-    den = q1 * scale
-    return tuple(Fraction(x * scale + tn * v, den) for x, v in zip(p1, v1))
+    return Point([x * scale + tn * v for x, v in zip(p1, v1)], q1 * scale)
 
 
-def line_line_intersection(l1: Line, l2: Line) -> Vector | None:
+def line_line_intersection(l1: Line, l2: Line) -> Point | None:
     """The unique common point of two distinct lines, or None if they miss.
 
     Parallel and skew pairs both come back as None.
@@ -288,7 +283,7 @@ def direction_rank(lines: Iterable[Line]) -> int:
     return rank(rows)
 
 
-def is_joint(config: Configuration, point: Vector) -> bool:
+def is_joint(config: Configuration, point: Point) -> bool:
     """At least d incident lines whose directions span all of d-space."""
     through = [l for l in config.lines if incident(l, point)]
     if len(through) < config.dim:
@@ -342,7 +337,7 @@ def find_s_joints(config: Configuration, s: int) -> JointSet:
         raise ValueError(f"s must satisfy 2 <= s <= {config.dim}, got {s}")
     lines = config.sorted_lines()
     sides = [_side_form(line) for line in lines]
-    meeting: dict[Vector, set[Line]] = {}
+    meeting: dict[Point, set[Line]] = {}
     for i, a in enumerate(lines):
         a0, a1, a2, a3, a4, a5 = sides[i]
         candidates = [
@@ -354,13 +349,14 @@ def find_s_joints(config: Configuration, s: int) -> JointSet:
             pt = _meet(a, b)
             if pt is not None:
                 meeting.setdefault(pt, set()).update((a, b))
-    incidence: dict[Vector, frozenset[Line]] = {}
-    for pt in sorted(meeting):
-        through = meeting[pt]
-        # rank <= |through|, so small sets need no rank computation
-        if len(through) >= s and direction_rank(through) >= s:
-            incidence[pt] = frozenset(through)
-    return JointSet(incidence)
+    # rank <= |through|, so small sets need no rank computation
+    return JointSet(
+        {
+            pt: frozenset(through)
+            for pt, through in meeting.items()
+            if len(through) >= s and direction_rank(through) >= s
+        }
+    )
 
 
 class BoundCheck(NamedTuple):

@@ -24,7 +24,7 @@ from .errors import (
     InternalInvariantViolation,
     ZeroPolynomialError,
 )
-from .exact import Vector, format_rational
+from .exact import Point, format_rational
 from .geometry import (
     Configuration,
     JointSet,
@@ -65,7 +65,7 @@ class PruneResult(NamedTuple):
     surviving: Configuration
     survivors: JointSet
     removed_lines: tuple[Line, ...]
-    removed_points: frozenset[Vector]
+    removed_points: frozenset[Point]
     threshold: Fraction
 
 
@@ -91,17 +91,16 @@ class ProofTrace(NamedTuple):
 class GradientCheckReport(NamedTuple):
     """Per-joint status of the orthogonality argument."""
 
-    statuses: dict[Vector, str]
+    statuses: dict[Point, str]
 
     def count(self, status: str) -> int:  # replaces tuple.count
         return sum(1 for s in self.statuses.values() if s == status)
 
 
-def _surviving_counts(
-    alive_points: dict[Vector, frozenset[Line]], alive_lines: list[Line]
-) -> dict[Line, int]:
+def _surviving_counts(joints: JointSet, alive_lines: list[Line]) -> dict[Line, int]:
+    """Each line's number of joints, keyed in the order of alive_lines."""
     counts = {line: 0 for line in alive_lines}
-    for through in alive_points.values():
+    for through in joints.incidence.values():
         for line in through:
             if line in counts:  # experiment subsets may reference other lines
                 counts[line] += 1
@@ -110,7 +109,7 @@ def _surviving_counts(
 
 def peel(
     items: list, thresholds: list[Fraction], joints: JointSet
-) -> tuple[list, set[Vector], JointSet]:
+) -> tuple[list, set[Point], JointSet]:
     """Remove items (lines or curves) that carry fewer surviving joints than
     their frozen thresholds, until none does.
 
@@ -131,7 +130,7 @@ def peel(
     slots: dict = {}
     for i, item in enumerate(items):
         slots.setdefault(item, []).append(i)
-    points_on: list[list[Vector]] = [[] for _ in items]
+    points_on: list[list[Point]] = [[] for _ in items]
     for p in joints.points:
         for item in joints.lines_through(p):
             # experiment subsets may reference other lines
@@ -141,7 +140,7 @@ def peel(
     eligible = [i for i, count in enumerate(counts) if count < thresholds[i]]
     heapq.heapify(eligible)
     removed: list = []
-    removed_points: set[Vector] = set()
+    removed_points: set[Point] = set()
 
     while eligible:
         victim = heapq.heappop(eligible)
@@ -199,10 +198,7 @@ def prune(config: Configuration, joints: JointSet) -> PruneResult:
 
 def _check_prune_invariants(surviving, survivors, threshold):
     surviving_set = surviving.lines
-    counts = _surviving_counts(
-        {p: survivors.lines_through(p) for p in survivors.points},
-        surviving.sorted_lines(),
-    )
+    counts = _surviving_counts(survivors, surviving.sorted_lines())
     for line, count in counts.items():
         if count < threshold:
             raise InternalInvariantViolation(
@@ -273,7 +269,7 @@ def gradient_at_joints_check(p: Polynomial, joints: JointSet) -> GradientCheckRe
     """
     if p.is_zero():
         raise ZeroPolynomialError("gradient check needs a nonzero polynomial")
-    statuses: dict[Vector, str] = {}
+    statuses: dict[Point, str] = {}
     for point in joints.points:
         through = sorted(joints.lines_through(point), key=Line.sort_key)
         if all(vanishes_on_line(p, line) for line in through):
@@ -371,10 +367,7 @@ def trace(config: Configuration) -> ProofTrace:
         outcome = BOUND_HOLDS
 
     b = min_fit_degree(m_surv, d)
-    counts = _surviving_counts(
-        {p: pr.survivors.lines_through(p) for p in pr.survivors.points},
-        pr.surviving.sorted_lines(),
-    )
+    counts = _surviving_counts(pr.survivors, pr.surviving.sorted_lines())
     min_count = min(counts.values())
     dominated = min_count > b
     steps.append(
@@ -441,7 +434,11 @@ def trace(config: Configuration) -> ProofTrace:
 
 
 def trace_to_dict(tr: ProofTrace) -> dict:
-    """JSON form: integers as decimal strings, polynomial in text form."""
+    """JSON form: integers as decimal strings, polynomial in text form.
+
+    The per-line counts keep their order, that of the surviving lines'
+    ``sorted_lines()``, in which :func:`trace` builds them.
+    """
     return {
         "outcome": tr.outcome,
         "dim": str(tr.dim),
@@ -455,9 +452,7 @@ def trace_to_dict(tr: ProofTrace) -> dict:
         else None,
         "per_line_joint_counts": [
             {"line": line_to_dict(line), "count": str(count)}
-            for line, count in sorted(
-                tr.per_line_joint_counts.items(), key=lambda kv: kv[0].sort_key()
-            )
+            for line, count in tr.per_line_joint_counts.items()
         ],
         "narrative": [
             {"step": s.name, "verdict": s.verdict, "detail": dict(s.detail)}

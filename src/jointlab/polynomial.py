@@ -22,11 +22,13 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError, InternalInvariantViolation
 from .exact import (
+    Point,
     Vector,
     format_rational,
     integer_form,
     nullspace_vector,
     parse_rational,
+    sort_points,
 )
 
 if TYPE_CHECKING:
@@ -106,7 +108,9 @@ class Polynomial:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def evaluate(self, point: Vector) -> Fraction:
+    def evaluate(self, point: Point | Vector) -> Fraction:
+        """The exact value at a point: a Point, whose coordinates are read
+        as Fractions here, or a sequence of ints or Fractions."""
         if len(point) != self.dim:
             raise DimensionMismatchError(
                 f"point has dimension {len(point)}, polynomial {self.dim}"
@@ -133,7 +137,7 @@ class Polynomial:
             out[lowered] = out.get(lowered, Fraction(0)) + coeff * e
         return Polynomial(self.dim, out)
 
-    def gradient(self, point: Vector) -> Vector:
+    def gradient(self, point: Point | Vector) -> Vector:
         return tuple(
             self.partial_derivative(axis).evaluate(point)
             for axis in range(self.dim)
@@ -269,9 +273,10 @@ def vanishes_on_line(p: Polynomial, line: "Line") -> bool:
     return True
 
 
-def _evaluation_matrix(points: list[Vector], basis: list[MultiIndex]):
-    """Integer rows: the point x = a/q (a integer, q the common denominator)
-    evaluated at every basis monomial and scaled by q^b, b the top degree.
+def _evaluation_matrix(points: list[Point], basis: list[MultiIndex]):
+    """Integer rows: the point x = a/q, read from its integer form (a its
+    numerators, q its denominator), evaluated at every basis monomial and
+    scaled by q^b, b the top degree.
 
     The entry for exponents e is a^e * q^(b - |e|).  Each a^e is one
     multiplication from the value of an earlier basis monomial, e less one in
@@ -289,7 +294,7 @@ def _evaluation_matrix(points: list[Vector], basis: list[MultiIndex]):
     scale = [b - sum(exps) for exps in basis]
     rows = []
     for pt in points:
-        nums, q = integer_form(pt)
+        nums, q = pt.nums, pt.den
         q_pows = [q**k for k in range(b + 1)]
         values = [1]
         for k, i in steps:
@@ -298,25 +303,25 @@ def _evaluation_matrix(points: list[Vector], basis: list[MultiIndex]):
     return rows
 
 
-def _distinct_points(points: Iterable[Sequence], d: int) -> list[tuple]:
-    """The points as sorted distinct tuples of their ints or Fractions."""
-    pts = sorted(set(map(tuple, points)))
+def _distinct_points(points: Iterable[Point], d: int) -> list[Point]:
+    """The distinct points in sorted order.  Points are canonical, so a set
+    deduplicates them by plain equality.  Each public fit prepares its
+    points once."""
+    pts = sort_points(set(points))
     for pt in pts:
-        if len(pt) != d:
+        if len(pt.nums) != d:
             raise DimensionMismatchError(f"point {pt} is not {d}-dimensional")
     return pts
 
 
-def fit_vanishing_at_degree(
-    points: Iterable[Vector], d: int, b: int
-) -> Polynomial | None:
-    """A nonzero polynomial of degree <= b vanishing on all points, or None.
+def _fit_at_degree(pts: list[Point], d: int, b: int) -> Polynomial | None:
+    """A nonzero polynomial of degree <= b vanishing on the points, or None.
 
-    Deterministic: rows are the points in sorted order, columns the graded-lex
-    basis, and the nullspace selection rule of :func:`nullspace_vector` picks
-    the coefficient vector.
+    The points are distinct and sorted, as :func:`_distinct_points` gives
+    them.  Deterministic: rows are the points in that order, columns the
+    graded-lex basis, and the nullspace selection rule of
+    :func:`nullspace_vector` picks the coefficient vector.
     """
-    pts = _distinct_points(points, d)
     basis = monomial_basis(d, b)
     if not pts:
         return Polynomial(d, {basis[0]: Fraction(1)})
@@ -338,7 +343,7 @@ def fit_vanishing_at_degree(
     return poly
 
 
-def fit_vanishing(points: Iterable[Vector], d: int) -> Polynomial:
+def fit_vanishing(points: Iterable[Point], d: int) -> Polynomial:
     """A nonzero polynomial vanishing at every point, degree <= min_fit_degree.
 
     The underdetermined evaluation system always has a nontrivial solution;
@@ -348,7 +353,7 @@ def fit_vanishing(points: Iterable[Vector], d: int) -> Polynomial:
     if not pts:
         raise ValueError("need at least one point")
     b = min_fit_degree(len(pts), d)
-    poly = fit_vanishing_at_degree(pts, d, b)
+    poly = _fit_at_degree(pts, d, b)
     if poly is None:
         raise InternalInvariantViolation(
             f"no vanishing polynomial of degree <= {b} for {len(pts)} points"
@@ -356,14 +361,14 @@ def fit_vanishing(points: Iterable[Vector], d: int) -> Polynomial:
     return poly
 
 
-def minimal_fit(points: Iterable[Vector], d: int) -> Polynomial:
-    """The fit at the smallest degree b that admits one: the first of
-    :func:`fit_vanishing_at_degree` at b = 0, 1, ... that is not None, one
-    elimination per degree.  Its degree is b, since a fit of lower degree
-    would be one at a smaller b; the constant 1 for the empty set."""
+def minimal_fit(points: Iterable[Point], d: int) -> Polynomial:
+    """The fit at the smallest degree b that admits one: the first fit at
+    b = 0, 1, ... that is not None, one elimination per degree.  Its degree
+    is b, since a fit of lower degree would be one at a smaller b; the
+    constant 1 for the empty set."""
     pts = _distinct_points(points, d)
     for b in range(min_fit_degree(len(pts), d) + 1):
-        poly = fit_vanishing_at_degree(pts, d, b)
+        poly = _fit_at_degree(pts, d, b)
         if poly is not None:
             return poly
     raise InternalInvariantViolation("no vanishing polynomial up to the fit bound")

@@ -6,14 +6,22 @@ from math import isqrt
 import pytest
 
 from jointlab import exact
+from jointlab.exact import Point
 from jointlab.constructions import grid, grid_plus_orphan, planar_bundle, random_config
 from jointlab.curves import line_as_curve
 from jointlab.geometry import Line, configuration
-from jointlab.polynomial import Polynomial
+from jointlab.polynomial import Polynomial, _distinct_points, _fit_at_degree
 
 
 def cube_points(k: int, d: int):
-    return [tuple(Fraction(c) for c in pt) for pt in product(range(k), repeat=d)]
+    """The points of {0..k-1}^d, in sorted order."""
+    return [Point(pt, 1) for pt in product(range(k), repeat=d)]
+
+
+def fit_vanishing_at_degree(points, d: int, b: int):
+    """The fit at degree b, with the points prepared as fit_vanishing and
+    minimal_fit prepare them: deduplicated and sorted."""
+    return _fit_at_degree(_distinct_points(points, d), d, b)
 
 
 def poly_product(dim: int, factors) -> Polynomial:
@@ -53,7 +61,7 @@ def curve_joint_groups(joints):
         group = []
         for line in sorted(joints.lines_through(p), key=Line.sort_key):
             axis = next(i for i, v in enumerate(line.direction) if v != 0)
-            t = (p[axis] - line.base[axis]) / line.direction[axis]
+            t = (tuple(p)[axis] - line.base[axis]) / line.direction[axis]
             group.append((line_as_curve(line), t))
         groups[p] = group
     return groups

@@ -342,23 +342,30 @@ def _incident_lines(config, point):
     return frozenset(l for l in config.lines if incident_fraction(l, point))
 
 
+def fraction_joints(joints):
+    """A JointSet converted at the edge, in the form of the rescans below:
+    (point as a tuple of Fractions, its lines) in the set's point order."""
+    return [(tuple(p), joints.lines_through(p)) for p in joints.points]
+
+
 def find_joints_rescan(config):
-    """Joints from every pair intersection, each point's lines by a rescan."""
-    incidence = {}
+    """Joints from every pair intersection, each point's lines by a rescan:
+    (Fraction point, lines) pairs in sorted point order."""
+    joints = []
     for pt in _candidate_points(config):
         through = _incident_lines(config, pt)
         if len(through) >= config.dim and _rank_of_directions(through) == config.dim:
-            incidence[pt] = through
-    return JointSet(incidence)
+            joints.append((pt, through))
+    return joints
 
 
 def find_s_joints_rescan(config, s):
-    incidence = {}
+    joints = []
     for pt in _candidate_points(config):
         through = _incident_lines(config, pt)
         if len(through) >= 2 and _rank_of_directions(through) >= s:
-            incidence[pt] = through
-    return JointSet(incidence)
+            joints.append((pt, through))
+    return joints
 
 
 def prune_recount(config, joints):

@@ -22,7 +22,7 @@ from jointlab.curves import (
     restrict_to_curve,
 )
 from jointlab.errors import GenericityFailureError
-from jointlab.exact import mat_vec
+from jointlab.exact import Point, mat_vec
 from jointlab.geometry import (
     Line,
     find_joints,
@@ -136,7 +136,7 @@ def test_criterion_4_fit_contract():
             for _ in range(target)
         }
         m = len(points)
-        p = fit_vanishing(points, d)
+        p = fit_vanishing([Point.of(x) for x in points], d)
         b = min_fit_degree(m, d)
         assert not p.is_zero()
         assert p.degree() <= b
@@ -224,7 +224,7 @@ def test_criterion_8_projection():
                 continue
             successes += 1
             for p in joints.points:
-                image = mat_vec(projection.matrix, p)
+                image = Point.of(mat_vec(projection.matrix, p))
                 assert is_joint(projection.config, image), (k, seed)
             projected_joints = find_joints(projection.config)
             chk = bound_check(projection.config.n, len(projected_joints), 2)

@@ -17,6 +17,7 @@ from jointlab.curves import (
 )
 from jointlab.constructions import grid
 from jointlab.errors import FileFormatError
+from jointlab.exact import Point
 from jointlab.geometry import Line, find_joints, write_json
 from jointlab.polynomial import polynomial_from_text, restrict_to_line
 
@@ -188,15 +189,15 @@ class TestCurvePrune:
         conic = ParamCurve((uni(0, 2), uni(0, 0, 3), uni(0)))
         lines = grid(3, 7)
         groups = curve_joint_groups(find_joints(lines))
-        groups[vec(0, 0, 0)].append((conic, F(0)))
-        groups[vec(2, 3, 0)].append((conic, F(1)))
+        groups[Point.of(vec(0, 0, 0))].append((conic, F(0)))
+        groups[Point.of(vec(2, 3, 0))].append((conic, F(1)))
         cfg = CurveConfiguration(3, tuple(map(line_as_curve, lines.lines)) + (conic,))
         joints = curve_joint_set(groups.values())
         assert (cfg.total_degree, len(joints)) == (149, 343)
         result = curve_prune(cfg, joints)
         assert result.thresholds[conic] == F("343/149")
         assert result.removed_curves == (conic,)
-        assert result.removed_points == {vec(0, 0, 0), vec(2, 3, 0)}
+        assert result.removed_points == {Point.of(vec(0, 0, 0)), Point.of(vec(2, 3, 0))}
         assert len(result.survivors) == 341
 
     def test_empty_joint_set_removes_nothing(self):

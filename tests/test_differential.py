@@ -45,7 +45,7 @@ from jointlab.curves import (
     line_as_curve,
 )
 from jointlab.constructions import grid
-from jointlab.exact import nullspace_vector, rank
+from jointlab.exact import Point, nullspace_vector, rank
 from jointlab.geometry import (
     Line,
     configuration,
@@ -58,7 +58,6 @@ from jointlab.polynomial import (
     Polynomial,
     _evaluation_matrix,
     fit_vanishing,
-    fit_vanishing_at_degree,
     min_fit_degree,
     minimal_fit,
     monomial_basis,
@@ -68,6 +67,7 @@ from jointlab.polynomial import (
 
 from conftest import (
     curve_joint_groups,
+    fit_vanishing_at_degree,
     grid_with_tripods,
     poly_product,
     prime_source,
@@ -78,6 +78,7 @@ from oracles import (
     evaluation_matrix_by_powers,
     find_joints_rescan,
     find_s_joints_rescan,
+    fraction_joints,
     fit_at_degree_naive,
     fit_naive,
     incident_fraction,
@@ -211,9 +212,11 @@ def assert_curve_prune_matches(config, joints):
 
 def assert_matches_reference(config):
     for s in range(2, config.dim + 1):
-        assert find_s_joints(config, s) == find_s_joints_rescan(config, s), s
+        assert fraction_joints(find_s_joints(config, s)) == find_s_joints_rescan(
+            config, s
+        ), s
     joints = find_joints(config)
-    assert joints == find_joints_rescan(config)
+    assert fraction_joints(joints) == find_joints_rescan(config)
     if config.n:
         assert prune(config, joints) == prune_recount(config, joints)
         assert_curve_prune_matches(config, joints)
@@ -249,7 +252,7 @@ class TestAgainstReference:
     def test_corpus(self, corpus):
         for name, config in corpus:
             joints = find_joints(config)
-            assert joints == find_joints_rescan(config), name
+            assert fraction_joints(joints) == find_joints_rescan(config), name
             assert prune(config, joints) == prune_recount(config, joints), name
             assert_curve_prune_matches(config, joints)
 
@@ -288,9 +291,12 @@ class TestPairFilterAgainstReference:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_s_joints_in_each_dimension(self, dim, data):
+        """Points in order and each point's lines, converted to Fractions
+        at the edge, equal the rescan's for every s."""
         config = data.draw(mixed_configs(dim))
         for s in range(2, dim + 1):
-            assert find_s_joints(config, s) == find_s_joints_rescan(config, s), s
+            found = fraction_joints(find_s_joints(config, s))
+            assert found == find_s_joints_rescan(config, s), s
 
     @given(line_inputs())
     @settings(max_examples=200, deadline=None)
@@ -307,8 +313,8 @@ class TestPairFilterAgainstReference:
         on = line.point_at(t)
         near = tuple(a + b for a, b in zip(on, shift))
         for point in (on, near):
-            assert incident(line, point) == incident_fraction(line, point)
-        assert incident(line, on)
+            assert incident(line, Point.of(point)) == incident_fraction(line, point)
+        assert incident(line, Point.of(on))
 
 
 DENOMINATORS = ((1,), (2,), (6,), (2, 3), (5, 7), (1, 4, 9))
@@ -330,14 +336,17 @@ def point_sets(draw):
 
 
 def assert_fits_match(d, points):
+    """The package fits the points as Points; the references take them as
+    Fraction tuples."""
+    pts = [Point.of(p) for p in points]
     distinct = len(set(points))
     if distinct:
-        assert fit_vanishing(points, d) == fit_naive(points, d)
+        assert fit_vanishing(pts, d) == fit_naive(points, d)
     for b in range(min_fit_degree(distinct, d) + 2):
-        assert fit_vanishing_at_degree(points, d, b) == fit_at_degree_naive(
+        assert fit_vanishing_at_degree(pts, d, b) == fit_at_degree_naive(
             points, d, b
         ), b
-    assert minimal_fit(points, d).degree() == minimal_degree_naive(points, d)
+    assert minimal_fit(pts, d).degree() == minimal_degree_naive(points, d)
 
 
 class TestFitsAgainstReference:
@@ -353,9 +362,8 @@ class TestFitsAgainstReference:
         pts = sorted(set(points))
         for b in range(5):
             basis = monomial_basis(d, b)
-            assert _evaluation_matrix(pts, basis) == evaluation_matrix_by_powers(
-                pts, basis
-            ), b
+            rows = _evaluation_matrix([Point.of(p) for p in pts], basis)
+            assert rows == evaluation_matrix_by_powers(pts, basis), b
 
     def test_evaluation_rows_on_the_families(self):
         families = {
@@ -366,11 +374,12 @@ class TestFitsAgainstReference:
             ),
         }
         for name, config in families.items():
-            pts = sorted(prune(config, find_joints(config)).survivors.points)
+            pts = prune(config, find_joints(config)).survivors.points
             basis = monomial_basis(config.dim, min_fit_degree(len(pts), config.dim))
             rows = _evaluation_matrix(pts, basis)
             assert len(rows) == len(pts) > 30, name
-            assert rows == evaluation_matrix_by_powers(pts, basis), name
+            fractions = [tuple(p) for p in pts]
+            assert rows == evaluation_matrix_by_powers(fractions, basis), name
 
     @given(point_sets())
     @settings(max_examples=60, deadline=None)

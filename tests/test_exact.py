@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from jointlab import exact
 from jointlab.errors import DimensionMismatchError
 from jointlab.exact import (
+    Point,
     format_rational,
     integer_form,
     mat_vec,
     nullspace_vector,
     parse_rational,
     rank,
+    sort_points,
 )
 from jointlab.polynomial import fit_vanishing, min_fit_degree, monomial_basis
 
@@ -89,6 +91,56 @@ class TestIntegerForm:
     def test_numerators_over_least_common_denominator(self):
         assert integer_form([Fraction(1, 2), Fraction(-1, 3), 2]) == ([3, -2, 12], 6)
         assert integer_form([4, 0]) == ([4, 0], 1)
+
+
+coordinates = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@st.composite
+def fraction_points(draw):
+    """Rational points as Fraction tuples in d = 2..5, signs and denominators
+    mixed.  Each point keeps a drawn number of leading coordinates of the
+    first one, so ties on leading coordinates are common."""
+    d = draw(st.integers(2, 5))
+    points = draw(st.lists(st.tuples(*[coordinates] * d), min_size=1, max_size=12))
+    kept = draw(st.lists(st.integers(0, d), min_size=len(points), max_size=len(points)))
+    return [points[0][:k] + p[k:] for p, k in zip(points, kept)]
+
+
+class TestPoints:
+    """A Point is a rational point in its canonical integer form."""
+
+    @given(fraction_points())
+    @settings(max_examples=100, deadline=None)
+    def test_sort_points_orders_as_the_fraction_tuples(self, points):
+        ordered = sort_points(Point.of(p) for p in points)
+        assert [tuple(p) for p in ordered] == sorted(points)
+
+    @given(fraction_points(), st.integers(-6, 6).filter(bool))
+    @settings(max_examples=100, deadline=None)
+    def test_equal_with_equal_hashes_exactly_when_the_values_are(self, points, k):
+        """Also for a form scaled by k, which construction reduces."""
+        forms = [Point.of(x) for x in points]
+        for x, px in zip(points, forms):
+            nums, den = integer_form(x)
+            scaled = Point([n * k for n in nums], den * k)
+            assert scaled == px and hash(scaled) == hash(px)
+            assert (scaled.nums, scaled.den) == (tuple(nums), den)
+            for y, py in zip(points, forms):
+                assert (px == py) == (x == y)
+                if px == py:
+                    assert hash(px) == hash(py)
+
+    def test_fractions_only_at_the_edges(self):
+        point = Point([3, -2, 12], 6)
+        assert tuple(point) == (Fraction(1, 2), Fraction(-1, 3), Fraction(2))
+        assert len(point) == 3
+        assert repr(point) == "Point(1/2, -1/3, 2)"
+
+    def test_plain_tuple_order_would_be_wrong(self):
+        third, half = Point([1], 3), Point([1], 2)
+        assert (third.nums, third.den) > (half.nums, half.den)
+        assert sort_points([half, third]) == [third, half]
 
 
 class TestRank:
@@ -204,7 +256,7 @@ def hyperplane_joints(ts):
     """Joints of the generic hyperplanes x.(1,t,t^2) = t^3: the joint of
     a, b, c is (abc, -(ab+ac+bc), a+b+c)."""
     return [
-        (a * b * c, -(a * b + a * c + b * c), a + b + c)
+        Point.of((a * b * c, -(a * b + a * c + b * c), a + b + c))
         for a, b, c in combinations(ts, 3)
     ]
 

@@ -13,7 +13,7 @@ from jointlab.errors import (
     IdenticalLinesError,
 )
 from jointlab import geometry
-from jointlab.exact import mat_vec
+from jointlab.exact import Point, mat_vec
 from jointlab.geometry import (
     Configuration,
     Line,
@@ -40,6 +40,10 @@ def F(v):
 
 def vec(*vals):
     return tuple(Fraction(v) for v in vals)
+
+
+def pt(*vals):
+    return Point.of(vec(*vals))
 
 
 X_AXIS = Line(vec(0, 0, 0), vec(1, 0, 0))
@@ -176,28 +180,28 @@ def dot_is_zero(line):
 
 class TestIncidence:
     def test_point_on_x_axis(self):
-        assert incident(X_AXIS, vec(5, 0, 0))
+        assert incident(X_AXIS, pt(5, 0, 0))
 
     def test_point_off_x_axis(self):
-        assert not incident(X_AXIS, vec(5, 1, 0))
+        assert not incident(X_AXIS, pt(5, 1, 0))
 
     def test_rational_parameter(self):
         line = Line(vec(0, 0, 0), vec(1, 2, 3))
-        assert incident(line, vec(F("1/2"), 1, F("3/2")))
+        assert incident(line, pt(F("1/2"), 1, F("3/2")))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            incident(X_AXIS, vec(1, 0))
+            incident(X_AXIS, pt(1, 0))
 
     @given(lines(), rationals)
     @settings(max_examples=80)
     def test_incident_at_every_parameter(self, line, t):
-        assert incident(line, line.point_at(t))
+        assert incident(line, Point.of(line.point_at(t)))
 
 
 class TestIntersection:
     def test_axes_meet_at_origin(self):
-        assert line_line_intersection(X_AXIS, Y_AXIS) == vec(0, 0, 0)
+        assert line_line_intersection(X_AXIS, Y_AXIS) == pt(0, 0, 0)
 
     def test_parallel_lines(self):
         shifted = Line(vec(0, 1, 0), vec(1, 0, 0))
@@ -215,7 +219,7 @@ class TestIntersection:
     def test_generic_crossing(self):
         l1 = Line(vec(0, 0, 0), vec(1, 1, 1))
         l2 = Line(vec(2, 0, 0), vec(-1, 1, 1))
-        assert line_line_intersection(l1, l2) == vec(1, 1, 1)
+        assert line_line_intersection(l1, l2) == pt(1, 1, 1)
 
     @given(lines(), lines())
     @settings(max_examples=60)
@@ -250,7 +254,7 @@ class TestDirectionRank:
 class TestJointPredicates:
     def test_origin_of_axes_is_joint(self):
         config = configuration(3, [X_AXIS, Y_AXIS, Z_AXIS])
-        assert is_joint(config, vec(0, 0, 0))
+        assert is_joint(config, pt(0, 0, 0))
 
     def test_coplanar_concurrent_lines_are_not_a_joint(self):
         config = configuration(
@@ -261,21 +265,21 @@ class TestJointPredicates:
                 Line(vec(0, 0, 0), vec(1, 1, 0)),
             ],
         )
-        assert not is_joint(config, vec(0, 0, 0))
+        assert not is_joint(config, pt(0, 0, 0))
 
     def test_grid_point_is_joint(self):
-        assert is_joint(grid(3, 2), vec(1, 0, 1))
+        assert is_joint(grid(3, 2), pt(1, 0, 1))
 
     def test_s_joint_two_lines(self):
         config = configuration(3, [X_AXIS, Y_AXIS])
-        assert vec(0, 0, 0) in find_s_joints(config, 2)
+        assert pt(0, 0, 0) in find_s_joints(config, 2)
 
     def test_single_line_never_an_s_joint(self):
         config = configuration(3, [X_AXIS])
-        assert vec(1, 0, 0) not in find_s_joints(config, 2)
+        assert pt(1, 0, 0) not in find_s_joints(config, 2)
 
     def test_grid_origin_is_3_joint(self):
-        assert vec(0, 0, 0) in find_s_joints(grid(3, 2), 3)
+        assert pt(0, 0, 0) in find_s_joints(grid(3, 2), 3)
 
     def test_s_out_of_range(self):
         config = configuration(3, [X_AXIS])
@@ -288,7 +292,7 @@ class TestJointPredicates:
 class TestFindJoints:
     def test_grid_3_2(self):
         joints = find_joints(grid(3, 2))
-        assert sorted(joints.points) == sorted(cube_points(2, 3))
+        assert joints.points == tuple(cube_points(2, 3))
 
     def test_grid_4_2(self):
         assert len(find_joints(grid(4, 2))) == 16
@@ -360,7 +364,7 @@ class TestFindSJoints:
     def test_two_concurrent_lines(self):
         config = configuration(3, [X_AXIS, Y_AXIS])
         s_joints = find_s_joints(config, 2)
-        assert s_joints.points == (vec(0, 0, 0),)
+        assert s_joints.points == (pt(0, 0, 0),)
 
     def test_parallel_family(self):
         lines = [Line(vec(0, j, 0), vec(1, 0, 0)) for j in range(5)]
@@ -376,7 +380,7 @@ class TestProjection:
         assert projection.config.n == 12
         projected_joints = find_joints(projection.config)
         for p in joints.points:
-            image = mat_vec(projection.matrix, p)
+            image = Point.of(mat_vec(projection.matrix, p))
             # incident to the images of exactly its original three lines
             expected = frozenset(
                 projection.line_images[l] for l in joints.lines_through(p)
@@ -388,7 +392,8 @@ class TestProjection:
         s_joints = find_s_joints(config, 2)
         projection = project_to_generic_flat(config, 2, 3)
         for p in s_joints.points:
-            assert is_joint(projection.config, mat_vec(projection.matrix, p))
+            image = Point.of(mat_vec(projection.matrix, p))
+            assert is_joint(projection.config, image)
 
     def test_s_equal_to_dim_rejected(self):
         with pytest.raises(ValueError):

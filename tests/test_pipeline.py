@@ -1,12 +1,21 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 import pytest
 
 from jointlab.constructions import grid, grid_plus_orphan, planar_bundle
 from jointlab.errors import InternalInvariantViolation, ZeroPolynomialError
-from jointlab.geometry import JointSet, Line, configuration, find_joints
+from jointlab.exact import Point
+from jointlab.geometry import (
+    JointSet,
+    Line,
+    configuration,
+    find_joints,
+    find_s_joints,
+    line_to_dict,
+)
 from jointlab.pipeline import (
     ALL_PRUNED,
     BOUND_HOLDS,
@@ -113,7 +122,8 @@ class TestPrune:
             Line(vec(20, 0, 10), vec(0, 1, 0)),
             Line(vec(0, 10, 10), vec(1, 0, 0)),
         )
-        assert result.removed_points == {vec(10, 10, 10), vec(20, 10, 10)}
+        removed = {Point.of(vec(10, 10, 10)), Point.of(vec(20, 10, 10))}
+        assert result.removed_points == removed
         assert result.surviving == grid(3, 7)
 
     def test_terminates_within_n_iterations(self, corpus):
@@ -130,7 +140,7 @@ class TestPruneInvariantCheck:
 
     def tampered(self, point, through):
         incidence = dict(find_joints(grid(3, 2)).incidence)
-        incidence[point] = frozenset(through)
+        incidence[Point.of(point)] = frozenset(through)
         return JointSet(incidence)
 
     def test_untampered_passes(self):
@@ -289,7 +299,65 @@ class TestTrace:
             assert result.outcome in (BOUND_HOLDS, ALL_PRUNED), name
 
 
+def nine_hyperplanes():
+    """36 lines and 84 rational joints: the hyperplanes x.(1,t,t^2) = t^3 at
+    nine t of mixed signs and denominators; line(a,b) is their meet."""
+    ts = [F(t) for t in ("-7/4", "-5/3", "-3/2", "-1", "-1/3", "1/4", "1/2", "2", "3")]
+    lines = [
+        Line((0, -a * b, a + b), (a * b, -(a + b), 1)) for a, b in combinations(ts, 2)
+    ]
+    return configuration(3, lines)
+
+
+class TestIntegerPoints:
+    """Joint points stay integers from the pair search through pruning."""
+
+    FAMILIES = {
+        "grid(3,5)": lambda: grid(3, 5),
+        "grid-orphan(3,5)": lambda: grid_plus_orphan(3, 5),
+        "hyperplanes": nine_hyperplanes,
+    }
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The arguments of every Fraction constructed from now on."""
+        calls = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        return calls
+
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_pair_search_and_prune_build_no_point_fractions(self, name, built):
+        config = self.FAMILIES[name]()
+        built.clear()
+        for s in range(2, config.dim + 1):
+            find_s_joints(config, s)
+        assert built == []
+        joints = find_joints(config)
+        assert len(joints) in (125, 84)
+        prune(config, joints)
+        assert built == [(len(joints), 2 * config.n)]
+
+
 class TestTraceJson:
+    def test_counts_in_the_order_of_the_surviving_lines(self):
+        """per_line_joint_counts is written in the survivors' sorted_lines()
+        order, also when pruning removes a line from the middle of it."""
+        extra = [Line(vec(0, 10, 0), vec(0, 1, 1)), Line(vec(20, 0, 0), vec(0, 1, -1))]
+        config = configuration(3, list(grid(3, 3).lines) + extra)
+        survivors = prune(config, find_joints(config)).surviving
+        assert survivors == grid(3, 3)
+        order = config.sorted_lines()
+        assert all(0 < order.index(line) < len(order) - 1 for line in extra)
+        obj = trace_to_dict(trace(config))
+        written = [entry["line"] for entry in obj["per_line_joint_counts"]]
+        assert written == [line_to_dict(line) for line in survivors.sorted_lines()]
+
     def test_integers_serialized_as_strings(self):
         obj = trace_to_dict(trace(grid(3, 2)))
         assert obj["outcome"] == BOUND_HOLDS

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 
 from jointlab import curves, polynomial
 from jointlab.errors import DimensionMismatchError
-from jointlab.exact import nullspace_vector
+from jointlab.exact import Point, nullspace_vector
 from jointlab.geometry import Line, configuration
 from jointlab.pipeline import trace
 from jointlab.polynomial import (
     Polynomial,
     fit_vanishing,
-    fit_vanishing_at_degree,
     grlex_key,
     min_fit_degree,
     minimal_fit,
@@ -31,7 +30,7 @@ from jointlab.polynomial import (
     vanishes_on_line,
 )
 
-from conftest import cube_points, poly_product
+from conftest import cube_points, fit_vanishing_at_degree, poly_product
 from oracles import (
     integer_root_ceiling,
     min_fit_degree_enum,
@@ -46,6 +45,10 @@ def F(v):
 
 def vec(*vals):
     return tuple(Fraction(v) for v in vals)
+
+
+def pt(*vals):
+    return Point.of(vec(*vals))
 
 
 def poly(text, dim=3):
@@ -260,17 +263,17 @@ class TestFitVanishing:
         assert got == poly("x1^2 - x1")
 
     def test_single_point(self):
-        got = fit_vanishing([vec(0, 0, 0)], 3)
+        got = fit_vanishing([pt(0, 0, 0)], 3)
         assert got == poly("x1")
         assert got.degree() <= min_fit_degree(1, 3) == 1
 
     def test_collinear_points_drop_the_axis_coordinate(self):
-        pts = [vec(0, 0, 0), vec(1, 0, 0), vec(2, 0, 0)]
+        pts = [pt(0, 0, 0), pt(1, 0, 0), pt(2, 0, 0)]
         got = fit_vanishing(pts, 3)
         assert got.degree() <= 1
         assert got.terms.get((1, 0, 0)) is None  # no x1 component
-        for pt in pts:
-            assert got.evaluate(pt) == 0
+        for p in pts:
+            assert got.evaluate(p) == 0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -287,14 +290,14 @@ class TestFitVanishing:
                 tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d))
                 for _ in range(m)
             }
-            p = fit_vanishing(pts, d)
+            p = fit_vanishing([Point.of(x) for x in pts], d)
             assert not p.is_zero()
             assert p.degree() <= min_fit_degree(len(pts), d)
-            for pt in pts:
-                assert p.evaluate(pt) == 0
+            for x in pts:
+                assert p.evaluate(x) == 0
 
     def test_fit_matrix_reaches_kernel_as_integers(self, monkeypatch):
-        pts = [vec(F(1) / 2, F(-2) / 3, 5), vec(0, F(1) / 7, 1), vec(3, 2, 1)]
+        pts = [pt(F(1) / 2, F(-2) / 3, 5), pt(0, F(1) / 7, 1), pt(3, 2, 1)]
         matrices = []
 
         def spy(matrix):
@@ -308,7 +311,7 @@ class TestFitVanishing:
 
     def test_fit_at_degree_none_when_impossible(self):
         # No nonzero linear polynomial vanishes on an affinely spanning set.
-        pts = [vec(0, 0, 0), vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)]
+        pts = [pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1)]
         assert fit_vanishing_at_degree(pts, 3, 0) is None
         assert fit_vanishing_at_degree(pts, 3, 1) is None
         assert fit_vanishing_at_degree(pts, 3, 2) is not None
@@ -319,7 +322,7 @@ class TestMinimalVanishingDegree:
         assert minimal_fit(cube_points(2, 3), 3).degree() == 2
 
     def test_single_point(self):
-        assert minimal_fit([vec(0, 0, 0)], 3).degree() == 1
+        assert minimal_fit([pt(0, 0, 0)], 3).degree() == 1
 
     def test_empty_set(self):
         assert minimal_fit([], 3).degree() == 0
@@ -332,7 +335,7 @@ class TestMinimalVanishingDegree:
         # Half-integer cube corners: the rows reach the kernel scaled to ints,
         # each degree is eliminated once, and the search stops at the minimal
         # degree.
-        pts = [tuple(F(c) / 2 for c in pt) for pt in cube_points(2, 3)]
+        pts = [Point(corner.nums, 2) for corner in cube_points(2, 3)]
         matrices = []
 
         def spy(matrix):
@@ -348,7 +351,7 @@ class TestMinimalVanishingDegree:
 class TestDimensionChecks:
     @pytest.mark.parametrize("bad", [(1, 2, 3, 4), (1, 2)])
     def test_every_fit_entry_point_rejects_wrong_dimension(self, bad):
-        pts = [vec(*bad), vec(*(c + 1 for c in bad))]
+        pts = [pt(*bad), pt(*(c + 1 for c in bad))]
         with pytest.raises(DimensionMismatchError):
             fit_vanishing(pts, 3)
         with pytest.raises(DimensionMismatchError):
