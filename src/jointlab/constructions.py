@@ -8,7 +8,7 @@ from itertools import product
 
 from .errors import InternalInvariantViolation
 from .exact import Point
-from .geometry import Configuration, Line, configuration, incident
+from .geometry import Configuration, Line, incident
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
@@ -34,7 +34,7 @@ def grid(d: int, k: int) -> Configuration:
         unit = tuple(1 if i == axis else 0 for i in range(d))
         for rest in product(range(k), repeat=d - 1):
             lines.append(Line(rest[:axis] + (0,) + rest[axis:], unit))
-    config = configuration(d, lines)
+    config = Configuration(d, lines)
     if config.n != d * k ** (d - 1):
         raise InternalInvariantViolation("grid produced duplicate lines")
     return config
@@ -62,7 +62,7 @@ def random_config(d: int, n: int, seed: int, coord_bound: int) -> Configuration:
             continue
         lines.add(Line(base, direction))
         if len(lines) == n:
-            return configuration(d, lines)
+            return Configuration(d, lines)
     raise ValueError(
         f"found only {len(lines)} distinct lines of n = {n} with coordinate "
         f"bound {coord_bound} in {budget} draws"
@@ -77,7 +77,7 @@ def planar_bundle(d: int, n: int) -> Configuration:
         raise ValueError("need n >= 1 lines")
     origin = (0,) * d
     lines = [Line(origin, (1, j) + (0,) * (d - 2)) for j in range(n)]
-    return configuration(d, lines)
+    return Configuration(d, lines)
 
 
 def grid_plus_orphan(d: int, k: int) -> Configuration:
@@ -101,4 +101,4 @@ def grid_plus_orphan(d: int, k: int) -> Configuration:
             raise InternalInvariantViolation(
                 f"orphan line passes through grid point {point}"
             )
-    return configuration(d, set(base_config.lines) | {orphan})
+    return Configuration(d, set(base_config.lines) | {orphan})

@@ -65,12 +65,9 @@ class ParamCurve(_Frozen):
     def point_at(self, t) -> Vector:
         return tuple(uni_eval(c, t) for c in self.coords)
 
-    def sort_key(self):
-        return (self.degree, self.coords)
-
 
 def line_as_curve(line: Line) -> ParamCurve:
-    """Degree-1 curve tracing base + t * direction."""
+    """Degree-1 curve tracing base + t * direction, in Fraction coefficients."""
     return ParamCurve(tuple(zip(line.base, line.direction)))
 
 
@@ -222,7 +219,7 @@ def curve_prune(cfg: CurveConfiguration, joints: JointSet) -> CurvePruneResult:
         raise ValueError("cannot prune an empty curve configuration")
     m = len(joints)
     thresholds = {c: Fraction(m * c.degree, 2 * n) for c in cfg.curves}
-    curves = sorted(cfg.curves, key=ParamCurve.sort_key)
+    curves = sorted(cfg.curves, key=lambda c: (c.degree, c.coords))
     removed, removed_points, survivors = peel(
         curves, [thresholds[c] for c in curves], joints
     )

@@ -29,7 +29,6 @@ import re
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from numbers import Rational
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -142,21 +141,24 @@ class Point(_Frozen):
         return f"Point({', '.join(map(format_rational, self))})"
 
 
-def sort_points(points: Iterable[Point]) -> list[Point]:
-    """The points in the order of their Fraction tuples.
-
-    One integer key orders them: the numerators scaled to the points' common
-    denominator.  Tuples over different denominators would not do, since
-    1/3 < 1/2 but (1, 3) > (1, 2).
+def _common_key(points: Sequence[Point]):
+    """A key that orders these points as their Fraction tuples order: the
+    numerators scaled to the points' common denominator.  Tuples over
+    different denominators would not do, since 1/3 < 1/2 but (1, 3) > (1, 2).
     """
-    points = list(points)
     den = lcm(*(p.den for p in points))
 
     def key(p: Point):
         scale = den // p.den
         return p.nums if scale == 1 else tuple(n * scale for n in p.nums)
 
-    return sorted(points, key=key)
+    return key
+
+
+def sort_points(points: Iterable[Point]) -> list[Point]:
+    """The points in the order of their Fraction tuples, by one integer key."""
+    points = list(points)
+    return sorted(points, key=_common_key(points))
 
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -317,17 +319,15 @@ def _integer_row(row: Sequence) -> Sequence[int]:
     """The row scaled to integers; a row of ints is returned as it is."""
     if all(type(v) is int for v in row):
         return row
-    nums, _ = integer_form([v if isinstance(v, Rational) else Fraction(v) for v in row])
-    return nums
+    return integer_form(row)[0]
 
 
 def _certified_walk(matrix: Sequence[Sequence], select: bool):
     """The pivot columns over Q and, if select, the selection rule's kernel
     vector (None when the kernel is zero); without select, None.
 
-    Entries are ints or Fractions; anything else ``Fraction`` accepts (a
-    string like ``"1/2"``, a float, a Decimal) is converted first.  Each row
-    is scaled to integers, which changes neither rank nor nullspace.
+    Entries are ints or Fractions.  Each row is scaled to integers, which
+    changes neither rank nor nullspace.
 
     Certificate.  Pivots found mod p are pivots over Q, since a minor that
     is nonzero mod p is nonzero.  A free column the walk reached is free

@@ -1,9 +1,9 @@
 """Lines, configurations, joint detection, and generic projections.
 
-A line is stored in a canonical form so that set membership and equality are
-exact structural checks: the direction is a primitive integer vector whose
-first nonzero entry is positive, and the base point is the foot of the
-perpendicular from the origin (a rational point, so exactly representable).
+A line is stored in a canonical integer form so that set membership and
+equality are exact structural checks: the direction is a primitive integer
+vector whose first nonzero entry is positive, and the base is the foot of the
+perpendicular from the origin, a :class:`~jointlab.exact.Point`.
 A joint of a configuration is a point incident to at least d of its lines
 whose directions span all of d-space; concurrent lines lie in a common
 hyperplane exactly when their directions fit in a (d-1)-subspace, so the
@@ -29,6 +29,7 @@ from .errors import (
 from .exact import (
     Point,
     Vector,
+    _common_key,
     _Frozen,
     format_rational,
     integer_form,
@@ -56,21 +57,17 @@ def _primitive(direction: Sequence) -> tuple[int, ...]:
 class Line(_Frozen):
     """A line in rational d-space, canonicalized on construction.
 
-    Base and direction are given as sequences of ints or Fractions and are
-    stored as tuples of Fractions.  Construction also caches, next to them,
-    their integer forms and the hash.  ``_ints`` is the primitive direction
-    v, the base numerators over one common denominator, and that
-    denominator; equal lines have equal ``_ints``, so equality compares
-    those.  The canonical form is computed in integers: with the given base
-    written P/q over one denominator, the foot of the perpendicular is
-    (P |v|^2 - (P.v) v) / (q |v|^2), and one gcd over those numerators and
-    that denominator reduces it to ``_ints``, whose entries the
-    ``Fraction`` base is then read from.  The hash, that of
-    ``(base, direction)``, is cached because lines are set members and dict
+    Base and direction are given as sequences of ints or Fractions.  The
+    line keeps its canonical integer form: ``direction``, the primitive
+    integer vector v, and ``base``, the foot of the perpendicular from the
+    origin as a Point.  With the given base written P/q over one
+    denominator, that foot is (P |v|^2 - (P.v) v) / (q |v|^2), which the
+    Point reduces.  Equal lines have equal fields.  The hash, that of
+    ``(direction, base)``, is cached because lines are set members and dict
     keys throughout.  Lines are immutable.
     """
 
-    __slots__ = ("base", "direction", "_ints", "_hash")
+    __slots__ = ("direction", "base", "_hash")
 
     def __init__(self, base: Sequence, direction: Sequence):
         if len(base) != len(direction):
@@ -81,41 +78,30 @@ class Line(_Frozen):
             raise ValueError("lines need ambient dimension >= 2")
         if all(c == 0 for c in direction):
             raise ValueError("line direction must be nonzero")
-        ints = _primitive(direction)
+        v = _primitive(direction)
         given, q = integer_form(base)
-        norm = sum(v * v for v in ints)
-        along = sum(p * v for p, v in zip(given, ints))
-        nums = [p * norm - along * v for p, v in zip(given, ints)]
-        den = q * norm
-        g = gcd(den, *nums)
-        nums = tuple(c // g for c in nums)
-        den //= g
-        base = tuple(Fraction(c, den) for c in nums)
-        direction = tuple(Fraction(c) for c in ints)
+        norm = sum(c * c for c in v)
+        along = sum(p * c for p, c in zip(given, v))
+        base = Point([p * norm - along * c for p, c in zip(given, v)], q * norm)
+        object.__setattr__(self, "direction", v)
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "_ints", (ints, nums, den))
-        object.__setattr__(self, "_hash", hash((base, direction)))
+        object.__setattr__(self, "_hash", hash((v, base)))
 
     def __eq__(self, other):
         if other.__class__ is not Line:
             return NotImplemented
-        return self._ints == other._ints
+        return self.direction == other.direction and self.base == other.base
 
     def __hash__(self):
         return self._hash
 
     @property
     def dim(self) -> int:
-        return len(self.base)
+        return len(self.direction)
 
     def point_at(self, t) -> Vector:
         t = Fraction(t)
         return tuple(b + t * v for b, v in zip(self.base, self.direction))
-
-    def sort_key(self):
-        # the primitive integers order as the integral direction Fractions do
-        return (self._ints[0], self.base)
 
     def __repr__(self):
         base = ", ".join(format_rational(c) for c in self.base)
@@ -126,22 +112,29 @@ class Line(_Frozen):
 class Configuration(_Frozen):
     """A dimension together with a deduplicated set of lines.
 
-    The canonical order of the lines is sorted once, on first use, and kept.
+    Any iterable of lines is deduplicated, keeping first occurrences in
+    order, and sorted once, at construction, into the canonical order:
+    primitive direction first, then base, as their Fraction tuples order.
+    Lines that arrive in that order are sorted in one linear pass.
+    ``lines`` is the frozenset, for membership and equality.
     """
 
     __slots__ = ("dim", "lines", "_sorted")
 
-    def __init__(self, dim: int, lines: frozenset[Line] = frozenset()):
+    def __init__(self, dim: int, lines: Iterable[Line] = ()):
         if dim < 2:
             raise ValueError("configurations need dimension >= 2")
-        for line in lines:
+        unique = list(dict.fromkeys(lines))
+        for line in unique:
             if line.dim != dim:
                 raise DimensionMismatchError(
                     f"line of dimension {line.dim} in {dim}-dimensional configuration"
                 )
+        key = _common_key([line.base for line in unique])
+        unique.sort(key=lambda line: (line.direction, key(line.base)))
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "lines", lines)
-        object.__setattr__(self, "_sorted", None)
+        object.__setattr__(self, "lines", frozenset(unique))
+        object.__setattr__(self, "_sorted", tuple(unique))
 
     def __eq__(self, other):
         if other.__class__ is not Configuration:
@@ -156,14 +149,7 @@ class Configuration(_Frozen):
         return len(self.lines)
 
     def sorted_lines(self) -> tuple[Line, ...]:
-        if self._sorted is None:
-            order = tuple(sorted(self.lines, key=Line.sort_key))
-            object.__setattr__(self, "_sorted", order)
         return self._sorted
-
-
-def configuration(dim: int, lines: Iterable[Line]) -> Configuration:
-    return Configuration(dim, frozenset(lines))
 
 
 class JointSet(_Frozen):
@@ -210,17 +196,17 @@ class JointSet(_Frozen):
 def incident(line: Line, point: Point) -> bool:
     """True iff point - base is an exact rational multiple of the direction.
 
-    Decided in integers: with the point a/r and the base p/q in their
-    integer forms, w = a q - p r is a positive multiple of point - base, and
-    it is parallel to the primitive direction v exactly when
-    w_i v_k = w_k v_i at every i, for k the first axis where v is nonzero.
+    Decided in integers: with the point a/r and the base Point p/q,
+    w = a q - p r is a positive multiple of point - base, and it is parallel
+    to the primitive direction v exactly when w_i v_k = w_k v_i at every i,
+    for k the first axis where v is nonzero.
     """
     a, r = point.nums, point.den
     if len(a) != line.dim:
         raise DimensionMismatchError(
             f"point of dimension {len(a)} against line of dimension {line.dim}"
         )
-    v, p, q = line._ints
+    v, p, q = line.direction, line.base.nums, line.base.den
     w = [x * q - y * r for x, y in zip(a, p)]
     k = next(i for i, c in enumerate(v) if c)
     return all(wi * v[k] == w[k] * vi for wi, vi in zip(w, v))
@@ -231,16 +217,17 @@ def _meet(a: Line, b: Line) -> Point | None:
 
     This is the exact decision for every pair that passes the side filter
     of :func:`find_s_joints`, and the only place a joint's point is built.
-    Pure integer arithmetic: scaling base_a + t v_a = base_b + s v_b by the
-    product of the base denominators leaves integer data, and Cramer's rule on
-    the first coordinate pair with a nonzero direction minor gives t and s
-    as numerators over that minor.  Every coordinate is then checked by cross
+    Pure integer arithmetic on the primitive directions and the base Points:
+    scaling base_a + t v_a = base_b + s v_b by the product of the base
+    denominators leaves integer data, and Cramer's rule on the first
+    coordinate pair with a nonzero direction minor gives t and s as
+    numerators over that minor.  Every coordinate is then checked by cross
     multiplication, and on a hit the Point is made from the numerators of
     base_a + t v_a over their one denominator.  Canonical directions are
     primitive, so parallel lines have equal directions.
     """
-    v1, p1, q1 = a._ints
-    v2, p2, q2 = b._ints
+    v1, p1, q1 = a.direction, a.base.nums, a.base.den
+    v2, p2, q2 = b.direction, b.base.nums, b.base.den
     if v1 == v2:
         return None
     r = [y * q1 - x * q2 for x, y in zip(p1, p2)]
@@ -277,7 +264,7 @@ def line_line_intersection(l1: Line, l2: Line) -> Point | None:
 
 def direction_rank(lines: Iterable[Line]) -> int:
     """Dimension of the linear span of the lines' primitive directions."""
-    rows = [line._ints[0] for line in lines]
+    rows = [line.direction for line in lines]
     if not rows:
         raise ValueError("direction_rank needs at least one line")
     return rank(rows)
@@ -306,7 +293,7 @@ def _side_form(line: Line) -> tuple[int, ...]:
     exactly when they are coplanar: they meet, are parallel, or one is a
     point (its direction projects to zero, and then A = 0).
     """
-    v, p, q = line._ints
+    v, p, q = line.direction, line.base.nums, line.base.den
     v1, v2, v3 = (v + (0,))[:3]
     p1, p2, p3 = (p + (0,))[:3]
     return (
@@ -438,7 +425,7 @@ def project_to_generic_flat(config: Configuration, s: int, seed: int) -> Project
         if len(set(projected_points)) != len(projected_points):
             continue
         return Projection(
-            config=configuration(s, images.values()),
+            config=Configuration(s, images.values()),
             matrix=matrix,
             line_images=images,
             attempts=attempt + 1,
@@ -503,14 +490,14 @@ def configuration_from_dict(obj) -> Configuration:
             lines.append(Line(base, direction))
         except ValueError as exc:
             raise FileFormatError(f"lines[{i}]: {exc}") from exc
-    deduped = frozenset(lines)
-    if len(deduped) < len(lines):
+    config = Configuration(dim, lines)
+    if config.n < len(lines):
         import logging  # only this warning logs; most runs never load it
 
         logging.getLogger(__name__).warning(
-            "deduplicated %d duplicate line(s)", len(lines) - len(deduped)
+            "deduplicated %d duplicate line(s)", len(lines) - config.n
         )
-    return Configuration(dim, deduped)
+    return config
 
 
 def write_json(path, obj) -> None:

@@ -31,7 +31,6 @@ from .geometry import (
     Line,
     bound_check,
     bound_constant,
-    configuration,
     direction_rank,
     find_joints,
     incident,
@@ -185,7 +184,7 @@ def prune(config: Configuration, joints: JointSet) -> PruneResult:
     lines = config.sorted_lines()
     removed_lines, removed_points, survivors = peel(lines, [threshold] * n, joints)
     dead = set(removed_lines)
-    surviving = configuration(config.dim, (l for l in lines if l not in dead))
+    surviving = Configuration(config.dim, (l for l in lines if l not in dead))
     _check_prune_invariants(surviving, survivors, threshold)
     return PruneResult(
         surviving=surviving,
@@ -271,8 +270,7 @@ def gradient_at_joints_check(p: Polynomial, joints: JointSet) -> GradientCheckRe
         raise ZeroPolynomialError("gradient check needs a nonzero polynomial")
     statuses: dict[Point, str] = {}
     for point in joints.points:
-        through = sorted(joints.lines_through(point), key=Line.sort_key)
-        if all(vanishes_on_line(p, line) for line in through):
+        if all(vanishes_on_line(p, line) for line in joints.lines_through(point)):
             grad = p.gradient(point)
             if any(c != 0 for c in grad):
                 raise InternalInvariantViolation(
@@ -386,9 +384,9 @@ def trace(config: Configuration) -> ProofTrace:
         outcome = DEGREE_NOT_DOMINATED
 
     fitted = fit_vanishing(pr.survivors.points, d)
-    vanishing = [
-        line for line in pr.surviving.sorted_lines() if vanishes_on_line(fitted, line)
-    ]
+    vanishing, failing = [], []
+    for line in pr.surviving.sorted_lines():
+        (vanishing if vanishes_on_line(fitted, line) else failing).append(line)
     steps.append(
         TraceStep(
             name="fit",
@@ -404,7 +402,8 @@ def trace(config: Configuration) -> ProofTrace:
         )
     )
 
-    order = cascade(fitted, pr.surviving.sorted_lines())
+    # a failing line first settles order 0 with one more call
+    order = cascade(fitted, failing + vanishing)
     steps.append(
         TraceStep(
             name="cascade",

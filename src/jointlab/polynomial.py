@@ -237,10 +237,10 @@ def vanishes_on_line(p: Polynomial, line: "Line") -> bool:
     parameters t = 0, 1, ..., D, and the first nonzero value decides; most
     lines that fail do so at t = 0, the base point.
 
-    Each value is computed in integers: with the line's integer form
-    (v, a, q), the point at t is x = (a + t*q*v)/q, and with p's coefficients
-    scaled to integers n_e, q^D p(x) is a positive multiple of
-    sum n_e (a + t*q*v)^e q^(D - |e|).
+    Each value is computed in integers: with the line's primitive direction
+    v and its base Point a/q, the point at t is x = (a + t*q*v)/q, and with
+    p's coefficients scaled to integers n_e, q^D p(x) is a positive multiple
+    of sum n_e (a + t*q*v)^e q^(D - |e|).
     """
     if p.dim != line.dim:
         raise DimensionMismatchError(
@@ -249,7 +249,7 @@ def vanishes_on_line(p: Polynomial, line: "Line") -> bool:
     if p.is_zero():
         return True
     top = p.degree()
-    v, a, q = line._ints
+    v, a, q = line.direction, line.base.nums, line.base.den
     nums, _ = integer_form(list(p.terms.values()))
     q_pows = [q**k for k in range(top + 1)]
     # each term as its nonzero (coordinate, exponent) pairs and weight n_e q^(D-|e|)

@@ -9,7 +9,7 @@ from jointlab import exact
 from jointlab.exact import Point
 from jointlab.constructions import grid, grid_plus_orphan, planar_bundle, random_config
 from jointlab.curves import line_as_curve
-from jointlab.geometry import Line, configuration
+from jointlab.geometry import Configuration, Line
 from jointlab.polynomial import Polynomial, _distinct_points, _fit_at_degree
 
 
@@ -59,9 +59,9 @@ def curve_joint_groups(joints):
     groups = {}
     for p in joints.points:
         group = []
-        for line in sorted(joints.lines_through(p), key=Line.sort_key):
+        for line in joints.lines_through(p):
             axis = next(i for i, v in enumerate(line.direction) if v != 0)
-            t = (tuple(p)[axis] - line.base[axis]) / line.direction[axis]
+            t = (tuple(p)[axis] - tuple(line.base)[axis]) / line.direction[axis]
             group.append((line_as_curve(line), t))
         groups[p] = group
     return groups
@@ -78,7 +78,7 @@ def grid_with_tripods():
     branches = [
         Line((x, 10, 10), v) for x in (10, 20) for v in ((0, 1, 0), (0, 0, 1))
     ]
-    return configuration(3, list(grid(3, 7).lines) + [x_line] + branches)
+    return Configuration(3, list(grid(3, 7).lines) + [x_line] + branches)
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 from jointlab.exact import integer_form
-from jointlab.geometry import JointSet, configuration
+from jointlab.geometry import Configuration, JointSet
 from jointlab.pipeline import PruneResult
 from jointlab.polynomial import Polynomial, monomial_basis
 
@@ -272,11 +272,11 @@ def vec_sub(u, v):
 
 
 def canonical_line_fraction(base, direction):
-    """The canonical fields of Line(base, direction) in Fraction arithmetic:
-    (base, direction, _ints, hash).  The direction is scaled to a primitive
-    integer vector with positive first nonzero entry, and the base is moved
-    along it to the foot of the perpendicular from the origin (the package
-    computes that foot over one integer denominator)."""
+    """The canonical form of Line(base, direction) in Fraction arithmetic:
+    (base, direction).  The direction is scaled to a primitive integer
+    vector with positive first nonzero entry, and the base, a tuple of
+    Fractions, is moved along it to the foot of the perpendicular from the
+    origin (the package computes that foot over one integer denominator)."""
     base, direction = vector(base), vector(direction)
     nums, _ = integer_form(direction)
     g = gcd(*nums)
@@ -284,11 +284,8 @@ def canonical_line_fraction(base, direction):
     if next(c for c in ints if c) < 0:
         ints = [-c for c in ints]
     ints = tuple(ints)
-    direction = tuple(Fraction(c) for c in ints)
-    shift = sum(b * v for b, v in zip(base, direction)) / sum(v * v for v in ints)
-    base = vec_sub(base, tuple(shift * v for v in direction))
-    nums, den = integer_form(base)
-    return base, direction, (ints, tuple(nums), den), hash((base, direction))
+    shift = sum(b * v for b, v in zip(base, ints)) / sum(v * v for v in ints)
+    return vec_sub(base, tuple(shift * v for v in ints)), ints
 
 
 def incident_fraction(line, point):
@@ -391,7 +388,7 @@ def prune_recount(config, joints):
             removed_points.add(p)
             del alive_points[p]
     return PruneResult(
-        surviving=configuration(config.dim, alive_lines),
+        surviving=Configuration(config.dim, alive_lines),
         survivors=JointSet(dict(alive_points)),
         removed_lines=tuple(removed_lines),
         removed_points=frozenset(removed_points),

@@ -1,5 +1,4 @@
 import random
-from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, islice, product
 from math import isqrt
@@ -171,12 +170,6 @@ class TestRank:
     def test_ragged_matrix_rejected(self):
         with pytest.raises(ValueError):
             rank([[1, 2], [1]])
-
-    def test_entries_that_fraction_accepts(self):
-        # Strings, floats and Decimals are read as the rationals they denote.
-        rows = [["1/2", 0.25], [Decimal("0.5"), Fraction(1, 4)]]
-        assert rank(rows) == 1
-        assert nullspace_vector(rows) == (Fraction(-1, 2), Fraction(1))
 
 
 class TestNullspace:

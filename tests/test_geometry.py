@@ -17,7 +17,6 @@ from jointlab.exact import Point, mat_vec
 from jointlab.geometry import (
     Configuration,
     Line,
-    configuration,
     configuration_from_dict,
     configuration_to_dict,
     direction_rank,
@@ -76,7 +75,7 @@ class TestLineCanonicalization:
 
     def test_base_is_perpendicular_foot(self):
         line = Line(vec(5, 0, 0), vec(1, 0, 0))
-        assert line.base == vec(0, 0, 0)
+        assert tuple(line.base) == vec(0, 0, 0)
 
     def test_same_line_from_different_representations(self):
         a = Line(vec(1, 2, 3), vec(2, 2, 2))
@@ -109,21 +108,20 @@ def hyperplane_lines(ts):
 
 
 FAMILIES = {
-    "grid": sorted(grid(3, 3).lines, key=Line.sort_key),
-    "random": sorted(random_config(4, 30, 5, 10).lines, key=Line.sort_key),
+    "grid": grid(3, 3).sorted_lines(),
+    "random": random_config(4, 30, 5, 10).sorted_lines(),
     "hyperplanes": hyperplane_lines([F(0), F(1), F(-2), F("1/2"), F("-4/3"), F(3)]),
 }
 
 
 class TestLineIdentity:
     """Lines are set members and dict keys: the cached hash and the equality
-    on integer forms must agree with the (base, direction) pair they stand
-    for, so set and dict iteration order stays as it was."""
+    must agree with the (direction, base) pair of the canonical form."""
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_hash_is_that_of_base_and_direction(self, family):
         for line in FAMILIES[family]:
-            assert hash(line) == hash((line.base, line.direction))
+            assert hash(line) == hash((line.direction, line.base))
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_rewritten_lines_are_equal_and_hash_equal(self, family):
@@ -151,7 +149,7 @@ class TestLineIdentity:
         assert X_AXIS.__eq__(pair) is NotImplemented
         assert X_AXIS != pair and pair != X_AXIS
         assert X_AXIS != "x-axis" and X_AXIS != None  # noqa: E711
-        config = configuration(3, [X_AXIS])
+        config = Configuration(3, [X_AXIS])
         assert config.__eq__((3, frozenset([X_AXIS]))) is NotImplemented
         assert config != (3, frozenset([X_AXIS])) and config != X_AXIS
 
@@ -161,17 +159,47 @@ class TestLineIdentity:
             line.base = vec(0, 0, 0)
         with pytest.raises(AttributeError):
             line.direction = vec(1, 0, 0)
-        assert line.base == vec(1, 2, 0)
+        assert tuple(line.base) == vec(1, 2, 0)
 
     def test_configuration_identity(self):
         empty = Configuration(3)
         assert empty.n == 0 and empty.lines == frozenset()
         assert empty == Configuration(3, frozenset()) != Configuration(4)
-        same = configuration(3, [Y_AXIS, X_AXIS])
-        assert same == configuration(3, [X_AXIS, Y_AXIS, X_AXIS])
+        same = Configuration(3, [Y_AXIS, X_AXIS])
+        assert same == Configuration(3, iter([X_AXIS, Y_AXIS, X_AXIS]))
+        assert same.sorted_lines() == (Y_AXIS, X_AXIS)
         assert hash(same) == hash((3, frozenset([X_AXIS, Y_AXIS])))
         with pytest.raises(AttributeError):
             same.dim = 4
+
+
+@st.composite
+def configurations(draw):
+    """Lines in d = 2..5 on a few shared directions, with bases of mixed
+    signs and denominators."""
+    dim = draw(st.integers(2, 5))
+    entries = st.integers(-3, 3)
+    directions = draw(
+        st.lists(st.tuples(*[entries] * dim).filter(any), min_size=1, max_size=3)
+    )
+    coordinate = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 4, 6, 7)))
+    drawn = draw(
+        st.lists(
+            st.tuples(st.tuples(*[coordinate] * dim), st.sampled_from(directions)),
+            max_size=20,
+        )
+    )
+    return dim, [Line(base, direction) for base, direction in drawn]
+
+
+class TestConfigurationOrder:
+    @given(configurations())
+    @settings(max_examples=150, deadline=None)
+    def test_lines_sort_as_direction_then_fraction_base(self, drawn):
+        dim, lines = drawn
+        expected = sorted(set(lines), key=lambda l: (l.direction, tuple(l.base)))
+        assert list(Configuration(dim, lines).sorted_lines()) == expected
+        assert Configuration(dim, reversed(lines)).sorted_lines() == tuple(expected)
 
 
 def dot_is_zero(line):
@@ -253,11 +281,11 @@ class TestDirectionRank:
 
 class TestJointPredicates:
     def test_origin_of_axes_is_joint(self):
-        config = configuration(3, [X_AXIS, Y_AXIS, Z_AXIS])
+        config = Configuration(3, [X_AXIS, Y_AXIS, Z_AXIS])
         assert is_joint(config, pt(0, 0, 0))
 
     def test_coplanar_concurrent_lines_are_not_a_joint(self):
-        config = configuration(
+        config = Configuration(
             3,
             [
                 Line(vec(0, 0, 0), vec(1, 0, 0)),
@@ -271,18 +299,18 @@ class TestJointPredicates:
         assert is_joint(grid(3, 2), pt(1, 0, 1))
 
     def test_s_joint_two_lines(self):
-        config = configuration(3, [X_AXIS, Y_AXIS])
+        config = Configuration(3, [X_AXIS, Y_AXIS])
         assert pt(0, 0, 0) in find_s_joints(config, 2)
 
     def test_single_line_never_an_s_joint(self):
-        config = configuration(3, [X_AXIS])
+        config = Configuration(3, [X_AXIS])
         assert pt(1, 0, 0) not in find_s_joints(config, 2)
 
     def test_grid_origin_is_3_joint(self):
         assert pt(0, 0, 0) in find_s_joints(grid(3, 2), 3)
 
     def test_s_out_of_range(self):
-        config = configuration(3, [X_AXIS])
+        config = Configuration(3, [X_AXIS])
         with pytest.raises(ValueError):
             find_s_joints(config, 1)
         with pytest.raises(ValueError):
@@ -299,7 +327,7 @@ class TestFindJoints:
 
     def test_lines_in_one_plane_have_no_joints(self):
         lines = [Line(vec(0, j, 0), vec(1, j + 1, 0)) for j in range(6)]
-        assert len(find_joints(configuration(3, lines))) == 0
+        assert len(find_joints(Configuration(3, lines))) == 0
 
     def test_incidence_invariants(self):
         config = grid(3, 3)
@@ -353,7 +381,7 @@ class TestPairFilterWork:
 
     def test_every_planar_pair_is_met(self, met):
         lines = [Line(vec(j, 0), vec(1, j + 1)) for j in range(6)]
-        find_s_joints(configuration(2, lines), 2)
+        find_s_joints(Configuration(2, lines), 2)
         assert len(met) == 15
 
 
@@ -362,13 +390,13 @@ class TestFindSJoints:
         assert len(find_s_joints(grid(3, 2), 2)) == 8
 
     def test_two_concurrent_lines(self):
-        config = configuration(3, [X_AXIS, Y_AXIS])
+        config = Configuration(3, [X_AXIS, Y_AXIS])
         s_joints = find_s_joints(config, 2)
         assert s_joints.points == (pt(0, 0, 0),)
 
     def test_parallel_family(self):
         lines = [Line(vec(0, j, 0), vec(1, 0, 0)) for j in range(5)]
-        assert len(find_s_joints(configuration(3, lines), 2)) == 0
+        assert len(find_s_joints(Configuration(3, lines), 2)) == 0
 
 
 class TestProjection:
@@ -400,7 +428,7 @@ class TestProjection:
             project_to_generic_flat(grid(3, 2), 3, 1)
 
     def test_single_line(self):
-        config = configuration(3, [X_AXIS])
+        config = Configuration(3, [X_AXIS])
         projection = project_to_generic_flat(config, 2, 5)
         assert projection.config.dim == 2
         assert projection.config.n == 1

@@ -21,6 +21,7 @@ COMMANDS = [
     ["joints", "random.json"],
     ["joints", "orphan.json", "--s", "2"],
     ["fit", "orphan.json", "--minimal"],
+    ["project", "random.json", "--s", "2", "--seed", "3", "-o", "proj.json"],
     ["sweep", "random", "--dim", "3", "--n", "20,40", "--seeds", "1..2",
      "--coord-bound", "2", "--csv", "sweep.csv"],
 ]
@@ -52,7 +53,7 @@ def test_outputs_are_identical_under_two_hash_seeds(tmp_path):
     out0, files0 = run_under_seed("0", tmp_path / "seed0")
     out1, files1 = run_under_seed("1", tmp_path / "seed1")
     assert sorted(files0) == [
-        "orphan.json", "random.json", "sweep.csv", "trace.json"
+        "orphan.json", "proj.json", "random.json", "sweep.csv", "trace.json"
     ]
     assert out0 == out1
     assert files0 == files1

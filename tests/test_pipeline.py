@@ -9,13 +9,14 @@ from jointlab.constructions import grid, grid_plus_orphan, planar_bundle
 from jointlab.errors import InternalInvariantViolation, ZeroPolynomialError
 from jointlab.exact import Point
 from jointlab.geometry import (
+    Configuration,
     JointSet,
     Line,
-    configuration,
     find_joints,
     find_s_joints,
     line_to_dict,
 )
+from jointlab import pipeline
 from jointlab.pipeline import (
     ALL_PRUNED,
     BOUND_HOLDS,
@@ -157,7 +158,7 @@ class TestPruneInvariantCheck:
     def test_stored_directions_below_full_rank(self):
         # three surviving lines through the origin, all in the plane z = 0
         coplanar = [Line(vec(0, 0, 0), v) for v in (vec(1, 0, 0), vec(0, 1, 0), vec(1, 1, 0))]
-        surviving = configuration(3, grid(3, 2).lines | set(coplanar))
+        surviving = Configuration(3, grid(3, 2).lines | set(coplanar))
         survivors = self.tampered(vec(0, 0, 0), coplanar)
         with pytest.raises(InternalInvariantViolation, match="no longer a joint"):
             self.check(surviving, survivors)
@@ -168,7 +169,7 @@ class TestPruneInvariantCheck:
 
     def test_removed_line_still_referenced(self):
         removed = Line(vec(0, 0, 0), vec(1, 0, 0))
-        surviving = configuration(3, grid(3, 2).lines - {removed})
+        surviving = Configuration(3, grid(3, 2).lines - {removed})
         with pytest.raises(InternalInvariantViolation, match="references a removed line"):
             self.check(surviving, find_joints(grid(3, 2)))
 
@@ -236,7 +237,7 @@ class TestGradientCheck:
                 if any(c != 0 for c in v):
                     dirs.append(v)
             lines = [Line(vec(0, 0, 0), v) for v in dirs]
-            config = configuration(d, set(lines))
+            config = Configuration(d, set(lines))
             if len(config.lines) < 3:
                 continue
             forms = []
@@ -276,6 +277,23 @@ class TestTrace:
         assert set(result.per_line_joint_counts.values()) == {4}
         assert len(result.per_line_joint_counts) == 48
 
+    def test_fitted_line_pairs_are_decided_once(self, monkeypatch):
+        """The fit step decides each of the 75 lines of grid(3,5); the
+        cascade then starts at a line where the fit fails, and one more
+        call settles order 0."""
+        calls = []
+        decide = pipeline.vanishes_on_line
+
+        def counting(p, line):
+            calls.append(line)
+            return decide(p, line)
+
+        monkeypatch.setattr(pipeline, "vanishes_on_line", counting)
+        result = trace(grid(3, 5))
+        assert result.cascade_order == -1
+        assert len(calls) == 76
+        assert calls[-1] in calls[:75] and not decide(result.fitted, calls[-1])
+
     def test_planar_bundle_all_pruned(self):
         result = trace(planar_bundle(3, 5))
         assert result.outcome == ALL_PRUNED
@@ -290,7 +308,7 @@ class TestTrace:
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
-            trace(configuration(2, [Line(vec(0, 0), vec(1, 0))]))
+            trace(Configuration(2, [Line(vec(0, 0), vec(1, 0))]))
 
     def test_never_contradiction_bug_on_corpus(self, corpus):
         for name, config in corpus:
@@ -306,11 +324,12 @@ def nine_hyperplanes():
     lines = [
         Line((0, -a * b, a + b), (a * b, -(a + b), 1)) for a, b in combinations(ts, 2)
     ]
-    return configuration(3, lines)
+    return Configuration(3, lines)
 
 
 class TestIntegerPoints:
-    """Joint points stay integers from the pair search through pruning."""
+    """Lines are built and sorted in integers, and joint points stay
+    integers from the pair search through pruning."""
 
     FAMILIES = {
         "grid(3,5)": lambda: grid(3, 5),
@@ -343,13 +362,38 @@ class TestIntegerPoints:
         prune(config, joints)
         assert built == [(len(joints), 2 * config.n)]
 
+    @pytest.mark.parametrize("form", ["int", "fraction"])
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_building_and_sorting_lines_build_no_fractions(self, name, form, built):
+        """Each line is given by another of its points and a non-primitive
+        direction, as ints where integral or as Fractions throughout."""
+        config = self.FAMILIES[name]()
+        if form == "int":
+            def entry(c):
+                return int(c) if c.denominator == 1 else c
+            scale = -2
+        else:
+            entry, scale = Fraction, Fraction(-3, 2)
+        inputs = [
+            (
+                tuple(map(entry, line.point_at(1))),
+                tuple(entry(scale * c) for c in line.direction),
+            )
+            for line in reversed(config.sorted_lines())
+        ]
+        built.clear()
+        rebuilt = Configuration(config.dim, [Line(*given) for given in inputs])
+        order = rebuilt.sorted_lines()
+        assert built == []
+        assert rebuilt == config and order == config.sorted_lines()
+
 
 class TestTraceJson:
     def test_counts_in_the_order_of_the_surviving_lines(self):
         """per_line_joint_counts is written in the survivors' sorted_lines()
         order, also when pruning removes a line from the middle of it."""
         extra = [Line(vec(0, 10, 0), vec(0, 1, 1)), Line(vec(20, 0, 0), vec(0, 1, -1))]
-        config = configuration(3, list(grid(3, 3).lines) + extra)
+        config = Configuration(3, list(grid(3, 3).lines) + extra)
         survivors = prune(config, find_joints(config)).surviving
         assert survivors == grid(3, 3)
         order = config.sorted_lines()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from jointlab import curves, polynomial
 from jointlab.errors import DimensionMismatchError
 from jointlab.exact import Point, nullspace_vector
-from jointlab.geometry import Line, configuration
+from jointlab.geometry import Configuration, Line
 from jointlab.pipeline import trace
 from jointlab.polynomial import (
     Polynomial,
@@ -251,7 +251,7 @@ class TestVanishesOnLine:
             Line(vec(0, -a * b, a + b), vec(a * b, -(a + b), 1))
             for a, b in combinations(range(1, 8), 2)
         ]
-        trace(configuration(3, lines))
+        trace(Configuration(3, lines))
         assert calls == []
         restrict_to_line(poly("x1"), lines[0])
         assert len(calls) == 1
