@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, FileFormatError
-from .exact import Point, Vector, _Frozen, rank
+from .exact import Point, Vector, _Frozen, integer_form, rank
 from .geometry import JointSet, Line, parse_coords, read_json
 from .pipeline import peel
 from .polynomial import (
@@ -131,7 +131,7 @@ def curve_joint(pairs: Sequence[tuple[ParamCurve, Fraction]]) -> bool:
             tangents.append(tangent)
     if not tangents:
         return False
-    return rank(tangents) == d
+    return rank([integer_form(tangent)[0] for tangent in tangents]) == d
 
 
 def curve_joint_set(
@@ -210,9 +210,10 @@ class CurvePruneResult(NamedTuple):
 def curve_prune(cfg: CurveConfiguration, joints: JointSet) -> CurvePruneResult:
     """Remove curves carrying fewer than m * deg / (2n) surviving joints.
 
-    The line fixpoint :func:`~jointlab.pipeline.peel`, with each curve's
-    threshold scaled by its degree; thresholds are frozen at the start, and
-    fewer than m/2 joints are lost in total.
+    The line fixpoint :func:`~jointlab.pipeline.peel`, which works each
+    curve's threshold out from its degree; thresholds are frozen at the
+    start, and fewer than m/2 joints are lost in total.  The result lists
+    the thresholds as Fractions.
     """
     n = cfg.total_degree
     if n < 1:
@@ -220,9 +221,7 @@ def curve_prune(cfg: CurveConfiguration, joints: JointSet) -> CurvePruneResult:
     m = len(joints)
     thresholds = {c: Fraction(m * c.degree, 2 * n) for c in cfg.curves}
     curves = sorted(cfg.curves, key=lambda c: (c.degree, c.coords))
-    removed, removed_points, survivors = peel(
-        curves, [thresholds[c] for c in curves], joints
-    )
+    removed, removed_points, survivors = peel(curves, joints)
     dead = set(removed)
     surviving = tuple(c for c in curves if c not in dead)
     return CurvePruneResult(

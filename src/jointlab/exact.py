@@ -2,25 +2,27 @@
 
 Scalars are arbitrary-precision rationals (``fractions.Fraction``), so every
 comparison in the toolkit is an exact decision rather than a tolerance check.
+Integer literals are read as ints, and ints serve wherever a rational does.
 
-Rank and nullspace come from one certified modular walk.  Rows are scaled to
-integers once, by :func:`integer_form`, and eliminated modulo a prime below
-2^61, so every intermediate stays a few machine words long (Cabay, "Exact
-solution of linear equations", SYMSAC 1971).  The kernel vectors an answer needs are
-back-substituted mod p, recovered as rationals by rational reconstruction
-(Wang, Guy and Davenport, "P-adic reconstruction of rational numbers",
-SIGSAM Bull. 1982) and checked exactly in integers, M x = 0.  The checks
-prove that the pivots found mod p are the rational ones, so every answer is
-exact and is the one the selection rule defines.  When a reconstruction or a
-check fails, the next prime joins by the Chinese remainder theorem.
+Rank and nullspace come from one certified modular walk over integer rows.
+A caller with rational rows scales each to integers first, by
+:func:`integer_form`, which changes neither rank nor nullspace.  The rows are
+eliminated modulo a prime below 2^61, so every intermediate stays a few
+machine words long (Cabay, "Exact solution of linear equations", SYMSAC
+1971).  The kernel vectors an answer needs are back-substituted mod p,
+recovered as integer numerators over one denominator by rational
+reconstruction (Wang, Guy and Davenport, "P-adic reconstruction of rational
+numbers", SIGSAM Bull. 1982) and checked exactly in integers, M x = 0.  The
+checks prove that the pivots found mod p are the rational ones, so every
+answer is exact and is the one the selection rule defines.  When a
+reconstruction or a check fails, the next prime joins by the Chinese
+remainder theorem.  The kernel names no Fraction: integers in, integers out.
 
-Inputs are sequences of ints or Fractions, taken as they are: each is
-converted to integers once, by :func:`integer_form`, where an integer
-decision needs it.  Rational results are tuples of Fractions and matrices
-are sequences of rows; both are treated as immutable values throughout.
-A :class:`Point` is a rational point kept in integers, numerators over one
-denominator; the package's joint points are Points, and Fractions are made
-from them only to print or evaluate.
+Rational results are tuples of Fractions and matrices are sequences of rows;
+both are treated as immutable values throughout.  A :class:`Point` is a
+rational point kept in integers, numerators over one denominator; the
+package's joint points are Points, and Fractions are made from them only to
+print or evaluate.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ Vector = tuple[Fraction, ...]
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(?:/[0-9]+)?$")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse a rational literal like ``"3"`` or ``"-7/2"``.
+def parse_rational(text: str) -> int | Fraction:
+    """Parse a rational literal: ``"3"`` gives the int 3, ``"-7/2"`` the
+    Fraction -7/2.
 
     Non-reduced forms are normalized; a zero denominator is rejected.
     """
@@ -52,7 +55,7 @@ def parse_rational(text: str) -> Fraction:
         if int(den) == 0:
             raise ValueError(f"zero denominator in rational literal {text!r}")
         return Fraction(int(num), int(den))
-    return Fraction(int(literal))
+    return int(literal)
 
 
 def format_rational(value: int | Fraction) -> str:
@@ -63,15 +66,16 @@ def format_rational(value: int | Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def mat_vec(rows: Sequence[Sequence], x: Sequence) -> Vector:
-    """The product of a matrix and a vector of ints or Fractions."""
+def mat_vec(rows: Sequence[Sequence], x: Sequence) -> tuple:
+    """The product of a matrix and a vector of ints or Fractions; with ints
+    only, the entries are ints."""
     out = []
     for row in rows:
         if len(row) != len(x):
             raise DimensionMismatchError(
                 f"vector dimensions differ: {len(row)} vs {len(x)}"
             )
-        out.append(sum(map(mul, row, x), start=Fraction(0)))
+        out.append(sum(map(mul, row, x)))
     return tuple(out)
 
 
@@ -315,19 +319,13 @@ def _in_kernel(
     return not any(acc)
 
 
-def _integer_row(row: Sequence) -> Sequence[int]:
-    """The row scaled to integers; a row of ints is returned as it is."""
-    if all(type(v) is int for v in row):
-        return row
-    return integer_form(row)[0]
-
-
-def _certified_walk(matrix: Sequence[Sequence], select: bool):
+def _certified_walk(rows: Sequence[Sequence[int]], select: bool):
     """The pivot columns over Q and, if select, the selection rule's kernel
-    vector (None when the kernel is zero); without select, None.
+    vector as ``(nums, den)`` (None when the kernel is zero); without
+    select, None.
 
-    Entries are ints or Fractions.  Each row is scaled to integers, which
-    changes neither rank nor nullspace.
+    Entries are ints, and the vector is the :func:`integer_form` of the
+    rational one: den > 0, and den and nums have gcd 1.
 
     Certificate.  Pivots found mod p are pivots over Q, since a minor that
     is nonzero mod p is nonzero.  A free column the walk reached is free
@@ -343,7 +341,6 @@ def _certified_walk(matrix: Sequence[Sequence], select: bool):
     skipped.  No prime's key is below that of the rational pivots, and all
     but finitely many primes have that key, so the loop ends.
     """
-    rows = [_integer_row(row) for row in matrix]
     if len({len(row) for row in rows}) > 1:
         raise ValueError("matrix rows have unequal lengths")
     m = len(rows)
@@ -384,24 +381,28 @@ def _certified_walk(matrix: Sequence[Sequence], select: bool):
             if not select:
                 return pivots, None
             nums, den = found[-1]
-            x = [Fraction(0)] * n
-            x[needed[-1]] = Fraction(1)
+            g = gcd(den, *nums)
+            x = [0] * n
+            x[needed[-1]] = den // g
             for j, a in zip(pivots, nums):
-                x[j] = Fraction(a, den)
-            return pivots, tuple(x)
+                x[j] = a // g
+            return pivots, (x, den // g)
 
 
-def rank(matrix: Sequence[Sequence]) -> int:
-    """Exact rank over the rationals; an empty matrix has rank 0."""
-    return len(_certified_walk(matrix, select=False)[0])
+def rank(rows: Sequence[Sequence[int]]) -> int:
+    """Exact rank over the rationals of integer rows; an empty matrix has
+    rank 0."""
+    return len(_certified_walk(rows, select=False)[0])
 
 
-def nullspace_vector(matrix: Sequence[Sequence]) -> Vector | None:
-    """One exact nonzero solution of M x = 0, or None if only x = 0 works.
+def nullspace_vector(rows: Sequence[Sequence[int]]) -> tuple[list[int], int] | None:
+    """One exact nonzero solution x of M x = 0 for integer rows, as
+    ``(nums, den)`` with x = nums / den in its :func:`integer_form`, or None
+    if only x = 0 works.
 
     Selection rule, fixed for reproducibility: the highest-index free column
     is set to 1, every other free column to 0, and the pivot variables are
     back-substituted.  When the walk stopped early, that column is the last
     one, and the only column past the last pivot that is ever reduced.
     """
-    return _certified_walk(matrix, select=True)[1]
+    return _certified_walk(rows, select=True)[1]

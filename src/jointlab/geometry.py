@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import random
-from fractions import Fraction
 from math import factorial, gcd
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -28,7 +27,6 @@ from .errors import (
 )
 from .exact import (
     Point,
-    Vector,
     _common_key,
     _Frozen,
     format_rational,
@@ -64,10 +62,11 @@ class Line(_Frozen):
     denominator, that foot is (P |v|^2 - (P.v) v) / (q |v|^2), which the
     Point reduces.  Equal lines have equal fields.  The hash, that of
     ``(direction, base)``, is cached because lines are set members and dict
-    keys throughout.  Lines are immutable.
+    keys throughout.  Lines are immutable, and as curves they have degree 1.
     """
 
     __slots__ = ("direction", "base", "_hash")
+    degree = 1
 
     def __init__(self, base: Sequence, direction: Sequence):
         if len(base) != len(direction):
@@ -98,10 +97,6 @@ class Line(_Frozen):
     @property
     def dim(self) -> int:
         return len(self.direction)
-
-    def point_at(self, t) -> Vector:
-        t = Fraction(t)
-        return tuple(b + t * v for b, v in zip(self.base, self.direction))
 
     def __repr__(self):
         base = ", ".join(format_rational(c) for c in self.base)
@@ -421,7 +416,9 @@ def project_to_generic_flat(config: Configuration, s: int, seed: int) -> Project
             continue  # some direction mapped to zero
         if len(set(images.values())) != len(lines):
             continue
-        projected_points = [mat_vec(matrix, p) for p in s_joints.points]
+        projected_points = [
+            Point(mat_vec(matrix, p.nums), p.den) for p in s_joints.points
+        ]
         if len(set(projected_points)) != len(projected_points):
             continue
         return Projection(
@@ -454,9 +451,10 @@ def configuration_to_dict(config: Configuration) -> dict:
     }
 
 
-def parse_coords(values, where: str, dim: int | None = None) -> Vector:
-    """Rationals from a JSON list of strings like "-7/2"; ``dim``, when
-    given, is the required length.  Errors name the offending entry."""
+def parse_coords(values, where: str, dim: int | None = None) -> tuple:
+    """Rationals from a JSON list of strings like "3" or "-7/2", as ints and
+    Fractions; ``dim``, when given, is the required length.  Errors name the
+    offending entry."""
     if not isinstance(values, list) or dim is not None and len(values) != dim:
         count = "" if dim is None else f"{dim} "
         raise FileFormatError(f"{where}: expected a list of {count}rationals")

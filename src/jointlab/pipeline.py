@@ -7,10 +7,11 @@ of a vanishing polynomial, fit one, and drive the derivative cascade.  The
 interesting output is *which* hypothesis fails on the instance, recorded
 step by step in a narrative.
 
-Every comparison along the way is exact: the pruning threshold m/(2n) is a
-rational, the inequality m <= A * n^(d/(d-1)) is decided in the equivalent
-integer form m^(d-1) <= 2^(d+1) * d! * n^d, and "vanishes identically on a
-line" is decided by exact integer values at deg p + 1 points of the line.
+Every comparison along the way is exact and made in integers: a line
+carries fewer than m/(2n) joints when 2n * count < m, the inequality
+m <= A * n^(d/(d-1)) is decided in the equivalent form
+m^(d-1) <= 2^(d+1) * d! * n^d, and "vanishes identically on a line" is
+decided by exact integer values at deg p + 1 points of the line.
 """
 
 from __future__ import annotations
@@ -106,25 +107,25 @@ def _surviving_counts(joints: JointSet, alive_lines: list[Line]) -> dict[Line, i
     return counts
 
 
-def peel(
-    items: list, thresholds: list[Fraction], joints: JointSet
-) -> tuple[list, set[Point], JointSet]:
-    """Remove items (lines or curves) that carry fewer surviving joints than
-    their frozen thresholds, until none does.
+def peel(items: list, joints: JointSet) -> tuple[list, set[Point], JointSet]:
+    """Remove items (lines or curves) that carry fewer than m * deg / (2n)
+    surviving joints, until none does.
 
-    ``items`` is in canonical order and ``thresholds[i]`` belongs to
-    ``items[i]``.  Among currently eligible items the first in canonical order
-    goes, and its surviving joints go with it, so surviving joints never
-    reference removed items.  Returns the removed items in removal order, the
-    removed points, and the surviving joints.
+    ``items`` is in canonical order; each has a ``degree`` (1 for a line),
+    n is their total degree and m the number of joints.  The thresholds are
+    frozen at the start and decided in integers: an item is eligible while
+    2n * count < m * deg.  Among currently eligible items the first in
+    canonical order goes, and its surviving joints go with it, so surviving
+    joints never reference removed items.  Returns the removed items in
+    removal order, the removed points, and the surviving joints.
 
     Counts only fall and thresholds are frozen, so an item once eligible
     stays eligible until removed.  The counts are therefore taken once and
     peeled: a min-heap holds the canonical indices of eligible items, and
     each dying joint decrements the counts of its other items.  Equal items
     share their joints and are counted alike.  Each removal loses fewer
-    joints than its threshold, so thresholds summing to m/2, as those of
-    prune and curve_prune do, lose fewer than m/2 joints; that is checked.
+    joints than its threshold, and the thresholds sum to m/2, so fewer than
+    m/2 joints are lost; that is checked.
     """
     slots: dict = {}
     for i, item in enumerate(items):
@@ -135,8 +136,10 @@ def peel(
             # experiment subsets may reference other lines
             for i in slots.get(item, ()):
                 points_on[i].append(p)
+    two_n = 2 * sum(item.degree for item in items)
+    bars = [len(joints) * item.degree for item in items]  # 2n times a threshold
     counts = [len(on) for on in points_on]
-    eligible = [i for i, count in enumerate(counts) if count < thresholds[i]]
+    eligible = [i for i, count in enumerate(counts) if two_n * count < bars[i]]
     heapq.heapify(eligible)
     removed: list = []
     removed_points: set[Point] = set()
@@ -154,7 +157,7 @@ def peel(
                         continue
                     counts[i] -= 1
                     # push once, when the item just became eligible
-                    if counts[i] < thresholds[i] <= counts[i] + 1:
+                    if two_n * counts[i] < bars[i] <= two_n * (counts[i] + 1):
                         heapq.heappush(eligible, i)
 
     if removed_points and not 2 * len(removed_points) < len(joints):
@@ -174,15 +177,17 @@ def peel(
 def prune(config: Configuration, joints: JointSet) -> PruneResult:
     """Iteratively remove lines carrying fewer than m/(2n) surviving joints.
 
-    The threshold stays frozen at its initial value; :func:`peel` fixes the
-    removal order and removes each line's surviving joints with it.
+    :func:`peel` works the frozen threshold out in integers from the lines'
+    degrees, 1 each, fixes the removal order and removes each line's
+    surviving joints with it.  The result keeps the threshold as a Fraction,
+    and the invariant check decides again in that arithmetic.
     """
     n = config.n
     if n < 1:
         raise ValueError("cannot prune an empty configuration")
     threshold = Fraction(len(joints), 2 * n)
     lines = config.sorted_lines()
-    removed_lines, removed_points, survivors = peel(lines, [threshold] * n, joints)
+    removed_lines, removed_points, survivors = peel(lines, joints)
     dead = set(removed_lines)
     surviving = Configuration(config.dim, (l for l in lines if l not in dead))
     _check_prune_invariants(surviving, survivors, threshold)

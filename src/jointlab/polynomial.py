@@ -326,15 +326,15 @@ def _fit_at_degree(pts: list[Point], d: int, b: int) -> Polynomial | None:
     if not pts:
         return Polynomial(d, {basis[0]: Fraction(1)})
     matrix = _evaluation_matrix(pts, basis)
-    coeffs = nullspace_vector(matrix)
-    if coeffs is None:
+    found = nullspace_vector(matrix)
+    if found is None:
         return None
-    poly = Polynomial(d, dict(zip(basis, coeffs)))
+    nums, den = found
+    poly = Polynomial(d, {e: Fraction(n, den) for e, n in zip(basis, nums) if n})
     if poly.is_zero():
         raise InternalInvariantViolation("nullspace vector produced zero polynomial")
     # Row i is the monomials at point i times a nonzero integer, so the fit
     # vanishes at every point exactly when the integer coefficients give M x = 0.
-    nums, _ = integer_form(coeffs)
     for pt, row in zip(pts, matrix):
         if sum(map(mul, row, nums)):
             raise InternalInvariantViolation(

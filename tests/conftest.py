@@ -6,7 +6,7 @@ from math import isqrt
 import pytest
 
 from jointlab import exact
-from jointlab.exact import Point
+from jointlab.exact import Point, integer_form
 from jointlab.constructions import grid, grid_plus_orphan, planar_bundle, random_config
 from jointlab.curves import line_as_curve
 from jointlab.geometry import Configuration, Line
@@ -22,6 +22,18 @@ def fit_vanishing_at_degree(points, d: int, b: int):
     """The fit at degree b, with the points prepared as fit_vanishing and
     minimal_fit prepare them: deduplicated and sorted."""
     return _fit_at_degree(_distinct_points(points, d), d, b)
+
+
+def line_point(line, t):
+    """The point base + t * direction of the line, as Fractions."""
+    t = Fraction(t)
+    return tuple(b + t * v for b, v in zip(line.base, line.direction))
+
+
+def integer_rows(matrix):
+    """Each row scaled to integers by integer_form, as the exact kernel
+    takes them; scaling a row changes neither rank nor nullspace."""
+    return [integer_form(row)[0] for row in matrix]
 
 
 def poly_product(dim: int, factors) -> Polynomial:

@@ -27,6 +27,8 @@ from jointlab.geometry import Configuration, JointSet
 from jointlab.pipeline import PruneResult
 from jointlab.polynomial import Polynomial, monomial_basis
 
+from conftest import line_point
+
 
 def reduced_row_echelon(matrix):
     """Plain rational Gauss-Jordan: (reduced rows, pivot columns)."""
@@ -255,7 +257,7 @@ def vanishes_on_line_by_sampling(p, line, samples: int) -> bool:
     Sound whenever samples > deg of the restriction: a nonzero univariate
     polynomial cannot have that many roots.
     """
-    return all(p.evaluate(line.point_at(t)) == 0 for t in range(samples))
+    return all(p.evaluate(line_point(line, t)) == 0 for t in range(samples))
 
 
 def vanishes_on_curve_by_sampling(p, curve, samples: int) -> bool:

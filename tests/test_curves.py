@@ -130,6 +130,22 @@ class TestCurveJoint:
         l3 = line_as_curve(Line(vec(0, 0, 0), vec(1, 1, 0)))
         assert not curve_joint([(l1, F(0)), (l2, F(0)), (l3, F(0))])
 
+    def test_rational_parameter_with_unlike_tangent_denominators(self):
+        # The moment curve at t = 1/2 passes (1/2, 1/4, 1/8) with tangent
+        # (1, 1, 3/4); the others pass there at t = 0 with tangents
+        # (0, 1/3, 0), (0, 0, 1/5) and (2/3, 2/3, 1/2), the last parallel
+        # to the moment curve's.  Each tangent reaches the rank as integers.
+        half = F("1/2")
+        side = ParamCurve((uni(half), uni(F("1/4"), F("1/3")), uni(F("1/8"))))
+        up = ParamCurve((uni(half), uni(F("1/4")), uni(F("1/8"), F("1/5"))))
+        along = ParamCurve(
+            (uni(half, F("2/3")), uni(F("1/4"), F("2/3")), uni(F("1/8"), half))
+        )
+        assert tangent_at(MOMENT, half) == vec(1, 1, F("3/4"))
+        assert tangent_at(along, 0) == vec(F("2/3"), F("2/3"), half)
+        assert curve_joint([(MOMENT, half), (side, F(0)), (up, F(0))])
+        assert not curve_joint([(MOMENT, half), (side, F(0)), (along, F(0))])
+
 
 class TestRestriction:
     def test_moment_curve_identities(self):

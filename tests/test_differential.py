@@ -14,7 +14,9 @@ system is eliminated, so the rank, the kernel vector and the fits must equal
 the Gauss-Jordan reference exactly.  Matrix shapes are drawn to reach every
 path of the left-looking walk: wide with a pivot in every row (the walk
 stops early), rows that fill only at the last column, rank-deficient wide
-and tall, zero rows and columns, and int and Fraction entries.
+and tall, zero rows and columns, and int and Fraction entries.  The
+references take the rows as drawn; the kernel takes them scaled to
+integers and returns the integer form of the reference's vector.
 The kernel and fit tests run again with the primes 3, 5, 7, ..., which are
 often unlucky and too small to hold an answer, so the modular kernel's
 restarts, skipped primes and CRT steps all run.
@@ -45,7 +47,7 @@ from jointlab.curves import (
     line_as_curve,
 )
 from jointlab.constructions import grid
-from jointlab.exact import Point, nullspace_vector, rank
+from jointlab.exact import Point, integer_form, nullspace_vector, rank
 from jointlab.geometry import (
     Configuration,
     Line,
@@ -69,6 +71,8 @@ from conftest import (
     curve_joint_groups,
     fit_vanishing_at_degree,
     grid_with_tripods,
+    integer_rows,
+    line_point,
     poly_product,
     prime_source,
     small_primes,
@@ -187,7 +191,7 @@ def tripod_chains(draw):
         lines.append(spine)
         params = draw(st.lists(st.integers(20, 40), min_size=2, max_size=3, unique=True))
         for t in params:
-            foot = spine.point_at(t)
+            foot = line_point(spine, t)
             lines.extend(Line(foot, draw(directions(3))) for _ in range(2))
     return Configuration(3, lines)
 
@@ -313,7 +317,7 @@ class TestPairFilterAgainstReference:
     @settings(max_examples=200, deadline=None)
     def test_incidence_equals_the_fraction_reference(self, drawn, t, shift):
         line = Line(*drawn)
-        on = line.point_at(t)
+        on = line_point(line, t)
         near = tuple(a + b for a, b in zip(on, shift))
         for point in (on, near):
             assert incident(line, Point.of(point)) == incident_fraction(line, point)
@@ -539,8 +543,13 @@ def kernel_cases(draw):
 
 
 def assert_kernel_matches(matrix):
-    assert rank(matrix) == rank_naive(matrix)
-    assert nullspace_vector(matrix) == nullspace_vector_naive(matrix)
+    """The kernel, on the rows scaled to integers, against the reference on
+    the rows as written."""
+    rows = integer_rows(matrix)
+    assert rank(rows) == rank_naive(matrix)
+    reference = nullspace_vector_naive(matrix)
+    expected = None if reference is None else integer_form(reference)
+    assert nullspace_vector(rows) == expected
 
 
 class TestKernelAgainstReference:
@@ -558,6 +567,8 @@ class TestKernelAgainstReference:
     @given(kernel_cases())
     @settings(max_examples=100, deadline=None)
     def test_modular_bareiss_and_gauss_jordan_agree(self, matrix):
-        assert rank(matrix) == rank_bareiss(matrix) == rank_naive(matrix)
-        x = nullspace_vector(matrix)
-        assert x == nullspace_vector_bareiss(matrix) == nullspace_vector_naive(matrix)
+        rows = integer_rows(matrix)
+        assert rank(rows) == rank_bareiss(matrix) == rank_naive(matrix)
+        x = nullspace_vector_naive(matrix)
+        assert x == nullspace_vector_bareiss(matrix)
+        assert nullspace_vector(rows) == (None if x is None else integer_form(x))

@@ -21,7 +21,7 @@ from jointlab.exact import (
 )
 from jointlab.polynomial import fit_vanishing, min_fit_degree, monomial_basis
 
-from conftest import cube_points, prime_source, small_primes
+from conftest import cube_points, integer_rows, prime_source, small_primes
 from oracles import (
     evaluation_matrix_fraction,
     fit_naive,
@@ -52,6 +52,7 @@ def cube_evaluation_matrix(b: int):
 class TestRationalText:
     def test_plain_integer(self):
         assert parse_rational("3") == Fraction(3)
+        assert type(parse_rational("-3")) is int
         assert format_rational(Fraction(3)) == "3"
 
     def test_fraction(self):
@@ -60,6 +61,7 @@ class TestRationalText:
 
     def test_normalizes_non_reduced(self):
         assert parse_rational("6/4") == Fraction(3, 2)
+        assert type(parse_rational("6/3")) is Fraction
 
     def test_rejects_zero_denominator(self):
         with pytest.raises(ValueError):
@@ -159,13 +161,15 @@ class TestRank:
         # x_i^2 = x_i on {0,1} leave 7 independent columns of the 10.
         matrix = cube_evaluation_matrix(2)
         assert rank_naive(matrix) == 7
-        assert rank(matrix) == 7
+        assert rank(integer_rows(matrix)) == 7
 
     def test_rational_entries(self):
         # det = 1/2 - 1 = -1/2, so full rank despite the fractions.
-        assert rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3), Fraction(1)]]) == 2
+        full = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3), Fraction(1)]]
+        assert rank(integer_rows(full)) == 2
         # Scaled second row makes the rows proportional.
-        assert rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3), Fraction(2)]]) == 1
+        flat = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3), Fraction(2)]]
+        assert rank(integer_rows(flat)) == 1
 
     def test_ragged_matrix_rejected(self):
         with pytest.raises(ValueError):
@@ -174,25 +178,27 @@ class TestRank:
 
 class TestNullspace:
     def test_single_equation(self):
-        assert nullspace_vector([[1, 1]]) == (Fraction(-1), Fraction(1))
+        assert nullspace_vector([[1, 1]]) == integer_form((Fraction(-1), Fraction(1)))
 
     def test_full_column_rank(self):
         assert nullspace_vector([[1, 0], [0, 1]]) is None
 
     def test_cube_matrix_gives_x1_squared_minus_x1(self):
         matrix = cube_evaluation_matrix(2)
-        x = nullspace_vector(matrix)
+        nums, den = nullspace_vector(integer_rows(matrix))
+        x = [Fraction(n, den) for n in nums]
         basis = monomial_basis(3, 2)
         expected = {(2, 0, 0): Fraction(1), (1, 0, 0): Fraction(-1)}
         got = {e: c for e, c in zip(basis, x) if c != 0}
         assert got == expected
+        assert (nums, den) == integer_form(x)
         for row in matrix:
             assert sum(a * b for a, b in zip(row, x)) == 0
 
     def test_vacuous_system_selects_last_coordinate(self):
         # All columns free: the selection rule picks the highest-index one.
         x = nullspace_vector([[0, 0, 0]])
-        assert x == (Fraction(0), Fraction(0), Fraction(1))
+        assert x == integer_form((Fraction(0), Fraction(0), Fraction(1)))
 
 
 def random_matrix(rng, max_size=8, bound=9):
@@ -215,11 +221,14 @@ class TestEliminationProperties:
         found = 0
         for _ in range(80):
             matrix = random_matrix(rng, max_size=6)
-            x = nullspace_vector(matrix)
-            if x is None:
+            found_x = nullspace_vector(matrix)
+            if found_x is None:
                 continue
             found += 1
+            nums, den = found_x
+            x = [Fraction(n, den) for n in nums]
             assert any(c != 0 for c in x)
+            assert (nums, den) == integer_form(x)
             for row in matrix:
                 assert sum(Fraction(a) * b for a, b in zip(row, x)) == 0
         assert found > 10
@@ -242,7 +251,7 @@ class TestEliminationProperties:
         i = rnd.randrange(len(rows))
         scaled = [list(r) for r in rows]
         scaled[i] = [scale * v for v in scaled[i]]
-        assert rank(scaled) == base
+        assert rank(integer_rows(scaled)) == base
 
 
 def hyperplane_joints(ts):
@@ -315,8 +324,11 @@ class TestModularRarePaths:
     P = 2**61 - 1  # the first prime of the kernel
 
     def assert_matches_reference(self, matrix):
-        assert rank(matrix) == rank_naive(matrix)
-        assert nullspace_vector(matrix) == nullspace_vector_naive(matrix)
+        rows = integer_rows(matrix)
+        assert rank(rows) == rank_naive(matrix)
+        reference = nullspace_vector_naive(matrix)
+        expected = None if reference is None else integer_form(reference)
+        assert nullspace_vector(rows) == expected
 
     def test_primes_descend_from_the_mersenne_prime(self):
         first = list(islice(exact._primes(), 3))
@@ -371,7 +383,7 @@ class TestModularRarePaths:
     def test_first_prime_with_later_pivots_restarts(self):
         drawn = []
         with prime_source(draws(small_primes, drawn)):
-            assert nullspace_vector([[3, 1, 1]]) == (Fraction(-1, 3), 0, 1)
+            assert nullspace_vector([[3, 1, 1]]) == integer_form((Fraction(-1, 3), 0, 1))
         # 3 puts the pivot at column 1, 5 at column 0 but cannot hold -1/3
         # alone, 7 joins 5 by CRT
         assert drawn == [3, 5, 7]
@@ -382,7 +394,7 @@ class TestModularRarePaths:
 
         drawn = []
         with prime_source(draws(source, drawn)):
-            assert nullspace_vector([[3, 1, 1]]) == (Fraction(-1, 3), 0, 1)
+            assert nullspace_vector([[3, 1, 1]]) == integer_form((Fraction(-1, 3), 0, 1))
         # 5 puts the pivot at column 0 but cannot hold -1/3 alone, 3 puts it
         # at column 1 and is skipped, 7 joins 5 by CRT
         assert drawn == [5, 3, 7]
@@ -399,7 +411,9 @@ class TestThreeReferences:
     )
     def test_fit_matrices(self, points):
         matrix = fit_matrix(points, 3)
-        assert rank(matrix) == rank_bareiss(matrix) == rank_naive(matrix)
-        x = nullspace_vector(matrix)
+        rows = integer_rows(matrix)
+        assert rank(rows) == rank_bareiss(matrix) == rank_naive(matrix)
+        x = nullspace_vector_naive(matrix)
         assert x is not None
-        assert x == nullspace_vector_bareiss(matrix) == nullspace_vector_naive(matrix)
+        assert x == nullspace_vector_bareiss(matrix)
+        assert nullspace_vector(rows) == integer_form(x)

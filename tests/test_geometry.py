@@ -30,7 +30,7 @@ from jointlab.geometry import (
     save_configuration,
 )
 
-from conftest import cube_points
+from conftest import cube_points, line_point
 
 
 def F(v):
@@ -127,7 +127,7 @@ class TestLineIdentity:
     def test_rewritten_lines_are_equal_and_hash_equal(self, family):
         for k, line in enumerate(FAMILIES[family]):
             scale = Fraction(-3, 2) if k % 2 else Fraction(5)
-            shifted = line.point_at(Fraction(k + 1, 3))
+            shifted = line_point(line, Fraction(k + 1, 3))
             other = Line(shifted, tuple(scale * c for c in line.direction))
             assert other == line and not other != line
             assert hash(other) == hash(line)
@@ -224,7 +224,7 @@ class TestIncidence:
     @given(lines(), rationals)
     @settings(max_examples=80)
     def test_incident_at_every_parameter(self, line, t):
-        assert incident(line, Point.of(line.point_at(t)))
+        assert incident(line, Point.of(line_point(line, t)))
 
 
 class TestIntersection:

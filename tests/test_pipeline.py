@@ -15,6 +15,8 @@ from jointlab.geometry import (
     find_joints,
     find_s_joints,
     line_to_dict,
+    load_configuration,
+    save_configuration,
 )
 from jointlab import pipeline
 from jointlab.pipeline import (
@@ -34,7 +36,7 @@ from jointlab.pipeline import (
 )
 from jointlab.polynomial import Polynomial, polynomial_from_text
 
-from conftest import grid_with_tripods, poly_product
+from conftest import grid_with_tripods, line_point, poly_product
 
 
 def F(v):
@@ -204,7 +206,7 @@ class TestCascade:
         restricted = q.evaluate(vec(0, 0, 2))
         assert restricted != 0
         assert not all(
-            q.evaluate(z_line.point_at(t)) == 0 for t in range(4)
+            q.evaluate(line_point(z_line, t)) == 0 for t in range(4)
         )
 
 
@@ -328,7 +330,7 @@ def nine_hyperplanes():
 
 
 class TestIntegerPoints:
-    """Lines are built and sorted in integers, and joint points stay
+    """Lines are read, built and sorted in integers, and joint points stay
     integers from the pair search through pruning."""
 
     FAMILIES = {
@@ -362,6 +364,16 @@ class TestIntegerPoints:
         prune(config, joints)
         assert built == [(len(joints), 2 * config.n)]
 
+    @pytest.mark.parametrize("config", [grid(3, 5), grid(4, 3)], ids=["3,5", "4,3"])
+    def test_loading_an_all_integer_file_builds_no_fractions(
+        self, config, tmp_path, built
+    ):
+        path = tmp_path / "grid.json"
+        save_configuration(config, path)
+        built.clear()
+        assert load_configuration(path) == config
+        assert built == []
+
     @pytest.mark.parametrize("form", ["int", "fraction"])
     @pytest.mark.parametrize("name", list(FAMILIES))
     def test_building_and_sorting_lines_build_no_fractions(self, name, form, built):
@@ -376,7 +388,7 @@ class TestIntegerPoints:
             entry, scale = Fraction, Fraction(-3, 2)
         inputs = [
             (
-                tuple(map(entry, line.point_at(1))),
+                tuple(map(entry, line_point(line, 1))),
                 tuple(entry(scale * c) for c in line.direction),
             )
             for line in reversed(config.sorted_lines())

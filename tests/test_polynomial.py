@@ -30,7 +30,12 @@ from jointlab.polynomial import (
     vanishes_on_line,
 )
 
-from conftest import cube_points, fit_vanishing_at_degree, poly_product
+from conftest import (
+    cube_points,
+    fit_vanishing_at_degree,
+    line_point,
+    poly_product,
+)
 from oracles import (
     integer_root_ceiling,
     min_fit_degree_enum,
@@ -229,8 +234,8 @@ class TestVanishesOnLine:
         # calls the line vanishing.  On the x1-axis p is prod_{k < deg} (x1 - k).
         p = falling_factorial_on(line, degree)
         assert p.degree() == degree
-        assert all(p.evaluate(line.point_at(t)) == 0 for t in range(degree))
-        assert p.evaluate(line.point_at(degree)) != 0
+        assert all(p.evaluate(line_point(line, t)) == 0 for t in range(degree))
+        assert p.evaluate(line_point(line, degree)) != 0
         assert not vanishes_on_line(p, line)
         assert restrict_to_line(p, line) != ()
 
