@@ -210,7 +210,10 @@ def _walk(columns: Sequence[Sequence[int]], m: int, p: int):
     Columns are walked left to right.  A column is reduced only when the walk
     reaches it, by :func:`_reduce` with the pivot steps recorded so far.  Its
     first nonzero entry at or below the next pivot row then becomes a pivot,
-    and the step (row swap, pivot inverse, multipliers below it) is recorded.
+    and the step is recorded: the row swap, the pivot inverse and, for each
+    row below the pivot whose entry is nonzero, in increasing order, the
+    pair (row, multiplier).  Rows with a zero multiplier are left out, so
+    applying the step touches only the entries it changes.
     The walk stops once every row holds a pivot.
 
     Returns the pivot columns, the reduced columns the walk reached and the
@@ -230,15 +233,17 @@ def _walk(columns: Sequence[Sequence[int]], m: int, p: int):
             continue
         col[r], col[sel] = col[sel], col[r]
         inv = pow(col[r], -1, p)
-        steps.append((sel, inv, [v * inv % p for v in col[r + 1 :]]))
+        below = [(i, v * inv % p) for i, v in enumerate(col[r + 1 :], r + 1) if v]
+        steps.append((sel, inv, below))
         pivots.append(j)
     return pivots, reduced, steps
 
 
 def _reduce(column: Sequence[int], steps: list[tuple], p: int) -> list[int]:
     """One integer column mod p with the recorded steps applied in order:
-    step r swaps rows r and sel, then takes its multiplier times entry r
-    from each entry below row r.  A zero entry r skips the subtraction.
+    step r swaps rows r and sel, then, in place, takes each recorded
+    multiplier times entry r from the entry of its row.  A zero entry r
+    skips the step, and rows with a zero multiplier are never visited.
 
     Only entry r is reduced mod p at step r; the entries below it are
     reduced once at the end, which stays exact and saves a division per
@@ -250,7 +255,8 @@ def _reduce(column: Sequence[int], steps: list[tuple], p: int) -> list[int]:
         top = col[r] % p
         col[r] = top
         if top:
-            col[r + 1 :] = [v - f * top for v, f in zip(col[r + 1 :], below)]
+            for i, f in below:
+                col[i] -= f * top
     return [v % p for v in col]
 
 

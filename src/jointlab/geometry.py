@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import random
 from math import factorial, gcd
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -265,6 +265,16 @@ def direction_rank(lines: Iterable[Line]) -> int:
     return rank(rows)
 
 
+def _rank_once(ranks: dict[frozenset, int], lines: Collection[Line]) -> int:
+    """The direction_rank of the lines, kept in ranks under their set of
+    directions.  A pass over many points keeps one map, so each set of
+    directions is ranked once: on a grid, the axes."""
+    key = frozenset(line.direction for line in lines)
+    if key not in ranks:
+        ranks[key] = direction_rank(lines)
+    return ranks[key]
+
+
 def is_joint(config: Configuration, point: Point) -> bool:
     """At least d incident lines whose directions span all of d-space."""
     through = [l for l in config.lines if incident(l, point)]
@@ -332,11 +342,12 @@ def find_s_joints(config: Configuration, s: int) -> JointSet:
             if pt is not None:
                 meeting.setdefault(pt, set()).update((a, b))
     # rank <= |through|, so small sets need no rank computation
+    ranks: dict[frozenset, int] = {}
     return JointSet(
         {
             pt: frozenset(through)
             for pt, through in meeting.items()
-            if len(through) >= s and direction_rank(through) >= s
+            if len(through) >= s and _rank_once(ranks, through) >= s
         }
     )
 

@@ -30,9 +30,9 @@ from .geometry import (
     Configuration,
     JointSet,
     Line,
+    _rank_once,
     bound_check,
     bound_constant,
-    direction_rank,
     find_joints,
     incident,
     line_to_dict,
@@ -210,6 +210,7 @@ def _check_prune_invariants(surviving, survivors, threshold):
             )
     # A stored set of surviving lines that all pass through p and whose
     # directions have rank d witnesses that p is a joint among survivors.
+    ranks: dict[frozenset, int] = {}
     for p in survivors.points:
         through = survivors.lines_through(p)
         if not through <= surviving_set:
@@ -221,7 +222,7 @@ def _check_prune_invariants(surviving, survivors, threshold):
                 raise InternalInvariantViolation(
                     f"surviving joint {p} stores {line!r}, which misses it"
                 )
-        if len(through) < surviving.dim or direction_rank(through) != surviving.dim:
+        if len(through) < surviving.dim or _rank_once(ranks, through) != surviving.dim:
             raise InternalInvariantViolation(
                 f"surviving point {p} is no longer a joint among survivors"
             )

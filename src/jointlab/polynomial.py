@@ -74,9 +74,13 @@ def min_fit_degree(m: int, d: int) -> int:
 
 
 class Polynomial:
-    """Immutable sparse polynomial in ``dim`` variables."""
+    """Immutable sparse polynomial in ``dim`` variables.
 
-    __slots__ = ("dim", "terms")
+    The coefficients scaled to integers, which the exact vanishing test
+    needs, are computed on first use and kept.
+    """
+
+    __slots__ = ("dim", "terms", "_numerators")
 
     def __init__(self, dim: int, terms: Mapping[MultiIndex, Fraction] | None = None):
         if dim < 1:
@@ -95,12 +99,21 @@ class Polynomial:
                 clean[exps] = coeff
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_numerators", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def numerators(self) -> tuple[int, ...]:
+        """The coefficients in term order as integer numerators over their
+        least common denominator (:func:`~jointlab.exact.integer_form`)."""
+        if self._numerators is None:
+            nums, _ = integer_form(list(self.terms.values()))
+            object.__setattr__(self, "_numerators", tuple(nums))
+        return self._numerators
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -250,7 +263,7 @@ def vanishes_on_line(p: Polynomial, line: "Line") -> bool:
         return True
     top = p.degree()
     v, a, q = line.direction, line.base.nums, line.base.den
-    nums, _ = integer_form(list(p.terms.values()))
+    nums = p.numerators()
     q_pows = [q**k for k in range(top + 1)]
     # each term as its nonzero (coordinate, exponent) pairs and weight n_e q^(D-|e|)
     terms = [

@@ -1,3 +1,4 @@
+from bisect import bisect_left
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import count, product
@@ -10,7 +11,14 @@ from jointlab.exact import Point, integer_form
 from jointlab.constructions import grid, grid_plus_orphan, planar_bundle, random_config
 from jointlab.curves import line_as_curve
 from jointlab.geometry import Configuration, Line
-from jointlab.polynomial import Polynomial, _distinct_points, _fit_at_degree
+from jointlab.polynomial import (
+    Polynomial,
+    _distinct_points,
+    _evaluation_matrix,
+    _fit_at_degree,
+    min_fit_degree,
+    monomial_basis,
+)
 
 
 def cube_points(k: int, d: int):
@@ -28,6 +36,41 @@ def line_point(line, t):
     """The point base + t * direction of the line, as Fractions."""
     t = Fraction(t)
     return tuple(b + t * v for b, v in zip(line.base, line.direction))
+
+
+def fit_rows(points, d: int):
+    """The integer evaluation matrix that the fit at the fit bound hands to
+    the kernel: the distinct points, sorted, against the graded-lex basis."""
+    pts = _distinct_points(points, d)
+    return _evaluation_matrix(pts, monomial_basis(d, min_fit_degree(len(pts), d)))
+
+
+def walk_updates(rows, p: int = 2**61 - 1) -> int:
+    """The multiply-subtract updates of the kernel's walk of integer rows
+    mod p: each column the walk reduced is reduced again here by the steps
+    recorded before it, counting one update per recorded row of each step
+    whose pivot-row entry is nonzero.  The replay must give the walk's own
+    reduced columns, so the count is that of the walk."""
+    columns = list(zip(*rows))
+    pivots, reduced, steps = exact._walk(columns, len(rows), p)
+    updates = 0
+    for j, done in enumerate(reduced):
+        k = bisect_left(pivots, j)  # the steps recorded before column j
+        col = [v % p for v in columns[j]]
+        for r, (sel, _, below) in enumerate(steps[:k]):
+            col[r], col[sel] = col[sel], col[r]
+            top = col[r] % p
+            col[r] = top
+            if top:
+                updates += len(below)
+                for i, f in below:
+                    col[i] -= f * top
+        col = [v % p for v in col]
+        if pivots[k : k + 1] == [j]:  # the walk swapped its pivot into row k
+            sel = steps[k][0]
+            col[k], col[sel] = col[sel], col[k]
+        assert col == done, j
+    return updates
 
 
 def integer_rows(matrix):

@@ -14,7 +14,9 @@ system is eliminated, so the rank, the kernel vector and the fits must equal
 the Gauss-Jordan reference exactly.  Matrix shapes are drawn to reach every
 path of the left-looking walk: wide with a pivot in every row (the walk
 stops early), rows that fill only at the last column, rank-deficient wide
-and tall, zero rows and columns, and int and Fraction entries.  The
+and tall, mostly zero (some holding monomials at points with zero
+coordinates, so that pivots need row swaps and steps record few rows), zero
+rows and columns, and int and Fraction entries.  The
 references take the rows as drawn; the kernel takes them scaled to
 integers and returns the integer form of the reference's vector.
 The kernel and fit tests run again with the primes 3, 5, 7, ..., which are
@@ -34,7 +36,7 @@ zero on the line, whose partial derivatives below that power vanish too.
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -511,10 +513,44 @@ def written(draw, rows):
 
 
 @st.composite
-def kernel_cases(draw):
+def monomial_blocks(draw):
+    """Graded-lex monomials of degree <= 3 evaluated at a few integer points
+    with many zero coordinates: many entries and multipliers are 0, and
+    pivots need row swaps."""
+    d = draw(st.integers(2, 3))
+    basis = monomial_basis(d, 3)[: draw(st.integers(1, 8))]
+    coords = st.sampled_from((0, 0, 0, 1, 2, -1))
+    points = draw(st.lists(st.tuples(*[coords] * d), min_size=1, max_size=5))
+    return [
+        [Fraction(prod(x**e for x, e in zip(pt, exps))) for exps in basis]
+        for pt in points
+    ]
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Up to 10 x 14 with at least 70% zero entries: a monomial block, if
+    drawn, at a drawn corner, and scattered nonzero entries."""
+    block = draw(st.one_of(st.just([]), monomial_blocks()))
+    width = len(block[0]) if block else 1
+    m = draw(st.integers(max(len(block), 1), 10))
+    c = draw(st.integers(width, 14))
+    rows = [[Fraction(0)] * c for _ in range(m)]
+    i0, j0 = draw(st.integers(0, m - len(block))), draw(st.integers(0, c - width))
+    for i, row in enumerate(block):
+        rows[i0 + i][j0 : j0 + width] = row
+    cell = st.tuples(st.integers(0, m - 1), st.integers(0, c - 1), entries)
+    for i, j, v in draw(st.lists(cell, max_size=3 * m * c // 10)):
+        rows[i][j] = v
+    assume(10 * sum(v == 0 for row in rows for v in row) >= 7 * m * c)
+    return rows
+
+
+@st.composite
+def kernel_cases(draw, shapes=("wide", "last", "deficient", "sparse", "any")):
     """A matrix whose shape drives one path of the walk, with zero rows and
     zero columns inserted and its entries written in a drawn form."""
-    shape = draw(st.sampled_from(("wide", "last", "deficient", "any")))
+    shape = draw(st.sampled_from(shapes))
     m = draw(st.integers(1, 5))
     if shape == "wide":  # a pivot in every row before the last column
         c = draw(st.integers(m + 1, m + 4))
@@ -529,6 +565,8 @@ def kernel_cases(draw):
         c = draw(st.integers(1, 7))
         k = draw(st.integers(0, min(m, c) - 1))
         rows = times(draw(matrices(m, k)), draw(matrices(k, c)), c)
+    elif shape == "sparse":
+        rows = draw(sparse_matrices())
     else:
         rows = draw(matrices(m, draw(st.integers(1, 7))))
     zeros = st.sampled_from((0, 0, 0, 1, 2))
@@ -561,6 +599,13 @@ class TestKernelAgainstReference:
     @given(kernel_cases())
     @settings(max_examples=300, deadline=None)
     def test_small_primes_give_the_same_answers(self, matrix):
+        with prime_source(small_primes):
+            assert_kernel_matches(matrix)
+
+    @given(kernel_cases(shapes=("sparse",)))
+    @settings(max_examples=300, deadline=None)
+    def test_sparse_matrices(self, matrix):
+        assert_kernel_matches(matrix)
         with prime_source(small_primes):
             assert_kernel_matches(matrix)
 

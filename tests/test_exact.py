@@ -21,7 +21,14 @@ from jointlab.exact import (
 )
 from jointlab.polynomial import fit_vanishing, min_fit_degree, monomial_basis
 
-from conftest import cube_points, integer_rows, prime_source, small_primes
+from conftest import (
+    cube_points,
+    fit_rows,
+    integer_rows,
+    prime_source,
+    small_primes,
+    walk_updates,
+)
 from oracles import (
     evaluation_matrix_fraction,
     fit_naive,
@@ -307,6 +314,47 @@ class TestEarlyStop:
         assert checked == [55]
         assert drawn == [p]
         assert fit == fit_naive(points, 3)
+
+
+class TestSparseSteps:
+    """A pivot step records only the rows below its pivot with a nonzero
+    multiplier, and applying it updates only those entries."""
+
+    P = 2**61 - 1
+
+    @pytest.mark.parametrize(
+        "points, d", [(cube_points(5, 3), 3), (cube_points(3, 4), 4)], ids=["3,5", "4,3"]
+    )
+    def test_steps_list_the_nonzero_rows_below_the_pivot(self, points, d):
+        rows = fit_rows(points, d)
+        m, p = len(rows), self.P
+        pivots, reduced, steps = exact._walk(list(zip(*rows)), m, p)
+        assert len(steps) == len(pivots)
+        for r, (sel, inv, below) in enumerate(steps):
+            pivot = reduced[pivots[r]]  # swapped: its pivot is in row r
+            assert r <= sel < m and inv * pivot[r] % p == 1
+            listed = [i for i, _ in below]
+            assert listed == sorted(set(listed))
+            assert listed == [i for i in range(r + 1, m) if pivot[i]]
+            for i, f in below:
+                assert 0 < f < p and f == pivot[i] * inv % p
+
+    def test_grid_fit_walk_updates(self):
+        # The grid(3,5) fit is 125 x 165 at b = 8, the grid(4,3) fit 81 x 126
+        # at b = 5.  Rewriting every entry below each pivot would take
+        # 121,307 and 23,507 updates.
+        assert walk_updates(fit_rows(cube_points(5, 3), 3)) == 59_830
+        assert walk_updates(fit_rows(cube_points(3, 4), 4)) == 9_339
+
+    def test_zero_multipliers_are_not_recorded(self):
+        assert walk_updates([[1, 2], [3, 4]]) == 1
+        assert walk_updates([[1, 2], [0, 4]]) == 0
+        # column 0 swaps rows 0 and 1 and records row 3 only; column 1 is
+        # then (1, 1, 1, 0), so its step records row 2 only
+        rows = [[0, 1], [2, 1], [0, 1], [4, 2]]
+        _, _, steps = exact._walk(list(zip(*rows)), 4, self.P)
+        assert steps == [(1, pow(2, -1, self.P), [(3, 2)]), (1, 1, [(2, 1)])]
+        assert walk_updates(rows) == 1
 
 
 def draws(source, log):

@@ -18,7 +18,7 @@ from jointlab.geometry import (
     load_configuration,
     save_configuration,
 )
-from jointlab import pipeline
+from jointlab import geometry, pipeline, polynomial
 from jointlab.pipeline import (
     ALL_PRUNED,
     BOUND_HOLDS,
@@ -36,7 +36,7 @@ from jointlab.pipeline import (
 )
 from jointlab.polynomial import Polynomial, polynomial_from_text
 
-from conftest import grid_with_tripods, line_point, poly_product
+from conftest import grid_with_tripods, line_point, poly_product, walk_updates
 
 
 def F(v):
@@ -398,6 +398,59 @@ class TestIntegerPoints:
         order = rebuilt.sorted_lines()
         assert built == []
         assert rebuilt == config and order == config.sorted_lines()
+
+
+class TestWorkCounts:
+    """Deterministic work counters of a trace: the ranks its passes over the
+    joints compute and the updates of its fit's walk."""
+
+    FAMILIES = {
+        "grid(3,5)": (lambda: grid(3, 5), 1),
+        "grid(4,3)": (lambda: grid(4, 3), 1),
+        "hyperplanes": (nine_hyperplanes, 84),
+    }
+
+    @pytest.fixture
+    def ranked(self, monkeypatch):
+        """The matrices geometry ranks from now on."""
+        calls = []
+        rank = geometry.rank
+
+        def counting(rows):
+            calls.append(rows)
+            return rank(rows)
+
+        monkeypatch.setattr(geometry, "rank", counting)
+        return calls
+
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_each_direction_set_is_ranked_once_per_pass(self, name, ranked):
+        # A grid's joints share one direction set, the axes; the 84 joints
+        # of the hyperplanes have 84 distinct ones.
+        build, sets = self.FAMILIES[name]
+        config = build()
+        joints = find_joints(config)
+        assert len(ranked) == sets
+        ranked.clear()
+        prune(config, joints)
+        assert len(ranked) == sets
+        ranked.clear()
+        trace(config)
+        assert len(ranked) == 2 * sets
+
+    def test_grid_fit_walk_updates(self, monkeypatch):
+        fitted = []
+        nullspace_vector = polynomial.nullspace_vector
+
+        def spy(rows):
+            fitted.append(rows)
+            return nullspace_vector(rows)
+
+        monkeypatch.setattr(polynomial, "nullspace_vector", spy)
+        trace(grid(3, 5))
+        [rows] = fitted
+        assert (len(rows), len(rows[0])) == (125, 165)
+        assert walk_updates(rows) == 59_830
 
 
 class TestTraceJson:

@@ -243,6 +243,23 @@ class TestVanishesOnLine:
         with pytest.raises(DimensionMismatchError):
             vanishes_on_line(poly("x1", 4), self.SLANTED)
 
+    def test_coefficients_are_scaled_to_integers_once(self, monkeypatch):
+        calls = []
+        integer_form = polynomial.integer_form
+
+        def spy(values):
+            calls.append(values)
+            return integer_form(values)
+
+        monkeypatch.setattr(polynomial, "integer_form", spy)
+        p = poly("3/4*x1^2 - 2/3*x2*x3 + 5")
+        assert list(p.terms) == [(2, 0, 0), (0, 1, 1), (0, 0, 0)]
+        assert p.numerators() == (9, -8, 60)
+        assert calls == [[Fraction(3, 4), Fraction(-2, 3), 5]]
+        for line in (self.AXIS, self.SLANTED, Line(vec(0, 2, 0), vec(1, 0, 0))):
+            assert not vanishes_on_line(p, line)
+        assert len(calls) == 1
+
     def test_trace_never_restricts(self, monkeypatch):
         calls = []
 
