@@ -3,9 +3,15 @@
 Exit codes: 0 success (and inequality holds), 1 usage or input error,
 2 inequality violated, 3 internal invariant violation.
 
-Each command imports the modules it runs inside its handler, so a run loads
-and compiles only those: ``sweep`` never loads the polynomial layer, and
-only ``curve`` loads the curve module.
+A run starts only what its command runs.  Each command imports the modules
+it runs inside its handler, so a run loads and compiles only those:
+``sweep`` never loads the polynomial layer, and only ``curve`` loads the
+curve module.  ``json`` and ``fractions`` are imported where a file is read
+or written and where a Fraction is made, so a sweep loads neither.  ``main``
+builds the parsers of the invoked command only (2 for ``trace``, 4 for
+``sweep``, against 17 for the full parser); when argv names no command, or
+that parse meets any error, the full parser parses argv again, so help,
+usage and error text are the full parser's own.
 """
 
 from __future__ import annotations
@@ -34,16 +40,21 @@ def integer(text: str) -> int:
 
 
 def _parse_range(text: str) -> list[int]:
-    """Accept "2..6" or a comma list "2,3,6"."""
+    """Accept "2..6" or a comma list "2,3,6"; refuse one that lists no
+    value, such as "6..2" or ",", since a sweep of it would do nothing."""
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            return list(range(integer(lo), integer(hi) + 1))
-        return [integer(part) for part in text.split(",") if part != ""]
+            values = list(range(integer(lo), integer(hi) + 1))
+        else:
+            values = [integer(part) for part in text.split(",") if part != ""]
     except ValueError:
         raise ValueError(
             f"invalid range {text!r}: expected A..B or a comma list such as 2,3,6"
         ) from None
+    if not values:
+        raise ValueError(f"empty range {text!r}: it lists no value")
+    return values
 
 
 def _load_lines(path):
@@ -224,13 +235,19 @@ def _cmd_curve(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="jointlab",
-        description="Exact-arithmetic toolkit for joints of line configurations.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Reparse(Exception):
+    """A one-command parser met an error; the full parser reports it."""
 
+
+class _CommandParser(argparse.ArgumentParser):
+    """A parser that raises :class:`_Reparse` instead of printing an error
+    and exiting; its subparsers are of this class as well."""
+
+    def error(self, message):
+        raise _Reparse(message)
+
+
+def _add_gen(sub) -> None:
     gen = sub.add_parser("gen", help="generate a configuration file")
     gen_sub = gen.add_subparsers(dest="family", required=True)
     for family in ("grid", "random", "planar", "grid-orphan"):
@@ -246,6 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
         g.add_argument("-o", "--output", required=True)
         g.set_defaults(handler=_cmd_gen)
 
+
+def _add_joints(sub) -> None:
     joints = sub.add_parser("joints", help="count and list joints")
     joints.add_argument("file")
     joints.add_argument(
@@ -253,20 +272,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     joints.set_defaults(handler=_cmd_joints)
 
+
+def _add_fit(sub) -> None:
     fit = sub.add_parser("fit", help="fit a vanishing polynomial on the joints")
     fit.add_argument("file")
     fit.add_argument("--minimal", action="store_true")
     fit.set_defaults(handler=_cmd_fit)
 
+
+def _add_trace(sub) -> None:
     tr = sub.add_parser("trace", help="run the proof pipeline and narrate it")
     tr.add_argument("file")
     tr.add_argument("--json", default=None, help="also write a JSON trace")
     tr.set_defaults(handler=_cmd_trace)
 
+
+def _add_bound(sub) -> None:
     bound = sub.add_parser("bound", help="exact inequality check")
     bound.add_argument("file")
     bound.set_defaults(handler=_cmd_bound)
 
+
+def _add_project(sub) -> None:
     project = sub.add_parser("project", help="generic projection to dimension s")
     project.add_argument("file")
     project.add_argument("--s", type=integer, required=True)
@@ -274,6 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     project.add_argument("-o", "--output", required=True)
     project.set_defaults(handler=_cmd_project)
 
+
+def _add_sweep(sub) -> None:
     sweep = sub.add_parser("sweep", help="sweep a family and emit CSV")
     sweep_sub = sweep.add_subparsers(dest="family", required=True)
     sg = sweep_sub.add_parser("grid")
@@ -291,6 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     sr.add_argument("--force", action="store_true")
     sr.set_defaults(handler=_cmd_sweep)
 
+
+def _add_curve(sub) -> None:
     curve = sub.add_parser("curve", help="curve restriction and joint checks")
     curve_sub = curve.add_subparsers(dest="action", required=True)
     cr = curve_sub.add_parser("restrict")
@@ -304,7 +335,47 @@ def build_parser() -> argparse.ArgumentParser:
     cj.add_argument("--params", required=True, help="comma list of parameters")
     cj.set_defaults(handler=_cmd_curve)
 
+
+# command name -> the function adding its parsers, in the order help lists them
+_COMMANDS = {
+    "gen": _add_gen,
+    "joints": _add_joints,
+    "fit": _add_fit,
+    "trace": _add_trace,
+    "bound": _add_bound,
+    "project": _add_project,
+    "sweep": _add_sweep,
+    "curve": _add_curve,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command; given a command name, the parsers of
+    that command alone, which raise :class:`_Reparse` on any error."""
+    cls = argparse.ArgumentParser if command is None else _CommandParser
+    parser = cls(
+        prog="jointlab",
+        description="Exact-arithmetic toolkit for joints of line configurations.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, add in _COMMANDS.items():
+        if command is None or command == name:
+            add(sub)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The arguments of argv, parsed by the invoked command's parsers only.
+
+    When argv names no command, or that parse meets any error, the full
+    parser parses argv again, so help, usage and error text are its own.
+    """
+    if argv and argv[0] in _COMMANDS:
+        try:
+            return build_parser(argv[0]).parse_args(argv)
+        except _Reparse:
+            pass
+    return build_parser().parse_args(argv)
 
 
 def _join_poly(argv: list[str]) -> list[str]:
@@ -325,9 +396,8 @@ def _join_poly(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_join_poly(sys.argv[1:] if argv is None else argv))
+        args = _parse(_join_poly(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import product
 
 from .errors import InternalInvariantViolation
@@ -92,6 +91,8 @@ def grid_plus_orphan(d: int, k: int) -> Configuration:
     base_config = grid(d, k)
     if d > len(_PRIMES):
         raise ValueError(f"orphan construction supports dimension <= {len(_PRIMES)}")
+    from fractions import Fraction
+
     orphan = Line(
         tuple(Fraction(1, p) for p in _PRIMES[:d]),
         (1,) * d,

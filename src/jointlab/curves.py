@@ -14,10 +14,10 @@ searched for globally; curve-curve intersection solving is out of scope.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, FileFormatError
-from .exact import Point, Vector, _Frozen, integer_form, rank
+from .exact import Point, _Frozen, integer_form, rank
 from .geometry import JointSet, Line, parse_coords, read_json
 from .pipeline import peel
 from .polynomial import (
@@ -28,6 +28,9 @@ from .polynomial import (
     uni_eval,
     uni_trim,
 )
+
+if TYPE_CHECKING:
+    from .exact import Vector
 
 
 class ParamCurve(_Frozen):

@@ -29,14 +29,18 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatchError
 
-Vector = tuple[Fraction, ...]
+if TYPE_CHECKING:
+    # ``fractions`` is imported where a Fraction is made: a run that makes
+    # none, such as a sweep, loads neither it nor ``decimal``.
+    from fractions import Fraction
+
+    Vector = tuple[Fraction, ...]
 
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(?:/[0-9]+)?$")
 
@@ -54,6 +58,8 @@ def parse_rational(text: str) -> int | Fraction:
         num, den = literal.split("/")
         if int(den) == 0:
             raise ValueError(f"zero denominator in rational literal {text!r}")
+        from fractions import Fraction
+
         return Fraction(int(num), int(den))
     return int(literal)
 
@@ -139,6 +145,8 @@ class Point(_Frozen):
         return len(self.nums)
 
     def __iter__(self) -> Iterator[Fraction]:
+        from fractions import Fraction
+
         return (Fraction(n, self.den) for n in self.nums)
 
     def __repr__(self):

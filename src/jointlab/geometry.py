@@ -14,7 +14,6 @@ integers.
 
 from __future__ import annotations
 
-import json
 import random
 from math import factorial, gcd
 from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
@@ -511,6 +510,8 @@ def configuration_from_dict(obj) -> Configuration:
 
 def write_json(path, obj) -> None:
     """Write obj as JSON indented by two spaces, ending in a newline."""
+    import json
+
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
@@ -518,6 +519,8 @@ def write_json(path, obj) -> None:
 
 def read_json(path):
     """Parse a JSON file; malformed JSON raises FileFormatError naming the path."""
+    import json
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)

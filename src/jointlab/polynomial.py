@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 from .errors import DimensionMismatchError, InternalInvariantViolation
 from .exact import (
     Point,
-    Vector,
     format_rational,
     integer_form,
     nullspace_vector,
@@ -32,6 +31,7 @@ from .exact import (
 )
 
 if TYPE_CHECKING:
+    from .exact import Vector
     from .geometry import Line
 
 MultiIndex = tuple[int, ...]

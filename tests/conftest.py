@@ -1,7 +1,7 @@
 from bisect import bisect_left
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import count, product
+from itertools import combinations, count, product
 from math import isqrt
 
 import pytest
@@ -134,6 +134,19 @@ def grid_with_tripods():
         Line((x, 10, 10), v) for x in (10, 20) for v in ((0, 1, 0), (0, 0, 1))
     ]
     return Configuration(3, list(grid(3, 7).lines) + [x_line] + branches)
+
+
+def nine_hyperplanes():
+    """36 lines and 84 rational joints: the hyperplanes x.(1,t,t^2) = t^3 at
+    nine t of mixed signs and denominators; line(a,b) is their meet."""
+    ts = [
+        Fraction(t)
+        for t in ("-7/4", "-5/3", "-3/2", "-1", "-1/3", "1/4", "1/2", "2", "3")
+    ]
+    lines = [
+        Line((0, -a * b, a + b), (a * b, -(a + b), 1)) for a, b in combinations(ts, 2)
+    ]
+    return Configuration(3, lines)
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,19 @@
+import argparse
 import csv
 import json
+import logging
+import random
 
 import pytest
 
+from jointlab import cli
 from jointlab.cli import main
+from jointlab.constructions import grid, random_config
 from jointlab.errors import ContradictionBugError
+from jointlab.exact import format_rational, parse_rational
+from jointlab.geometry import configuration_to_dict
+
+from conftest import nine_hyperplanes
 
 
 def run(capsys, *argv):
@@ -182,7 +191,7 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "ks, expected",
-        [("2,4", ["2", "4"]), ("4,2", ["4", "2"]), (",", [])],
+        [("2,4", ["2", "4"]), ("4,2", ["4", "2"])],
     )
     def test_grid_sweep_runs_exactly_the_listed_k(self, tmp_path, capsys, ks, expected):
         csv_path = tmp_path / "sweep.csv"
@@ -192,6 +201,29 @@ class TestSweep:
         assert out == f"wrote {len(expected)} row(s) to {csv_path}\n"
         header, *records = csv.reader(csv_path.read_text().splitlines())
         assert [rec[header.index("k_or_n")] for rec in records] == expected
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            pytest.param(["grid", "--dim", "3", "--k", "6..2"], "6..2", id="grid-6..2"),
+            pytest.param(["grid", "--dim", "3", "--k", ","], ",", id="grid-comma"),
+            pytest.param(
+                ["random", "--dim", "3", "--n", "5..2", "--seeds", "1"], "5..2",
+                id="random-n-5..2",
+            ),
+            pytest.param(
+                ["random", "--dim", "3", "--n", "5", "--seeds", ","], ",",
+                id="random-seeds-comma",
+            ),
+        ],
+    )
+    def test_empty_range_is_refused(self, tmp_path, capsys, argv, text):
+        # A sweep of nothing would exit 0 with a header-only CSV.
+        csv_path = tmp_path / "x.csv"
+        code, out, err = run(capsys, "sweep", *argv, "--csv", str(csv_path))
+        assert (code, out) == (1, "")
+        assert err == f"error: empty range {text!r}: it lists no value\n"
+        assert not csv_path.exists()
 
     def test_random_sweep(self, tmp_path, capsys):
         csv_path = tmp_path / "sweep.csv"
@@ -446,3 +478,140 @@ class TestIntegerArguments:
         assert [(r["n"], r["seed"]) for r in rows] == [
             ("5", "-2"), ("5", "-1"), ("5", "7")
         ]
+
+
+class TestParserParity:
+    """main builds the parsers of the invoked command only.  What it prints
+    and returns must be what a parse by the full parser gives: help, usage
+    and error text included."""
+
+    INVOCATIONS = [
+        [],
+        ["-h"],
+        ["bogus"],
+        ["trace"],
+        ["trace", "-h"],
+        ["trace", "F", "--bogus"],
+        ["sweep"],
+        ["sweep", "random"],
+        ["sweep", "random", "--dim", "x", "--n", "5", "--seeds", "1", "--csv", "s.csv"],
+        ["gen", "grid", "--dim", "3"],
+        ["curve", "restrict", "F", "--poly", "-x1"],
+    ] + [[command, "-h"] for command in cli._COMMANDS] + [
+        ["gen", "grid-orphan", "-h"],
+        ["sweep", "random", "-h"],
+        ["curve", "joint", "-h"],
+    ]
+
+    @pytest.mark.parametrize(
+        "argv", INVOCATIONS, ids=lambda argv: " ".join(argv) or "no-arguments"
+    )
+    def test_same_output_and_exit_code(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        own = run(capsys, *argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_parse", lambda args: cli.build_parser().parse_args(args))
+            full = run(capsys, *argv)
+        assert own == full
+        assert own[1] or own[2]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The prog of every ArgumentParser constructed from now on."""
+        progs = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            progs.append(self.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        return progs
+
+    def test_trace_builds_two_parsers(self, tmp_path, capsys, built):
+        path = tmp_path / "axes.json"
+        axes = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+        lines = [{"base": ["0", "0", "0"], "dir": v} for v in axes]
+        path.write_text(json.dumps({"dim": 3, "lines": lines}))
+        assert run(capsys, "trace", str(path))[0] == 0
+        assert built == ["jointlab", "jointlab trace"]
+
+    def test_sweep_random_builds_four_parsers(self, tmp_path, capsys, built):
+        code, _, _ = run(capsys, "sweep", "random", "--dim", "3", "--n", "5",
+                         "--seeds", "1", "--csv", str(tmp_path / "s.csv"))
+        assert code == 0
+        assert built == [
+            "jointlab",
+            "jointlab sweep",
+            "jointlab sweep grid",
+            "jointlab sweep random",
+        ]
+
+    def test_the_full_parser_builds_seventeen(self, built):
+        cli.build_parser()
+        assert len(built) == 17
+
+    def test_an_error_is_reported_by_the_full_parser(self, capsys, built):
+        assert run(capsys, "trace")[0] == 1
+        assert len(built) == 2 + 17
+
+
+def relabelled(lines, rng, how):
+    """The line file's entries shuffled, with duplicates, or each line given
+    by another base point and a scaled direction: the same configuration."""
+    if how == "shuffled":
+        out = list(lines)
+        rng.shuffle(out)
+        return out
+    if how == "duplicated":
+        return lines + rng.sample(lines, 3)
+    out = []
+    for line in lines:
+        base = [parse_rational(c) for c in line["base"]]
+        direction = [parse_rational(c) for c in line["dir"]]
+        t = parse_rational(f"{rng.randint(-5, 5)}/{rng.randint(1, 4)}")
+        c = parse_rational(f"{rng.choice([-3, -1, 2, 5])}/{rng.randint(1, 3)}")
+        out.append(
+            {
+                "base": [format_rational(b + t * v) for b, v in zip(base, direction)],
+                "dir": [format_rational(c * v) for v in direction],
+            }
+        )
+    return out
+
+
+class TestTraceRelabelling:
+    """trace --json depends on the set of lines only: not on their order in
+    the file, on duplicates, or on which base point and direction name a
+    line."""
+
+    CONFIGS = {
+        "grid(3,4)": lambda: grid(3, 4),
+        "hyperplanes": nine_hyperplanes,
+        "random(d=4)": lambda: random_config(4, 20, 1, 10),
+    }
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_same_stdout_and_json_bytes(self, tmp_path, capsys, caplog, name):
+        data = configuration_to_dict(self.CONFIGS[name]())
+        out_json = tmp_path / "trace.json"
+
+        def trace(lines):
+            path = tmp_path / "lines.json"
+            path.write_text(json.dumps({"dim": data["dim"], "lines": lines}))
+            code, out, err = run(capsys, "trace", str(path), "--json", str(out_json))
+            return code, out, err, out_json.read_bytes()
+
+        expected = trace(data["lines"])
+        assert expected[0] == 0
+        rng = random.Random(name)
+        for how in ("shuffled", "duplicated", "rebased"):
+            lines = relabelled(data["lines"], rng, how)
+            assert lines != data["lines"], how
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="jointlab.geometry"):
+                assert trace(lines) == expected, how
+            warnings = [r.getMessage() for r in caplog.records]
+            duplicates = ["deduplicated 3 duplicate line(s)"]
+            assert warnings == (duplicates if how == "duplicated" else []), how

@@ -3,7 +3,9 @@
 Every case runs a fresh interpreter with PYTHONPATH=src and reads
 sys.modules, so the checks are deterministic and time nothing.  A child
 reports only the modules its action added, so modules that the
-interpreter's own start-up loads do not count.
+interpreter's own start-up loads do not count.  A fresh interpreter is also
+the only place a missing import inside a handler shows: in-process, another
+test has already loaded the module.
 """
 
 import ast
@@ -13,29 +15,39 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from jointlab.constructions import grid
+from jointlab.geometry import save_configuration
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "jointlab"
 
 CHILD = """
-import json, sys
+import sys
 before = set(sys.modules)
 {action}
-print(json.dumps(sorted(set(sys.modules) - before)))
+print(sorted(set(sys.modules) - before))
 """
 
 
-def loaded_by(action: str, cwd: Path) -> set[str]:
+def fresh(argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    """Run the interpreter with argv in a new process, on the package in src."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    child = subprocess.run(
-        [sys.executable, "-c", CHILD.format(action=action)],
+    return subprocess.run(
+        [sys.executable, *argv],
         cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def loaded_by(action: str, cwd: Path) -> set[str]:
+    child = fresh(["-c", CHILD.format(action=action)], cwd)
     assert child.returncode == 0, child.stderr
-    return set(json.loads(child.stdout.splitlines()[-1]))
+    return set(ast.literal_eval(child.stdout.splitlines()[-1]))
 
 
 def run_cli(*argv: str) -> str:
@@ -54,6 +66,10 @@ def test_importing_the_cli_loads_no_command_module(tmp_path):
         "jointlab.constructions",
         "dataclasses",
         "logging",
+        "json",
+        "fractions",
+        "decimal",
+        "numbers",
     }
     assert loaded & heavy == set()
 
@@ -67,6 +83,15 @@ def test_sweep_random_skips_the_polynomial_layer(tmp_path):
     skipped = {"jointlab.polynomial", "jointlab.pipeline", "jointlab.curves"}
     assert loaded & skipped == set()
     assert (tmp_path / "s.csv").is_file()
+
+
+def test_sweep_random_loads_no_json_or_fractions(tmp_path):
+    # a sweep reads no file and makes no Fraction
+    action = run_cli(
+        "sweep", "random", "--dim", "3", "--n", "8", "--seeds", "1", "--csv", "s.csv"
+    )
+    loaded = loaded_by(action, tmp_path)
+    assert loaded & {"json", "fractions", "decimal", "numbers"} == set()
 
 
 def write_axes(tmp_path: Path) -> None:
@@ -113,3 +138,45 @@ def test_no_module_imports_dataclasses():
             if "dataclasses" in names:
                 users.append(path.name)
     assert users == []
+
+
+COMMANDS = {
+    "gen grid": ["gen", "grid", "--dim", "3", "--k", "2", "-o", "out.json"],
+    "gen random": [
+        "gen", "random", "--dim", "3", "--n", "5", "--seed", "1", "-o", "out.json"
+    ],
+    "gen planar": ["gen", "planar", "--dim", "3", "--n", "4", "-o", "out.json"],
+    "gen grid-orphan": ["gen", "grid-orphan", "--dim", "3", "--k", "2", "-o", "out.json"],
+    "joints": ["joints", "grid.json"],
+    "joints --s": ["joints", "grid.json", "--s", "2"],
+    "fit": ["fit", "grid.json"],
+    "fit --minimal": ["fit", "grid.json", "--minimal"],
+    "trace --json": ["trace", "grid.json", "--json", "out.json"],
+    "bound": ["bound", "grid.json"],
+    "project": ["project", "grid.json", "--s", "2", "--seed", "7", "-o", "out.json"],
+    "sweep grid": ["sweep", "grid", "--dim", "3", "--k", "2..3", "--csv", "out.csv"],
+    "sweep random": [
+        "sweep", "random", "--dim", "3", "--n", "5", "--seeds", "1", "--csv", "out.csv"
+    ],
+    "curve restrict": ["curve", "restrict", "curves.json", "--poly", "x2^2 - x1*x3"],
+    "curve joint": [
+        "curve", "joint", "curves.json", "--curves", "1,2,3", "--params", "0,0,0"
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_every_command_runs_in_a_fresh_interpreter(tmp_path, name):
+    save_configuration(grid(3, 2), tmp_path / "grid.json")
+    # the moment curve (t, t^2, t^3) and the three coordinate axes
+    moment = [["0", "1"], ["0", "0", "1"], ["0", "0", "0", "1"]]
+    axes = [
+        [["0", "1"], ["0"], ["0"]],
+        [["0"], ["0", "1"], ["0"]],
+        [["0"], ["0"], ["0", "1"]],
+    ]
+    curves = [{"coords": coords} for coords in [moment, *axes]]
+    (tmp_path / "curves.json").write_text(json.dumps({"dim": 3, "curves": curves}))
+    child = fresh(["-m", "jointlab", *COMMANDS[name]], tmp_path)
+    assert (child.returncode, child.stderr) == (0, ""), name
+    assert child.stdout

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import combinations
 from math import factorial
 
 import pytest
@@ -36,7 +35,13 @@ from jointlab.pipeline import (
 )
 from jointlab.polynomial import Polynomial, polynomial_from_text
 
-from conftest import grid_with_tripods, line_point, poly_product, walk_updates
+from conftest import (
+    grid_with_tripods,
+    line_point,
+    nine_hyperplanes,
+    poly_product,
+    walk_updates,
+)
 
 
 def F(v):
@@ -317,16 +322,6 @@ class TestTrace:
             result = trace(config)
             assert result.outcome != CONTRADICTION_BUG, name
             assert result.outcome in (BOUND_HOLDS, ALL_PRUNED), name
-
-
-def nine_hyperplanes():
-    """36 lines and 84 rational joints: the hyperplanes x.(1,t,t^2) = t^3 at
-    nine t of mixed signs and denominators; line(a,b) is their meet."""
-    ts = [F(t) for t in ("-7/4", "-5/3", "-3/2", "-1", "-1/3", "1/4", "1/2", "2", "3")]
-    lines = [
-        Line((0, -a * b, a + b), (a * b, -(a + b), 1)) for a, b in combinations(ts, 2)
-    ]
-    return Configuration(3, lines)
 
 
 class TestIntegerPoints:
