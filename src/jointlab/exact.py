@@ -21,8 +21,10 @@ remainder theorem.  The kernel names no Fraction: integers in, integers out.
 Rational results are tuples of Fractions and matrices are sequences of rows;
 both are treated as immutable values throughout.  A :class:`Point` is a
 rational point kept in integers, numerators over one denominator; the
-package's joint points are Points, and Fractions are made from them only to
-print or evaluate.
+package's joint points are Points, and a ``polynomial.Polynomial`` keeps its
+coefficients in the same form, on the same :class:`_Frozen` base.  Fractions
+are made from them only at the edges: to print, to project, or to substitute
+into curves.
 """
 
 from __future__ import annotations

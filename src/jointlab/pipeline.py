@@ -42,6 +42,7 @@ from .polynomial import (
     fit_vanishing,
     min_fit_degree,
     polynomial_to_text,
+    vanishes_at,
     vanishes_on_line,
 )
 
@@ -271,16 +272,20 @@ def gradient_at_joints_check(p: Polynomial, joints: JointSet) -> GradientCheckRe
     orthogonal to a spanning set of directions and must be exactly zero;
     a nonzero gradient there is an implementation bug, not a data condition.
     Joints where the vanishing hypothesis fails are reported NOT_APPLICABLE.
+    The d partial derivatives are derived once per call, and each is
+    decided zero at a joint in integers; Fractions are made only for the
+    error message.
     """
     if p.is_zero():
         raise ZeroPolynomialError("gradient check needs a nonzero polynomial")
+    partials = [p.partial_derivative(axis) for axis in range(p.dim)]
     statuses: dict[Point, str] = {}
     for point in joints.points:
         if all(vanishes_on_line(p, line) for line in joints.lines_through(point)):
-            grad = p.gradient(point)
-            if any(c != 0 for c in grad):
+            if not all(vanishes_at(q, point) for q in partials):
                 raise InternalInvariantViolation(
-                    f"gradient {grad} nonzero at joint {point} despite vanishing "
+                    f"gradient {tuple(q.evaluate(point) for q in partials)} "
+                    f"nonzero at joint {point} despite vanishing "
                     "on all incident spanning lines"
                 )
             statuses[point] = GRADIENT_ZERO

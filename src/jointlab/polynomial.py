@@ -1,10 +1,15 @@
 """Sparse multivariate polynomials over the rationals.
 
-Exponent vectors are int tuples, coefficients are Fractions, and the zero
-polynomial has an empty term map.  The monomial order everywhere is graded
-lexicographic (total degree first, then lexicographic on exponent tuples);
-fixing it globally makes evaluation matrices, nullspace selection, and
-printed term order reproducible across runs.
+Exponent vectors are int tuples, and a polynomial keeps its coefficients as
+integer numerators over one positive denominator, gcd-reduced, as a
+:class:`~jointlab.exact.Point` keeps its coordinates; the zero polynomial has
+an empty term map.  Fits, derivatives, vanishing and evaluation work in those
+integers.  A Fraction is made per coefficient only to print a polynomial or
+substitute curves into it, and per value only for
+:meth:`Polynomial.evaluate` to return.  The monomial order everywhere is
+graded lexicographic (total degree first, then lexicographic on exponent
+tuples); fixing it globally makes evaluation matrices, nullspace selection,
+and printed term order reproducible across runs.
 
 Univariate restrictions (to a line, or to a parametrized curve) are plain
 coefficient tuples in ascending powers of the parameter, trailing zeros
@@ -16,13 +21,14 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import accumulate, product, repeat
-from math import comb
-from operator import mul
+from math import comb, gcd
+from operator import add, mul
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError, InternalInvariantViolation
 from .exact import (
     Point,
+    _Frozen,
     format_rational,
     integer_form,
     nullspace_vector,
@@ -31,6 +37,8 @@ from .exact import (
 )
 
 if TYPE_CHECKING:
+    from numbers import Rational
+
     from .exact import Vector
     from .geometry import Line
 
@@ -73,93 +81,77 @@ def min_fit_degree(m: int, d: int) -> int:
     return b
 
 
-class Polynomial:
-    """Immutable sparse polynomial in ``dim`` variables.
+class Polynomial(_Frozen):
+    """Immutable sparse polynomial in ``dim`` variables, kept in integers as
+    a :class:`~jointlab.exact.Point` is: ``terms`` maps exponent tuples to
+    integer numerators over one positive denominator ``den``.
 
-    The coefficients scaled to integers, which the exact vanishing test
-    needs, are computed on first use and kept.
+    The form is canonical: the constructor takes ints or Fractions, over an
+    optional common denominator, scales them to integers once, drops zero
+    terms and divides out the gcd of the numerators and ``den``, so equal
+    polynomials have equal ``terms`` and ``den``.  The zero polynomial has
+    no terms and ``den`` 1.
     """
 
-    __slots__ = ("dim", "terms", "_numerators")
+    __slots__ = ("dim", "terms", "den")
 
-    def __init__(self, dim: int, terms: Mapping[MultiIndex, Fraction] | None = None):
+    def __init__(
+        self, dim: int, terms: Mapping[MultiIndex, Rational] | None = None, den: int = 1
+    ):
         if dim < 1:
             raise ValueError("polynomial needs at least one variable")
-        clean: dict[MultiIndex, Fraction] = {}
-        for exps, coeff in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
+        terms = terms or {}
+        for exps in terms:
             if len(exps) != dim:
                 raise DimensionMismatchError(
                     f"exponent vector {exps} has length != {dim}"
                 )
-            if any(e < 0 for e in exps):
+            if min(exps) < 0:
                 raise ValueError(f"negative exponent in {exps}")
-            coeff = Fraction(coeff)
-            if coeff != 0:
-                clean[exps] = coeff
+        nums, scale = integer_form(list(terms.values()))
+        den *= scale
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_numerators", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
+        object.__setattr__(self, "terms", {e: n // g for e, n in zip(terms, nums) if n})
+        object.__setattr__(self, "den", den // g)
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def numerators(self) -> tuple[int, ...]:
-        """The coefficients in term order as integer numerators over their
-        least common denominator (:func:`~jointlab.exact.integer_form`)."""
-        if self._numerators is None:
-            nums, _ = integer_form(list(self.terms.values()))
-            object.__setattr__(self, "_numerators", tuple(nums))
-        return self._numerators
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.terms), default=-1)
 
     def evaluate(self, point: Point | Vector) -> Fraction:
-        """The exact value at a point: a Point, whose coordinates are read
-        as Fractions here, or a sequence of ints or Fractions."""
-        if len(point) != self.dim:
-            raise DimensionMismatchError(
-                f"point has dimension {len(point)}, polynomial {self.dim}"
-            )
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            value = coeff
-            for x, e in zip(point, exps):
-                if e:
-                    value *= Fraction(x) ** e
-            total += value
-        return total
+        """The exact value at a point: a Point, or a sequence of ints or
+        Fractions.  Computed in integers; the value is made a Fraction at
+        the end."""
+        if not isinstance(point, Point):
+            point = Point.of(point)
+        top = max(self.degree(), 0)
+        value = _evaluator(self, top, point)(point.nums)
+        return Fraction(value, self.den * point.den**top)
 
     def partial_derivative(self, axis: int) -> "Polynomial":
-        """Exact formal derivative along a 0-based axis."""
+        """Exact formal derivative along a 0-based axis, over the same
+        denominator.  Lowering the exponent is one-to-one on the terms that
+        have it, so no two terms merge."""
         if not 0 <= axis < self.dim:
             raise ValueError(f"axis {axis} out of range for dimension {self.dim}")
-        out: dict[MultiIndex, Fraction] = {}
-        for exps, coeff in self.terms.items():
+        out = {}
+        for exps, n in self.terms.items():
             e = exps[axis]
-            if e == 0:
-                continue
-            lowered = exps[:axis] + (e - 1,) + exps[axis + 1 :]
-            out[lowered] = out.get(lowered, Fraction(0)) + coeff * e
-        return Polynomial(self.dim, out)
-
-    def gradient(self, point: Point | Vector) -> Vector:
-        return tuple(
-            self.partial_derivative(axis).evaluate(point)
-            for axis in range(self.dim)
-        )
+            if e:
+                out[exps[:axis] + (e - 1,) + exps[axis + 1 :]] = n * e
+        return Polynomial(self.dim, out, self.den)
 
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)
             and self.dim == other.dim
+            and self.den == other.den
             and self.terms == other.terms
         )
 
@@ -167,6 +159,43 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.dim}, {polynomial_to_text(self)!r})"
+
+
+def _evaluator(p: Polynomial, top: int, base: Point):
+    """p's integer evaluator at points over the denominator q of ``base``,
+    for a ``top`` >= deg p: the function that takes the numerators a of a
+    point a/q and returns den * q^top * p(a/q), which is the integer
+    sum n_e a^e q^(top - |e|) over p's numerators n_e.
+
+    Each term's weight n_e q^(top - |e|) and the highest power of each
+    coordinate are worked out here, once per polynomial and denominator, and
+    each call computes every coordinate's powers once for all terms.
+    """
+    if len(base) != p.dim:
+        raise DimensionMismatchError(
+            f"point has dimension {len(base)}, polynomial {p.dim}"
+        )
+    q = base.den
+    q_pows = [q**k for k in range(top + 1)]
+    # each term as its nonzero (coordinate, exponent) pairs and its weight
+    terms = [
+        ([(i, e) for i, e in enumerate(exps) if e], n * q_pows[top - sum(exps)])
+        for exps, n in p.terms.items()
+    ]
+    reach = [max((exps[i] for exps in p.terms), default=0) for i in range(p.dim)]
+
+    def value(nums: Sequence[int]) -> int:
+        pows = [
+            list(accumulate(repeat(a, k), mul, initial=1)) for a, k in zip(nums, reach)
+        ]
+        total = 0
+        for factors, w in terms:
+            for i, e in factors:
+                w *= pows[i][e]
+            total += w
+        return total
+
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +254,8 @@ def substitute(p: Polynomial, coords: Sequence[UniPoly]) -> UniPoly:
         )
     powers: list[list[UniPoly]] = [[(Fraction(1),)] for _ in coords]
     total: UniPoly = ()
-    for exps, coeff in p.terms.items():
-        term: UniPoly = (coeff,)
+    for exps, n in p.terms.items():
+        term: UniPoly = (Fraction(n, p.den),)
         for c, cached, e in zip(coords, powers, exps):
             if e:
                 while len(cached) <= e:
@@ -248,42 +277,29 @@ def vanishes_on_line(p: Polynomial, line: "Line") -> bool:
     a nonzero univariate polynomial of degree at most D has at most D roots.
     So p vanishes on the line exactly when it vanishes at the D + 1
     parameters t = 0, 1, ..., D, and the first nonzero value decides; most
-    lines that fail do so at t = 0, the base point.
+    lines that fail do so at t = 0, the base point.  The zero polynomial,
+    of degree -1, is tested at no parameter.
 
-    Each value is computed in integers: with the line's primitive direction
-    v and its base Point a/q, the point at t is x = (a + t*q*v)/q, and with
-    p's coefficients scaled to integers n_e, q^D p(x) is a positive multiple
-    of sum n_e (a + t*q*v)^e q^(D - |e|).
+    Each value is computed in integers, by :func:`_evaluator`: with the
+    line's primitive direction v and its base Point a/q, the point at t is
+    (a + t*q*v)/q, and den * q^D * p there is a positive multiple of p's
+    value.
     """
-    if p.dim != line.dim:
-        raise DimensionMismatchError(
-            f"polynomial dimension {p.dim} vs line dimension {line.dim}"
-        )
-    if p.is_zero():
-        return True
     top = p.degree()
-    v, a, q = line.direction, line.base.nums, line.base.den
-    nums = p.numerators()
-    q_pows = [q**k for k in range(top + 1)]
-    # each term as its nonzero (coordinate, exponent) pairs and weight n_e q^(D-|e|)
-    terms = [
-        ([(i, e) for i, e in enumerate(exps) if e], n * q_pows[top - sum(exps)])
-        for exps, n in zip(p.terms, nums)
-    ]
-    reach = [max(exps[i] for exps in p.terms) for i in range(p.dim)]
-    for t in range(top + 1):
-        pows = [
-            list(accumulate(repeat(ai + t * q * vi, k), mul, initial=1))
-            for ai, vi, k in zip(a, v, reach)
-        ]
-        total = 0
-        for factors, w in terms:
-            for i, e in factors:
-                w *= pows[i][e]
-            total += w
-        if total:
+    value = _evaluator(p, top, line.base)
+    step = [line.base.den * vi for vi in line.direction]
+    x = line.base.nums
+    for _ in range(top + 1):
+        if value(x):
             return False
+        x = list(map(add, x, step))
     return True
+
+
+def vanishes_at(p: Polynomial, point: Point) -> bool:
+    """True iff p is zero at the point, decided in integers by
+    :func:`_evaluator`."""
+    return not _evaluator(p, max(p.degree(), 0), point)(point.nums)
 
 
 def _evaluation_matrix(points: list[Point], basis: list[MultiIndex]):
@@ -337,13 +353,13 @@ def _fit_at_degree(pts: list[Point], d: int, b: int) -> Polynomial | None:
     """
     basis = monomial_basis(d, b)
     if not pts:
-        return Polynomial(d, {basis[0]: Fraction(1)})
+        return Polynomial(d, {basis[0]: 1})
     matrix = _evaluation_matrix(pts, basis)
     found = nullspace_vector(matrix)
     if found is None:
         return None
     nums, den = found
-    poly = Polynomial(d, {e: Fraction(n, den) for e, n in zip(basis, nums) if n})
+    poly = Polynomial(d, dict(zip(basis, nums)), den)
     if poly.is_zero():
         raise InternalInvariantViolation("nullspace vector produced zero polynomial")
     # Row i is the monomials at point i times a nonzero integer, so the fit
@@ -422,7 +438,7 @@ def _monomial_text(exps: MultiIndex) -> str:
 
 def polynomial_to_text(p: Polynomial) -> str:
     return _terms_text(
-        (p.terms[exps], _monomial_text(exps))
+        (Fraction(p.terms[exps], p.den), _monomial_text(exps))
         for exps in sorted(p.terms, key=grlex_key, reverse=True)
     )
 

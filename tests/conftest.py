@@ -80,16 +80,17 @@ def integer_rows(matrix):
 
 
 def poly_product(dim: int, factors) -> Polynomial:
-    """The product of the given polynomials in dim variables; 1 for none."""
-    terms = {(0,) * dim: Fraction(1)}
+    """The product of the given polynomials in dim variables; 1 for none.
+    Numerators multiply as the terms do, and the denominators multiply."""
+    terms, den = {(0,) * dim: 1}, 1
     for factor in factors:
         out = {}
         for e1, c1 in terms.items():
             for e2, c2 in factor.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
                 out[key] = out.get(key, 0) + c1 * c2
-        terms = out
-    return Polynomial(dim, terms)
+        terms, den = out, den * factor.den
+    return Polynomial(dim, terms, den)
 
 
 def small_primes():
@@ -149,9 +150,44 @@ def nine_hyperplanes():
     return Configuration(3, lines)
 
 
+def affine_grid():
+    """grid(4,2) under x -> M x + s for a unimodular integer M: 32 lines in
+    four direction classes that are off the axes, and 16 joints.  Its trace
+    holds the bound and reaches the fit (b = 3), where random d = 4
+    configurations have no joints at all."""
+    rows = ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 2))  # det 1
+    shift = (1, -2, 3, 5)
+
+    def linear(x):
+        return tuple(sum(m * c for m, c in zip(row, x)) for row in rows)
+
+    return Configuration(
+        4,
+        [
+            Line(tuple(map(sum, zip(linear(line.base), shift))), linear(line.direction))
+            for line in grid(4, 2).lines
+        ],
+    )
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The arguments of every Fraction constructed from now on."""
+    calls = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def corpus():
-    """The shared test corpus: grids, random configs, bundles, orphans."""
+    """The shared test corpus: grids, random configs, bundles, orphans, and
+    an affine image of a grid."""
     entries = []
     for d, k in [(3, 2), (3, 3), (3, 4), (3, 5), (4, 2), (4, 3)]:
         entries.append((f"grid({d},{k})", grid(d, k)))
@@ -167,4 +203,5 @@ def corpus():
     entries.append(("orphan(3,2)", grid_plus_orphan(3, 2)))
     entries.append(("orphan(3,3)", grid_plus_orphan(3, 3)))
     entries.append(("orphan(4,2)", grid_plus_orphan(4, 2)))
+    entries.append(("affine grid(4,2)", affine_grid()))
     return entries

@@ -8,9 +8,12 @@ minimal degree by one rank per degree (the package scales rows to integers
 and eliminates once), integer evaluation rows by a product of coordinate
 powers per entry (the package extends an earlier monomial by one factor),
 monomial counting by stars-and-bars recursion (the package filters a
-product and uses math.comb), identically-zero decisions on a line by
-sampling more Fraction points than the degree (the package evaluates in
-integers; its restriction compares coefficients), canonical lines and
+product and uses math.comb), polynomial values and derivatives in Fraction
+arithmetic from each coefficient n/den (the package evaluates and
+differentiates the integer numerators), identically-zero decisions on a line
+by sampling more Fraction points than the degree with that evaluator (the
+package evaluates in integers; its restriction compares coefficients),
+canonical lines and
 incidence in Fraction arithmetic (the package reduces integer forms),
 joints by Fraction intersections of every pair followed by a rescan of every
 line at each candidate point with a Gauss-Jordan rank of the Fraction
@@ -251,17 +254,44 @@ def integer_root_ceiling(m: int, d: int) -> int:
     return c
 
 
+def rational_terms(p) -> dict:
+    """The polynomial's coefficients as Fractions: each numerator over the
+    common denominator."""
+    return {exps: Fraction(n, p.den) for exps, n in p.terms.items()}
+
+
+def evaluate_fraction(p, point) -> Fraction:
+    """p at a point given as a sequence of ints or Fractions, summed term by
+    term in Fraction arithmetic."""
+    return sum(
+        (c * prod(Fraction(x) ** e for x, e in zip(point, exps))
+         for exps, c in rational_terms(p).items()),
+        Fraction(0),
+    )
+
+
+def partial_derivative_fraction(p, axis: int) -> dict:
+    """The Fraction coefficients of the derivative along axis, term by term
+    by the power rule, merging terms that land on one exponent."""
+    out = {}
+    for exps, c in rational_terms(p).items():
+        if exps[axis]:
+            lowered = tuple(e - (i == axis) for i, e in enumerate(exps))
+            out[lowered] = out.get(lowered, 0) + c * exps[axis]
+    return {exps: c for exps, c in out.items() if c}
+
+
 def vanishes_on_line_by_sampling(p, line, samples: int) -> bool:
     """Zero iff p(base + t dir) = 0 at `samples` distinct parameters.
 
     Sound whenever samples > deg of the restriction: a nonzero univariate
     polynomial cannot have that many roots.
     """
-    return all(p.evaluate(line_point(line, t)) == 0 for t in range(samples))
+    return all(evaluate_fraction(p, line_point(line, t)) == 0 for t in range(samples))
 
 
 def vanishes_on_curve_by_sampling(p, curve, samples: int) -> bool:
-    return all(p.evaluate(curve.point_at(t)) == 0 for t in range(samples))
+    return all(evaluate_fraction(p, curve.point_at(t)) == 0 for t in range(samples))
 
 
 def vector(values):

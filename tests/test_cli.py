@@ -13,7 +13,7 @@ from jointlab.errors import ContradictionBugError
 from jointlab.exact import format_rational, parse_rational
 from jointlab.geometry import configuration_to_dict
 
-from conftest import nine_hyperplanes
+from conftest import affine_grid, nine_hyperplanes
 
 
 def run(capsys, *argv):
@@ -590,6 +590,7 @@ class TestTraceRelabelling:
         "grid(3,4)": lambda: grid(3, 4),
         "hyperplanes": nine_hyperplanes,
         "random(d=4)": lambda: random_config(4, 20, 1, 10),
+        "affine grid(4,2)": affine_grid,
     }
 
     @pytest.mark.parametrize("name", list(CONFIGS))
@@ -615,3 +616,16 @@ class TestTraceRelabelling:
             warnings = [r.getMessage() for r in caplog.records]
             duplicates = ["deduplicated 3 duplicate line(s)"]
             assert warnings == (duplicates if how == "duplicated" else []), how
+
+    def test_affine_grid_trace_reaches_the_fit(self, tmp_path, capsys):
+        # The d = 4 case whose trace runs the prune, the fit and the cascade.
+        path = tmp_path / "lines.json"
+        path.write_text(json.dumps(configuration_to_dict(affine_grid())))
+        out_json = tmp_path / "trace.json"
+        assert run(capsys, "trace", str(path), "--json", str(out_json))[0] == 0
+        got = json.loads(out_json.read_text())
+        assert (got["outcome"], got["m"], got["b"], got["cascade_order"]) == (
+            "BOUND_HOLDS", "16", "3", "-1"
+        )
+        assert got["fitted"] is not None
+        assert "fit" in [step["step"] for step in got["narrative"]]

@@ -1,14 +1,28 @@
 """The exact decisions run in integers: the modular kernel behind rank and
-nullspace (its primes, walk, reconstruction and certificate) and the
-pruning fixpoint name no Fraction, annotations included.  Callers scale
-rationals to integers before these decisions and make Fractions after."""
+nullspace (its primes, walk, reconstruction and certificate), the pruning
+fixpoint, the polynomial's constructor, fit, derivatives and integer
+evaluator, the vanishing test on lines and the cascade and gradient check
+built on it name no Fraction, annotations included.  Callers scale rationals
+to integers before these decisions and make Fractions after, and on the
+benchmark inputs the fit, the vanishing test and the cascade build none
+(the gradient check's count is in ``tests/test_pipeline.py``)."""
 
 import ast
 from pathlib import Path
 
+import pytest
+
+from jointlab.constructions import grid
+from jointlab.geometry import find_joints
+from jointlab.pipeline import cascade, prune
+from jointlab.polynomial import fit_vanishing, vanishes_on_line
+
+from conftest import nine_hyperplanes
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "jointlab"
 
-# module -> its functions that must not name Fraction
+# module -> its functions, and methods as "Class.method", that must not name
+# Fraction
 INTEGER_ONLY = {
     "exact": (
         "_is_prime",
@@ -22,24 +36,43 @@ INTEGER_ONLY = {
         "rank",
         "nullspace_vector",
     ),
-    "pipeline": ("peel",),
+    "polynomial": (
+        "Polynomial.__init__",
+        "Polynomial.partial_derivative",
+        "_evaluator",
+        "vanishes_on_line",
+        "vanishes_at",
+        "_fit_at_degree",
+    ),
+    "pipeline": ("peel", "cascade", "gradient_at_joints_check"),
 }
 
 
-def fraction_names(tree: ast.Module, names) -> dict[str, list[int]]:
-    """For each top-level function of the tree listed in names, the lines
-    where it names Fraction, bare or as an attribute such as
-    ``fractions.Fraction``."""
-    found = {}
+def functions(tree: ast.Module):
+    """(name, node) for each top-level function of the tree, and for each
+    method of a top-level class as "Class.method"."""
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name in names:
-            found[node.name] = [
-                sub.lineno
-                for sub in ast.walk(node)
-                if isinstance(sub, ast.Name) and sub.id == "Fraction"
-                or isinstance(sub, ast.Attribute) and sub.attr == "Fraction"
-            ]
-    return found
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def fraction_names(tree: ast.Module, names) -> dict[str, list[int]]:
+    """For each function of the tree listed in names, the lines where it
+    names Fraction, bare or as an attribute such as ``fractions.Fraction``."""
+    return {
+        name: [
+            sub.lineno
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Name) and sub.id == "Fraction"
+            or isinstance(sub, ast.Attribute) and sub.attr == "Fraction"
+        ]
+        for name, node in functions(tree)
+        if name in names
+    }
 
 
 def listed_functions():
@@ -88,11 +121,40 @@ def clean(n):
 
 def unlisted(n):
     return Fraction(n)
+
+class Form:
+    def __init__(self, n: Fraction):
+        self.n = n
+
+    def clean(self):
+        return self.n
 '''
     tree = ast.parse(source)
-    assert fraction_names(tree, {"annotated", "built", "dotted", "clean", "gone"}) == {
+    listed = {"annotated", "built", "dotted", "clean", "gone", "Form.__init__", "Form.clean"}
+    assert fraction_names(tree, listed) == {
         "annotated": [5],
         "built": [9],
         "dotted": [12],
         "clean": [],
+        "Form.__init__": [22],
+        "Form.clean": [],
     }
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: grid(3, 5), nine_hyperplanes], ids=["grid(3,5)", "hyperplanes"]
+)
+def test_fit_vanishing_and_cascade_build_no_fractions(make, built):
+    """The trace's polynomial steps on the survivors of the prune: the fit,
+    the vanishing test on every surviving line and the cascade."""
+    config = make()
+    survivors = prune(config, find_joints(config))
+    lines = survivors.surviving.lines
+    built.clear()
+    p = fit_vanishing(survivors.survivors.points, config.dim)
+    verdicts = [vanishes_on_line(p, line) for line in lines]
+    order = cascade(p, lines)
+    assert built == []
+    # the fit misses some surviving line, so the cascade stops at once
+    assert lines and not all(verdicts)
+    assert order == -1

@@ -231,6 +231,37 @@ class TestGradientCheck:
         with pytest.raises(ZeroPolynomialError):
             gradient_at_joints_check(Polynomial(3, {}), find_joints(grid(3, 2)))
 
+    def test_partials_derived_once_and_decided_in_integers(self, monkeypatch, built):
+        # All 125 joints of grid(3,5) qualify for the product of x_i - k,
+        # k = 0..4; its three partials are derived once, not at each joint,
+        # and each gradient is decided zero without building a Fraction.
+        p = cube_product_poly(3, 5)
+        joints = find_joints(grid(3, 5))
+        derive = Polynomial.partial_derivative
+        axes = []
+
+        def spy(q, axis):
+            axes.append(axis)
+            return derive(q, axis)
+
+        monkeypatch.setattr(Polynomial, "partial_derivative", spy)
+        built.clear()
+        report = gradient_at_joints_check(p, joints)
+        assert report.count(GRADIENT_ZERO) == 125
+        assert axes == [0, 1, 2]
+        assert built == []
+
+    def test_nonzero_gradient_is_reported_as_fractions(self):
+        # A point whose one incident line does not span: x2/2 vanishes on the
+        # x1-axis, and its gradient (0, 1/2, 0) is not zero there.
+        axis = Line(vec(0, 0, 0), vec(1, 0, 0))
+        joints = JointSet({Point((0, 0, 0), 1): frozenset({axis})})
+        with pytest.raises(InternalInvariantViolation) as err:
+            gradient_at_joints_check(polynomial_from_text("1/2*x2", 3), joints)
+        assert str(err.value).startswith(
+            f"gradient {(F(0), F('1/2'), F(0))} nonzero at joint"
+        )
+
     def test_random_spanning_products(self):
         # p = product over lines of a linear form vanishing on that line:
         # p vanishes on every line through the joint, so its gradient there
@@ -333,19 +364,6 @@ class TestIntegerPoints:
         "grid-orphan(3,5)": lambda: grid_plus_orphan(3, 5),
         "hyperplanes": nine_hyperplanes,
     }
-
-    @pytest.fixture
-    def built(self, monkeypatch):
-        """The arguments of every Fraction constructed from now on."""
-        calls = []
-        new = Fraction.__new__
-
-        def counting(cls, *args, **kwargs):
-            calls.append(args)
-            return new(cls, *args, **kwargs)
-
-        monkeypatch.setattr(Fraction, "__new__", counting)
-        return calls
 
     @pytest.mark.parametrize("name", list(FAMILIES))
     def test_pair_search_and_prune_build_no_point_fractions(self, name, built):

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +27,7 @@ from jointlab.polynomial import (
     uni_eval,
     uni_mul,
     unipoly_to_text,
+    vanishes_at,
     vanishes_on_line,
 )
 
@@ -37,9 +38,12 @@ from conftest import (
     poly_product,
 )
 from oracles import (
+    evaluate_fraction,
     integer_root_ceiling,
     min_fit_degree_enum,
     monomial_count_recursive,
+    partial_derivative_fraction,
+    rational_terms,
     vanishes_on_line_by_sampling,
 )
 
@@ -58,6 +62,11 @@ def pt(*vals):
 
 def poly(text, dim=3):
     return polynomial_from_text(text, dim)
+
+
+def gradient(p, point):
+    """The partial derivatives of p, each evaluated at the point."""
+    return tuple(p.partial_derivative(axis).evaluate(point) for axis in range(p.dim))
 
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -117,6 +126,51 @@ class TestMinFitDegree:
         assert min_fit_degree(m, d) <= integer_root_ceiling(m, d)
 
 
+class TestIntegerForm:
+    """Integer numerators over one positive, gcd-reduced denominator,
+    checked against Fraction references that read ``terms`` and ``den``."""
+
+    @given(polynomials(), st.integers(-6, 6).filter(bool))
+    @settings(max_examples=80)
+    def test_form_is_reduced_and_canonical(self, p, k):
+        assert p.den > 0
+        assert gcd(p.den, *p.terms.values()) == 1
+        assert all(type(n) is int and n for n in p.terms.values())
+        scaled = Polynomial(p.dim, {e: n * k for e, n in p.terms.items()}, p.den * k)
+        assert (scaled.terms, scaled.den) == (p.terms, p.den)
+
+    @given(polynomials(), polynomials())
+    @settings(max_examples=80)
+    def test_equal_iff_rational_coefficients_equal(self, p, q):
+        assert (p == q) == (rational_terms(p) == rational_terms(q))
+        assert p == Polynomial(p.dim, rational_terms(p))
+
+    @given(polynomials(), st.integers(0, 2))
+    @settings(max_examples=80)
+    def test_partial_derivative_matches_fraction_reference(self, p, axis):
+        assert rational_terms(p.partial_derivative(axis)) == partial_derivative_fraction(
+            p, axis
+        )
+
+    @given(polynomials(), st.tuples(rationals, rationals, rationals))
+    @settings(max_examples=80)
+    def test_evaluation_matches_fraction_reference(self, p, x):
+        value = evaluate_fraction(p, x)
+        assert p.evaluate(x) == value
+        assert p.evaluate(Point.of(x)) == value
+        assert vanishes_at(p, Point.of(x)) == (value == 0)
+
+    def test_zero_has_no_terms_over_one(self):
+        for zero in (Polynomial(3, {}), Polynomial(3, {(1, 0, 0): 0}, 7), poly("x1 - x1")):
+            assert (zero.terms, zero.den) == ({}, 1)
+            assert zero.is_zero()
+
+    def test_denominator_sign_and_gcd(self):
+        p = Polynomial(2, {(1, 0): 4, (0, 0): F("-2/3")}, -6)
+        assert (p.terms, p.den) == ({(1, 0): -6, (0, 0): 1}, 9)
+        assert rational_terms(p) == {(1, 0): F("-2/3"), (0, 0): F("1/9")}
+
+
 class TestEvaluation:
     def test_product_of_variables(self):
         assert poly("x1*x2*x3").evaluate(vec(1, 1, 1)) == 1
@@ -146,13 +200,13 @@ class TestDerivatives:
         assert poly("x1^2 - x1").partial_derivative(0) == poly("2*x1 - 1")
 
     def test_gradient_examples(self):
-        assert poly("x1*x2*x3").gradient(vec(1, 1, 1)) == vec(1, 1, 1)
-        assert poly("x1^2 - x1").gradient(vec(0, 0, 0)) == vec(-1, 0, 0)
+        assert gradient(poly("x1*x2*x3"), vec(1, 1, 1)) == vec(1, 1, 1)
+        assert gradient(poly("x1^2 - x1"), vec(0, 0, 0)) == vec(-1, 0, 0)
 
     def test_gradient_of_cube_product_vanishes_on_cube(self):
         p = poly_product(3, [poly(f"x{i}^2 - x{i}") for i in range(1, 4)])
         for pt in cube_points(2, 3):
-            assert p.gradient(pt) == vec(0, 0, 0)
+            assert gradient(p, pt) == vec(0, 0, 0)
 
     @given(polynomials(), st.integers(0, 2), st.integers(0, 2))
     @settings(max_examples=60)
@@ -199,7 +253,7 @@ class TestRestriction:
     def test_linear_coefficient_is_directional_derivative(self, p, line):
         q = restrict_to_line(p, line)
         t1 = q[1] if len(q) > 1 else F(0)
-        grad = p.gradient(line.base)
+        grad = gradient(p, line.base)
         assert t1 == sum(g * v for g, v in zip(grad, line.direction))
 
     @given(polynomials(), random_lines())
@@ -244,6 +298,8 @@ class TestVanishesOnLine:
             vanishes_on_line(poly("x1", 4), self.SLANTED)
 
     def test_coefficients_are_scaled_to_integers_once(self, monkeypatch):
+        # The constructor scales the coefficients once; the vanishing test
+        # reads the integer numerators and their denominator as they are.
         calls = []
         integer_form = polynomial.integer_form
 
@@ -253,12 +309,13 @@ class TestVanishesOnLine:
 
         monkeypatch.setattr(polynomial, "integer_form", spy)
         p = poly("3/4*x1^2 - 2/3*x2*x3 + 5")
-        assert list(p.terms) == [(2, 0, 0), (0, 1, 1), (0, 0, 0)]
-        assert p.numerators() == (9, -8, 60)
+        assert list(p.terms.items()) == [((2, 0, 0), 9), ((0, 1, 1), -8), ((0, 0, 0), 60)]
+        assert p.den == 12
         assert calls == [[Fraction(3, 4), Fraction(-2, 3), 5]]
+        calls.clear()
         for line in (self.AXIS, self.SLANTED, Line(vec(0, 2, 0), vec(1, 0, 0))):
             assert not vanishes_on_line(p, line)
-        assert len(calls) == 1
+        assert calls == []
 
     def test_trace_never_restricts(self, monkeypatch):
         calls = []
