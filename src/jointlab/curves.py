@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, FileFormatError
 from .exact import Point, _Frozen, integer_form, rank
-from .geometry import JointSet, Line, parse_coords, read_json
+from .geometry import JointSet, Line, parse_coords, read_items, read_json
 from .pipeline import peel
 from .polynomial import (
     Polynomial,
@@ -167,32 +167,19 @@ def restrict_to_curve(p: Polynomial, curve: ParamCurve) -> UniPoly:
 # JSON wire format: coefficient lists in ascending powers of t
 
 
+def _curve_from_dict(raw, dim: int, where: str) -> ParamCurve:
+    coords = raw.get("coords") if isinstance(raw, dict) else None
+    if not isinstance(coords, list):
+        raise ValueError("expected an object with coords")
+    if len(coords) != dim:
+        raise FileFormatError(f"{where}.coords: expected {dim} coordinate polynomials")
+    return ParamCurve(
+        tuple(parse_coords(c, f"{where}.coords[{j}]") for j, c in enumerate(coords))
+    )
+
+
 def curve_configuration_from_dict(obj) -> CurveConfiguration:
-    if not isinstance(obj, dict):
-        raise FileFormatError("top level: expected an object")
-    dim = obj.get("dim")
-    if not isinstance(dim, int) or dim < 2:
-        raise FileFormatError("dim: expected an integer >= 2")
-    raw_curves = obj.get("curves")
-    if not isinstance(raw_curves, list):
-        raise FileFormatError("curves: expected a list")
-    curves = []
-    for i, raw in enumerate(raw_curves):
-        if not isinstance(raw, dict) or not isinstance(raw.get("coords"), list):
-            raise FileFormatError(f"curves[{i}]: expected an object with coords")
-        coords = raw["coords"]
-        if len(coords) != dim:
-            raise FileFormatError(
-                f"curves[{i}].coords: expected {dim} coordinate polynomials"
-            )
-        parsed = tuple(
-            parse_coords(coeffs, f"curves[{i}].coords[{j}]")
-            for j, coeffs in enumerate(coords)
-        )
-        try:
-            curves.append(ParamCurve(parsed))
-        except ValueError as exc:
-            raise FileFormatError(f"curves[{i}]: {exc}") from exc
+    dim, curves = read_items(obj, "curves", _curve_from_dict)
     return CurveConfiguration(dim, tuple(curves))
 
 
@@ -215,20 +202,20 @@ def curve_prune(cfg: CurveConfiguration, joints: JointSet) -> CurvePruneResult:
 
     The line fixpoint :func:`~jointlab.pipeline.peel`, which works each
     curve's threshold out from its degree; thresholds are frozen at the
-    start, and fewer than m/2 joints are lost in total.  The result lists
-    the thresholds as Fractions.
+    start, and fewer than m/2 joints are lost in total.  A curve listed more
+    than once counts once, as a line does in a Configuration: n is the total
+    degree of the distinct curves.  The result lists the thresholds as
+    Fractions.
     """
-    n = cfg.total_degree
+    curves = sorted(set(cfg.curves), key=lambda c: (c.degree, c.coords))
+    n = sum(c.degree for c in curves)
     if n < 1:
         raise ValueError("cannot prune an empty curve configuration")
     m = len(joints)
-    thresholds = {c: Fraction(m * c.degree, 2 * n) for c in cfg.curves}
-    curves = sorted(cfg.curves, key=lambda c: (c.degree, c.coords))
-    removed, removed_points, survivors = peel(curves, joints)
-    dead = set(removed)
-    surviving = tuple(c for c in curves if c not in dead)
+    thresholds = {c: Fraction(m * c.degree, 2 * n) for c in curves}
+    removed, removed_points, survivors, kept = peel(curves, joints)
     return CurvePruneResult(
-        surviving=CurveConfiguration(cfg.dim, surviving),
+        surviving=CurveConfiguration(cfg.dim, tuple(kept)),
         survivors=survivors,
         removed_curves=tuple(removed),
         removed_points=frozenset(removed_points),

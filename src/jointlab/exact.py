@@ -1,8 +1,10 @@
 """Exact rational scalars, vectors, and matrices.
 
-Scalars are arbitrary-precision rationals (``fractions.Fraction``), so every
-comparison in the toolkit is an exact decision rather than a tolerance check.
-Integer literals are read as ints, and ints serve wherever a rational does.
+Scalars are exact rationals, so every comparison in the toolkit is an exact
+decision rather than a tolerance check.  A rational literal is read as an
+int when it is an integer and as a ``fractions.Fraction`` otherwise, and
+:func:`integer_form` turns a vector of them into integer numerators over
+one common denominator, the form in which the toolkit computes.
 
 Rank and nullspace come from one certified modular walk over integer rows.
 A caller with rational rows scales each to integers first, by
@@ -18,13 +20,13 @@ answer is exact and is the one the selection rule defines.  When a
 reconstruction or a check fails, the next prime joins by the Chinese
 remainder theorem.  The kernel names no Fraction: integers in, integers out.
 
-Rational results are tuples of Fractions and matrices are sequences of rows;
-both are treated as immutable values throughout.  A :class:`Point` is a
-rational point kept in integers, numerators over one denominator; the
-package's joint points are Points, and a ``polynomial.Polynomial`` keeps its
-coefficients in the same form, on the same :class:`_Frozen` base.  Fractions
-are made from them only at the edges: to print, to project, or to substitute
-into curves.
+A rational result is integer numerators over one denominator: a kernel
+vector is ``(nums, den)``, and a :class:`Point` is a rational point kept in
+that form.  Matrices are sequences of integer rows, and results are treated
+as immutable values throughout.  The package's joint points are Points, and
+a ``polynomial.Polynomial`` keeps its coefficients in the same form, on the
+same :class:`_Frozen` base.  Fractions are made from them only at the edges:
+to print, to project, or to substitute into curves.
 """
 
 from __future__ import annotations

@@ -479,25 +479,42 @@ def parse_coords(values, where: str, dim: int | None = None) -> tuple:
     return tuple(out)
 
 
-def configuration_from_dict(obj) -> Configuration:
+def read_items(obj, key: str, build) -> tuple[int, list]:
+    """The dimension and the items of a configuration file's object
+    ``{"dim": d, key: [item, ...]}``, for lines and curves alike.
+
+    ``build(raw, dim, where)`` makes one item from its JSON value, with
+    ``where`` naming it as ``key[i]``.  A FileFormatError it raises names
+    its own field; any other ValueError is reported against the item."""
     if not isinstance(obj, dict):
         raise FileFormatError("top level: expected an object")
     dim = obj.get("dim")
     if not isinstance(dim, int) or dim < 2:
         raise FileFormatError("dim: expected an integer >= 2")
-    raw_lines = obj.get("lines")
-    if not isinstance(raw_lines, list):
-        raise FileFormatError("lines: expected a list")
-    lines = []
-    for i, raw in enumerate(raw_lines):
-        if not isinstance(raw, dict):
-            raise FileFormatError(f"lines[{i}]: expected an object")
-        base = parse_coords(raw.get("base"), f"lines[{i}].base", dim)
-        direction = parse_coords(raw.get("dir"), f"lines[{i}].dir", dim)
+    raw_items = obj.get(key)
+    if not isinstance(raw_items, list):
+        raise FileFormatError(f"{key}: expected a list")
+    items = []
+    for i, raw in enumerate(raw_items):
+        where = f"{key}[{i}]"
         try:
-            lines.append(Line(base, direction))
+            items.append(build(raw, dim, where))
+        except FileFormatError:
+            raise
         except ValueError as exc:
-            raise FileFormatError(f"lines[{i}]: {exc}") from exc
+            raise FileFormatError(f"{where}: {exc}") from exc
+    return dim, items
+
+
+def _line_from_dict(raw, dim: int, where: str) -> Line:
+    if not isinstance(raw, dict):
+        raise ValueError("expected an object")
+    base = parse_coords(raw.get("base"), f"{where}.base", dim)
+    return Line(base, parse_coords(raw.get("dir"), f"{where}.dir", dim))
+
+
+def configuration_from_dict(obj) -> Configuration:
+    dim, lines = read_items(obj, "lines", _line_from_dict)
     config = Configuration(dim, lines)
     if config.n < len(lines):
         import logging  # only this warning logs; most runs never load it

@@ -11,14 +11,17 @@ Every comparison along the way is exact and made in integers: a line
 carries fewer than m/(2n) joints when 2n * count < m, the inequality
 m <= A * n^(d/(d-1)) is decided in the equivalent form
 m^(d-1) <= 2^(d+1) * d! * n^d, and "vanishes identically on a line" is
-decided by exact integer values at deg p + 1 points of the line.
+decided by exact integer values at the base point and, where p is zero
+there, at one more point per unit of the restriction's degree bound.
+Pruning counts each surviving line's joints once, in :func:`peel`; the
+invariant check recounts them, and the trace reports those counts.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import (
     ContradictionBugError,
@@ -61,6 +64,8 @@ class PruneResult(NamedTuple):
     The threshold m/(2n) is frozen at the start; every surviving line ends up
     with at least that many surviving joints, every surviving joint is still
     a joint among the surviving lines, and fewer than m/2 joints are lost.
+    ``counts`` maps each surviving line, in ``sorted_lines()`` order, to its
+    number of surviving joints.
     """
 
     surviving: Configuration
@@ -68,6 +73,7 @@ class PruneResult(NamedTuple):
     removed_lines: tuple[Line, ...]
     removed_points: frozenset[Point]
     threshold: Fraction
+    counts: dict[Line, int]
 
 
 class TraceStep(NamedTuple):
@@ -98,68 +104,56 @@ class GradientCheckReport(NamedTuple):
         return sum(1 for s in self.statuses.values() if s == status)
 
 
-def _surviving_counts(joints: JointSet, alive_lines: list[Line]) -> dict[Line, int]:
-    """Each line's number of joints, keyed in the order of alive_lines."""
-    counts = {line: 0 for line in alive_lines}
-    for through in joints.incidence.values():
-        for line in through:
-            if line in counts:  # experiment subsets may reference other lines
-                counts[line] += 1
-    return counts
-
-
-def peel(items: list, joints: JointSet) -> tuple[list, set[Point], JointSet]:
+def peel(items: Sequence, joints: JointSet) -> tuple[list, set[Point], JointSet, dict]:
     """Remove items (lines or curves) that carry fewer than m * deg / (2n)
     surviving joints, until none does.
 
-    ``items`` is in canonical order; each has a ``degree`` (1 for a line),
-    n is their total degree and m the number of joints.  The thresholds are
-    frozen at the start and decided in integers: an item is eligible while
-    2n * count < m * deg.  Among currently eligible items the first in
-    canonical order goes, and its surviving joints go with it, so surviving
-    joints never reference removed items.  Returns the removed items in
-    removal order, the removed points, and the surviving joints.
+    ``items`` are distinct and in canonical order; each has a ``degree`` (1
+    for a line), n is their total degree and m the number of joints.  The
+    thresholds are frozen at the start and decided in integers: an item is
+    eligible while 2n * count < m * deg.  Among currently eligible items the
+    first in canonical order goes, and its surviving joints go with it, so
+    surviving joints never reference removed items.  Returns the removed
+    items in removal order, the removed points, the surviving joints, and
+    each surviving item's number of surviving joints, in canonical order.
 
     Counts only fall and thresholds are frozen, so an item once eligible
     stays eligible until removed.  The counts are therefore taken once and
     peeled: a min-heap holds the canonical indices of eligible items, and
-    each dying joint decrements the counts of its other items.  Equal items
-    share their joints and are counted alike.  Each removal loses fewer
-    joints than its threshold, and the thresholds sum to m/2, so fewer than
-    m/2 joints are lost; that is checked.
+    each dying joint decrements the counts of its other items.  Each removal
+    loses fewer joints than its threshold, and the thresholds sum to m/2, so
+    fewer than m/2 joints are lost; that is checked.
     """
-    slots: dict = {}
-    for i, item in enumerate(items):
-        slots.setdefault(item, []).append(i)
+    index = {item: i for i, item in enumerate(items)}
     points_on: list[list[Point]] = [[] for _ in items]
     for p in joints.points:
         for item in joints.lines_through(p):
-            # experiment subsets may reference other lines
-            for i in slots.get(item, ()):
+            i = index.get(item)
+            if i is not None:  # experiment subsets may reference other lines
                 points_on[i].append(p)
     two_n = 2 * sum(item.degree for item in items)
     bars = [len(joints) * item.degree for item in items]  # 2n times a threshold
     counts = [len(on) for on in points_on]
     eligible = [i for i, count in enumerate(counts) if two_n * count < bars[i]]
     heapq.heapify(eligible)
-    removed: list = []
+    removed: list[int] = []
     removed_points: set[Point] = set()
 
     while eligible:
         victim = heapq.heappop(eligible)
-        removed.append(items[victim])
+        removed.append(victim)
         for p in points_on[victim]:
             if p in removed_points:
                 continue
             removed_points.add(p)
             for item in joints.lines_through(p):
-                for i in slots.get(item, ()):
-                    if i == victim:
-                        continue
-                    counts[i] -= 1
-                    # push once, when the item just became eligible
-                    if two_n * counts[i] < bars[i] <= two_n * (counts[i] + 1):
-                        heapq.heappush(eligible, i)
+                i = index.get(item)
+                if i is None or i == victim:
+                    continue
+                counts[i] -= 1
+                # push once, when the item just became eligible
+                if two_n * counts[i] < bars[i] <= two_n * (counts[i] + 1):
+                    heapq.heappush(eligible, i)
 
     if removed_points and not 2 * len(removed_points) < len(joints):
         raise InternalInvariantViolation(
@@ -172,49 +166,49 @@ def peel(items: list, joints: JointSet) -> tuple[list, set[Point], JointSet]:
             if p not in removed_points
         }
     )
-    return removed, removed_points, survivors
+    dead = set(removed)
+    kept = {item: counts[i] for i, item in enumerate(items) if i not in dead}
+    return [items[i] for i in removed], removed_points, survivors, kept
 
 
 def prune(config: Configuration, joints: JointSet) -> PruneResult:
     """Iteratively remove lines carrying fewer than m/(2n) surviving joints.
 
     :func:`peel` works the frozen threshold out in integers from the lines'
-    degrees, 1 each, fixes the removal order and removes each line's
-    surviving joints with it.  The result keeps the threshold as a Fraction,
-    and the invariant check decides again in that arithmetic.
+    degrees, 1 each, fixes the removal order, removes each line's surviving
+    joints with it and counts the survivors' joints.  The result keeps the
+    threshold as a Fraction, and the invariant check recounts and decides
+    again in that arithmetic.
     """
     n = config.n
     if n < 1:
         raise ValueError("cannot prune an empty configuration")
     threshold = Fraction(len(joints), 2 * n)
-    lines = config.sorted_lines()
-    removed_lines, removed_points, survivors = peel(lines, joints)
-    dead = set(removed_lines)
-    surviving = Configuration(config.dim, (l for l in lines if l not in dead))
-    _check_prune_invariants(surviving, survivors, threshold)
+    removed_lines, removed_points, survivors, counts = peel(
+        config.sorted_lines(), joints
+    )
+    surviving = Configuration(config.dim, counts)
+    _check_prune_invariants(surviving, survivors, threshold, counts)
     return PruneResult(
         surviving=surviving,
         survivors=survivors,
         removed_lines=tuple(removed_lines),
         removed_points=frozenset(removed_points),
         threshold=threshold,
+        counts=counts,
     )
 
 
-def _check_prune_invariants(surviving, survivors, threshold):
-    surviving_set = surviving.lines
-    counts = _surviving_counts(survivors, surviving.sorted_lines())
-    for line, count in counts.items():
-        if count < threshold:
-            raise InternalInvariantViolation(
-                f"surviving line {line!r} carries {count} < threshold joints"
-            )
+def _check_prune_invariants(surviving, survivors, threshold, counts):
+    """Walk the surviving joints, recounting each surviving line's joints,
+    and raise unless the recount equals ``counts`` and meets the threshold."""
+    recount = dict.fromkeys(surviving.sorted_lines(), 0)
     # A stored set of surviving lines that all pass through p and whose
     # directions have rank d witnesses that p is a joint among survivors.
     ranks: dict[frozenset, int] = {}
     for p in survivors.points:
         through = survivors.lines_through(p)
-        if not through <= surviving_set:
+        if not through <= surviving.lines:
             raise InternalInvariantViolation(
                 f"surviving joint {p} references a removed line"
             )
@@ -223,9 +217,19 @@ def _check_prune_invariants(surviving, survivors, threshold):
                 raise InternalInvariantViolation(
                     f"surviving joint {p} stores {line!r}, which misses it"
                 )
+            recount[line] += 1
         if len(through) < surviving.dim or _rank_once(ranks, through) != surviving.dim:
             raise InternalInvariantViolation(
                 f"surviving point {p} is no longer a joint among survivors"
+            )
+    if recount != counts:
+        raise InternalInvariantViolation(
+            "pruning's joint counts of the surviving lines differ from a recount"
+        )
+    for line, count in recount.items():
+        if count < threshold:
+            raise InternalInvariantViolation(
+                f"surviving line {line!r} carries {count} < threshold joints"
             )
 
 
@@ -350,10 +354,10 @@ def trace(config: Configuration) -> ProofTrace:
     )
 
     b = fitted = order = None
-    counts: dict[Line, int] = {}
 
     def finish(outcome: str) -> ProofTrace:
-        """Close the narrative with the outcome; fields not reached stay None."""
+        """Close the narrative with the outcome; fields not reached stay None,
+        and the counts empty."""
         steps.append(TraceStep(name="outcome", verdict=outcome, detail={}))
         return ProofTrace(
             outcome=outcome,
@@ -362,7 +366,7 @@ def trace(config: Configuration) -> ProofTrace:
             m=m,
             threshold=pr.threshold,
             b=b,
-            per_line_joint_counts=counts,
+            per_line_joint_counts=pr.counts if b is not None else {},
             fitted=fitted,
             cascade_order=order,
             narrative=tuple(steps),
@@ -371,13 +375,8 @@ def trace(config: Configuration) -> ProofTrace:
     if m_surv == 0:
         return finish(ALL_PRUNED)
 
-    outcome: str | None = None
-    if chk.holds:
-        outcome = BOUND_HOLDS
-
     b = min_fit_degree(m_surv, d)
-    counts = _surviving_counts(pr.survivors, pr.surviving.sorted_lines())
-    min_count = min(counts.values())
+    min_count = min(pr.counts.values())
     dominated = min_count > b
     steps.append(
         TraceStep(
@@ -391,8 +390,6 @@ def trace(config: Configuration) -> ProofTrace:
             detail={"b": str(b), "min_line_joints": str(min_count)},
         )
     )
-    if not dominated and outcome is None:
-        outcome = DEGREE_NOT_DOMINATED
 
     fitted = fit_vanishing(pr.survivors.points, d)
     vanishing, failing = [], []
@@ -433,21 +430,22 @@ def trace(config: Configuration) -> ProofTrace:
             "surviving lines; a nonzero constant cannot do that",
             trace=finish(CONTRADICTION_BUG),
         )
-    if outcome is None:
-        # Bound violated yet every surviving line dominated b and the cascade
-        # still halted: no consistent reading of the argument allows this.
-        raise InternalInvariantViolation(
-            "inequality violated but the proof machinery found no failing step"
-        )
-
-    return finish(outcome)
+    if chk.holds:
+        return finish(BOUND_HOLDS)
+    if not dominated:
+        return finish(DEGREE_NOT_DOMINATED)
+    # Bound violated yet every surviving line dominated b and the cascade
+    # still halted: no consistent reading of the argument allows this.
+    raise InternalInvariantViolation(
+        "inequality violated but the proof machinery found no failing step"
+    )
 
 
 def trace_to_dict(tr: ProofTrace) -> dict:
     """JSON form: integers as decimal strings, polynomial in text form.
 
     The per-line counts keep their order, that of the surviving lines'
-    ``sorted_lines()``, in which :func:`trace` builds them.
+    ``sorted_lines()``, in which :func:`peel` counts them.
     """
     return {
         "outcome": tr.outcome,

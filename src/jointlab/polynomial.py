@@ -273,26 +273,33 @@ def restrict_to_line(p: Polynomial, line: "Line") -> UniPoly:
 def vanishes_on_line(p: Polynomial, line: "Line") -> bool:
     """True iff p is identically zero along the line.
 
-    The restriction t -> p(base + t * dir) has degree at most D = deg p, and
-    a nonzero univariate polynomial of degree at most D has at most D roots.
-    So p vanishes on the line exactly when it vanishes at the D + 1
-    parameters t = 0, 1, ..., D, and the first nonzero value decides; most
-    lines that fail do so at t = 0, the base point.  The zero polynomial,
-    of degree -1, is tested at no parameter.
+    Along the line only the coordinates i with v_i != 0, v the direction,
+    move, so the restriction t -> p(base + t * v) has degree at most
+    r = max over p's terms of the sum of e_i over those i.  A nonzero
+    univariate polynomial of degree at most r has at most r roots, so p
+    vanishes on the line exactly when it vanishes at the r + 1 parameters
+    t = 0, 1, ..., r, and the first nonzero value decides.  Most lines that
+    fail do so at t = 0, the base point, so r is worked out only after p is
+    zero there.  The zero polynomial, of degree -1, is tested at no
+    parameter.
 
     Each value is computed in integers, by :func:`_evaluator`: with the
     line's primitive direction v and its base Point a/q, the point at t is
-    (a + t*q*v)/q, and den * q^D * p there is a positive multiple of p's
-    value.
+    (a + t*q*v)/q, and den * q^D * p there, D = deg p, is a positive
+    multiple of p's value.
     """
     top = p.degree()
     value = _evaluator(p, top, line.base)
-    step = [line.base.den * vi for vi in line.direction]
     x = line.base.nums
-    for _ in range(top + 1):
+    if top >= 0 and value(x):
+        return False
+    moving = [i for i, vi in enumerate(line.direction) if vi]
+    r = max((sum(exps[i] for i in moving) for exps in p.terms), default=0)
+    step = [line.base.den * vi for vi in line.direction]
+    for _ in range(r):
+        x = list(map(add, x, step))
         if value(x):
             return False
-        x = list(map(add, x, step))
     return True
 
 

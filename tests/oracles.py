@@ -399,7 +399,8 @@ def find_s_joints_rescan(config, s):
 
 def prune_recount(config, joints):
     """Remove the first eligible line in canonical order, recounting every
-    surviving line's joints in every round, until no line is eligible."""
+    surviving line's joints in every round, until no line is eligible.  The
+    counts are those of the last round's recount."""
     threshold = Fraction(len(joints), 2 * config.n)
     alive_lines = list(config.sorted_lines())
     alive_points = {p: joints.lines_through(p) for p in joints.points}
@@ -425,4 +426,5 @@ def prune_recount(config, joints):
         removed_lines=tuple(removed_lines),
         removed_points=frozenset(removed_points),
         threshold=threshold,
+        counts=counts,
     )

@@ -344,6 +344,53 @@ class TestErrorPaths:
         code, _, err = run(capsys, "joints", str(path))
         assert code == 1
         assert "lines[0]" in err
+        # Line and curve files share one reader, and every command that
+        # reads one reports the same error.
+        line = {"base": ["0", "0", "0"], "dir": ["1", "0", "0"]}
+        curve = {"coords": [["0", "1"], ["0"], ["0"]]}
+        line_files = [
+            ("[]", "top level: expected an object"),
+            ('{"dim": 1, "lines": []}', "dim: expected an integer >= 2"),
+            ('{"dim": true, "lines": []}', "dim: expected an integer >= 2"),
+            ('{"dim": 3, "lines": {}}', "lines: expected a list"),
+            (json.dumps({"dim": 3, "lines": [line, "x"]}), "lines[1]: expected an object"),
+            (json.dumps({"dim": 3, "lines": [dict(line, dir=["1", "0"])]}),
+             "lines[0].dir: expected a list of 3 rationals"),
+            (json.dumps({"dim": 3, "lines": [line, dict(line, dir=["0", "0", "0"])]}),
+             "lines[1]: line direction must be nonzero"),
+            (json.dumps({"dim": 3, "lines": [dict(line, base=["0", 0, "0"])]}),
+             "lines[0].base[1]: rationals must be strings"),
+            (json.dumps({"dim": 3, "lines": [dict(line, base=["0", "0", "1/0"])]}),
+             "lines[0].base[2]: zero denominator in rational literal '1/0'"),
+            ("{not json", "{path}: not valid JSON (Expecting property name "
+             "enclosed in double quotes: line 1 column 2 (char 1))"),
+        ]
+        curve_files = [
+            ("[]", "top level: expected an object"),
+            ('{"dim": true, "curves": []}', "dim: expected an integer >= 2"),
+            ('{"dim": 3, "curves": "x"}', "curves: expected a list"),
+            (json.dumps({"dim": 3, "curves": [curve, []]}),
+             "curves[1]: expected an object with coords"),
+            (json.dumps({"dim": 3, "curves": [{"coeffs": curve["coords"]}]}),
+             "curves[0]: expected an object with coords"),
+            (json.dumps({"dim": 3, "curves": [{"coords": [["0", "1"]] * 4}]}),
+             "curves[0].coords: expected 3 coordinate polynomials"),
+            (json.dumps({"dim": 3, "curves": [{"coords": [["2"], ["0", "0"], ["1"]]}]}),
+             "curves[0]: curve must have a nonconstant coordinate"),
+            (json.dumps({"dim": 3, "curves": [{"coords": [["0", "1/"], ["0"], ["0"]]}]}),
+             "curves[0].coords[0][1]: invalid rational literal '1/'"),
+            ('{"dim": 3,', "{path}: not valid JSON (Expecting property name "
+             "enclosed in double quotes: line 1 column 11 (char 10))"),
+        ]
+        commands = [(text, message, argv) for text, message in line_files
+                    for argv in (["joints"], ["trace"], ["bound"])]
+        commands += [(text, message, ["curve", "restrict", "--poly", "x1"])
+                     for text, message in curve_files]
+        for text, message, argv in commands:
+            path.write_text(text)
+            code, out, err = run(capsys, *argv, str(path))
+            assert (code, out) == (1, ""), (argv, text)
+            assert err == f"error: {message.replace('{path}', str(path))}\n", (argv, text)
 
     def test_numeric_curve_coefficient_names_field(self, tmp_path, capsys):
         path = tmp_path / "curve.json"

@@ -216,6 +216,21 @@ class TestCurvePrune:
         assert result.removed_points == {Point.of(vec(0, 0, 0)), Point.of(vec(2, 3, 0))}
         assert len(result.survivors) == 341
 
+    def test_curve_listed_twice_prunes_as_listed_once(self):
+        # Configuration dedupes lines; n is the distinct curves' total degree.
+        orphan = ParamCurve((uni(0, 1), uni(1, 0, 1), uni(5)))
+        joints = curve_joint_set([[(c, F(0)) for c in AXES]])
+        once = curve_prune(CurveConfiguration(3, tuple(AXES) + (orphan,)), joints)
+        twice = curve_prune(
+            CurveConfiguration(3, (orphan, AXES[1]) + tuple(AXES) + (orphan,)), joints
+        )
+        assert twice.removed_curves == once.removed_curves == (orphan,)
+        assert twice.thresholds == once.thresholds
+        assert twice.thresholds[orphan] == F("1/5")
+        assert twice.surviving == once.surviving
+        assert twice.survivors == once.survivors
+        assert twice.removed_points == once.removed_points
+
     def test_empty_joint_set_removes_nothing(self):
         cfg = CurveConfiguration(3, tuple(AXES))
         result = curve_prune(cfg, curve_joint_set([]))
@@ -256,6 +271,26 @@ class TestCurveFiles:
                 {"dim": 3, "curves": [{"coords": [["0", "1"], ["x"], ["0"]]}]}
             )
         assert "curves[0].coords[1]" in str(err.value)
+        x = {"coords": [["0", "1"], ["0"], ["0"]]}
+        for obj, message in [
+            ([], "top level: expected an object"),
+            ({"dim": 1, "curves": []}, "dim: expected an integer >= 2"),
+            ({"dim": True, "curves": []}, "dim: expected an integer >= 2"),
+            ({"dim": 3, "curves": {}}, "curves: expected a list"),
+            ({"dim": 3, "curves": [x, 5]}, "curves[1]: expected an object with coords"),
+            ({"dim": 3, "curves": [{}]}, "curves[0]: expected an object with coords"),
+            ({"dim": 3, "curves": [{"coords": [["0", "1"], ["0"]]}]},
+             "curves[0].coords: expected 3 coordinate polynomials"),
+            ({"dim": 3, "curves": [{"coords": [["1"], ["2", "0"], []]}]},
+             "curves[0]: curve must have a nonconstant coordinate"),
+            ({"dim": 3, "curves": [{"coords": [["0", 1], ["0"], ["0"]]}]},
+             "curves[0].coords[0][1]: rationals must be strings"),
+            ({"dim": 3, "curves": [{"coords": [["0", "1/0"], ["0"], ["0"]]}]},
+             "curves[0].coords[0][1]: zero denominator in rational literal '1/0'"),
+        ]:
+            with pytest.raises(FileFormatError) as err:
+                curve_configuration_from_dict(obj)
+            assert str(err.value) == message
 
     def test_verified_joint_set_rejects_bad_claims(self):
         with pytest.raises(ValueError):

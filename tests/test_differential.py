@@ -198,12 +198,18 @@ def tripod_chains(draw):
     return Configuration(3, lines)
 
 
-def assert_curve_prune_matches(config, joints):
-    """Lines are degree-1 curves: curve_prune removes and keeps what prune does.
+def assert_prune_matches(config, joints):
+    """prune equals the recounting oracle, its survivors' counts included
+    and in the oracle's order, the order trace prints them in.  Lines are
+    degree-1 curves: curve_prune removes and keeps what prune does.
 
-    Removal order is not compared, since lines and curves sort differently.
+    The curves' removal order is not compared, since lines and curves sort
+    differently.
     """
     lines = prune(config, joints)
+    reference = prune_recount(config, joints)
+    assert lines == reference
+    assert list(lines.counts.items()) == list(reference.counts.items())
     curves = curve_prune(
         CurveConfiguration(config.dim, tuple(map(line_as_curve, config.lines))),
         curve_joint_set(curve_joint_groups(joints).values()),
@@ -224,8 +230,7 @@ def assert_matches_reference(config):
     joints = find_joints(config)
     assert fraction_joints(joints) == find_joints_rescan(config)
     if config.n:
-        assert prune(config, joints) == prune_recount(config, joints)
-        assert_curve_prune_matches(config, joints)
+        assert_prune_matches(config, joints)
 
 
 class TestAgainstReference:
@@ -250,23 +255,32 @@ class TestAgainstReference:
     @given(tripod_chains())
     @settings(max_examples=25, deadline=None)
     def test_prune_cascades(self, config):
-        joints = find_joints(config)
-        result = prune(config, joints)
-        assert result == prune_recount(config, joints)
-        assert_curve_prune_matches(config, joints)
+        assert_prune_matches(config, find_joints(config))
 
     def test_corpus(self, corpus):
         for name, config in corpus:
             joints = find_joints(config)
             assert fraction_joints(joints) == find_joints_rescan(config), name
-            assert prune(config, joints) == prune_recount(config, joints), name
-            assert_curve_prune_matches(config, joints)
+            assert_prune_matches(config, joints)
+
+    def test_survivors_lose_the_removed_lines_joints(self):
+        # One more line through the origin of grid(3,7) and no other grid
+        # point: threshold 343/296 > 1, so it goes, the origin goes with it,
+        # and the three axes keep 6 of their 7 joints.
+        spoke = Line((0, 0, 0), (2, 3, 7))
+        config = Configuration(3, grid(3, 7).lines | {spoke})
+        joints = find_joints(config)
+        result = prune(config, joints)
+        assert result.removed_lines == (spoke,)
+        assert result.removed_points == {Point.of((0, 0, 0))}
+        assert sorted(result.counts.values()) == [6] * 3 + [7] * 144
+        assert_prune_matches(config, joints)
 
     def test_lines_as_curves_cascade(self):
         config = grid_with_tripods()
         joints = find_joints(config)
         assert len(prune(config, joints).removed_lines) == 5
-        assert_curve_prune_matches(config, joints)
+        assert_prune_matches(config, joints)
 
 
 def rationals_in(dim, nonzero=False):
@@ -422,6 +436,34 @@ def polys_on_lines(draw):
     return draw(polynomials(dim, 4)), draw(slanted_lines(dim))
 
 
+@st.composite
+def polys_on_fixed_axes(draw):
+    """A line whose direction v is zero on one or more axes, and a
+    polynomial with terms on those fixed axes too: g times factors
+    x_i - (c_i + k * v_i) for k = 0, 1, ..., j - 1, c the base point.  A
+    factor is zero at t = k, and on the whole line when axis i is fixed.
+    Half the time g keeps only its terms on the fixed axes, so it is
+    constant along the line and p's restriction has degree j, with zeros at
+    t = 0, ..., j - 1: the vanishing test must reach t = j."""
+    dim = draw(st.sampled_from((3, 4)))
+    fixed = draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=dim - 1))
+    v = [0 if i in fixed else draw(offsets.filter(bool)) for i in range(dim)]
+    line = Line(draw(centers(dim)), v)
+    g = draw(polynomials(dim, 3))
+    if draw(st.booleans()):
+        on_fixed = {
+            e: n for e, n in g.terms.items() if all(e[i] == 0 or i in fixed for i in range(dim))
+        }
+        g = Polynomial(dim, on_fixed or {(0,) * dim: 1}, g.den)
+    factors = [g]
+    for k in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, dim - 1))
+        unit = tuple(int(j == i) for j in range(dim))
+        c = Fraction(line.base.nums[i], line.base.den) + k * line.direction[i]
+        factors.append(Polynomial(dim, {unit: 1, (0,) * dim: -c}))
+    return poly_product(dim, factors), line
+
+
 def zero_form(line, u):
     """w.(x - base) with w the part of u orthogonal to the line's direction:
     a linear form that is zero on the line, or None when u is parallel."""
@@ -472,6 +514,12 @@ class TestVanishingAgainstReference:
             for q in partials(p, order):
                 assert assert_vanishing_matches(q, line) or order == k
         assert cascade(p, [line]) >= k - 1
+
+    @given(polys_on_fixed_axes())
+    @settings(max_examples=60, deadline=None)
+    def test_directions_with_zero_coordinates(self, drawn):
+        # vanishes_on_line tests fewer than deg p + 1 parameters here
+        assert_vanishing_matches(*drawn)
 
     def test_zero_and_constants(self):
         line = Line((Fraction(1, 2), 0, Fraction(-5, 3)), (2, -1, 3))

@@ -481,6 +481,15 @@ class TestConfigurationFiles:
             ({"dim": 3, "lines": [{"base": ["0", "0", "0"], "dir": ["1", "0", "1/0"]}]}, "lines[0].dir[2]"),
             ({"dim": 3, "lines": [{"base": ["0", "0", "0"], "dir": ["0", "0", "0"]}]}, "lines[0]"),
             ({"dim": 3}, "lines"),
+            ([{"dim": 3, "lines": []}], "top level: expected an object"),
+            ({"dim": 1, "lines": []}, "dim: expected an integer >= 2"),
+            ({"dim": True, "lines": []}, "dim: expected an integer >= 2"),
+            ({"dim": 3, "lines": {}}, "lines: expected a list"),
+            ({"dim": 3, "lines": [[]]}, "lines[0]: expected an object"),
+            ({"dim": 3, "lines": [{"base": [0, "0", "0"], "dir": ["1", "0", "0"]}]},
+             "lines[0].base[0]: rationals must be strings"),
+            ({"dim": 3, "lines": [{"base": ["0", "0", "0"], "dir": ["1", "0", "1/"]}]},
+             "lines[0].dir[2]: invalid rational literal '1/'"),
         ],
     )
     def test_malformed_inputs_name_the_field(self, obj, fragment):
@@ -491,5 +500,9 @@ class TestConfigurationFiles:
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        with pytest.raises(FileFormatError):
+        with pytest.raises(FileFormatError) as err:
             load_configuration(path)
+        assert str(err.value) == (
+            f"{path}: not valid JSON (Expecting property name enclosed in "
+            "double quotes: line 1 column 2 (char 1))"
+        )

@@ -143,8 +143,14 @@ class TestPrune:
 class TestPruneInvariantCheck:
     """Tampered survivors of grid(3,2) that the check must reject."""
 
-    def check(self, surviving, survivors, threshold=F("1/3")):
-        _check_prune_invariants(surviving, survivors, threshold)
+    def check(self, surviving, survivors, threshold=F("1/3"), off_by=0):
+        # the counts pruning would report, with the first one off by off_by
+        counts = dict.fromkeys(surviving.sorted_lines(), 0)
+        for p in survivors.points:
+            for line in survivors.lines_through(p) & surviving.lines:
+                counts[line] += 1
+        counts[next(iter(counts))] += off_by
+        _check_prune_invariants(surviving, survivors, threshold, counts)
 
     def tampered(self, point, through):
         incidence = dict(find_joints(grid(3, 2)).incidence)
@@ -173,6 +179,11 @@ class TestPruneInvariantCheck:
     def test_surviving_line_below_threshold(self):
         with pytest.raises(InternalInvariantViolation, match="< threshold"):
             self.check(grid(3, 2), find_joints(grid(3, 2)), threshold=F(3))
+
+    @pytest.mark.parametrize("off_by", [1, -1])
+    def test_counts_differ_from_the_recount(self, off_by):
+        with pytest.raises(InternalInvariantViolation, match="differ from a recount"):
+            self.check(grid(3, 2), find_joints(grid(3, 2)), off_by=off_by)
 
     def test_removed_line_still_referenced(self):
         removed = Line(vec(0, 0, 0), vec(1, 0, 0))
@@ -450,6 +461,37 @@ class TestWorkCounts:
         ranked.clear()
         trace(config)
         assert len(ranked) == 2 * sets
+
+    @pytest.mark.parametrize(
+        "build, evaluations",
+        [
+            (lambda: grid(3, 5), 206),
+            (lambda: grid_plus_orphan(3, 5), 206),
+            (lambda: grid(4, 3), 193),
+            (nine_hyperplanes, 37),
+        ],
+        ids=["grid(3,5)", "grid-orphan(3,5)", "grid(4,3)", "hyperplanes"],
+    )
+    def test_vanishing_evaluations(self, monkeypatch, build, evaluations):
+        # A grid line moves along one axis, so p's restriction to it has the
+        # degree of p in that coordinate: 0 where the fit vanishes, and one
+        # evaluation decides.  Testing at deg p + 1 parameters took 606,
+        # 606 and 598.
+        calls = []
+        evaluator = polynomial._evaluator
+
+        def counting(*args):
+            value = evaluator(*args)
+
+            def counted(nums):
+                calls.append(nums)
+                return value(nums)
+
+            return counted
+
+        monkeypatch.setattr(polynomial, "_evaluator", counting)
+        trace(build())
+        assert len(calls) == evaluations
 
     def test_grid_fit_walk_updates(self, monkeypatch):
         fitted = []
