@@ -7,6 +7,16 @@ substitution, and "vanishes identically on the curve" reduces to the
 univariate root bound: a restriction of degree <= deg(p) * deg(curve) with
 more distinct roots than that is the zero polynomial.
 
+A curve keeps its coordinates in integers, as a
+:class:`~jointlab.exact.Point` keeps a point's and a
+``polynomial.Polynomial`` a polynomial's: integer coefficient numerators
+over one positive denominator.  Its points and tangents are Points, and a
+polynomial is substituted into it in integers.  Univariate polynomials are
+plain coefficient tuples in ascending powers of the parameter, trailing
+zeros trimmed, with the zero polynomial equal to the empty tuple; the
+restriction that :func:`restrict_to_curve` returns is the one made of
+Fractions.
+
 Curve joints are verified from claimed (curve, parameter) pairs rather than
 searched for globally; curve-curve intersection solving is out of scope.
 """
@@ -14,48 +24,96 @@ searched for globally; curve-curve intersection solving is out of scope.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, FileFormatError
 from .exact import Point, _Frozen, integer_form, rank
 from .geometry import JointSet, Line, parse_coords, read_items, read_json
 from .pipeline import peel
-from .polynomial import (
-    Polynomial,
-    UniPoly,
-    substitute,
-    uni_derivative,
-    uni_eval,
-    uni_trim,
-)
 
 if TYPE_CHECKING:
-    from .exact import Vector
+    from numbers import Rational
+
+    from .polynomial import Polynomial
+
+UniPoly = tuple[int, ...]
+
+
+def uni_trim(coeffs: Iterable[int]) -> UniPoly:
+    out = list(coeffs)
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def uni_add(a: UniPoly, b: UniPoly) -> UniPoly:
+    return uni_trim(x + y for x, y in zip_longest(a, b, fillvalue=0))
+
+
+def uni_mul(a: UniPoly, b: UniPoly) -> UniPoly:
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return uni_trim(out)
+
+
+def _values_at(polys: Sequence[UniPoly], den: int, t: Rational, top: int) -> Point:
+    """The values of the polynomials c_i / den at t = a/b, for a ``top`` at
+    least their degree, as the Point (b^top c_i(a/b))_i / (den b^top): the
+    integer sums of c_ik a^k b^(top - k)."""
+    a, b = t.numerator, t.denominator
+    weights = [a**k * b ** (top - k) for k in range(top + 1)]
+    return Point([sum(map(mul, p, weights)) for p in polys], den * b**top)
 
 
 class ParamCurve(_Frozen):
-    """A curve t -> (c_1(t), ..., c_d(t)) with polynomial coordinates."""
+    """A curve t -> (c_1(t), ..., c_d(t)) / den with integer polynomial
+    coordinates, kept in integers as a :class:`~jointlab.exact.Point` is.
 
-    __slots__ = ("coords",)
+    ``coords`` holds each coordinate's coefficient numerators in ascending
+    powers of t, trailing zeros trimmed, over one positive denominator
+    ``den``.  The form is canonical: the constructor takes ints or
+    Fractions, over an optional common denominator, scales them to integers
+    once and divides out the gcd of all the numerators and ``den``, so equal
+    curves have equal ``coords`` and ``den``.  The hash, that of
+    ``(coords, den)``, is cached because curves are set members and dict
+    keys.
+    """
 
-    def __init__(self, coords: tuple[UniPoly, ...]):
-        coords = tuple(uni_trim(c) for c in coords)
+    __slots__ = ("coords", "den", "_hash")
+
+    def __init__(self, coords: Sequence[Sequence[Rational]], den: int = 1):
         if len(coords) < 2:
             raise ValueError("curves need ambient dimension >= 2")
-        if max((len(c) - 1 for c in coords), default=-1) < 1:
+        nums, scale = integer_form([c for coord in coords for c in coord])
+        den *= scale
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        reduced = (n // g for n in nums)
+        coords = tuple(uni_trim([next(reduced) for _ in coord]) for coord in coords)
+        if max(map(len, coords)) < 2:
             raise ValueError("curve must have a nonconstant coordinate")
         object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "_hash", hash((coords, den // g)))
 
     def __eq__(self, other):
         if other.__class__ is not ParamCurve:
             return NotImplemented
-        return self.coords == other.coords
+        return self.den == other.den and self.coords == other.coords
 
     def __hash__(self):
-        return hash((self.coords,))
+        return self._hash
 
     def __repr__(self):
-        return f"ParamCurve(coords={self.coords!r})"
+        return f"ParamCurve(coords={self.coords!r}, den={self.den})"
 
     @property
     def dim(self) -> int:
@@ -63,19 +121,25 @@ class ParamCurve(_Frozen):
 
     @property
     def degree(self) -> int:
-        return max(len(c) - 1 for c in self.coords)
+        return max(map(len, self.coords)) - 1
 
-    def point_at(self, t) -> Vector:
-        return tuple(uni_eval(c, t) for c in self.coords)
+    def point_at(self, t: Rational) -> Point:
+        """The point at the parameter t, an int or a Fraction, computed in
+        integers."""
+        return _values_at(self.coords, self.den, t, self.degree)
 
 
 def line_as_curve(line: Line) -> ParamCurve:
-    """Degree-1 curve tracing base + t * direction, in Fraction coefficients."""
-    return ParamCurve(tuple(zip(line.base, line.direction)))
+    """The degree-1 curve tracing base + t * direction, from the line's
+    integer form: with the base a/q and the primitive direction v, the
+    coordinates are (a_i + q v_i t) / q."""
+    q = line.base.den
+    return ParamCurve([(a, q * v) for a, v in zip(line.base.nums, line.direction)], q)
 
 
 class CurveConfiguration(_Frozen):
-    """Curves sharing one ambient dimension; n is the total degree."""
+    """Curves sharing one ambient dimension, in the order given; n is the
+    total degree."""
 
     __slots__ = ("dim", "curves")
 
@@ -98,23 +162,26 @@ class CurveConfiguration(_Frozen):
 
     @property
     def total_degree(self) -> int:
-        return sum(c.degree for c in self.curves)
+        """The total degree of the distinct curves: a curve listed more than
+        once counts once, as a line does in a Configuration."""
+        return sum(c.degree for c in set(self.curves))
 
 
-def tangent_at(curve: ParamCurve, t0) -> Vector | None:
-    """Velocity vector at parameter t0; None at a singular (zero) velocity."""
-    velocity = tuple(uni_eval(uni_derivative(c), t0) for c in curve.coords)
-    if all(v == 0 for v in velocity):
-        return None
-    return velocity
+def tangent_at(curve: ParamCurve, t0: Rational) -> Point | None:
+    """The velocity at parameter t0, in the integer form of a Point; None at
+    a singular (zero) velocity."""
+    derivatives = [[k * c for k, c in enumerate(coord)][1:] for coord in curve.coords]
+    velocity = _values_at(derivatives, curve.den, t0, curve.degree - 1)
+    return velocity if any(velocity.nums) else None
 
 
-def curve_joint(pairs: Sequence[tuple[ParamCurve, Fraction]]) -> bool:
+def curve_joint(pairs: Sequence[tuple[ParamCurve, Rational]]) -> bool:
     """True iff the (curve, parameter) pairs witness a joint.
 
-    All evaluations must agree on one point, at least d distinct curves must
+    All evaluations must agree on one Point, at least d distinct curves must
     appear, and the tangents there must span all of d-space (a singular
-    tangent contributes nothing to the span).
+    tangent contributes nothing to the span).  The rank is that of the
+    tangents' integer numerators, each a positive multiple of its tangent.
     """
     if not pairs:
         return False
@@ -127,40 +194,66 @@ def curve_joint(pairs: Sequence[tuple[ParamCurve, Fraction]]) -> bool:
         return False
     if len({curve for curve, _ in pairs}) < d:
         return False
-    tangents = []
-    for curve, t in pairs:
-        tangent = tangent_at(curve, t)
-        if tangent is not None:
-            tangents.append(tangent)
-    if not tangents:
-        return False
-    return rank([integer_form(tangent)[0] for tangent in tangents]) == d
+    tangents = [tangent_at(curve, t) for curve, t in pairs]
+    return rank([v.nums for v in tangents if v is not None]) == d
 
 
 def curve_joint_set(
-    groups: Iterable[Sequence[tuple[ParamCurve, Fraction]]]
+    groups: Iterable[Sequence[tuple[ParamCurve, Rational]]]
 ) -> JointSet:
     """Verify each claimed group of (curve, parameter) pairs and collect the
-    resulting joints with their incident curves.  Each joint's Fraction
-    point is made a Point once, so curve and line joints share one point
-    type and one :func:`~jointlab.pipeline.peel`."""
+    resulting joints with their incident curves.  Curve points are Points,
+    so curve and line joints share one point type and one
+    :func:`~jointlab.pipeline.peel`."""
     incidence: dict[Point, frozenset[ParamCurve]] = {}
     for group in groups:
         if not curve_joint(group):
             raise ValueError(f"claimed joint is not one: {group!r}")
-        point = Point.of(group[0][0].point_at(group[0][1]))
+        point = group[0][0].point_at(group[0][1])
         curves = frozenset(curve for curve, _ in group)
         incidence[point] = incidence.get(point, frozenset()) | curves
     return JointSet(incidence)
 
 
-def restrict_to_curve(p: Polynomial, curve: ParamCurve) -> UniPoly:
-    """Substitute the curve's coordinate polynomials into p.
+def substitute(
+    p: Polynomial, coords: Sequence[UniPoly], den: int
+) -> tuple[UniPoly, int]:
+    """p(c_1(t) / den, ..., c_d(t) / den) for integer coefficient tuples
+    c_i, as integer coefficient numerators over one denominator,
+    ``(nums, p.den * den^T)`` with T = max(deg p, 0).
+
+    As ``polynomial._evaluator`` does at a point, each term n_e x^e is
+    weighted n_e den^(T - |e|), so the sum stays in integers.  Each power
+    c_i^e is computed once, by one multiplication from c_i^(e-1), and shared
+    by every term that needs it.
+    """
+    if p.dim != len(coords):
+        raise DimensionMismatchError(
+            f"polynomial dimension {p.dim} vs {len(coords)} coordinates"
+        )
+    top = max(p.degree(), 0)
+    powers: list[list[UniPoly]] = [[(1,)] for _ in coords]
+    total: UniPoly = ()
+    for exps, n in p.terms.items():
+        term: UniPoly = (n * den ** (top - sum(exps)),)
+        for c, cached, e in zip(coords, powers, exps):
+            if e:
+                while len(cached) <= e:
+                    cached.append(uni_mul(cached[-1], c))
+                term = uni_mul(term, cached[e])
+        total = uni_add(total, term)
+    return total, p.den * den**top
+
+
+def restrict_to_curve(p: Polynomial, curve: ParamCurve) -> tuple[Fraction, ...]:
+    """Substitute the curve's coordinate polynomials into p, in integers;
+    the coefficients are made Fractions for the result.
 
     The result has degree <= deg(p) * curve.degree, and is identically zero
     exactly when p vanishes on the whole curve.
     """
-    return substitute(p, curve.coords)
+    nums, den = substitute(p, curve.coords, curve.den)
+    return tuple(Fraction(n, den) for n in nums)
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +296,13 @@ def curve_prune(cfg: CurveConfiguration, joints: JointSet) -> CurvePruneResult:
     The line fixpoint :func:`~jointlab.pipeline.peel`, which works each
     curve's threshold out from its degree; thresholds are frozen at the
     start, and fewer than m/2 joints are lost in total.  A curve listed more
-    than once counts once, as a line does in a Configuration: n is the total
-    degree of the distinct curves.  The result lists the thresholds as
-    Fractions.
+    than once counts once, as a line does in a Configuration: n is the
+    configuration's total degree, that of the distinct curves, which are
+    pruned in the order of their degree and integer form.  The result lists
+    the thresholds as Fractions.
     """
-    curves = sorted(set(cfg.curves), key=lambda c: (c.degree, c.coords))
-    n = sum(c.degree for c in curves)
+    curves = sorted(set(cfg.curves), key=lambda c: (c.degree, c.den, c.coords))
+    n = cfg.total_degree
     if n < 1:
         raise ValueError("cannot prune an empty curve configuration")
     m = len(joints)

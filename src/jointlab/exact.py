@@ -24,9 +24,10 @@ A rational result is integer numerators over one denominator: a kernel
 vector is ``(nums, den)``, and a :class:`Point` is a rational point kept in
 that form.  Matrices are sequences of integer rows, and results are treated
 as immutable values throughout.  The package's joint points are Points, and
-a ``polynomial.Polynomial`` keeps its coefficients in the same form, on the
+a ``polynomial.Polynomial`` keeps its coefficients and a
+``curves.ParamCurve`` its coordinate polynomials in the same form, on the
 same :class:`_Frozen` base.  Fractions are made from them only at the edges:
-to print, to project, or to substitute into curves.
+to print, to project, or to return a polynomial's value or restriction.
 """
 
 from __future__ import annotations

@@ -4,16 +4,15 @@ Exponent vectors are int tuples, and a polynomial keeps its coefficients as
 integer numerators over one positive denominator, gcd-reduced, as a
 :class:`~jointlab.exact.Point` keeps its coordinates; the zero polynomial has
 an empty term map.  Fits, derivatives, vanishing and evaluation work in those
-integers.  A Fraction is made per coefficient only to print a polynomial or
-substitute curves into it, and per value only for
-:meth:`Polynomial.evaluate` to return.  The monomial order everywhere is
+integers.  A Fraction is made per coefficient only to print a polynomial,
+and per value only for :meth:`Polynomial.evaluate` and
+:func:`restrict_to_line` to return.  The monomial order everywhere is
 graded lexicographic (total degree first, then lexicographic on exponent
 tuples); fixing it globally makes evaluation matrices, nullspace selection,
 and printed term order reproducible across runs.
 
-Univariate restrictions (to a line, or to a parametrized curve) are plain
-coefficient tuples in ascending powers of the parameter, trailing zeros
-trimmed, with the zero polynomial equal to the empty tuple.
+Univariate polynomials, and substitution into them, belong to
+``jointlab.curves``; only their text form is here, beside the polynomial's.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ if TYPE_CHECKING:
     from .geometry import Line
 
 MultiIndex = tuple[int, ...]
-UniPoly = tuple[Fraction, ...]
 
 
 def grlex_key(exponents: MultiIndex) -> tuple[int, MultiIndex]:
@@ -199,75 +197,21 @@ def _evaluator(p: Polynomial, top: int, base: Point):
 
 
 # ---------------------------------------------------------------------------
-# univariate helpers
-
-
-def uni_trim(coeffs: Iterable) -> UniPoly:
-    out = [Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def uni_add(a: UniPoly, b: UniPoly) -> UniPoly:
-    n = max(len(a), len(b))
-    return uni_trim(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    )
-
-
-def uni_mul(a: UniPoly, b: UniPoly) -> UniPoly:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return uni_trim(out)
-
-
-def uni_eval(p: UniPoly, t) -> Fraction:
-    t = Fraction(t)
-    value = Fraction(0)
-    for c in reversed(p):
-        value = value * t + c
-    return value
-
-
-def uni_derivative(p: UniPoly) -> UniPoly:
-    return uni_trim(i * c for i, c in enumerate(p) if i >= 1)
-
-
-# ---------------------------------------------------------------------------
 # restriction and vanishing fits
 
 
-def substitute(p: Polynomial, coords: Sequence[UniPoly]) -> UniPoly:
-    """p(c_1(t), ..., c_d(t)) for univariate coordinate polynomials c_i.
+def restrict_to_line(p: Polynomial, line: "Line") -> tuple[Fraction, ...]:
+    """Substitute base + t * direction into p; exact, degree <= deg p.
 
-    Each power c_i^e is computed once, by one multiplication from c_i^(e-1),
-    and shared by every term that needs it.
-    """
-    if p.dim != len(coords):
-        raise DimensionMismatchError(
-            f"polynomial dimension {p.dim} vs {len(coords)} coordinates"
-        )
-    powers: list[list[UniPoly]] = [[(Fraction(1),)] for _ in coords]
-    total: UniPoly = ()
-    for exps, n in p.terms.items():
-        term: UniPoly = (Fraction(n, p.den),)
-        for c, cached, e in zip(coords, powers, exps):
-            if e:
-                while len(cached) <= e:
-                    cached.append(uni_mul(cached[-1], c))
-                term = uni_mul(term, cached[e])
-        total = uni_add(total, term)
-    return total
+    With the base a/q and the primitive direction v, the coordinates are
+    (a_i + q v_i t) / q, which :func:`~jointlab.curves.substitute` takes in
+    integers; the coefficients are made Fractions for the result."""
+    from .curves import substitute
 
-
-def restrict_to_line(p: Polynomial, line: "Line") -> UniPoly:
-    """Substitute base + t * direction into p; exact, degree <= deg p."""
-    return substitute(p, tuple(zip(line.base, line.direction)))
+    q = line.base.den
+    coords = [(a, q * v) for a, v in zip(line.base.nums, line.direction)]
+    nums, den = substitute(p, coords, q)
+    return tuple(Fraction(n, den) for n in nums)
 
 
 def vanishes_on_line(p: Polynomial, line: "Line") -> bool:
@@ -496,7 +440,9 @@ def polynomial_from_text(text: str, dim: int) -> Polynomial:
     return Polynomial(dim, terms)
 
 
-def unipoly_to_text(p: UniPoly, var: str = "t") -> str:
+def unipoly_to_text(p: Sequence[Rational], var: str = "t") -> str:
+    """A univariate polynomial, given by its coefficients in ascending powers
+    of ``var``, in the report text form, e.g. "t^2 - t"."""
     return _terms_text(
         (p[e], _power_text(var, e)) for e in range(len(p) - 1, -1, -1) if p[e] != 0
     )

@@ -13,6 +13,9 @@ arithmetic from each coefficient n/den (the package evaluates and
 differentiates the integer numerators), identically-zero decisions on a line
 by sampling more Fraction points than the degree with that evaluator (the
 package evaluates in integers; its restriction compares coefficients),
+curve points, tangents and restrictions by Horner's rule, the power rule
+and term-by-term substitution in Fraction arithmetic (the package keeps a
+curve's coordinates as integers over one denominator and computes in them),
 canonical lines and
 incidence in Fraction arithmetic (the package reduces integer forms),
 joints by Fraction intersections of every pair followed by a rescan of every
@@ -23,6 +26,7 @@ recounting every line in every round (the package peels).
 """
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, prod
 
 from jointlab.exact import integer_form
@@ -292,6 +296,40 @@ def vanishes_on_line_by_sampling(p, line, samples: int) -> bool:
 
 def vanishes_on_curve_by_sampling(p, curve, samples: int) -> bool:
     return all(evaluate_fraction(p, curve.point_at(t)) == 0 for t in range(samples))
+
+
+def uni_eval_fraction(coeffs, t) -> Fraction:
+    """The univariate polynomial with these coefficients, in ascending
+    powers, at t, by Horner's rule in Fraction arithmetic."""
+    value = Fraction(0)
+    for c in reversed(coeffs):
+        value = value * t + c
+    return value
+
+
+def uni_derivative_fraction(coeffs) -> list:
+    """The derivative's coefficients by the power rule."""
+    return [k * Fraction(c) for k, c in enumerate(coeffs)][1:]
+
+
+def substitute_fraction(p, coords) -> tuple:
+    """p(c_1(t), ..., c_d(t)) for coefficient lists c_i of ints or
+    Fractions, term by term in Fraction arithmetic: each term's coefficient
+    times each coordinate multiplied in e_i times, trailing zeros trimmed."""
+    total = []
+    for exps, c in rational_terms(p).items():
+        term = [c]
+        for coord, e in zip(coords, exps):
+            for _ in range(e):
+                product = [Fraction(0)] * (len(term) + len(coord) - 1)
+                for i, a in enumerate(term):
+                    for j, b in enumerate(coord):
+                        product[i + j] += a * b
+                term = product
+        total = [a + b for a, b in zip_longest(total, term, fillvalue=0)]
+    while total and total[-1] == 0:
+        total.pop()
+    return tuple(total)
 
 
 def vector(values):

@@ -330,6 +330,61 @@ class TestCurveCommands:
         assert code == 0
         assert out.strip() == "not a joint"
 
+    @pytest.fixture
+    def rational_file(self, tmp_path):
+        # Curves 0, 1 and 2 pass (1/2, -3/4, 1/8) at t = 1/2, -3/4 and 2, with
+        # tangents (1, -3, 3/4), (0, 1, 2/3) and (-1, 0, -3/4), which span.
+        path = tmp_path / "rational.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "dim": 3,
+                    "curves": [
+                        {"coords": [["0", "1"], ["0", "0", "-3"], ["0", "0", "0", "1"]]},
+                        {"coords": [["1/2"], ["0", "1"], ["5/8", "2/3"]]},
+                        {"coords": [["3/2", "0", "-1/4"], ["-3/4"], ["13/8", "-3/4"]]},
+                        {"coords": [["0", "1/2", "0"], ["0"], ["-3/4", "0", "0"]]},
+                    ],
+                }
+            )
+        )
+        return str(path)
+
+    def test_restrict_rational_coefficients(self, rational_file, capsys):
+        code, out, err = run(capsys, "curve", "restrict", rational_file,
+                             "--poly", "3/4*x1^3*x2 - 2")
+        assert (code, err) == (0, "")
+        assert out == (
+            "curve 0: -9/4*t^5 - 2\n"
+            "curve 1: 3/32*t - 2\n"
+            "curve 2: 9/1024*t^6 - 81/512*t^4 + 243/256*t^2 - 499/128\n"
+            "curve 3: -2\n"
+        )
+        code, out, err = run(capsys, "curve", "restrict", rational_file,
+                             "--poly", "3/4*x1^3*x2 - 2", "--index", "2")
+        assert (code, err) == (0, "")
+        assert out == "curve 2: 9/1024*t^6 - 81/512*t^4 + 243/256*t^2 - 499/128\n"
+        code, out, err = run(capsys, "curve", "restrict", rational_file,
+                             "--poly", "-5/7*x3^2*x1 + 2/3*x2 - x1^2 + 1", "--index", "3")
+        assert (code, err) == (0, "")
+        assert out == "curve 3: -1/4*t^2 - 45/224*t + 1\n"
+
+    @pytest.mark.parametrize(
+        "indices,params,verdict",
+        [
+            ("0,1,2", "1/2,-3/4,2", "joint"),
+            ("2,1,0", "2,-3/4,1/2", "joint"),
+            ("0,1,2", "1/2,-6/8,4/2", "joint"),
+            ("0,1,2", "1/2,-3/4,3", "not a joint"),
+            ("0,1,3", "1/2,-3/4,1", "not a joint"),
+        ],
+    )
+    def test_joint_at_rational_parameters(self, rational_file, capsys,
+                                          indices, params, verdict):
+        code, out, err = run(capsys, "curve", "joint", rational_file,
+                             "--curves", indices, f"--params={params}")
+        assert (code, out, err) == (0, f"{verdict}\n", "")
+
 
 class TestErrorPaths:
     def test_missing_file(self, capsys):

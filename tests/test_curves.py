@@ -13,10 +13,13 @@ from jointlab.curves import (
     line_as_curve,
     load_curve_configuration,
     restrict_to_curve,
+    substitute,
     tangent_at,
+    uni_add,
+    uni_mul,
 )
 from jointlab.constructions import grid
-from jointlab.errors import FileFormatError
+from jointlab.errors import DimensionMismatchError, FileFormatError
 from jointlab.exact import Point
 from jointlab.geometry import Line, find_joints, write_json
 from jointlab.polynomial import polynomial_from_text, restrict_to_line
@@ -59,7 +62,17 @@ class TestParamCurve:
             ParamCurve((uni(1), uni(2), uni(3)))
 
     def test_point_at(self):
-        assert MOMENT.point_at(2) == vec(2, 4, 8)
+        assert MOMENT.point_at(2) == Point((2, 4, 8), 1)
+        assert MOMENT.point_at(F("-1/2")) == Point((-4, 2, -1), 8)
+
+    def test_coordinates_are_integers_over_one_denominator(self):
+        # (1/2 + t, -3/4 t^2, 0) over the least common denominator 4; the
+        # zero coordinate and the trailing zeros are trimmed
+        curve = ParamCurve(((F("1/2"), 1, 0), (0, 0, F("-3/4")), (0, 0)))
+        assert (curve.coords, curve.den) == (((2, 4), (0, 0, -3), ()), 4)
+        assert curve == ParamCurve(((2, 4), (0, 0, -3), ()), 4)
+        assert curve == ParamCurve(((-4, -8), (0, 0, 6), (0,)), -8)
+        assert curve.point_at(F("1/2")) == Point((16, -3, 0), 16)
 
 
 class TestCurveIdentity:
@@ -68,7 +81,7 @@ class TestCurveIdentity:
 
     def test_hash_is_that_of_the_coordinates(self):
         for curve in [MOMENT, *AXES, line_as_curve(Line(vec(1, 2, 3), vec(1, -1, 2)))]:
-            assert hash(curve) == hash((curve.coords,))
+            assert hash(curve) == hash((curve.coords, curve.den))
 
     def test_trailing_zeros_do_not_matter(self):
         padded = ParamCurve((uni(0, 1, 0), uni(0, 0, 1, 0, 0), uni(0, 0, 0, 1)))
@@ -95,13 +108,20 @@ class TestCurveIdentity:
 
 class TestTangent:
     def test_moment_curve(self):
-        assert tangent_at(MOMENT, 1) == vec(1, 2, 3)
+        assert tangent_at(MOMENT, 1) == Point((1, 2, 3), 1)
 
     def test_line_as_curve_gives_direction(self):
         line = Line(vec(0, 0, 0), vec(1, 2, 3))
         curve = line_as_curve(line)
-        assert tangent_at(curve, 0) == line.direction
-        assert tangent_at(curve, F("5/7")) == line.direction
+        assert tangent_at(curve, 0) == Point(line.direction, 1)
+        assert tangent_at(curve, F("5/7")) == Point(line.direction, 1)
+
+    def test_power_rule(self):
+        # (5 + t + 3t^2, t): the velocity (1 + 6t, 1)
+        curve = ParamCurve((uni(5, 1, 3), uni(0, 1)))
+        assert tangent_at(curve, 0) == Point((1, 1), 1)
+        assert tangent_at(curve, 1) == Point((7, 1), 1)
+        assert curve.point_at(3) == Point((35, 3), 1)
 
     def test_cusp_has_no_tangent(self):
         cusp = ParamCurve((uni(0, 0, 1), uni(0, 0, 0, 1), uni(0, 0, 0, 0, 1)))
@@ -141,8 +161,8 @@ class TestCurveJoint:
         along = ParamCurve(
             (uni(half, F("2/3")), uni(F("1/4"), F("2/3")), uni(F("1/8"), half))
         )
-        assert tangent_at(MOMENT, half) == vec(1, 1, F("3/4"))
-        assert tangent_at(along, 0) == vec(F("2/3"), F("2/3"), half)
+        assert tangent_at(MOMENT, half) == Point.of(vec(1, 1, F("3/4")))
+        assert tangent_at(along, 0) == Point.of(vec(F("2/3"), F("2/3"), half))
         assert curve_joint([(MOMENT, half), (side, F(0)), (up, F(0))])
         assert not curve_joint([(MOMENT, half), (side, F(0)), (along, F(0))])
 
@@ -186,6 +206,33 @@ class TestRestriction:
             )
 
 
+class TestUniPoly:
+    def test_arithmetic(self):
+        a = (1, 2)
+        b = (0, 0, 1)
+        assert uni_add(a, b) == (1, 2, 1)
+        assert uni_mul(a, a) == (1, 4, 4)
+
+    def test_trailing_zeros_trimmed(self):
+        assert uni_add((1, 1), (0, -1)) == (1,)
+        assert uni_mul((2, 0), (0, 3)) == (0, 6)
+
+
+class TestSubstitute:
+    def test_integer_numerators_over_one_denominator(self):
+        # 3/4 x1^2 - 2 at x1 = (1 + 2t)/3, x2 = t/3: 3/4 (1 + 2t)^2/9 - 2,
+        # weighted over 4 * 3^2
+        p = poly("3/4*x1^2 - 2", 2)
+        assert substitute(p, [(1, 2), (0, 1)], 3) == ((3 - 72, 12, 12), 36)
+        assert substitute(poly("0", 2), [(1, 2), (0, 1)], 3) == ((), 1)
+        assert substitute(poly("5", 2), [(1, 2), (0, 1)], 3) == ((5,), 1)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError) as err:
+            restrict_to_curve(poly("x1", 2), MOMENT)
+        assert str(err.value) == "polynomial dimension 2 vs 3 coordinates"
+
+
 class TestCurvePrune:
     def test_orphan_curve_removed(self):
         orphan = ParamCurve((uni(0, 1), uni(1, 0, 1), uni(5)))
@@ -220,10 +267,11 @@ class TestCurvePrune:
         # Configuration dedupes lines; n is the distinct curves' total degree.
         orphan = ParamCurve((uni(0, 1), uni(1, 0, 1), uni(5)))
         joints = curve_joint_set([[(c, F(0)) for c in AXES]])
-        once = curve_prune(CurveConfiguration(3, tuple(AXES) + (orphan,)), joints)
-        twice = curve_prune(
-            CurveConfiguration(3, (orphan, AXES[1]) + tuple(AXES) + (orphan,)), joints
-        )
+        listed_once = CurveConfiguration(3, tuple(AXES) + (orphan,))
+        listed_twice = CurveConfiguration(3, (orphan, AXES[1]) + tuple(AXES) + (orphan,))
+        assert listed_twice.total_degree == listed_once.total_degree == 5
+        once = curve_prune(listed_once, joints)
+        twice = curve_prune(listed_twice, joints)
         assert twice.removed_curves == once.removed_curves == (orphan,)
         assert twice.thresholds == once.thresholds
         assert twice.thresholds[orphan] == F("1/5")

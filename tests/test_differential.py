@@ -29,7 +29,14 @@ the per-entry products of coordinate powers.
 
 Vanishing on a line is decided by integer evaluation at deg p + 1
 parameters; it must agree with the full restriction and with Fraction
-sampling.  Lines have non-integer bases and directions off the axes, and
+sampling.
+
+Curve points, tangents and restrictions are computed in integers; they must
+equal Horner's rule, the power rule and term-by-term substitution on the
+coefficients as drawn, in Fraction arithmetic.  Coordinates include zero
+polynomials and trailing zeros, parameters are rational, and polynomials
+include zero and constants.  A line as a degree-1 curve passes through its
+own points with its direction as tangent.  Lines have non-integer bases and directions off the axes, and
 vanishing is forced by multiplying with powers of a linear form that is
 zero on the line, whose partial derivatives below that power vanish too.
 """
@@ -44,9 +51,12 @@ from hypothesis import strategies as st
 
 from jointlab.curves import (
     CurveConfiguration,
+    ParamCurve,
     curve_joint_set,
     curve_prune,
     line_as_curve,
+    restrict_to_curve,
+    tangent_at,
 )
 from jointlab.constructions import grid
 from jointlab.exact import Point, integer_form, nullspace_vector, rank
@@ -94,6 +104,9 @@ from oracles import (
     prune_recount,
     rank_bareiss,
     rank_naive,
+    substitute_fraction,
+    uni_derivative_fraction,
+    uni_eval_fraction,
     vanishes_on_line_by_sampling,
 )
 
@@ -526,6 +539,52 @@ class TestVanishingAgainstReference:
         assert assert_vanishing_matches(Polynomial(3, {}), line)
         for c in (1, -2, Fraction(3, 7)):
             assert not assert_vanishing_matches(Polynomial(3, {(0, 0, 0): c}), line)
+
+
+parameters = offsets | st.fractions(min_value=-4, max_value=4, max_denominator=9)
+
+
+@st.composite
+def curves_and_polys(draw):
+    """Coordinate coefficient lists as drawn, in d = 2..4: some are zero
+    polynomials, some end in zeros, and one is nonconstant, and half the
+    time the curve is singular at t = 0; and a polynomial of degree <= 3 in
+    d variables, possibly zero or constant."""
+    dim = draw(st.integers(2, 4))
+    coefficient = fractional | offsets
+    coords = []
+    for _ in range(dim):
+        coord = draw(st.lists(coefficient, max_size=4))
+        if draw(st.booleans()):
+            coord += [0] * draw(st.integers(1, 2))
+        coords.append(coord)
+    if draw(st.booleans()):
+        coords = [coord[:1] + [0] + coord[2:] for coord in coords]
+    assume(any(any(coord[1:]) for coord in coords))
+    return coords, draw(polynomials(dim, 3))
+
+
+class TestCurvesAgainstReference:
+    @given(curves_and_polys(), parameters)
+    @settings(max_examples=100, deadline=None)
+    def test_points_tangents_and_restrictions(self, drawn, t):
+        coords, p = drawn
+        curve = ParamCurve(coords)
+        for s in (t, 0):
+            point = [uni_eval_fraction(c, s) for c in coords]
+            assert curve.point_at(s) == Point.of(point)
+            velocity = [uni_eval_fraction(uni_derivative_fraction(c), s) for c in coords]
+            assert tangent_at(curve, s) == (Point.of(velocity) if any(velocity) else None)
+        assert restrict_to_curve(p, curve) == substitute_fraction(p, coords)
+
+    @given(line_inputs(), parameters)
+    @settings(max_examples=60, deadline=None)
+    def test_lines_are_degree_one_curves(self, drawn, t):
+        line = Line(*drawn)
+        curve = line_as_curve(line)
+        assert curve.degree == 1
+        assert incident(line, curve.point_at(t))
+        assert tangent_at(curve, t) == Point(line.direction, 1)
 
 
 entries = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 1, 2, 3)))

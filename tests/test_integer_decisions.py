@@ -2,10 +2,12 @@
 nullspace (its primes, walk, reconstruction and certificate), the pruning
 fixpoint, the polynomial's constructor, fit, derivatives and integer
 evaluator, the vanishing test on lines and the cascade and gradient check
-built on it name no Fraction, annotations included.  Callers scale rationals
-to integers before these decisions and make Fractions after, and on the
-benchmark inputs the fit, the vanishing test and the cascade build none
-(the gradient check's count is in ``tests/test_pipeline.py``)."""
+built on it, and the curve's constructor, points, tangents, joint test and
+substitution name no Fraction, annotations included.  Callers scale
+rationals to integers before these decisions and make Fractions after, and
+on the benchmark inputs the fit, the vanishing test, the cascade and the
+verification of their joints as curve joints build none (the gradient
+check's count is in ``tests/test_pipeline.py``)."""
 
 import ast
 from pathlib import Path
@@ -13,11 +15,12 @@ from pathlib import Path
 import pytest
 
 from jointlab.constructions import grid
+from jointlab.curves import curve_joint_set
 from jointlab.geometry import find_joints
 from jointlab.pipeline import cascade, prune
 from jointlab.polynomial import fit_vanishing, vanishes_on_line
 
-from conftest import nine_hyperplanes
+from conftest import curve_joint_groups, nine_hyperplanes
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "jointlab"
 
@@ -45,6 +48,15 @@ INTEGER_ONLY = {
         "_fit_at_degree",
     ),
     "pipeline": ("peel", "cascade", "gradient_at_joints_check"),
+    "curves": (
+        "ParamCurve.__init__",
+        "ParamCurve.point_at",
+        "_values_at",
+        "tangent_at",
+        "curve_joint",
+        "curve_joint_set",
+        "substitute",
+    ),
 }
 
 
@@ -158,3 +170,18 @@ def test_fit_vanishing_and_cascade_build_no_fractions(make, built):
     # the fit misses some surviving line, so the cascade stops at once
     assert lines and not all(verdicts)
     assert order == -1
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: grid(3, 5), nine_hyperplanes], ids=["grid(3,5)", "hyperplanes"]
+)
+def test_curve_joint_set_builds_no_fractions(make, built):
+    """Every joint verified again as a curve joint: each incident line as a
+    degree-1 curve, at its parameter there.  The points, tangents and the
+    rank of the tangents run in integers."""
+    joints = find_joints(make())
+    groups = list(curve_joint_groups(joints).values())
+    built.clear()
+    curve_joints = curve_joint_set(groups)
+    assert built == []
+    assert set(curve_joints.incidence) == set(joints.incidence)

@@ -21,11 +21,6 @@ from jointlab.polynomial import (
     polynomial_from_text,
     polynomial_to_text,
     restrict_to_line,
-    substitute,
-    uni_add,
-    uni_derivative,
-    uni_eval,
-    uni_mul,
     unipoly_to_text,
     vanishes_at,
     vanishes_on_line,
@@ -319,13 +314,13 @@ class TestVanishesOnLine:
 
     def test_trace_never_restricts(self, monkeypatch):
         calls = []
+        substitute = curves.substitute
 
-        def spy(p, coords):
+        def spy(p, coords, den):
             calls.append(p)
-            return substitute(p, coords)
+            return substitute(p, coords, den)
 
-        for module in (polynomial, curves):
-            monkeypatch.setattr(module, "substitute", spy)
+        monkeypatch.setattr(curves, "substitute", spy)
         lines = [
             Line(vec(0, -a * b, a + b), vec(a * b, -(a + b), 1))
             for a, b in combinations(range(1, 8), 2)
@@ -495,17 +490,6 @@ class TestTextForm:
 
 
 class TestUniPoly:
-    def test_arithmetic(self):
-        a = (F(1), F(2))
-        b = (F(0), F(0), F(1))
-        assert uni_add(a, b) == (F(1), F(2), F(1))
-        assert uni_mul(a, a) == (F(1), F(4), F(4))
-        assert uni_eval((F(-1), F(0), F(1)), 3) == 8
-        assert uni_derivative((F(5), F(1), F(3))) == (F(1), F(6))
-
-    def test_trailing_zeros_trimmed(self):
-        assert uni_add((F(1), F(1)), (F(0), F(-1))) == (F(1),)
-
     def test_text(self):
         assert unipoly_to_text((F(0), F(-1), F(1))) == "t^2 - t"
         assert unipoly_to_text(()) == "0"
