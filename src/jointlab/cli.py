@@ -379,17 +379,20 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 
 def _join_poly(argv: list[str]) -> list[str]:
-    """``--poly VALUE`` as ``--poly=VALUE`` when VALUE starts with a sign.
+    """``--poly VALUE`` as ``--poly=VALUE`` when VALUE starts with a sign,
+    and ``--params VALUE`` likewise.
 
-    argparse reads a separate value that starts with "-" as an option, but
-    the polynomial text that fit and trace print starts with "-" whenever
-    its leading coefficient is negative.
+    argparse reads a separate value that starts with "-" as an option,
+    unless it is one plain negative number.  But the polynomial text that
+    fit and trace print starts with "-" whenever its leading coefficient is
+    negative, and a parameter list starts with "-" whenever its first
+    parameter is negative, as in ``-1/2,1/2,0``.
     """
     out: list[str] = []
     for arg in argv:
         signed = arg.startswith("-") and not arg.startswith("--")
-        if out and out[-1] == "--poly" and signed:
-            out[-1] = f"--poly={arg}"
+        if out and out[-1] in ("--poly", "--params") and signed:
+            out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
     return out

@@ -7,10 +7,9 @@ substitution, and "vanishes identically on the curve" reduces to the
 univariate root bound: a restriction of degree <= deg(p) * deg(curve) with
 more distinct roots than that is the zero polynomial.
 
-A curve keeps its coordinates in integers, as a
-:class:`~jointlab.exact.Point` keeps a point's and a
-``polynomial.Polynomial`` a polynomial's: integer coefficient numerators
-over one positive denominator.  Its points and tangents are Points, and a
+A curve keeps its coordinates in integers, in the value form of
+:mod:`jointlab.exact`: integer coefficient numerators over one
+denominator.  Its points and tangents are Points, and a
 polynomial is substituted into it in integers.  Univariate polynomials are
 plain coefficient tuples in ascending powers of the parameter, trailing
 zeros trimmed, with the zero polynomial equal to the empty tuple; the
@@ -25,12 +24,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, FileFormatError
-from .exact import Point, _Frozen, integer_form, rank
+from .exact import Point, _Frozen, integer_form, lowest_terms, rank
 from .geometry import JointSet, Line, parse_coords, read_items, read_json
 from .pipeline import peel
 
@@ -74,43 +72,28 @@ def _values_at(polys: Sequence[UniPoly], den: int, t: Rational, top: int) -> Poi
 
 class ParamCurve(_Frozen):
     """A curve t -> (c_1(t), ..., c_d(t)) / den with integer polynomial
-    coordinates, kept in integers as a :class:`~jointlab.exact.Point` is.
+    coordinates.
 
     ``coords`` holds each coordinate's coefficient numerators in ascending
     powers of t, trailing zeros trimmed, over one positive denominator
     ``den``.  The form is canonical: the constructor takes ints or
     Fractions, over an optional common denominator, scales them to integers
-    once and divides out the gcd of all the numerators and ``den``, so equal
-    curves have equal ``coords`` and ``den``.  The hash, that of
-    ``(coords, den)``, is cached because curves are set members and dict
-    keys.
+    once and puts them in :func:`~jointlab.exact.lowest_terms`, so equal
+    curves have equal keys ``(coords, den)``.
     """
 
-    __slots__ = ("coords", "den", "_hash")
+    __slots__ = ("coords", "den")
 
     def __init__(self, coords: Sequence[Sequence[Rational]], den: int = 1):
         if len(coords) < 2:
             raise ValueError("curves need ambient dimension >= 2")
         nums, scale = integer_form([c for coord in coords for c in coord])
-        den *= scale
-        g = gcd(den, *nums)
-        if den < 0:
-            g = -g
-        reduced = (n // g for n in nums)
+        nums, den = lowest_terms(nums, den * scale)
+        reduced = iter(nums)
         coords = tuple(uni_trim([next(reduced) for _ in coord]) for coord in coords)
         if max(map(len, coords)) < 2:
             raise ValueError("curve must have a nonconstant coordinate")
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "den", den // g)
-        object.__setattr__(self, "_hash", hash((coords, den // g)))
-
-    def __eq__(self, other):
-        if other.__class__ is not ParamCurve:
-            return NotImplemented
-        return self.den == other.den and self.coords == other.coords
-
-    def __hash__(self):
-        return self._hash
+        self._freeze((coords, den), coords=coords, den=den)
 
     def __repr__(self):
         return f"ParamCurve(coords={self.coords!r}, den={self.den})"
@@ -139,7 +122,7 @@ def line_as_curve(line: Line) -> ParamCurve:
 
 class CurveConfiguration(_Frozen):
     """Curves sharing one ambient dimension, in the order given; n is the
-    total degree."""
+    total degree.  The key is ``(dim, curves)``."""
 
     __slots__ = ("dim", "curves")
 
@@ -149,16 +132,7 @@ class CurveConfiguration(_Frozen):
                 raise DimensionMismatchError(
                     f"curve of dimension {c.dim} in {dim}-dimensional configuration"
                 )
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "curves", curves)
-
-    def __eq__(self, other):
-        if other.__class__ is not CurveConfiguration:
-            return NotImplemented
-        return self.dim == other.dim and self.curves == other.curves
-
-    def __hash__(self):
-        return hash((self.dim, self.curves))
+        self._freeze((dim, curves), dim=dim, curves=curves)
 
     @property
     def total_degree(self) -> int:

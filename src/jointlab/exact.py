@@ -20,14 +20,17 @@ answer is exact and is the one the selection rule defines.  When a
 reconstruction or a check fails, the next prime joins by the Chinese
 remainder theorem.  The kernel names no Fraction: integers in, integers out.
 
-A rational result is integer numerators over one denominator: a kernel
-vector is ``(nums, den)``, and a :class:`Point` is a rational point kept in
-that form.  Matrices are sequences of integer rows, and results are treated
-as immutable values throughout.  The package's joint points are Points, and
-a ``polynomial.Polynomial`` keeps its coefficients and a
-``curves.ParamCurve`` its coordinate polynomials in the same form, on the
-same :class:`_Frozen` base.  Fractions are made from them only at the edges:
-to print, to project, or to return a polynomial's value or restriction.
+The value form is defined here, once.  A rational result is integer
+numerators over one positive denominator in lowest terms, as
+:func:`lowest_terms` makes them: a kernel vector is ``(nums, den)``, a
+:class:`Point` keeps a point's coordinates that way, a
+``polynomial.Polynomial`` its coefficients and a ``curves.ParamCurve`` its
+coordinate polynomials.  Those and the package's other values (lines,
+configurations, joint sets) are :class:`_Frozen`: immutable, equal when
+their classes and keys are equal, and hashed once, by their key.
+Matrices are sequences of integer rows.  Fractions are made from values only
+at the edges: to print, to project, or to return a polynomial's value or
+restriction.
 """
 
 from __future__ import annotations
@@ -97,54 +100,74 @@ def integer_form(values: Sequence) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-class _Frozen:
-    """Instances reject attribute assignment: ``__init__`` fills the slots
-    with ``object.__setattr__``, and hashable instances stay valid keys."""
+def lowest_terms(nums: Sequence[int], den: int) -> tuple[list[int], int]:
+    """Integer numerators over a nonzero denominator in lowest terms: the
+    gcd of all of them divided out and the denominator made positive, so
+    equal rational vectors give equal results.  All-zero numerators give
+    den 1."""
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    return [n // g for n in nums], den // g
 
-    __slots__ = ()
+
+class _Frozen:
+    """An immutable value, equal to another of its class with an equal key.
+
+    ``__init__`` fills the slots once, by :meth:`_freeze`, together with the
+    key: the fields that define the value, such as ``(nums, den)``.  After
+    that, assignment raises AttributeError.  Equality compares keys and
+    holds only within one class; against any other class it is
+    NotImplemented.  The hash is that of the key, computed once, at
+    construction.  A class whose key holds a dict sets ``__hash__ = None``
+    and stays unhashable.
+    """
+
+    __slots__ = ("_key", "_hash")
+
+    def _freeze(self, key, **fields):
+        """Set each field, and the key, once."""
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_key", key)
+        if type(self).__hash__ is not None:
+            object.__setattr__(self, "_hash", hash(key))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return self._hash
 
 
 class Point(_Frozen):
     """A rational point as integer numerators over one positive denominator.
 
-    The form is canonical: ``Point(nums, den)`` divides out the gcd of all
-    d + 1 integers and makes the denominator positive, so it is the least
-    common denominator of the coordinates, and equal points have equal
-    ``nums`` and ``den``.  Equality compares those, and the hash, that of
-    ``(nums, den)``, is computed once, so sets and dicts of points hash and
-    compare integers only.  Iterating a point yields its coordinates as
-    Fractions, for the edges that print, evaluate or project it; ``len`` is
-    its dimension.  Points have no order of their own: :func:`sort_points`
-    orders a collection as its Fraction tuples order.
+    The form is canonical, in :func:`lowest_terms`: the denominator is the
+    least common denominator of the coordinates, and the key is
+    ``(nums, den)``, so sets and dicts of points hash and compare integers
+    only.  Iterating a point yields its coordinates as Fractions, for the
+    edges that print, evaluate or project it; ``len`` is its dimension.
+    Points have no order of their own: :func:`sort_points` orders a
+    collection as its Fraction tuples order.
     """
 
-    __slots__ = ("nums", "den", "_hash")
+    __slots__ = ("nums", "den")
 
     def __init__(self, nums: Sequence[int], den: int):
-        g = gcd(den, *nums)
-        if den < 0:
-            g = -g
-        nums = tuple(n // g for n in nums)
-        den //= g
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", hash((nums, den)))
+        nums, den = lowest_terms(nums, den)
+        nums = tuple(nums)
+        self._freeze((nums, den), nums=nums, den=den)
 
     @classmethod
     def of(cls, values: Sequence) -> "Point":
         """The point with these coordinates, ints or Fractions."""
         return cls(*integer_form(values))
-
-    def __eq__(self, other):
-        if other.__class__ is not Point:
-            return NotImplemented
-        return self.den == other.den and self.nums == other.nums
-
-    def __hash__(self):
-        return self._hash
 
     def __len__(self) -> int:
         return len(self.nums)
@@ -344,7 +367,7 @@ def _certified_walk(rows: Sequence[Sequence[int]], select: bool):
     select, None.
 
     Entries are ints, and the vector is the :func:`integer_form` of the
-    rational one: den > 0, and den and nums have gcd 1.
+    rational one, in :func:`lowest_terms`.
 
     Certificate.  Pivots found mod p are pivots over Q, since a minor that
     is nonzero mod p is nonzero.  A free column the walk reached is free
@@ -400,12 +423,11 @@ def _certified_walk(rows: Sequence[Sequence[int]], select: bool):
             if not select:
                 return pivots, None
             nums, den = found[-1]
-            g = gcd(den, *nums)
             x = [0] * n
-            x[needed[-1]] = den // g
+            x[needed[-1]] = den
             for j, a in zip(pivots, nums):
-                x[j] = a // g
-            return pivots, (x, den // g)
+                x[j] = a
+            return pivots, lowest_terms(x, den)
 
 
 def rank(rows: Sequence[Sequence[int]]) -> int:

@@ -59,12 +59,11 @@ class Line(_Frozen):
     integer vector v, and ``base``, the foot of the perpendicular from the
     origin as a Point.  With the given base written P/q over one
     denominator, that foot is (P |v|^2 - (P.v) v) / (q |v|^2), which the
-    Point reduces.  Equal lines have equal fields.  The hash, that of
-    ``(direction, base)``, is cached because lines are set members and dict
-    keys throughout.  Lines are immutable, and as curves they have degree 1.
+    Point reduces.  The key is ``(direction, base)``, so equal lines have
+    equal fields.  As curves, lines have degree 1.
     """
 
-    __slots__ = ("direction", "base", "_hash")
+    __slots__ = ("direction", "base")
     degree = 1
 
     def __init__(self, base: Sequence, direction: Sequence):
@@ -81,17 +80,7 @@ class Line(_Frozen):
         norm = sum(c * c for c in v)
         along = sum(p * c for p, c in zip(given, v))
         base = Point([p * norm - along * c for p, c in zip(given, v)], q * norm)
-        object.__setattr__(self, "direction", v)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "_hash", hash((v, base)))
-
-    def __eq__(self, other):
-        if other.__class__ is not Line:
-            return NotImplemented
-        return self.direction == other.direction and self.base == other.base
-
-    def __hash__(self):
-        return self._hash
+        self._freeze((v, base), direction=v, base=base)
 
     @property
     def dim(self) -> int:
@@ -110,7 +99,8 @@ class Configuration(_Frozen):
     order, and sorted once, at construction, into the canonical order:
     primitive direction first, then base, as their Fraction tuples order.
     Lines that arrive in that order are sorted in one linear pass.
-    ``lines`` is the frozenset, for membership and equality.
+    ``lines`` is the frozenset, for membership, and the key is
+    ``(dim, lines)``.
     """
 
     __slots__ = ("dim", "lines", "_sorted")
@@ -126,17 +116,8 @@ class Configuration(_Frozen):
                 )
         key = _common_key([line.base for line in unique])
         unique.sort(key=lambda line: (line.direction, key(line.base)))
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "lines", frozenset(unique))
-        object.__setattr__(self, "_sorted", tuple(unique))
-
-    def __eq__(self, other):
-        if other.__class__ is not Configuration:
-            return NotImplemented
-        return self.dim == other.dim and self.lines == other.lines
-
-    def __hash__(self):
-        return hash((self.dim, self.lines))
+        lines = frozenset(unique)
+        self._freeze((dim, lines), dim=dim, lines=lines, _sorted=tuple(unique))
 
     @property
     def n(self) -> int:
@@ -152,19 +133,14 @@ class JointSet(_Frozen):
     The keys are Points and the incident objects lines, or parametrized
     curves for curve joints.  The incidence is not changed after
     construction, so the points are sorted once, on first use, by
-    :func:`~jointlab.exact.sort_points`, and kept.
+    :func:`~jointlab.exact.sort_points`, and kept.  The key is the
+    incidence.
     """
 
     __slots__ = ("incidence", "_points")
 
     def __init__(self, incidence: dict[Point, frozenset]):
-        object.__setattr__(self, "incidence", incidence)
-        object.__setattr__(self, "_points", None)
-
-    def __eq__(self, other):
-        if other.__class__ is not JointSet:
-            return NotImplemented
-        return self.incidence == other.incidence
+        self._freeze(incidence, incidence=incidence, _points=None)
 
     __hash__ = None  # the incidence is a dict
 
@@ -390,7 +366,6 @@ class Projection(NamedTuple):
 
     config: Configuration
     matrix: tuple[tuple[int, ...], ...]
-    line_images: dict[Line, Line]
     attempts: int
 
 
@@ -418,13 +393,13 @@ def project_to_generic_flat(config: Configuration, s: int, seed: int) -> Project
         if rank(matrix) < s:
             continue
         try:
-            images = {
-                line: Line(mat_vec(matrix, line.base), mat_vec(matrix, line.direction))
+            images = [
+                Line(mat_vec(matrix, line.base), mat_vec(matrix, line.direction))
                 for line in lines
-            }
+            ]
         except ValueError:
             continue  # some direction mapped to zero
-        if len(set(images.values())) != len(lines):
+        if len(set(images)) != len(lines):
             continue
         projected_points = [
             Point(mat_vec(matrix, p.nums), p.den) for p in s_joints.points
@@ -432,10 +407,7 @@ def project_to_generic_flat(config: Configuration, s: int, seed: int) -> Project
         if len(set(projected_points)) != len(projected_points):
             continue
         return Projection(
-            config=Configuration(s, images.values()),
-            matrix=matrix,
-            line_images=images,
-            attempts=attempt + 1,
+            config=Configuration(s, images), matrix=matrix, attempts=attempt + 1
         )
     raise GenericityFailureError(
         f"no generic projection found in {PROJECTION_MAX_ATTEMPTS} attempts "

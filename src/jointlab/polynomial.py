@@ -1,9 +1,8 @@
 """Sparse multivariate polynomials over the rationals.
 
 Exponent vectors are int tuples, and a polynomial keeps its coefficients as
-integer numerators over one positive denominator, gcd-reduced, as a
-:class:`~jointlab.exact.Point` keeps its coordinates; the zero polynomial has
-an empty term map.  Fits, derivatives, vanishing and evaluation work in those
+integer numerators over one denominator, in the value form of
+:mod:`jointlab.exact`; the zero polynomial has an empty term map.  Fits, derivatives, vanishing and evaluation work in those
 integers.  A Fraction is made per coefficient only to print a polynomial,
 and per value only for :meth:`Polynomial.evaluate` and
 :func:`restrict_to_line` to return.  The monomial order everywhere is
@@ -20,7 +19,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import accumulate, product, repeat
-from math import comb, gcd
+from math import comb
 from operator import add, mul
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -30,6 +29,7 @@ from .exact import (
     _Frozen,
     format_rational,
     integer_form,
+    lowest_terms,
     nullspace_vector,
     parse_rational,
     sort_points,
@@ -80,15 +80,15 @@ def min_fit_degree(m: int, d: int) -> int:
 
 
 class Polynomial(_Frozen):
-    """Immutable sparse polynomial in ``dim`` variables, kept in integers as
-    a :class:`~jointlab.exact.Point` is: ``terms`` maps exponent tuples to
-    integer numerators over one positive denominator ``den``.
+    """Immutable sparse polynomial in ``dim`` variables, kept in integers:
+    ``terms`` maps exponent tuples to integer numerators over one positive
+    denominator ``den``.
 
     The form is canonical: the constructor takes ints or Fractions, over an
-    optional common denominator, scales them to integers once, drops zero
-    terms and divides out the gcd of the numerators and ``den``, so equal
-    polynomials have equal ``terms`` and ``den``.  The zero polynomial has
-    no terms and ``den`` 1.
+    optional common denominator, scales them to integers once, puts them in
+    :func:`~jointlab.exact.lowest_terms` and drops zero terms, so equal
+    polynomials have equal keys ``(dim, terms, den)``.  The zero polynomial
+    has no terms and ``den`` 1.
     """
 
     __slots__ = ("dim", "terms", "den")
@@ -107,13 +107,9 @@ class Polynomial(_Frozen):
             if min(exps) < 0:
                 raise ValueError(f"negative exponent in {exps}")
         nums, scale = integer_form(list(terms.values()))
-        den *= scale
-        g = gcd(den, *nums)
-        if den < 0:
-            g = -g
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", {e: n // g for e, n in zip(terms, nums) if n})
-        object.__setattr__(self, "den", den // g)
+        nums, den = lowest_terms(nums, den * scale)
+        terms = {e: n for e, n in zip(terms, nums) if n}
+        self._freeze((dim, terms, den), dim=dim, terms=terms, den=den)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -145,15 +141,7 @@ class Polynomial(_Frozen):
                 out[exps[:axis] + (e - 1,) + exps[axis + 1 :]] = n * e
         return Polynomial(self.dim, out, self.den)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.dim == other.dim
-            and self.den == other.den
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
+    __hash__ = None  # the terms are a dict
 
     def __repr__(self):
         return f"Polynomial({self.dim}, {polynomial_to_text(self)!r})"

@@ -385,6 +385,16 @@ class TestCurveCommands:
                              "--curves", indices, f"--params={params}")
         assert (code, out, err) == (0, f"{verdict}\n", "")
 
+    @pytest.mark.parametrize(
+        "params,verdict", [("-3/4,1/2,2", "joint"), ("-1,1/2,2", "not a joint")]
+    )
+    def test_signed_params_in_either_form(self, rational_file, capsys, params, verdict):
+        joined = run(capsys, "curve", "joint", rational_file,
+                     "--curves", "1,0,2", f"--params={params}")
+        separate = run(capsys, "curve", "joint", rational_file,
+                       "--curves", "1,0,2", "--params", params)
+        assert separate == joined == (0, f"{verdict}\n", "")
+
 
 class TestErrorPaths:
     def test_missing_file(self, capsys):

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, islice, product
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -9,17 +9,25 @@ from hypothesis import strategies as st
 
 from jointlab import exact
 from jointlab.errors import DimensionMismatchError
+from jointlab.curves import CurveConfiguration, ParamCurve
 from jointlab.exact import (
     Point,
     format_rational,
     integer_form,
+    lowest_terms,
     mat_vec,
     nullspace_vector,
     parse_rational,
     rank,
     sort_points,
 )
-from jointlab.polynomial import fit_vanishing, min_fit_degree, monomial_basis
+from jointlab.geometry import Configuration, JointSet, Line
+from jointlab.polynomial import (
+    Polynomial,
+    fit_vanishing,
+    min_fit_degree,
+    monomial_basis,
+)
 
 from conftest import (
     cube_points,
@@ -100,6 +108,15 @@ class TestIntegerForm:
         assert integer_form([Fraction(1, 2), Fraction(-1, 3), 2]) == ([3, -2, 12], 6)
         assert integer_form([4, 0]) == ([4, 0], 1)
 
+    @given(st.lists(st.integers(-60, 60), max_size=6), st.integers(-40, 40).filter(bool))
+    @settings(max_examples=200, deadline=None)
+    def test_lowest_terms_against_fractions(self, nums, den):
+        reduced, q = lowest_terms(nums, den)
+        assert q > 0 and gcd(q, *reduced) == 1
+        assert [Fraction(n, q) for n in reduced] == [Fraction(n, den) for n in nums]
+        if not any(nums):
+            assert q == 1
+
 
 coordinates = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 
@@ -149,6 +166,80 @@ class TestPoints:
         third, half = Point([1], 3), Point([1], 2)
         assert (third.nums, third.den) > (half.nums, half.den)
         assert sort_points([half, third]) == [third, half]
+
+
+X_AXIS = Line((0, 0, 0), (1, 0, 0))
+Y_AXIS = Line((0, 0, 0), (0, 1, 0))
+MOMENT = ParamCurve([[0, 1], [0, 0, 1], [0, 0, 0, 1]])
+
+# class -> (value, an equal value built another way, a different value of
+# the class, the first value's key)
+VALUES = {
+    Point: (
+        Point([2, -4], 4),
+        Point.of([Fraction(1, 2), -1]),
+        Point([1, 1], 2),
+        ((1, -2), 2),
+    ),
+    Line: (
+        Line((0, 0, 1), (2, 0, 0)),
+        Line((5, 0, 1), (Fraction(-1, 3), 0, 0)),
+        X_AXIS,
+        ((1, 0, 0), Point([0, 0, 1], 1)),
+    ),
+    ParamCurve: (
+        MOMENT,
+        ParamCurve([[0, 2], [0, 0, 2, 0], [0, 0, 0, 2]], 2),
+        ParamCurve([[0, 1], [0, 0, 1]]),
+        (((0, 1), (0, 0, 1), (0, 0, 0, 1)), 1),
+    ),
+    Polynomial: (
+        Polynomial(2, {(1, 0): Fraction(1, 2), (0, 1): 0}),
+        Polynomial(2, {(1, 0): -3}, -6),
+        Polynomial(2, {(1, 0): 1}),
+        (2, {(1, 0): 1}, 2),
+    ),
+    Configuration: (
+        Configuration(3, [X_AXIS, Y_AXIS]),
+        Configuration(3, [Y_AXIS, X_AXIS, Y_AXIS]),
+        Configuration(3, [X_AXIS]),
+        (3, frozenset([X_AXIS, Y_AXIS])),
+    ),
+    CurveConfiguration: (
+        CurveConfiguration(3, (MOMENT,)),
+        CurveConfiguration(3, (ParamCurve([[0, 3], [0, 0, 3], [0, 0, 0, 3]], 3),)),
+        CurveConfiguration(3, (MOMENT, MOMENT)),
+        (3, (MOMENT,)),
+    ),
+    JointSet: (
+        JointSet({Point([0, 0, 0], 1): frozenset([X_AXIS, Y_AXIS])}),
+        JointSet({Point([0, 0, 0], 5): frozenset([Y_AXIS, X_AXIS])}),
+        JointSet({}),
+        {Point([0, 0, 0], 1): frozenset([X_AXIS, Y_AXIS])},
+    ),
+}
+UNHASHABLE = (Polynomial, JointSet)
+
+
+@pytest.mark.parametrize("cls", list(VALUES), ids=lambda cls: cls.__name__)
+def test_value_classes_share_one_value_form(cls):
+    """Every value class is immutable, equal within its class exactly when
+    the keys are, and hashed by its key, or unhashable."""
+    value, same, other, key = VALUES[cls]
+    assert type(value) is type(same) is type(other) is cls
+    for name in (*cls.__slots__, "_key", "_hash", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    assert value._key == key and same._key == key and other._key != key
+    assert value == same and not value != same
+    assert value != other and not value == other
+    assert value.__eq__(key) is NotImplemented and value != key
+    if cls in UNHASHABLE:
+        for v in (value, same, other):
+            with pytest.raises(TypeError):
+                hash(v)
+    else:
+        assert hash(value) == hash(same) == hash(key)
 
 
 class TestRank:

@@ -410,8 +410,10 @@ class TestProjection:
         for p in joints.points:
             image = Point.of(mat_vec(projection.matrix, p))
             # incident to the images of exactly its original three lines
+            m = projection.matrix
             expected = frozenset(
-                projection.line_images[l] for l in joints.lines_through(p)
+                Line(mat_vec(m, l.base), mat_vec(m, l.direction))
+                for l in joints.lines_through(p)
             )
             assert projected_joints.lines_through(image) == expected
 

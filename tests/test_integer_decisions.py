@@ -1,4 +1,5 @@
-"""The exact decisions run in integers: the modular kernel behind rank and
+"""The exact decisions run in integers: the lowest terms, equality and
+hashing that every value shares, the modular kernel behind rank and
 nullspace (its primes, walk, reconstruction and certificate), the pruning
 fixpoint, the polynomial's constructor, fit, derivatives and integer
 evaluator, the vanishing test on lines and the cascade and gradient check
@@ -28,6 +29,11 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "jointlab"
 # Fraction
 INTEGER_ONLY = {
     "exact": (
+        "lowest_terms",
+        "_Frozen._freeze",
+        "_Frozen.__eq__",
+        "_Frozen.__hash__",
+        "Point.__init__",
         "_is_prime",
         "_primes",
         "_walk",

@@ -1,0 +1,70 @@
+"""Count the code lines of each module of ``src/jointlab``.
+
+A code line holds at least one token.  Comments, blank lines and
+docstrings (the leading string of a module, class or function) are left
+out, and so is each line a docstring spans.  The script prints one line per
+module, ``<count> <path>``, in path order, then the total.  Standard library
+only; run it from anywhere as ``python tools/code_lines.py [package dir]``.
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import sys
+import tokenize
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "jointlab"
+_SKIP = {
+    tokenize.COMMENT,
+    tokenize.NL,
+    tokenize.NEWLINE,
+    tokenize.INDENT,
+    tokenize.DEDENT,
+    tokenize.ENDMARKER,
+    tokenize.ENCODING,
+}
+
+
+def docstring_lines(tree: ast.Module) -> set[int]:
+    """The line numbers that docstrings span."""
+    lines: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        ):
+            body = node.body
+            if (
+                body
+                and isinstance(body[0], ast.Expr)
+                and isinstance(body[0].value, ast.Constant)
+                and isinstance(body[0].value.value, str)
+            ):
+                lines.update(range(body[0].lineno, body[0].end_lineno + 1))
+    return lines
+
+
+def code_lines(source: str) -> int:
+    """The number of lines of source that hold a token outside a docstring."""
+    skip = docstring_lines(ast.parse(source))
+    held: set[int] = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _SKIP:
+            held.update(range(tok.start[0], tok.end[0] + 1))
+    return len(held - skip)
+
+
+def main(argv: list[str]) -> int:
+    package = Path(argv[0]) if argv else PACKAGE
+    total = 0
+    for path in sorted(package.glob("*.py")):
+        count = code_lines(path.read_text(encoding="utf-8"))
+        total += count
+        print(f"{count:6d} {path.name}")
+    print(f"{total:6d} total")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
