@@ -1,0 +1,29 @@
+"""``jointlab joints``: count and list the joints, or the s-joints."""
+
+from __future__ import annotations
+
+from ..cli import integer
+from ..exact import format_rational
+
+
+def run(args) -> int:
+    from ..geometry import find_joints, find_s_joints, load_configuration
+
+    config = load_configuration(args.file)
+    if args.s is not None:
+        joints = find_s_joints(config, args.s)
+    else:
+        joints = find_joints(config)
+    print(len(joints))
+    for point in joints.points:
+        print(" ".join(format_rational(c) for c in point))
+    return 0
+
+
+def add_parsers(sub) -> None:
+    joints = sub.add_parser("joints", help="count and list joints")
+    joints.add_argument("file")
+    joints.add_argument(
+        "--s", type=integer, default=None, help="detect s-joints instead"
+    )
+    joints.set_defaults(handler=run)

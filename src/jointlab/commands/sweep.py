@@ -1,0 +1,46 @@
+"""``jointlab sweep``: sweep a construction family and write CSV rows."""
+
+from __future__ import annotations
+
+from ..cli import integer, parse_range
+
+
+def run(args) -> int:
+    from .. import harness
+
+    if args.family == "grid":
+        rows = [
+            row
+            for k in parse_range(args.k)
+            for row in harness.sweep_grids(args.dim, k, k, force=args.force)
+        ]
+    else:
+        rows = harness.sweep_random(
+            args.dim,
+            parse_range(args.n),
+            parse_range(args.seeds),
+            coord_bound=args.coord_bound,
+            force=args.force,
+        )
+    harness.write_csv(rows, args.csv)
+    print(f"wrote {len(rows)} row(s) to {args.csv}")
+    return 0
+
+
+def add_parsers(sub) -> None:
+    sweep = sub.add_parser("sweep", help="sweep a family and emit CSV")
+    sweep_sub = sweep.add_subparsers(dest="family", required=True)
+    sg = sweep_sub.add_parser("grid")
+    sg.add_argument("--dim", type=integer, required=True)
+    sg.add_argument("--k", required=True, help='range like "2..6"')
+    sg.add_argument("--csv", required=True)
+    sg.add_argument("--force", action="store_true")
+    sg.set_defaults(handler=run)
+    sr = sweep_sub.add_parser("random")
+    sr.add_argument("--dim", type=integer, required=True)
+    sr.add_argument("--n", required=True, help='list like "10,20" or range "5..8"')
+    sr.add_argument("--seeds", required=True, help='list or range of seeds')
+    sr.add_argument("--coord-bound", type=integer, default=10)
+    sr.add_argument("--csv", required=True)
+    sr.add_argument("--force", action="store_true")
+    sr.set_defaults(handler=run)

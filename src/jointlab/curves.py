@@ -22,20 +22,23 @@ searched for globally; curve-curve intersection solving is out of scope.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import zip_longest
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, FileFormatError
-from .exact import Point, _Frozen, integer_form, lowest_terms, rank
-from .geometry import JointSet, Line, parse_coords, read_items, read_json
+from .exact import Point, _Frozen, integer_form, lowest_terms, parse_rational, rank
+from .files import parse_coords, read_items, read_json
+from .geometry import JointSet, Line
 from .pipeline import peel
+from .polynomial import Polynomial
 
 if TYPE_CHECKING:
     from numbers import Rational
 
-    from .polynomial import Polynomial
+    from .polynomial import MultiIndex
 
 UniPoly = tuple[int, ...]
 
@@ -228,6 +231,58 @@ def restrict_to_curve(p: Polynomial, curve: ParamCurve) -> tuple[Fraction, ...]:
     """
     nums, den = substitute(p, curve.coords, curve.den)
     return tuple(Fraction(n, den) for n in nums)
+
+
+# ---------------------------------------------------------------------------
+# polynomial text, as fit and trace print it, read back for ``curve restrict``
+
+_TERM_FACTOR_RE = re.compile(r"^x([0-9]+)(?:\^([0-9]+))?$")
+
+
+def polynomial_from_text(text: str, dim: int) -> Polynomial:
+    """Parse the report text form back into a polynomial.
+
+    A leading sign is allowed; a sign with no term after it, or a sign on an
+    exponent, is a ValueError.
+    """
+    compact = text.replace(" ", "")
+    if compact in ("", "0"):
+        return Polynomial(dim, {})
+    signed = re.search(r"\^([+-])", compact)
+    if signed:
+        kind = "negative" if signed.group(1) == "-" else "signed"
+        raise ValueError(f"{kind} exponent in polynomial text {text!r}")
+    if compact[0] not in "+-":
+        compact = "+" + compact
+    # "+x1-2" splits into "", "+", "x1", "-", "2": signs and terms alternate
+    _, *parts = re.split(r"([+-])", compact)
+    terms: dict[MultiIndex, Fraction] = {}
+    for sign, body in zip(parts[::2], parts[1::2]):
+        if not body:
+            raise ValueError(
+                f"sign {sign!r} without a term in polynomial text {text!r}"
+            )
+        coeff = Fraction(-1 if sign == "-" else 1)
+        exps = [0] * dim
+        for factor in body.split("*"):
+            m = _TERM_FACTOR_RE.match(factor)
+            if m:
+                index = int(m.group(1))
+                if not 1 <= index <= dim:
+                    raise ValueError(
+                        f"variable x{index} out of range for dimension {dim}"
+                    )
+                exps[index - 1] += int(m.group(2) or 1)
+            else:
+                try:
+                    coeff *= parse_rational(factor)
+                except ValueError:
+                    raise ValueError(
+                        f"malformed factor {factor!r} in polynomial text {text!r}"
+                    ) from None
+        key = tuple(exps)
+        terms[key] = terms.get(key, Fraction(0)) + coeff
+    return Polynomial(dim, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact rational scalars, vectors, and matrices.
+"""Exact rational scalars and the package's one value form.
 
 Scalars are exact rationals, so every comparison in the toolkit is an exact
 decision rather than a tolerance check.  A rational literal is read as an
@@ -6,19 +6,11 @@ int when it is an integer and as a ``fractions.Fraction`` otherwise, and
 :func:`integer_form` turns a vector of them into integer numerators over
 one common denominator, the form in which the toolkit computes.
 
-Rank and nullspace come from one certified modular walk over integer rows.
-A caller with rational rows scales each to integers first, by
-:func:`integer_form`, which changes neither rank nor nullspace.  The rows are
-eliminated modulo a prime below 2^61, so every intermediate stays a few
-machine words long (Cabay, "Exact solution of linear equations", SYMSAC
-1971).  The kernel vectors an answer needs are back-substituted mod p,
-recovered as integer numerators over one denominator by rational
-reconstruction (Wang, Guy and Davenport, "P-adic reconstruction of rational
-numbers", SIGSAM Bull. 1982) and checked exactly in integers, M x = 0.  The
-checks prove that the pivots found mod p are the rational ones, so every
-answer is exact and is the one the selection rule defines.  When a
-reconstruction or a check fails, the next prime joins by the Chinese
-remainder theorem.  The kernel names no Fraction: integers in, integers out.
+:func:`rank` and :func:`nullspace_vector` are the exact linear algebra:
+integer rows in, integers out.  Both run the certified modular walk of
+:mod:`jointlab.kernel`, which they import on their first call, so a run that
+never ranks or fits, such as a sweep whose lines meet at most in pairs,
+does not compile it.
 
 The value form is defined here, once.  A rational result is integer
 numerators over one positive denominator in lowest terms, as
@@ -27,21 +19,17 @@ numerators over one positive denominator in lowest terms, as
 ``polynomial.Polynomial`` its coefficients and a ``curves.ParamCurve`` its
 coordinate polynomials.  Those and the package's other values (lines,
 configurations, joint sets) are :class:`_Frozen`: immutable, equal when
-their classes and keys are equal, and hashed once, by their key.
-Matrices are sequences of integer rows.  Fractions are made from values only
-at the edges: to print, to project, or to return a polynomial's value or
-restriction.
+their classes and keys are equal, hashed once, by their key, and copied or
+pickled slot by slot.  Matrices are sequences of integer rows.  Fractions
+are made from values only at the edges: to print, to project, or to return
+a polynomial's value or restriction.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
-from math import gcd, isqrt, lcm
-from operator import mul
+from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
-
-from .errors import DimensionMismatchError
 
 if TYPE_CHECKING:
     # ``fractions`` is imported where a Fraction is made: a run that makes
@@ -80,19 +68,6 @@ def format_rational(value: int | Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def mat_vec(rows: Sequence[Sequence], x: Sequence) -> tuple:
-    """The product of a matrix and a vector of ints or Fractions; with ints
-    only, the entries are ints."""
-    out = []
-    for row in rows:
-        if len(row) != len(x):
-            raise DimensionMismatchError(
-                f"vector dimensions differ: {len(row)} vs {len(x)}"
-            )
-        out.append(sum(map(mul, row, x)))
-    return tuple(out)
-
-
 def integer_form(values: Sequence) -> tuple[list[int], int]:
     """Rationals (ints or Fractions) as integer numerators over their least
     common denominator: ``[1/2, 1/3]`` gives ``([3, 2], 6)``."""
@@ -120,7 +95,8 @@ class _Frozen:
     holds only within one class; against any other class it is
     NotImplemented.  The hash is that of the key, computed once, at
     construction.  A class whose key holds a dict sets ``__hash__ = None``
-    and stays unhashable.
+    and stays unhashable.  A copy or an unpickled value gets its slots back
+    by :meth:`__setstate__`, past the blocked assignment.
     """
 
     __slots__ = ("_key", "_hash")
@@ -135,6 +111,12 @@ class _Frozen:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __setstate__(self, state):
+        """Fill the slots from the ``(None, slots)`` state that copy and
+        pickle take of a slotted object."""
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -201,238 +183,11 @@ def sort_points(points: Iterable[Point]) -> list[Point]:
     return sorted(points, key=_common_key(points))
 
 
-_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_PRIMES: list[int] = []  # found by _primes, largest first
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin: the bases 2..37 decide every odd n below
-    3.3 * 10^24, far above 2^61."""
-    if n in _BASES:
-        return True
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _primes() -> Iterator[int]:
-    """The primes below 2^61 in descending order, from the Mersenne prime
-    2^61 - 1.  Each is searched for once and kept in ``_PRIMES``."""
-    i = 0
-    while True:
-        if i == len(_PRIMES):
-            p = _PRIMES[-1] - 2 if _PRIMES else 2**61 - 1
-            while not _is_prime(p):
-                p -= 2
-            _PRIMES.append(p)
-        yield _PRIMES[i]
-        i += 1
-
-
-def _walk(columns: Sequence[Sequence[int]], m: int, p: int):
-    """Left-looking row echelon walk of integer columns mod p.
-
-    Columns are walked left to right.  A column is reduced only when the walk
-    reaches it, by :func:`_reduce` with the pivot steps recorded so far.  Its
-    first nonzero entry at or below the next pivot row then becomes a pivot,
-    and the step is recorded: the row swap, the pivot inverse and, for each
-    row below the pivot whose entry is nonzero, in increasing order, the
-    pair (row, multiplier).  Rows with a zero multiplier are left out, so
-    applying the step touches only the entries it changes.
-    The walk stops once every row holds a pivot.
-
-    Returns the pivot columns, the reduced columns the walk reached and the
-    steps.  Entry r of a reduced column is final once r steps precede it.
-    """
-    pivots: list[int] = []
-    reduced: list[list[int]] = []
-    steps: list[tuple] = []
-    for j, column in enumerate(columns):
-        r = len(pivots)
-        if r == m:
-            break
-        col = _reduce(column, steps, p)
-        reduced.append(col)
-        sel = next((i for i in range(r, m) if col[i]), None)
-        if sel is None:
-            continue
-        col[r], col[sel] = col[sel], col[r]
-        inv = pow(col[r], -1, p)
-        below = [(i, v * inv % p) for i, v in enumerate(col[r + 1 :], r + 1) if v]
-        steps.append((sel, inv, below))
-        pivots.append(j)
-    return pivots, reduced, steps
-
-
-def _reduce(column: Sequence[int], steps: list[tuple], p: int) -> list[int]:
-    """One integer column mod p with the recorded steps applied in order:
-    step r swaps rows r and sel, then, in place, takes each recorded
-    multiplier times entry r from the entry of its row.  A zero entry r
-    skips the step, and rows with a zero multiplier are never visited.
-
-    Only entry r is reduced mod p at step r; the entries below it are
-    reduced once at the end, which stays exact and saves a division per
-    update.
-    """
-    col = [v % p for v in column]
-    for r, (sel, _, below) in enumerate(steps):
-        col[r], col[sel] = col[sel], col[r]
-        top = col[r] % p
-        col[r] = top
-        if top:
-            for i, f in below:
-                col[i] -= f * top
-    return [v % p for v in col]
-
-
-def _back_substitute(
-    col: list[int],
-    k: int,
-    reduced: list[list[int]],
-    pivots: list[int],
-    steps: list[tuple],
-    p: int,
-) -> list[int]:
-    """The kernel vector mod p that is 1 at a free column, 0 at the other
-    free columns and supported on the k pivots before it: its pivot entries,
-    in pivot order.  col is the free column reduced by those k steps."""
-    y = col[:k]
-    for r in reversed(range(k)):
-        t = y[r] * steps[r][1] % p
-        y[r] = t
-        if t:
-            y[:r] = [(v - u * t) % p for v, u in zip(y[:r], reduced[pivots[r]])]
-    return [-t % p for t in y]
-
-
-def _rational_numerators(residues: list[int], modulus: int):
-    """Integer numerators over one common denominator for residues mod
-    modulus: ``(nums, den)``, or None.
-
-    Each residue is scaled by the denominator found so far.  Only when that
-    is not already a small integer does rational reconstruction (the
-    extended Euclidean algorithm, stopped at the bound) find a further
-    denominator.  Numerators and the denominator stay within
-    ``isqrt(modulus // 2)``, so a reconstruction is unique; whether it is
-    the right one is decided by the exact check.
-    """
-    bound = isqrt(modulus // 2)
-    den, nums = 1, []
-    for a in residues:
-        v = a * den % modulus
-        if v > bound:  # either a small negative or no integer at all
-            v -= modulus
-        if -v > bound:
-            r0, r1, t0, t1 = modulus, v + modulus, 0, 1
-            while r1 > bound:
-                q = r0 // r1
-                r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-            if t1 < 0:
-                r1, t1 = -r1, -t1
-            den *= t1
-            if den > bound:
-                return None
-            nums = [x * t1 for x in nums]
-            v = r1
-        nums.append(v)
-    return nums, den
-
-
-def _in_kernel(
-    columns: Sequence[Sequence[int]], f: int, support: list[int], nums: list[int], den: int
-) -> bool:
-    """Exact integer check of M x = 0 for x with den at column f, nums at
-    the support columns and 0 elsewhere."""
-    acc = [den * v for v in columns[f]]
-    for j, a in zip(support, nums):
-        if a:
-            acc = [s + a * v for s, v in zip(acc, columns[j])]
-    return not any(acc)
-
-
-def _certified_walk(rows: Sequence[Sequence[int]], select: bool):
-    """The pivot columns over Q and, if select, the selection rule's kernel
-    vector as ``(nums, den)`` (None when the kernel is zero); without
-    select, None.
-
-    Entries are ints, and the vector is the :func:`integer_form` of the
-    rational one, in :func:`lowest_terms`.
-
-    Certificate.  Pivots found mod p are pivots over Q, since a minor that
-    is nonzero mod p is nonzero.  A free column the walk reached is free
-    over Q once the kernel vector with 1 there, supported on the pivots
-    before it, passes the exact check.  So rank needs these checks only when
-    the mod-p rank is below both dimensions.  The selected column, the
-    highest free one, is checked the same way, and the vector that passes is
-    the only kernel vector with its support.
-
-    A failed reconstruction or check takes the next prime.  Primes whose
-    pivot lists agree are combined by CRT.  A prime with a smaller key
-    (-len, pivots) restarts the accumulation, one with a larger key is
-    skipped.  No prime's key is below that of the rational pivots, and all
-    but finitely many primes have that key, so the loop ends.
-    """
-    if len({len(row) for row in rows}) > 1:
-        raise ValueError("matrix rows have unequal lengths")
-    m = len(rows)
-    columns = list(zip(*rows))
-    n = len(columns)
-    best = None
-    for p in _primes():
-        pivots, reduced, steps = _walk(columns, m, p)
-        if len(pivots) == n or (len(pivots) == m and not select):
-            return pivots, None
-        key = (-len(pivots), pivots)
-        if best is not None and key > best:
-            continue
-        pivot_set = set(pivots)
-        needed = [j for j in range(len(reduced)) if j not in pivot_set]
-        cols = [reduced[j] for j in needed]
-        if select and len(reduced) < n:
-            needed.append(n - 1)
-            cols.append(_reduce(columns[-1], steps, p))
-        residues = [
-            _back_substitute(col, bisect_left(pivots, f), reduced, pivots, steps, p)
-            for f, col in zip(needed, cols)
-        ]
-        if key != best:
-            best, modulus, acc = key, p, residues
-        else:
-            inv = pow(modulus, -1, p)
-            acc = [
-                [a + modulus * ((b - a) * inv % p) for a, b in zip(old, new)]
-                for old, new in zip(acc, residues)
-            ]
-            modulus *= p
-        found = [_rational_numerators(res, modulus) for res in acc]
-        if all(
-            v is not None and _in_kernel(columns, f, pivots[: len(res)], *v)
-            for f, res, v in zip(needed, acc, found)
-        ):
-            if not select:
-                return pivots, None
-            nums, den = found[-1]
-            x = [0] * n
-            x[needed[-1]] = den
-            for j, a in zip(pivots, nums):
-                x[j] = a
-            return pivots, lowest_terms(x, den)
-
-
 def rank(rows: Sequence[Sequence[int]]) -> int:
     """Exact rank over the rationals of integer rows; an empty matrix has
     rank 0."""
+    from .kernel import _certified_walk
+
     return len(_certified_walk(rows, select=False)[0])
 
 
@@ -446,4 +201,6 @@ def nullspace_vector(rows: Sequence[Sequence[int]]) -> tuple[list[int], int] | N
     back-substituted.  When the walk stopped early, that column is the last
     one, and the only column past the last pivot that is ever reduced.
     """
+    from .kernel import _certified_walk
+
     return _certified_walk(rows, select=True)[1]

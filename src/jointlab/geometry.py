@@ -1,4 +1,4 @@
-"""Lines, configurations, joint detection, and generic projections.
+"""Lines, configurations, joint detection, and the bound check.
 
 A line is stored in a canonical integer form so that set membership and
 equality are exact structural checks: the direction is a primitive integer
@@ -10,34 +10,28 @@ hyperplane exactly when their directions fit in a (d-1)-subspace, so the
 predicate is a rank test.  Joint points are :class:`~jointlab.exact.Point`s,
 built from the integer pair solve and compared, hashed and sorted in
 integers.
+
+Generic projections live in :mod:`jointlab.projection` and the JSON file
+format in :mod:`jointlab.files`.  :func:`load_configuration` and
+:func:`save_configuration` import the format when called, so a command that
+neither reads nor writes a line file, such as a sweep, does not compile it.
 """
 
 from __future__ import annotations
 
-import random
 from math import factorial, gcd
 from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import (
-    DimensionMismatchError,
-    FileFormatError,
-    GenericityFailureError,
-    IdenticalLinesError,
-)
+from .errors import DimensionMismatchError, IdenticalLinesError
 from .exact import (
     Point,
     _common_key,
     _Frozen,
     format_rational,
     integer_form,
-    mat_vec,
-    parse_rational,
     rank,
     sort_points,
 )
-
-PROJECTION_COEFF_BOUND = 1000
-PROJECTION_MAX_ATTEMPTS = 16
 
 
 def _primitive(direction: Sequence) -> tuple[int, ...]:
@@ -361,165 +355,13 @@ def bound_constant(d: int) -> float:
     return exp(log(2 ** (d + 1) * factorial(d)) / (d - 1))
 
 
-class Projection(NamedTuple):
-    """Result of a verified generic projection to a lower dimension."""
-
-    config: Configuration
-    matrix: tuple[tuple[int, ...], ...]
-    attempts: int
-
-
-def project_to_generic_flat(config: Configuration, s: int, seed: int) -> Projection:
-    """Project lines (and their s-joints) to dimension s by a random map.
-
-    Draws an s x d integer matrix from a seeded PRNG and verifies, exactly,
-    that it is full rank, that no direction collapses to zero, that distinct
-    lines stay distinct, and that distinct s-joints stay distinct; otherwise
-    it redraws with a derived seed, up to a fixed retry budget.
-    """
-    if not 2 <= s < config.dim:
-        raise ValueError(f"s must satisfy 2 <= s < {config.dim}, got {s}")
-    s_joints = find_s_joints(config, s)
-    lines = config.sorted_lines()
-    for attempt in range(PROJECTION_MAX_ATTEMPTS):
-        rng = random.Random(seed * PROJECTION_MAX_ATTEMPTS + attempt)
-        matrix = tuple(
-            tuple(
-                rng.randint(-PROJECTION_COEFF_BOUND, PROJECTION_COEFF_BOUND)
-                for _ in range(config.dim)
-            )
-            for _ in range(s)
-        )
-        if rank(matrix) < s:
-            continue
-        try:
-            images = [
-                Line(mat_vec(matrix, line.base), mat_vec(matrix, line.direction))
-                for line in lines
-            ]
-        except ValueError:
-            continue  # some direction mapped to zero
-        if len(set(images)) != len(lines):
-            continue
-        projected_points = [
-            Point(mat_vec(matrix, p.nums), p.den) for p in s_joints.points
-        ]
-        if len(set(projected_points)) != len(projected_points):
-            continue
-        return Projection(
-            config=Configuration(s, images), matrix=matrix, attempts=attempt + 1
-        )
-    raise GenericityFailureError(
-        f"no generic projection found in {PROJECTION_MAX_ATTEMPTS} attempts "
-        f"(seed {seed}); the instance is degenerate or the luck absurd"
-    )
-
-
-# ---------------------------------------------------------------------------
-# JSON wire format
-
-
-def line_to_dict(line: Line) -> dict:
-    return {
-        "base": [format_rational(c) for c in line.base],
-        "dir": [format_rational(c) for c in line.direction],
-    }
-
-
-def configuration_to_dict(config: Configuration) -> dict:
-    return {
-        "dim": config.dim,
-        "lines": [line_to_dict(line) for line in config.sorted_lines()],
-    }
-
-
-def parse_coords(values, where: str, dim: int | None = None) -> tuple:
-    """Rationals from a JSON list of strings like "3" or "-7/2", as ints and
-    Fractions; ``dim``, when given, is the required length.  Errors name the
-    offending entry."""
-    if not isinstance(values, list) or dim is not None and len(values) != dim:
-        count = "" if dim is None else f"{dim} "
-        raise FileFormatError(f"{where}: expected a list of {count}rationals")
-    out = []
-    for k, item in enumerate(values):
-        if not isinstance(item, str):
-            raise FileFormatError(f"{where}[{k}]: rationals must be strings")
-        try:
-            out.append(parse_rational(item))
-        except ValueError as exc:
-            raise FileFormatError(f"{where}[{k}]: {exc}") from exc
-    return tuple(out)
-
-
-def read_items(obj, key: str, build) -> tuple[int, list]:
-    """The dimension and the items of a configuration file's object
-    ``{"dim": d, key: [item, ...]}``, for lines and curves alike.
-
-    ``build(raw, dim, where)`` makes one item from its JSON value, with
-    ``where`` naming it as ``key[i]``.  A FileFormatError it raises names
-    its own field; any other ValueError is reported against the item."""
-    if not isinstance(obj, dict):
-        raise FileFormatError("top level: expected an object")
-    dim = obj.get("dim")
-    if not isinstance(dim, int) or dim < 2:
-        raise FileFormatError("dim: expected an integer >= 2")
-    raw_items = obj.get(key)
-    if not isinstance(raw_items, list):
-        raise FileFormatError(f"{key}: expected a list")
-    items = []
-    for i, raw in enumerate(raw_items):
-        where = f"{key}[{i}]"
-        try:
-            items.append(build(raw, dim, where))
-        except FileFormatError:
-            raise
-        except ValueError as exc:
-            raise FileFormatError(f"{where}: {exc}") from exc
-    return dim, items
-
-
-def _line_from_dict(raw, dim: int, where: str) -> Line:
-    if not isinstance(raw, dict):
-        raise ValueError("expected an object")
-    base = parse_coords(raw.get("base"), f"{where}.base", dim)
-    return Line(base, parse_coords(raw.get("dir"), f"{where}.dir", dim))
-
-
-def configuration_from_dict(obj) -> Configuration:
-    dim, lines = read_items(obj, "lines", _line_from_dict)
-    config = Configuration(dim, lines)
-    if config.n < len(lines):
-        import logging  # only this warning logs; most runs never load it
-
-        logging.getLogger(__name__).warning(
-            "deduplicated %d duplicate line(s)", len(lines) - config.n
-        )
-    return config
-
-
-def write_json(path, obj) -> None:
-    """Write obj as JSON indented by two spaces, ending in a newline."""
-    import json
-
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
-
-
-def read_json(path):
-    """Parse a JSON file; malformed JSON raises FileFormatError naming the path."""
-    import json
-
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
-
-
 def save_configuration(config: Configuration, path) -> None:
+    from .files import configuration_to_dict, write_json
+
     write_json(path, configuration_to_dict(config))
 
 
 def load_configuration(path) -> Configuration:
+    from .files import configuration_from_dict, read_json
+
     return configuration_from_dict(read_json(path))

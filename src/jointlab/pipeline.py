@@ -38,7 +38,6 @@ from .geometry import (
     bound_constant,
     find_joints,
     incident,
-    line_to_dict,
 )
 from .polynomial import (
     Polynomial,
@@ -447,6 +446,8 @@ def trace_to_dict(tr: ProofTrace) -> dict:
     The per-line counts keep their order, that of the surviving lines'
     ``sorted_lines()``, in which :func:`peel` counts them.
     """
+    from .files import line_to_dict
+
     return {
         "outcome": tr.outcome,
         "dim": str(tr.dim),

@@ -12,11 +12,12 @@ and printed term order reproducible across runs.
 
 Univariate polynomials, and substitution into them, belong to
 ``jointlab.curves``; only their text form is here, beside the polynomial's.
+Reading the text form back is ``curves.polynomial_from_text``, since only
+``curve restrict`` reads it.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from itertools import accumulate, product, repeat
 from math import comb
@@ -31,7 +32,6 @@ from .exact import (
     integer_form,
     lowest_terms,
     nullspace_vector,
-    parse_rational,
     sort_points,
 )
 
@@ -345,8 +345,6 @@ def minimal_fit(points: Iterable[Point], d: int) -> Polynomial:
 # ---------------------------------------------------------------------------
 # text form: terms in descending graded-lex order, e.g. "x1^2 - x1"
 
-_TERM_FACTOR_RE = re.compile(r"^x([0-9]+)(?:\^([0-9]+))?$")
-
 
 def _power_text(var: str, e: int) -> str:
     return "" if e == 0 else var if e == 1 else f"{var}^{e}"
@@ -380,52 +378,6 @@ def polynomial_to_text(p: Polynomial) -> str:
         (Fraction(p.terms[exps], p.den), _monomial_text(exps))
         for exps in sorted(p.terms, key=grlex_key, reverse=True)
     )
-
-
-def polynomial_from_text(text: str, dim: int) -> Polynomial:
-    """Parse the report text form back into a polynomial.
-
-    A leading sign is allowed; a sign with no term after it, or a sign on an
-    exponent, is a ValueError.
-    """
-    compact = text.replace(" ", "")
-    if compact in ("", "0"):
-        return Polynomial(dim, {})
-    signed = re.search(r"\^([+-])", compact)
-    if signed:
-        kind = "negative" if signed.group(1) == "-" else "signed"
-        raise ValueError(f"{kind} exponent in polynomial text {text!r}")
-    if compact[0] not in "+-":
-        compact = "+" + compact
-    # "+x1-2" splits into "", "+", "x1", "-", "2": signs and terms alternate
-    _, *parts = re.split(r"([+-])", compact)
-    terms: dict[MultiIndex, Fraction] = {}
-    for sign, body in zip(parts[::2], parts[1::2]):
-        if not body:
-            raise ValueError(
-                f"sign {sign!r} without a term in polynomial text {text!r}"
-            )
-        coeff = Fraction(-1 if sign == "-" else 1)
-        exps = [0] * dim
-        for factor in body.split("*"):
-            m = _TERM_FACTOR_RE.match(factor)
-            if m:
-                index = int(m.group(1))
-                if not 1 <= index <= dim:
-                    raise ValueError(
-                        f"variable x{index} out of range for dimension {dim}"
-                    )
-                exps[index - 1] += int(m.group(2) or 1)
-            else:
-                try:
-                    coeff *= parse_rational(factor)
-                except ValueError:
-                    raise ValueError(
-                        f"malformed factor {factor!r} in polynomial text {text!r}"
-                    ) from None
-        key = tuple(exps)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return Polynomial(dim, terms)
 
 
 def unipoly_to_text(p: Sequence[Rational], var: str = "t") -> str:

@@ -6,7 +6,7 @@ from math import isqrt
 
 import pytest
 
-from jointlab import exact
+from jointlab import kernel
 from jointlab.exact import Point, integer_form
 from jointlab.constructions import grid, grid_plus_orphan, planar_bundle, random_config
 from jointlab.curves import line_as_curve
@@ -52,7 +52,7 @@ def walk_updates(rows, p: int = 2**61 - 1) -> int:
     whose pivot-row entry is nonzero.  The replay must give the walk's own
     reduced columns, so the count is that of the walk."""
     columns = list(zip(*rows))
-    pivots, reduced, steps = exact._walk(columns, len(rows), p)
+    pivots, reduced, steps = kernel._walk(columns, len(rows), p)
     updates = 0
     for j, done in enumerate(reduced):
         k = bisect_left(pivots, j)  # the steps recorded before column j
@@ -105,7 +105,7 @@ def small_primes():
 def prime_source(source):
     """Run the exact kernel with its primes drawn from source()."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(exact, "_primes", source)
+        patch.setattr(kernel, "_primes", source)
         yield
 
 

@@ -19,17 +19,12 @@ from jointlab.curves import (
     curve_joint_set,
     curve_prune,
     line_as_curve,
+    polynomial_from_text,
     restrict_to_curve,
 )
 from jointlab.errors import GenericityFailureError
-from jointlab.exact import Point, mat_vec
-from jointlab.geometry import (
-    Line,
-    find_joints,
-    is_joint,
-    project_to_generic_flat,
-    save_configuration,
-)
+from jointlab.exact import Point
+from jointlab.geometry import Line, find_joints, is_joint, save_configuration
 from jointlab.harness import sweep_grids
 from jointlab.pipeline import (
     CONTRADICTION_BUG,
@@ -44,10 +39,10 @@ from jointlab.polynomial import (
     Polynomial,
     fit_vanishing,
     min_fit_degree,
-    polynomial_from_text,
     restrict_to_line,
     vanishes_on_line,
 )
+from jointlab.projection import mat_vec, project_to_generic_flat
 
 from conftest import poly_product
 from oracles import nullspace_is_trivial_naive, rank_naive

@@ -11,7 +11,7 @@ from jointlab.cli import main
 from jointlab.constructions import grid, random_config
 from jointlab.errors import ContradictionBugError
 from jointlab.exact import format_rational, parse_rational
-from jointlab.geometry import configuration_to_dict
+from jointlab.files import configuration_to_dict
 
 from conftest import affine_grid, nine_hyperplanes
 
@@ -723,7 +723,7 @@ class TestTraceRelabelling:
             lines = relabelled(data["lines"], rng, how)
             assert lines != data["lines"], how
             caplog.clear()
-            with caplog.at_level(logging.WARNING, logger="jointlab.geometry"):
+            with caplog.at_level(logging.WARNING, logger="jointlab.files"):
                 assert trace(lines) == expected, how
             warnings = [r.getMessage() for r in caplog.records]
             duplicates = ["deduplicated 3 duplicate line(s)"]

@@ -1,12 +1,8 @@
 import pytest
 
 from jointlab.constructions import grid, grid_plus_orphan, planar_bundle, random_config
-from jointlab.geometry import (
-    configuration_from_dict,
-    configuration_to_dict,
-    find_joints,
-    incident,
-)
+from jointlab.files import configuration_from_dict, configuration_to_dict
+from jointlab.geometry import find_joints, incident
 
 from conftest import cube_points
 

@@ -12,6 +12,7 @@ from jointlab.curves import (
     curve_prune,
     line_as_curve,
     load_curve_configuration,
+    polynomial_from_text,
     restrict_to_curve,
     substitute,
     tangent_at,
@@ -21,8 +22,9 @@ from jointlab.curves import (
 from jointlab.constructions import grid
 from jointlab.errors import DimensionMismatchError, FileFormatError
 from jointlab.exact import Point
-from jointlab.geometry import Line, find_joints, write_json
-from jointlab.polynomial import polynomial_from_text, restrict_to_line
+from jointlab.files import write_json
+from jointlab.geometry import Line, find_joints
+from jointlab.polynomial import restrict_to_line
 
 from conftest import curve_joint_groups
 from oracles import vanishes_on_curve_by_sampling

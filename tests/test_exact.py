@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, islice, product
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointlab import exact
+from jointlab import kernel
 from jointlab.errors import DimensionMismatchError
 from jointlab.curves import CurveConfiguration, ParamCurve
 from jointlab.exact import (
@@ -15,7 +17,6 @@ from jointlab.exact import (
     format_rational,
     integer_form,
     lowest_terms,
-    mat_vec,
     nullspace_vector,
     parse_rational,
     rank,
@@ -28,6 +29,7 @@ from jointlab.polynomial import (
     min_fit_degree,
     monomial_basis,
 )
+from jointlab.projection import mat_vec
 
 from conftest import (
     cube_points,
@@ -224,7 +226,8 @@ UNHASHABLE = (Polynomial, JointSet)
 @pytest.mark.parametrize("cls", list(VALUES), ids=lambda cls: cls.__name__)
 def test_value_classes_share_one_value_form(cls):
     """Every value class is immutable, equal within its class exactly when
-    the keys are, and hashed by its key, or unhashable."""
+    the keys are, and hashed by its key, or unhashable.  A copy, a deep
+    copy and a pickle round trip give an equal value of the class."""
     value, same, other, key = VALUES[cls]
     assert type(value) is type(same) is type(other) is cls
     for name in (*cls.__slots__, "_key", "_hash", "extra"):
@@ -240,6 +243,16 @@ def test_value_classes_share_one_value_form(cls):
                 hash(v)
     else:
         assert hash(value) == hash(same) == hash(key)
+    for twin in (
+        copy.copy(value),
+        copy.deepcopy(value),
+        pickle.loads(pickle.dumps(value)),
+    ):
+        assert type(twin) is cls and twin == value and twin._key == key
+        with pytest.raises(AttributeError):
+            setattr(twin, cls.__slots__[0], None)
+        if cls not in UNHASHABLE:
+            assert hash(twin) == hash(value)
 
 
 class TestRank:
@@ -376,8 +389,8 @@ class TestEarlyStop:
         # the stop, back-substituted and checked, and the first prime does.
         points = hyperplane_joints(range(1, 8))
         walks, substituted, checked, drawn = [], [], [], []
-        walk, back_substitute = exact._walk, exact._back_substitute
-        in_kernel = exact._in_kernel
+        walk, back_substitute = kernel._walk, kernel._back_substitute
+        in_kernel = kernel._in_kernel
 
         def walk_spy(columns, m, p):
             pivots, reduced, steps = walk(columns, m, p)
@@ -392,16 +405,16 @@ class TestEarlyStop:
             checked.append(f)
             return in_kernel(columns, f, *rest)
 
-        monkeypatch.setattr(exact, "_walk", walk_spy)
-        monkeypatch.setattr(exact, "_back_substitute", back_substitute_spy)
-        monkeypatch.setattr(exact, "_in_kernel", in_kernel_spy)
-        monkeypatch.setattr(exact, "_primes", draws(exact._primes, drawn))
+        monkeypatch.setattr(kernel, "_walk", walk_spy)
+        monkeypatch.setattr(kernel, "_back_substitute", back_substitute_spy)
+        monkeypatch.setattr(kernel, "_in_kernel", in_kernel_spy)
+        monkeypatch.setattr(kernel, "_primes", draws(kernel._primes, drawn))
         fit = fit_vanishing(points, 3)
         [(columns, p, pivots, reached, steps)] = walks
         assert (len(columns[0]), len(columns)) == (35, 56)
         assert pivots == list(range(35))
         assert reached == 35
-        assert substituted == [(exact._reduce(columns[55], steps, p), 35)]
+        assert substituted == [(kernel._reduce(columns[55], steps, p), 35)]
         assert checked == [55]
         assert drawn == [p]
         assert fit == fit_naive(points, 3)
@@ -419,7 +432,7 @@ class TestSparseSteps:
     def test_steps_list_the_nonzero_rows_below_the_pivot(self, points, d):
         rows = fit_rows(points, d)
         m, p = len(rows), self.P
-        pivots, reduced, steps = exact._walk(list(zip(*rows)), m, p)
+        pivots, reduced, steps = kernel._walk(list(zip(*rows)), m, p)
         assert len(steps) == len(pivots)
         for r, (sel, inv, below) in enumerate(steps):
             pivot = reduced[pivots[r]]  # swapped: its pivot is in row r
@@ -443,7 +456,7 @@ class TestSparseSteps:
         # column 0 swaps rows 0 and 1 and records row 3 only; column 1 is
         # then (1, 1, 1, 0), so its step records row 2 only
         rows = [[0, 1], [2, 1], [0, 1], [4, 2]]
-        _, _, steps = exact._walk(list(zip(*rows)), 4, self.P)
+        _, _, steps = kernel._walk(list(zip(*rows)), 4, self.P)
         assert steps == [(1, pow(2, -1, self.P), [(3, 2)]), (1, 1, [(2, 1)])]
         assert walk_updates(rows) == 1
 
@@ -470,19 +483,19 @@ class TestModularRarePaths:
         assert nullspace_vector(rows) == expected
 
     def test_primes_descend_from_the_mersenne_prime(self):
-        first = list(islice(exact._primes(), 3))
+        first = list(islice(kernel._primes(), 3))
         assert first[0] == self.P
         assert first == sorted(first, reverse=True)
         assert all(pow(3, p - 1, p) == 1 for p in first)
-        assert exact._PRIMES[:3] == first
+        assert kernel._PRIMES[:3] == first
 
     def test_miller_rabin_against_trial_division(self):
         odd = range(3, 3000, 2)
         small = [n for n in odd if all(n % q for q in range(3, isqrt(n) + 1, 2))]
-        assert [n for n in odd if exact._is_prime(n)] == small
+        assert [n for n in odd if kernel._is_prime(n)] == small
         # a strong pseudoprime to every base up to 23
-        assert not exact._is_prime(3825123056546413051)
-        assert exact._is_prime(self.P)
+        assert not kernel._is_prime(3825123056546413051)
+        assert kernel._is_prime(self.P)
 
     def test_singular_mod_the_first_prime_but_not_over_q(self):
         p = self.P
@@ -500,13 +513,13 @@ class TestModularRarePaths:
         big = ([[1, 2**40 + 1]], [[3**30, 2**40 + 1]], [[1, 0, 2**70], [0, 1, -(3**50)]])
         for matrix in big:
             drawn = []
-            with prime_source(draws(exact._primes, drawn)):
+            with prime_source(draws(kernel._primes, drawn)):
                 self.assert_matches_reference(matrix)
             assert len(drawn) >= 2, matrix
 
     def test_first_prime_with_fewer_pivots_restarts(self):
         walks = []
-        walk = exact._walk
+        walk = kernel._walk
 
         def walk_spy(columns, m, p):
             result = walk(columns, m, p)
@@ -514,7 +527,7 @@ class TestModularRarePaths:
             return result
 
         with prime_source(small_primes), pytest.MonkeyPatch.context() as patch:
-            patch.setattr(exact, "_walk", walk_spy)
+            patch.setattr(kernel, "_walk", walk_spy)
             self.assert_matches_reference([[3, 1], [0, 1]])
         # rank: 3 loses the pivot at column 0, 5 finds both
         assert walks[:2] == [(3, [1]), (5, [0, 1])]

@@ -13,12 +13,11 @@ from jointlab.errors import (
     IdenticalLinesError,
 )
 from jointlab import geometry
-from jointlab.exact import Point, mat_vec
+from jointlab.exact import Point
+from jointlab.files import configuration_from_dict, configuration_to_dict
 from jointlab.geometry import (
     Configuration,
     Line,
-    configuration_from_dict,
-    configuration_to_dict,
     direction_rank,
     find_joints,
     find_s_joints,
@@ -26,9 +25,9 @@ from jointlab.geometry import (
     is_joint,
     line_line_intersection,
     load_configuration,
-    project_to_generic_flat,
     save_configuration,
 )
+from jointlab.projection import mat_vec, project_to_generic_flat
 
 from conftest import cube_points, line_point
 
@@ -464,7 +463,7 @@ class TestConfigurationFiles:
                 {"base": ["0", "0", "0"], "dir": ["2", "0", "0"]},
             ],
         }
-        with caplog.at_level(logging.WARNING, logger="jointlab.geometry"):
+        with caplog.at_level(logging.WARNING, logger="jointlab.files"):
             config = configuration_from_dict(obj)
         assert config.n == 1
         assert "deduplicated 1" in caplog.text

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from jointlab.constructions import grid
-from jointlab.geometry import save_configuration
+from jointlab.constructions import grid, random_config
+from jointlab.geometry import find_s_joints, save_configuration
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "jointlab"
@@ -54,10 +54,19 @@ def run_cli(*argv: str) -> str:
     return f"from jointlab.cli import main\nassert main({list(argv)!r}) == 0"
 
 
+def command_modules(loaded: set[str]) -> set[str]:
+    return {name for name in loaded if name.startswith("jointlab.commands.")}
+
+
 def test_importing_the_cli_loads_no_command_module(tmp_path):
     loaded = loaded_by("import jointlab.cli", tmp_path)
-    assert {"jointlab.cli", "jointlab.exact", "jointlab.errors"} <= loaded
+    assert {"jointlab.cli", "jointlab.errors"} <= loaded
+    assert command_modules(loaded) == set()
     heavy = {
+        "jointlab.exact",
+        "jointlab.kernel",
+        "jointlab.files",
+        "jointlab.projection",
         "jointlab.geometry",
         "jointlab.polynomial",
         "jointlab.pipeline",
@@ -75,12 +84,23 @@ def test_importing_the_cli_loads_no_command_module(tmp_path):
 
 
 def test_sweep_random_skips_the_polynomial_layer(tmp_path):
+    # two points lie on two lines each, and none on three, so no rank is taken
+    incidence = find_s_joints(random_config(3, 20, 3, 10), 2).incidence
+    assert len(incidence) == 2 and {len(lines) for lines in incidence.values()} == {2}
     action = run_cli(
-        "sweep", "random", "--dim", "3", "--n", "8", "--seeds", "1", "--csv", "s.csv"
+        "sweep", "random", "--dim", "3", "--n", "20", "--seeds", "3", "--csv", "s.csv"
     )
     loaded = loaded_by(action, tmp_path)
     assert {"jointlab.harness", "jointlab.geometry"} <= loaded
-    skipped = {"jointlab.polynomial", "jointlab.pipeline", "jointlab.curves"}
+    assert command_modules(loaded) == {"jointlab.commands.sweep"}
+    skipped = {
+        "jointlab.polynomial",
+        "jointlab.pipeline",
+        "jointlab.curves",
+        "jointlab.kernel",
+        "jointlab.files",
+        "jointlab.projection",
+    }
     assert loaded & skipped == set()
     assert (tmp_path / "s.csv").is_file()
 
@@ -107,8 +127,14 @@ def write_axes(tmp_path: Path) -> None:
 def test_trace_skips_curves_sweeps_generators_and_logging(tmp_path):
     write_axes(tmp_path)
     loaded = loaded_by(run_cli("trace", "axes.json"), tmp_path)
-    assert {"jointlab.pipeline", "jointlab.polynomial"} <= loaded
+    assert {
+        "jointlab.pipeline",
+        "jointlab.polynomial",
+        "jointlab.kernel",
+        "jointlab.files",
+    } <= loaded
     skipped = {
+        "jointlab.projection",
         "jointlab.curves",
         "jointlab.harness",
         "jointlab.constructions",
@@ -127,7 +153,7 @@ def test_bound_skips_the_trace_layer(tmp_path):
 
 def test_no_module_imports_dataclasses():
     users = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -136,7 +162,7 @@ def test_no_module_imports_dataclasses():
             else:
                 continue
             if "dataclasses" in names:
-                users.append(path.name)
+                users.append(str(path.relative_to(PACKAGE)))
     assert users == []
 
 
@@ -177,6 +203,11 @@ def test_every_command_runs_in_a_fresh_interpreter(tmp_path, name):
     ]
     curves = [{"coords": coords} for coords in [moment, *axes]]
     (tmp_path / "curves.json").write_text(json.dumps({"dim": 3, "curves": curves}))
-    child = fresh(["-m", "jointlab", *COMMANDS[name]], tmp_path)
+    argv = COMMANDS[name]
+    child = fresh(["-m", "jointlab", *argv], tmp_path)
     assert (child.returncode, child.stderr) == (0, ""), name
     assert child.stdout
+    # the command's own module, and the projection for project alone
+    loaded = loaded_by(run_cli(*argv), tmp_path)
+    assert command_modules(loaded) == {f"jointlab.commands.{argv[0]}"}
+    assert ("jointlab.projection" in loaded) == (argv[0] == "project")

@@ -34,6 +34,10 @@ INTEGER_ONLY = {
         "_Frozen.__eq__",
         "_Frozen.__hash__",
         "Point.__init__",
+        "rank",
+        "nullspace_vector",
+    ),
+    "kernel": (
         "_is_prime",
         "_primes",
         "_walk",
@@ -42,8 +46,6 @@ INTEGER_ONLY = {
         "_rational_numerators",
         "_in_kernel",
         "_certified_walk",
-        "rank",
-        "nullspace_vector",
     ),
     "polynomial": (
         "Polynomial.__init__",

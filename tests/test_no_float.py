@@ -1,6 +1,6 @@
-"""No float enters a decision: src/jointlab has no float literal, no
-float() call, no float format and no math function beyond the integer ones,
-except at the display-only sites listed below."""
+"""No float enters a decision: src/jointlab and its subpackages have no
+float literal, no float() call, no float format and no math function beyond
+the integer ones, except at the display-only sites listed below."""
 
 import ast
 import re
@@ -16,7 +16,7 @@ ALLOWED = {
     "prints next to its exact integer check",
     "harness._make_row": "the 6-significant-digit ratio column of a sweep CSV; "
     "the row's verdict comes from the integers",
-    "cli._cmd_bound": "prints bound_constant's decimal A(d)",
+    "commands.bound.run": "prints bound_constant's decimal A(d)",
     "pipeline.trace": "writes bound_constant's decimal A(d) into the trace",
 }
 
@@ -63,13 +63,21 @@ def float_sites(tree: ast.Module, module: str):
     return found
 
 
+def module_name(path: Path) -> str:
+    """The dotted module name of a file under the package, such as
+    "commands.bound"."""
+    return ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+
+
 def package_sites():
-    files = sorted(PACKAGE.glob("*.py"))
+    files = sorted(PACKAGE.rglob("*.py"))
     assert files, PACKAGE
     return [
         hit
         for path in files
-        for hit in float_sites(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+        for hit in float_sites(
+            ast.parse(path.read_text(encoding="utf-8")), module_name(path)
+        )
     ]
 
 

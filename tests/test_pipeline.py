@@ -5,15 +5,16 @@ from math import factorial
 import pytest
 
 from jointlab.constructions import grid, grid_plus_orphan, planar_bundle
+from jointlab.curves import polynomial_from_text
 from jointlab.errors import InternalInvariantViolation, ZeroPolynomialError
 from jointlab.exact import Point
+from jointlab.files import line_to_dict
 from jointlab.geometry import (
     Configuration,
     JointSet,
     Line,
     find_joints,
     find_s_joints,
-    line_to_dict,
     load_configuration,
     save_configuration,
 )
@@ -33,7 +34,7 @@ from jointlab.pipeline import (
     trace,
     trace_to_dict,
 )
-from jointlab.polynomial import Polynomial, polynomial_from_text
+from jointlab.polynomial import Polynomial
 
 from conftest import (
     grid_with_tripods,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from jointlab import curves, polynomial
 from jointlab.errors import DimensionMismatchError
 from jointlab.exact import Point, nullspace_vector
+from jointlab.curves import polynomial_from_text
 from jointlab.geometry import Configuration, Line
 from jointlab.pipeline import trace
 from jointlab.polynomial import (
@@ -18,7 +19,6 @@ from jointlab.polynomial import (
     min_fit_degree,
     minimal_fit,
     monomial_basis,
-    polynomial_from_text,
     polynomial_to_text,
     restrict_to_line,
     unipoly_to_text,

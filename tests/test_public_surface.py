@@ -1,11 +1,14 @@
 """src/jointlab keeps only what its commands run: every public module-level
-function or class is referenced somewhere in the package besides its own
-definition.  __init__.py re-exports nothing, and is skipped all the same."""
+function or class, in the package or a subpackage, is referenced somewhere
+in them besides its own definition.  The __init__.py files re-export
+nothing, and are skipped all the same."""
 
 import ast
+import importlib
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "jointlab"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "jointlab"
 
 # name -> why it stays without a caller in the package
 ALLOWED = {
@@ -42,8 +45,8 @@ def references(tree: ast.AST, skip: ast.AST | None = None):
 
 def test_every_public_name_has_a_caller_in_the_package():
     trees = {
-        path.name: ast.parse(path.read_text(encoding="utf-8"))
-        for path in sorted(PACKAGE.glob("*.py"))
+        str(path.relative_to(PACKAGE)): ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.rglob("*.py"))
         if path.name != "__init__.py"
     }
     assert trees, PACKAGE
@@ -62,7 +65,32 @@ def test_every_public_name_has_a_caller_in_the_package():
 def test_every_allowed_name_still_exists():
     defined = {
         node.name
-        for path in PACKAGE.glob("*.py")
+        for path in PACKAGE.rglob("*.py")
         for node in public_definitions(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert set(ALLOWED) <= defined
+
+
+def measured_names() -> list[str]:
+    """The keys of ``MEASURED`` in perfbench/layers.py, "module.attr" each:
+    the functions the benchmark's traced run wraps, read without importing
+    the benchmark."""
+    tree = ast.parse((ROOT / "perfbench" / "layers.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "MEASURED" for t in node.targets
+        ):
+            return [ast.literal_eval(key) for key in node.value.keys]
+    raise AssertionError("perfbench/layers.py defines no MEASURED")
+
+
+def test_every_name_the_benchmark_wraps_resolves():
+    names = measured_names()
+    assert names
+    missing = []
+    for name in names:
+        module, attr = name.rsplit(".", 1)
+        found = getattr(importlib.import_module(f"jointlab.{module}"), attr, None)
+        if not callable(found):
+            missing.append(name)
+    assert missing == []

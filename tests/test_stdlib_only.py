@@ -1,5 +1,5 @@
-"""The package stays stdlib-only: every absolute import in src/jointlab is a
-standard-library module."""
+"""The package stays stdlib-only: every absolute import in src/jointlab and
+its subpackages is a standard-library module."""
 
 import ast
 import sys
@@ -17,10 +17,10 @@ def absolute_imports(path: Path):
 
 
 def test_package_imports_only_the_standard_library():
-    files = sorted(PACKAGE.glob("*.py"))
+    files = sorted(PACKAGE.rglob("*.py"))
     assert files, PACKAGE
     outside = [
-        f"{path.name}: {name}"
+        f"{path.relative_to(PACKAGE)}: {name}"
         for path in files
         for name in absolute_imports(path)
         if name.split(".")[0] not in sys.stdlib_module_names

@@ -1,4 +1,5 @@
-"""Count the code lines of each module of ``src/jointlab``.
+"""Count the code lines of each module of ``src/jointlab``, subpackages
+included.
 
 A code line holds at least one token.  Comments, blank lines and
 docstrings (the leading string of a module, class or function) are left
@@ -58,10 +59,10 @@ def code_lines(source: str) -> int:
 def main(argv: list[str]) -> int:
     package = Path(argv[0]) if argv else PACKAGE
     total = 0
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(package.rglob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
-        print(f"{count:6d} {path.name}")
+        print(f"{count:6d} {path.relative_to(package)}")
     print(f"{total:6d} total")
     return 0
 
