@@ -4,19 +4,19 @@ Exit codes: 0 success (and inequality holds), 1 usage or input error,
 2 inequality violated, 3 internal invariant violation.
 
 A run starts only what its command runs.  This module is the dispatcher:
-``main``, the ``--poly``/``--params`` pre-pass, the parse, and what commands
-share: the ``integer`` and range argument types and :func:`load_lines`.
-Each command is a module of :mod:`jointlab.commands` holding its parsers
-and its handler, and the handler imports the modules it runs, so a run
-loads and compiles only those: ``sweep`` never loads the polynomial layer
-or the file format, and only ``curve`` loads the curve module.  ``json``
-and ``fractions`` are imported where a file is read or written and where a
-Fraction is made, so a sweep loads neither.  ``main`` imports the invoked
-command's module alone and builds its parsers only (2 for ``trace``, 4 for
-``sweep``, against 17 for the full parser); when argv names no command, or
-that parse meets any error, the full parser, which imports every command's
-module, parses argv again, so help, usage and error text are the full
-parser's own.
+``main``, the ``--poly``/``--params`` pre-pass, the one table of commands
+and their help, the parse, and what commands share: the ``integer`` and
+range argument types and :func:`load_lines`.  Each command is a module of
+:mod:`jointlab.commands` holding its parsers and its handler, and the
+handler imports the modules it runs, so a run loads and compiles only
+those: ``sweep`` never loads the polynomial layer or the file format, and
+only ``curve`` loads the curve module.  ``json`` and ``fractions`` are
+imported where a file is read or written and where a Fraction is made, so
+a sweep loads neither.  ``main`` imports the invoked command's module
+alone, or none when argv names no command, and parses once, with one
+parser that lists every command: the invoked one adds its own parsers and
+the others are stubs.  Help, usage and error text are therefore those of a
+parser with every command filled in.
 """
 
 from __future__ import annotations
@@ -72,54 +72,35 @@ def load_lines(path):
     return config
 
 
-class _Reparse(Exception):
-    """A one-command parser met an error; the full parser reports it."""
+# each command of jointlab, in the order help lists them, with its help;
+# each is a module of jointlab.commands
+_COMMANDS = {
+    "gen": "generate a configuration file",
+    "joints": "count and list joints",
+    "fit": "fit a vanishing polynomial on the joints",
+    "trace": "run the proof pipeline and narrate it",
+    "bound": "exact inequality check",
+    "project": "generic projection to dimension s",
+    "sweep": "sweep a family and emit CSV",
+    "curve": "curve restriction and joint checks",
+}
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """A parser that raises :class:`_Reparse` instead of printing an error
-    and exiting; its subparsers are of this class as well."""
-
-    def error(self, message):
-        raise _Reparse(message)
-
-
-# the commands, in the order help lists them; each is a module of
-# jointlab.commands
-_COMMANDS = ("gen", "joints", "fit", "trace", "bound", "project", "sweep", "curve")
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command; given a command name, the parsers of
-    that command alone, which raise :class:`_Reparse` on any error."""
-    cls = argparse.ArgumentParser if command is None else _CommandParser
-    parser = cls(
+def build_parser(modules: dict) -> argparse.ArgumentParser:
+    """The parser listing every command.  Each command in ``modules``, a
+    map from its name to its module, adds its own parsers; every other
+    command is a stub, built without -h, since it is never parsed."""
+    parser = argparse.ArgumentParser(
         prog="jointlab",
         description="Exact-arithmetic toolkit for joints of line configurations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        if command is None or command == name:
-            # __import__, unlike importlib.import_module, shows in -X importtime
-            module = __import__(
-                f"{__package__}.commands.{name}", fromlist=["add_parsers"]
-            )
-            module.add_parsers(sub)
+    for name, text in _COMMANDS.items():
+        if name in modules:
+            modules[name].add_parsers(sub.add_parser(name, help=text))
+        else:
+            sub.add_parser(name, help=text, add_help=False)
     return parser
-
-
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """The arguments of argv, parsed by the invoked command's parsers only.
-
-    When argv names no command, or that parse meets any error, the full
-    parser parses argv again, so help, usage and error text are its own.
-    """
-    if argv and argv[0] in _COMMANDS:
-        try:
-            return build_parser(argv[0]).parse_args(argv)
-        except _Reparse:
-            pass
-    return build_parser().parse_args(argv)
 
 
 def _join_poly(argv: list[str]) -> list[str]:
@@ -143,13 +124,21 @@ def _join_poly(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    argv = _join_poly(sys.argv[1:] if argv is None else argv)
+    # jointlab itself has no option that takes a value, so argparse takes
+    # the first argument that names a command; only its module is loaded
+    name = next((arg for arg in argv if arg in _COMMANDS), None)
+    modules = {}
+    if name is not None:
+        # __import__, unlike importlib.import_module, shows in -X importtime
+        modules[name] = __import__(f"{__package__}.commands.{name}", fromlist=["run"])
     try:
-        args = _parse(_join_poly(sys.argv[1:] if argv is None else argv))
+        args = build_parser(modules).parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1
     try:
-        return args.handler(args)
+        return modules[name].run(args)
     except InternalInvariantViolation as exc:
         # covers ContradictionBugError as well
         print(f"internal invariant violation: {exc}", file=sys.stderr)

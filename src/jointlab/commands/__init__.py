@@ -1,7 +1,8 @@
-"""One module per command of ``jointlab``, in the order help lists them.
+"""One module per command of ``jointlab``.
 
-Each module adds its command's parsers in ``add_parsers(sub)`` and runs the
-command in ``run(args)``, which imports the modules the command runs.
-``jointlab.cli`` imports only the invoked command's module, and all of them
-only for the full parser that prints help and errors.
+Each module fills in its command's parser in ``add_parsers(parser)`` and
+runs the command in ``run(args)``, which imports the modules the command
+runs.  The command names and their help, in the order help lists them, are
+in ``jointlab.cli._COMMANDS``, and ``jointlab.cli`` imports only the invoked
+command's module.
 """

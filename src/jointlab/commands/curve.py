@@ -35,16 +35,13 @@ def run(args) -> int:
     return 0
 
 
-def add_parsers(sub) -> None:
-    curve = sub.add_parser("curve", help="curve restriction and joint checks")
-    curve_sub = curve.add_subparsers(dest="action", required=True)
+def add_parsers(parser) -> None:
+    curve_sub = parser.add_subparsers(dest="action", required=True)
     cr = curve_sub.add_parser("restrict")
     cr.add_argument("file")
     cr.add_argument("--poly", required=True, help='polynomial text, e.g. "x2^2 - x1*x3"')
     cr.add_argument("--index", type=integer, default=None)
-    cr.set_defaults(handler=run)
     cj = curve_sub.add_parser("joint")
     cj.add_argument("file")
     cj.add_argument("--curves", required=True, help="comma list of curve indices")
     cj.add_argument("--params", required=True, help="comma list of parameters")
-    cj.set_defaults(handler=run)

@@ -31,8 +31,6 @@ def run(args) -> int:
     return 0
 
 
-def add_parsers(sub) -> None:
-    fit = sub.add_parser("fit", help="fit a vanishing polynomial on the joints")
-    fit.add_argument("file")
-    fit.add_argument("--minimal", action="store_true")
-    fit.set_defaults(handler=run)
+def add_parsers(parser) -> None:
+    parser.add_argument("file")
+    parser.add_argument("--minimal", action="store_true")

@@ -24,9 +24,8 @@ def run(args) -> int:
     return 0
 
 
-def add_parsers(sub) -> None:
-    gen = sub.add_parser("gen", help="generate a configuration file")
-    gen_sub = gen.add_subparsers(dest="family", required=True)
+def add_parsers(parser) -> None:
+    gen_sub = parser.add_subparsers(dest="family", required=True)
     for family in ("grid", "random", "planar", "grid-orphan"):
         g = gen_sub.add_parser(family)
         g.add_argument("--dim", type=integer, required=True)
@@ -38,4 +37,3 @@ def add_parsers(sub) -> None:
             g.add_argument("--seed", type=integer, required=True)
             g.add_argument("--coord-bound", type=integer, default=10)
         g.add_argument("-o", "--output", required=True)
-        g.set_defaults(handler=run)

@@ -20,10 +20,6 @@ def run(args) -> int:
     return 0
 
 
-def add_parsers(sub) -> None:
-    joints = sub.add_parser("joints", help="count and list joints")
-    joints.add_argument("file")
-    joints.add_argument(
-        "--s", type=integer, default=None, help="detect s-joints instead"
-    )
-    joints.set_defaults(handler=run)
+def add_parsers(parser) -> None:
+    parser.add_argument("file")
+    parser.add_argument("--s", type=integer, default=None, help="detect s-joints instead")

@@ -22,10 +22,8 @@ def run(args) -> int:
     return 0
 
 
-def add_parsers(sub) -> None:
-    project = sub.add_parser("project", help="generic projection to dimension s")
-    project.add_argument("file")
-    project.add_argument("--s", type=integer, required=True)
-    project.add_argument("--seed", type=integer, required=True)
-    project.add_argument("-o", "--output", required=True)
-    project.set_defaults(handler=run)
+def add_parsers(parser) -> None:
+    parser.add_argument("file")
+    parser.add_argument("--s", type=integer, required=True)
+    parser.add_argument("--seed", type=integer, required=True)
+    parser.add_argument("-o", "--output", required=True)

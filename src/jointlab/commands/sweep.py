@@ -27,15 +27,13 @@ def run(args) -> int:
     return 0
 
 
-def add_parsers(sub) -> None:
-    sweep = sub.add_parser("sweep", help="sweep a family and emit CSV")
-    sweep_sub = sweep.add_subparsers(dest="family", required=True)
+def add_parsers(parser) -> None:
+    sweep_sub = parser.add_subparsers(dest="family", required=True)
     sg = sweep_sub.add_parser("grid")
     sg.add_argument("--dim", type=integer, required=True)
     sg.add_argument("--k", required=True, help='range like "2..6"')
     sg.add_argument("--csv", required=True)
     sg.add_argument("--force", action="store_true")
-    sg.set_defaults(handler=run)
     sr = sweep_sub.add_parser("random")
     sr.add_argument("--dim", type=integer, required=True)
     sr.add_argument("--n", required=True, help='list like "10,20" or range "5..8"')
@@ -43,4 +41,3 @@ def add_parsers(sub) -> None:
     sr.add_argument("--coord-bound", type=integer, default=10)
     sr.add_argument("--csv", required=True)
     sr.add_argument("--force", action="store_true")
-    sr.set_defaults(handler=run)

@@ -23,8 +23,6 @@ def run(args) -> int:
     return 0
 
 
-def add_parsers(sub) -> None:
-    tr = sub.add_parser("trace", help="run the proof pipeline and narrate it")
-    tr.add_argument("file")
-    tr.add_argument("--json", default=None, help="also write a JSON trace")
-    tr.set_defaults(handler=run)
+def add_parsers(parser) -> None:
+    parser.add_argument("file")
+    parser.add_argument("--json", default=None, help="also write a JSON trace")

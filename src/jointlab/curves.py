@@ -32,7 +32,6 @@ from .errors import DimensionMismatchError, FileFormatError
 from .exact import Point, _Frozen, integer_form, lowest_terms, parse_rational, rank
 from .files import parse_coords, read_items, read_json
 from .geometry import JointSet, Line
-from .pipeline import peel
 from .polynomial import Polynomial
 
 if TYPE_CHECKING:
@@ -330,6 +329,8 @@ def curve_prune(cfg: CurveConfiguration, joints: JointSet) -> CurvePruneResult:
     pruned in the order of their degree and integer form.  The result lists
     the thresholds as Fractions.
     """
+    from .pipeline import peel
+
     curves = sorted(set(cfg.curves), key=lambda c: (c.degree, c.den, c.coords))
     n = cfg.total_degree
     if n < 1:

@@ -115,6 +115,8 @@ def peel(items: Sequence, joints: JointSet) -> tuple[list, set[Point], JointSet,
     surviving joints never reference removed items.  Returns the removed
     items in removal order, the removed points, the surviving joints, and
     each surviving item's number of surviving joints, in canonical order.
+    A joint on an item outside ``items`` is the caller's error, a
+    ValueError naming the first such joint in point order.
 
     Counts only fall and thresholds are frozen, so an item once eligible
     stays eligible until removed.  The counts are therefore taken once and
@@ -128,8 +130,11 @@ def peel(items: Sequence, joints: JointSet) -> tuple[list, set[Point], JointSet,
     for p in joints.points:
         for item in joints.lines_through(p):
             i = index.get(item)
-            if i is not None:  # experiment subsets may reference other lines
-                points_on[i].append(p)
+            if i is None:
+                raise ValueError(
+                    f"joint {p} lies on a line or curve not in the configuration"
+                )
+            points_on[i].append(p)
     two_n = 2 * sum(item.degree for item in items)
     bars = [len(joints) * item.degree for item in items]  # 2n times a threshold
     counts = [len(on) for on in points_on]
@@ -146,8 +151,8 @@ def peel(items: Sequence, joints: JointSet) -> tuple[list, set[Point], JointSet,
                 continue
             removed_points.add(p)
             for item in joints.lines_through(p):
-                i = index.get(item)
-                if i is None or i == victim:
+                i = index[item]
+                if i == victim:
                     continue
                 counts[i] -= 1
                 # push once, when the item just became eligible

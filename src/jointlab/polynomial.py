@@ -191,15 +191,11 @@ def _evaluator(p: Polynomial, top: int, base: Point):
 def restrict_to_line(p: Polynomial, line: "Line") -> tuple[Fraction, ...]:
     """Substitute base + t * direction into p; exact, degree <= deg p.
 
-    With the base a/q and the primitive direction v, the coordinates are
-    (a_i + q v_i t) / q, which :func:`~jointlab.curves.substitute` takes in
-    integers; the coefficients are made Fractions for the result."""
-    from .curves import substitute
+    The line is the degree-1 curve of :func:`~jointlab.curves.line_as_curve`,
+    and the restriction that curve's."""
+    from .curves import line_as_curve, restrict_to_curve
 
-    q = line.base.den
-    coords = [(a, q * v) for a, v in zip(line.base.nums, line.direction)]
-    nums, den = substitute(p, coords, q)
-    return tuple(Fraction(n, den) for n in nums)
+    return restrict_to_curve(p, line_as_curve(line))
 
 
 def vanishes_on_line(p: Polynomial, line: "Line") -> bool:

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import importlib
 import json
 import logging
 import random
@@ -593,8 +594,9 @@ class TestIntegerArguments:
 
 
 class TestParserParity:
-    """main builds the parsers of the invoked command only.  What it prints
-    and returns must be what a parse by the full parser gives: help, usage
+    """main builds one parser in which only the invoked command is filled
+    in, and the others are stubs.  What it prints and returns must be what
+    a parse by a parser with every command filled in gives: help, usage
     and error text included."""
 
     INVOCATIONS = [
@@ -613,6 +615,12 @@ class TestParserParity:
         ["gen", "grid-orphan", "-h"],
         ["sweep", "random", "-h"],
         ["curve", "joint", "-h"],
+        # argparse takes the first argument that names a command, or none
+        ["--", "trace"],
+        ["-x", "trace"],
+        ["bogus", "trace"],
+        ["-h", "trace"],
+        ["trace", "--", "-h"],
     ]
 
     @pytest.mark.parametrize(
@@ -621,8 +629,13 @@ class TestParserParity:
     def test_same_output_and_exit_code(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
         own = run(capsys, *argv)
+        every = {
+            name: importlib.import_module(f"jointlab.commands.{name}")
+            for name in cli._COMMANDS
+        }
+        build = cli.build_parser
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "_parse", lambda args: cli.build_parser().parse_args(args))
+            patch.setattr(cli, "build_parser", lambda modules: build(every))
             full = run(capsys, *argv)
         assert own == full
         assert own[1] or own[2]
@@ -641,32 +654,36 @@ class TestParserParity:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
         return progs
 
-    def test_trace_builds_two_parsers(self, tmp_path, capsys, built):
+    ROOT_AND_COMMANDS = ["jointlab"] + [f"jointlab {name}" for name in cli._COMMANDS]
+
+    def test_trace_builds_the_root_and_eight_command_parsers(
+        self, tmp_path, capsys, built
+    ):
         path = tmp_path / "axes.json"
         axes = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
         lines = [{"base": ["0", "0", "0"], "dir": v} for v in axes]
         path.write_text(json.dumps({"dim": 3, "lines": lines}))
         assert run(capsys, "trace", str(path))[0] == 0
-        assert built == ["jointlab", "jointlab trace"]
+        assert built == self.ROOT_AND_COMMANDS
 
-    def test_sweep_random_builds_four_parsers(self, tmp_path, capsys, built):
+    def test_sweep_random_builds_its_two_families_besides(self, tmp_path, capsys, built):
         code, _, _ = run(capsys, "sweep", "random", "--dim", "3", "--n", "5",
                          "--seeds", "1", "--csv", str(tmp_path / "s.csv"))
         assert code == 0
-        assert built == [
-            "jointlab",
-            "jointlab sweep",
-            "jointlab sweep grid",
-            "jointlab sweep random",
-        ]
+        expected = list(self.ROOT_AND_COMMANDS)
+        at = expected.index("jointlab sweep") + 1
+        expected[at:at] = ["jointlab sweep grid", "jointlab sweep random"]
+        assert built == expected
 
-    def test_the_full_parser_builds_seventeen(self, built):
-        cli.build_parser()
-        assert len(built) == 17
+    def test_help_builds_the_root_and_eight_stubs(self, capsys, built):
+        assert run(capsys, "-h")[0] == 0
+        assert built == self.ROOT_AND_COMMANDS
 
-    def test_an_error_is_reported_by_the_full_parser(self, capsys, built):
-        assert run(capsys, "trace")[0] == 1
-        assert len(built) == 2 + 17
+    def test_an_error_builds_no_second_parser(self, capsys, built):
+        code, out, err = run(capsys, "trace")
+        assert (code, out) == (1, "")
+        assert "the following arguments are required: file" in err
+        assert built == self.ROOT_AND_COMMANDS
 
 
 def relabelled(lines, rng, how):

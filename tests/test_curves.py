@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,9 +25,9 @@ from jointlab.errors import DimensionMismatchError, FileFormatError
 from jointlab.exact import Point
 from jointlab.files import write_json
 from jointlab.geometry import Line, find_joints
-from jointlab.polynomial import restrict_to_line
+from jointlab.polynomial import Polynomial, monomial_basis, restrict_to_line
 
-from conftest import curve_joint_groups
+from conftest import curve_joint_groups, line_point
 from oracles import vanishes_on_curve_by_sampling
 
 
@@ -181,24 +182,28 @@ class TestRestriction:
         assert len(q) - 1 <= p.degree() * MOMENT.degree == 6
 
     def test_line_as_curve_matches_line_restriction(self):
+        # the restriction at t is p at the line's point base + t * direction,
+        # which the line's curve passes through at t
         rng = random.Random(31)
-        from jointlab.polynomial import monomial_basis
-
         basis = monomial_basis(3, 3)
         for _ in range(25):
             terms = {
                 basis[rng.randrange(len(basis))]: F(rng.randint(-5, 5))
                 for _ in range(rng.randint(1, 4))
             }
-            from jointlab.polynomial import Polynomial
-
             p = Polynomial(3, terms)
             base = vec(*(rng.randint(-4, 4) for _ in range(3)))
             direction = vec(*(rng.randint(-3, 3) for _ in range(3)))
             if all(c == 0 for c in direction):
                 continue
             line = Line(base, direction)
-            assert restrict_to_curve(p, line_as_curve(line)) == restrict_to_line(p, line)
+            curve, restriction = line_as_curve(line), restrict_to_line(p, line)
+            assert len(restriction) - 1 <= p.degree()
+            for t in (F(0), F(1), F(-2), F("3/2")):
+                point = line_point(line, t)
+                assert curve.point_at(t) == Point.of(point)
+                value = sum(c * t**k for k, c in enumerate(restriction))
+                assert value == p.evaluate(point)
 
     def test_agrees_with_sampling_oracle(self):
         for p in (poly("x2^2 - x1*x3"), poly("x1 - x2"), poly("x3 - x1^3")):
@@ -280,6 +285,17 @@ class TestCurvePrune:
         assert twice.surviving == once.surviving
         assert twice.survivors == once.survivors
         assert twice.removed_points == once.removed_points
+
+    def test_joints_on_a_curve_outside_the_configuration_are_bad_input(self):
+        lines = grid(3, 3)
+        missing = line_as_curve(lines.sorted_lines()[4])
+        joints = curve_joint_set(curve_joint_groups(find_joints(lines)).values())
+        cfg = CurveConfiguration(
+            3, tuple(c for c in map(line_as_curve, lines.lines) if c != missing)
+        )
+        first = next(p for p in joints.points if missing in joints.lines_through(p))
+        with pytest.raises(ValueError, match=re.escape(f"joint {first} lies on")):
+            curve_prune(cfg, joints)
 
     def test_empty_joint_set_removes_nothing(self):
         cfg = CurveConfiguration(3, tuple(AXES))

@@ -83,6 +83,23 @@ def test_importing_the_cli_loads_no_command_module(tmp_path):
     assert loaded & heavy == set()
 
 
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (["-h"], None),
+        (["bogus"], None),
+        (["trace", "-h"], "trace"),
+        (["sweep", "random", "--dim", "x"], "sweep"),
+    ],
+)
+def test_help_and_usage_errors_load_at_most_the_named_command(tmp_path, argv, command):
+    action = f"from jointlab.cli import main\nmain({argv!r})"
+    loaded = loaded_by(action, tmp_path)
+    named = set() if command is None else {f"jointlab.commands.{command}"}
+    assert command_modules(loaded) == named
+    assert "jointlab.geometry" not in loaded
+
+
 def test_sweep_random_skips_the_polynomial_layer(tmp_path):
     # two points lie on two lines each, and none on three, so no rank is taken
     incidence = find_s_joints(random_config(3, 20, 3, 10), 2).incidence
@@ -207,7 +224,9 @@ def test_every_command_runs_in_a_fresh_interpreter(tmp_path, name):
     child = fresh(["-m", "jointlab", *argv], tmp_path)
     assert (child.returncode, child.stderr) == (0, ""), name
     assert child.stdout
-    # the command's own module, and the projection for project alone
+    # the command's own module, the projection for project alone and the
+    # pipeline for trace alone
     loaded = loaded_by(run_cli(*argv), tmp_path)
     assert command_modules(loaded) == {f"jointlab.commands.{argv[0]}"}
     assert ("jointlab.projection" in loaded) == (argv[0] == "project")
+    assert ("jointlab.pipeline" in loaded) == (argv[0] == "trace")

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -139,6 +140,48 @@ class TestPrune:
         for name, config in corpus:
             result = prune(config, find_joints(config))
             assert len(result.removed_lines) <= config.n, name
+
+    def test_joints_on_a_line_outside_the_configuration_are_bad_input(self):
+        full = grid(3, 3)
+        joints = find_joints(full)
+        missing = full.sorted_lines()[4]
+        config = Configuration(3, [line for line in full.lines if line != missing])
+        first = next(p for p in joints.points if missing in joints.lines_through(p))
+        with pytest.raises(ValueError, match=re.escape(f"joint {first} lies on")):
+            prune(config, joints)
+
+
+class TestPeelAtAnIntegralThreshold:
+    """A hand-built joint set of 11 lines and 44 joints, m/(2n) = 2, so
+    counts reach the threshold exactly while peeling: a line goes once it
+    carries fewer than 2 joints, and stays with 2."""
+
+    a, b, c, e, f, g, L, L2, h1, h2, h3 = (Line((i, 0, 0), (0, 0, 1)) for i in range(11))
+    ITEMS = [a, b, c, e, f, g, L, L2, h1, h2, h3]
+    J1, J2, J3 = (Point((i, 0, 0), 1) for i in (1, 2, 3))
+    H = frozenset({h1, h2, h3})
+    INCIDENCE = {
+        J1: frozenset({L, a, b}),
+        J2: frozenset({L, c, e}),
+        J3: frozenset({L2, f, g}),
+        # 41 joints on h1, h2 and h3, two of which also carry L2
+        **dict.fromkeys((Point((0, k, 0), 1) for k in range(2)), H | {L2}),
+        **dict.fromkeys((Point((0, k, 0), 1) for k in range(2, 41)), H),
+    }
+
+    def test_a_line_that_falls_below_the_threshold_goes(self):
+        joints = JointSet(self.INCIDENCE)
+        assert (len(self.ITEMS), len(joints)) == (11, 44)
+        removed, removed_points, survivors, _ = pipeline.peel(self.ITEMS, joints)
+        # L starts at 2 joints and falls to 1 when a goes
+        assert removed == [self.a, self.b, self.c, self.e, self.f, self.g, self.L]
+        assert removed_points == {self.J1, self.J2, self.J3}
+        assert len(survivors) == 41
+
+    def test_a_line_that_falls_to_the_threshold_stays(self):
+        _, _, _, kept = pipeline.peel(self.ITEMS, JointSet(self.INCIDENCE))
+        # L2 starts at 3 joints and falls to 2 when f goes
+        assert kept == {self.L2: 2, self.h1: 41, self.h2: 41, self.h3: 41}
 
 
 class TestPruneInvariantCheck:

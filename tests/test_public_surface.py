@@ -18,7 +18,6 @@ ALLOWED = {
     "curve_joint_set": "building block of the curve trace (ROADMAP item 3)",
     "curve_prune": "building block of the curve trace (ROADMAP item 3)",
     "gradient_at_joints_check": "building block of the curve trace (ROADMAP item 3)",
-    "line_as_curve": "building block of the curve trace (ROADMAP item 3)",
 }
 
 
