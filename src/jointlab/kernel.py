@@ -4,17 +4,20 @@
 Rank and nullspace come from one walk over integer rows.  A caller with
 rational rows scales each to integers first, by
 :func:`~jointlab.exact.integer_form`, which changes neither rank nor
-nullspace.  The rows are eliminated modulo a prime below 2^61, so every
-intermediate stays a few machine words long (Cabay, "Exact solution of
-linear equations", SYMSAC 1971).  The kernel vectors an answer needs are
-back-substituted mod p, recovered as integer numerators over one
+nullspace.  The rows are eliminated modulo a prime below 2^60, so every
+residue and multiplier is two 30-bit digits of a CPython int (Cabay, "Exact
+solution of linear equations", SYMSAC 1971).  The kernel vectors an answer
+needs are back-substituted mod p, recovered as integer numerators over one
 denominator by rational reconstruction (Wang, Guy and Davenport, "P-adic
 reconstruction of rational numbers", SIGSAM Bull. 1982) and checked exactly
 in integers, M x = 0.  The checks prove that the pivots found mod p are the
 rational ones, so every answer is exact and is the one the selection rule
-defines.  When a reconstruction or a check fails, the next prime joins by
-the Chinese remainder theorem.  The kernel names no Fraction: integers in,
-integers out.
+defines.  A vector whose numerators are too large for one prime is lifted
+p-adically on the walk's own pivot steps (Dixon, "Exact solution of linear
+equations using p-adic expansions", Numer. Math. 1982) and reconstructed
+modulo p^s, so one walk serves every fit.  A prime whose pivots are not the
+rational ones is dropped, and the next prime walks from scratch.  The
+kernel names no Fraction: integers in, integers out.
 
 Only a run that ranks or fits loads this module: ``exact`` imports it on
 the first call of ``rank`` or ``nullspace_vector``.
@@ -23,9 +26,11 @@ the first call of ``rank`` or ``nullspace_vector``.
 from __future__ import annotations
 
 from bisect import bisect_left
-from math import isqrt
+from math import isqrt, prod
+from operator import mul
 from typing import Iterator, Sequence
 
+from .errors import InternalInvariantViolation
 from .exact import lowest_terms
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -34,7 +39,7 @@ _PRIMES: list[int] = []  # found by _primes, largest first
 
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin: the bases 2..37 decide every odd n below
-    3.3 * 10^24, far above 2^61."""
+    3.3 * 10^24, far above 2^60."""
     if n in _BASES:
         return True
     d, s = n - 1, 0
@@ -54,12 +59,14 @@ def _is_prime(n: int) -> bool:
 
 
 def _primes() -> Iterator[int]:
-    """The primes below 2^61 in descending order, from the Mersenne prime
-    2^61 - 1.  Each is searched for once and kept in ``_PRIMES``."""
+    """The primes below 2^60 in descending order, from the largest one,
+    2^60 - 93 (``tests/test_exact.py`` checks that no odd number above it is
+    prime).  Each is two 30-bit digits, and so is every residue mod it.
+    Each is searched for once and kept in ``_PRIMES``."""
     i = 0
     while True:
         if i == len(_PRIMES):
-            p = _PRIMES[-1] - 2 if _PRIMES else 2**61 - 1
+            p = _PRIMES[-1] - 2 if _PRIMES else 2**60 - 93
             while not _is_prime(p):
                 p -= 2
             _PRIMES.append(p)
@@ -188,6 +195,74 @@ def _in_kernel(
     return not any(acc)
 
 
+def _pivot_block(rows: Sequence[Sequence[int]], pivots: list[int], steps: list[tuple]):
+    """The walk's row order and its pivot block: ``order[r]`` is the row
+    that the swaps of the steps leave in row r, and ``block[r]`` holds the
+    entries of row ``order[r]`` at the pivot columns.  The leading k x k
+    block is the matrix that the first k steps factor mod p."""
+    order = list(range(len(rows)))
+    for r, (sel, _, _) in enumerate(steps):
+        order[r], order[sel] = order[sel], order[r]
+    block = [[rows[i][j] for j in pivots] for i in order[: len(pivots)]]
+    return order, block
+
+
+def _lift(residual: list[int], digit: list[int], block, order, walk, p: int):
+    """One step of p-adic lifting (Dixon 1982) for A y = -b, with A the
+    leading k x k pivot block and k = len(digit).
+
+    The residual r (initially b) over the first k rows of the walk's row
+    order is updated by the last digit in exact integers, r <- (r + A y)/p,
+    and the next digit, the solution mod p of A y = -r, is found with the
+    walk's own steps: :func:`_reduce`, then :func:`_back_substitute`.
+    Returns the new residual and digit.
+    """
+    pivots, reduced, steps = walk
+    k = len(digit)
+    residual = [(c + sum(map(mul, row, digit))) // p for row, c in zip(block, residual)]
+    col = [0] * len(order)
+    for i, c in zip(order, residual):
+        col[i] = c
+    digit = _back_substitute(_reduce(col, steps[:k], p), k, reduced, pivots, steps, p)
+    return residual, digit
+
+
+def _lifted(columns, f: int, digit: list[int], found, block, order, walk, p: int):
+    """The kernel vector with 1 at free column f, supported on the k pivots
+    before it, as ``(nums, den)``; or None when p is unlucky for f.
+
+    digit is its pivot entries mod p and found their reconstruction mod p,
+    or None.  Until a reconstruction satisfies the k pivot rows, the vector
+    is lifted one more digit and reconstructed modulo p^s.  A vector that
+    satisfies the pivot rows is the only rational solution on them, since
+    the pivot block is invertible mod p and so over Q.  If it passes the
+    exact check it is certified; if it fails another row, column f is
+    independent of the pivots before it over Q, and p is unlucky.  Cramer's
+    rule and Hadamard's bound put the solution within reach of
+    reconstruction once p^s exceeds 2 * prod |row|^2 over the pivot rows
+    with column f; passing that bound is an implementation bug.
+    """
+    k = len(digit)
+    support = walk[0][:k]
+    a = block[:k]
+    b = [columns[f][i] for i in order[:k]]
+    guard = 2 * prod(sum(v * v for v in row[:k]) + c * c for row, c in zip(a, b))
+    residual, total, modulus = b, digit, p
+    while True:
+        if found is not None:
+            nums, den = found
+            if not any(sum(map(mul, row, nums)) + c * den for row, c in zip(a, b)):
+                return found if _in_kernel(columns, f, support, nums, den) else None
+        if modulus > guard:
+            raise InternalInvariantViolation(
+                f"p-adic lifting passed the Hadamard bound at column {f}"
+            )
+        residual, digit = _lift(residual, digit, a, order, walk, p)
+        total = [t + modulus * d for t, d in zip(total, digit)]
+        modulus *= p
+        found = _rational_numerators(total, modulus)
+
+
 def _certified_walk(rows: Sequence[Sequence[int]], select: bool):
     """The pivot columns over Q and, if select, the selection rule's kernel
     vector as ``(nums, den)`` (None when the kernel is zero); without
@@ -196,63 +271,55 @@ def _certified_walk(rows: Sequence[Sequence[int]], select: bool):
     Entries are ints, and the vector is the :func:`integer_form` of the
     rational one, in :func:`lowest_terms`.
 
-    Certificate.  Pivots found mod p are pivots over Q, since a minor that
-    is nonzero mod p is nonzero.  A free column the walk reached is free
-    over Q once the kernel vector with 1 there, supported on the pivots
-    before it, passes the exact check.  So rank needs these checks only when
-    the mod-p rank is below both dimensions.  The selected column, the
-    highest free one, is checked the same way, and the vector that passes is
-    the only kernel vector with its support.
+    Certificate.  No leading block of columns has a higher rank mod p than
+    over Q, since a minor that is nonzero mod p is nonzero.  A free column
+    the walk reached depends over Q on the pivots before it once the kernel
+    vector with 1 there, supported on those pivots, passes the exact check.
+    Once every such column passes, the ranks agree on every leading block,
+    so the pivots mod p are the pivots over Q.  So rank needs these checks
+    only when the mod-p rank is below both dimensions.  The selected column,
+    the highest free one, is checked the same way, and the vector that
+    passes is the only kernel vector with its support.
 
-    A failed reconstruction or check takes the next prime.  Primes whose
-    pivot lists agree are combined by CRT.  A prime with a smaller key
-    (-len, pivots) restarts the accumulation, one with a larger key is
-    skipped.  No prime's key is below that of the rational pivots, and all
-    but finitely many primes have that key, so the loop ends.
+    A vector whose reconstruction mod p fails, or fails the check, is
+    lifted by :func:`_lifted` on the pivot block, which is built once per
+    prime and only then.  Lifting either certifies the vector or shows that
+    its column is a pivot over Q that p missed.  Such a prime is unlucky: it
+    is dropped and the next prime walks from scratch.  Only the finitely
+    many primes dividing a pivot minor are unlucky, so the loop ends.
     """
     if len({len(row) for row in rows}) > 1:
         raise ValueError("matrix rows have unequal lengths")
     m = len(rows)
     columns = list(zip(*rows))
     n = len(columns)
-    best = None
     for p in _primes():
-        pivots, reduced, steps = _walk(columns, m, p)
+        walk = pivots, reduced, steps = _walk(columns, m, p)
         if len(pivots) == n or (len(pivots) == m and not select):
             return pivots, None
-        key = (-len(pivots), pivots)
-        if best is not None and key > best:
-            continue
         pivot_set = set(pivots)
         needed = [j for j in range(len(reduced)) if j not in pivot_set]
         cols = [reduced[j] for j in needed]
         if select and len(reduced) < n:
             needed.append(n - 1)
             cols.append(_reduce(columns[-1], steps, p))
-        residues = [
-            _back_substitute(col, bisect_left(pivots, f), reduced, pivots, steps, p)
-            for f, col in zip(needed, cols)
-        ]
-        if key != best:
-            best, modulus, acc = key, p, residues
+        order = block = None
+        for f, col in zip(needed, cols):
+            k = bisect_left(pivots, f)
+            digit = _back_substitute(col, k, reduced, pivots, steps, p)
+            found = _rational_numerators(digit, p)
+            if found is None or not _in_kernel(columns, f, pivots[:k], *found):
+                if block is None:
+                    order, block = _pivot_block(rows, pivots, steps)
+                found = _lifted(columns, f, digit, found, block, order, walk, p)
+                if found is None:
+                    break
         else:
-            inv = pow(modulus, -1, p)
-            acc = [
-                [a + modulus * ((b - a) * inv % p) for a, b in zip(old, new)]
-                for old, new in zip(acc, residues)
-            ]
-            modulus *= p
-        found = [_rational_numerators(res, modulus) for res in acc]
-        if all(
-            v is not None and _in_kernel(columns, f, pivots[: len(res)], *v)
-            for f, res, v in zip(needed, acc, found)
-        ):
             if not select:
                 return pivots, None
-            nums, den = found[-1]
+            nums, den = found
             x = [0] * n
             x[needed[-1]] = den
             for j, a in zip(pivots, nums):
                 x[j] = a
             return pivots, lowest_terms(x, den)
-

@@ -45,12 +45,15 @@ def fit_rows(points, d: int):
     return _evaluation_matrix(pts, monomial_basis(d, min_fit_degree(len(pts), d)))
 
 
-def walk_updates(rows, p: int = 2**61 - 1) -> int:
+def walk_updates(rows, p: int | None = None) -> int:
     """The multiply-subtract updates of the kernel's walk of integer rows
-    mod p: each column the walk reduced is reduced again here by the steps
-    recorded before it, counting one update per recorded row of each step
-    whose pivot-row entry is nonzero.  The replay must give the walk's own
-    reduced columns, so the count is that of the walk."""
+    mod p, by default the kernel's first prime: each column the walk reduced
+    is reduced again here by the steps recorded before it, counting one
+    update per recorded row of each step whose pivot-row entry is nonzero.
+    The replay must give the walk's own reduced columns, so the count is
+    that of the walk."""
+    if p is None:
+        p = next(kernel._primes())
     columns = list(zip(*rows))
     pivots, reduced, steps = kernel._walk(columns, len(rows), p)
     updates = 0
@@ -95,7 +98,8 @@ def poly_product(dim: int, factors) -> Polynomial:
 
 def small_primes():
     """3, 5, 7, 11, ...: primes so small that the modular kernel takes its
-    rare paths (unlucky primes, failed reconstructions, CRT) all the time."""
+    rare paths (unlucky primes, failed reconstructions, p-adic lifting) all
+    the time."""
     for n in count(3, 2):
         if all(n % q for q in range(3, isqrt(n) + 1, 2)):
             yield n
@@ -106,6 +110,20 @@ def prime_source(source):
     """Run the exact kernel with its primes drawn from source()."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernel, "_primes", source)
+        yield
+
+
+@contextmanager
+def logged_lifts(log):
+    """Run the exact kernel with the prime of each p-adic lift step logged."""
+    lift = kernel._lift
+
+    def logged(residual, digit, block, order, walk, p):
+        log.append(p)
+        return lift(residual, digit, block, order, walk, p)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel, "_lift", logged)
         yield
 
 

@@ -20,8 +20,10 @@ rows and columns, and int and Fraction entries.  The
 references take the rows as drawn; the kernel takes them scaled to
 integers and returns the integer form of the reference's vector.
 The kernel and fit tests run again with the primes 3, 5, 7, ..., which are
-often unlucky and too small to hold an answer, so the modular kernel's
-restarts, skipped primes and CRT steps all run.
+often unlucky and too small to hold an answer, so the modular kernel drops
+unlucky primes and lifts its vectors p-adically all the time.  Blocks whose
+determinant 3 divides, beside columns of 40-70-bit integers, make the
+prime 3 unlucky and every answer a lift of many steps.
 Point sets mix shared and coprime denominators, negative coordinates and
 repeated points, and some lie on a plane, which lowers the minimal degree
 below the fit bound.  The integer evaluation rows under the fits must equal
@@ -42,7 +44,7 @@ zero on the line, whose partial derivatives below that power vanish too.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import lcm, prod
 
 import pytest
@@ -85,6 +87,7 @@ from conftest import (
     grid_with_tripods,
     integer_rows,
     line_point,
+    logged_lifts,
     poly_product,
     prime_source,
     small_primes,
@@ -687,6 +690,31 @@ def kernel_cases(draw, shapes=("wide", "last", "deficient", "sparse", "any")):
     return written(draw, rows)
 
 
+def determinant(a):
+    """Leibniz's expansion, for the small blocks drawn here."""
+    total = 0
+    for perm in permutations(range(len(a))):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(len(a)), 2))
+        total += (-1) ** inversions * prod(row[j] for row, j in zip(a, perm))
+    return total
+
+
+@st.composite
+def lifting_cases(draw):
+    """[A | U]: A an integer m x m block, invertible over Q but not mod 3,
+    and U one or two columns of integers of 40 to 70 bits.  Mod 3 a column
+    of A is free but independent of the earlier ones over Q, so 3 is
+    unlucky.  The selected vector -A^-1 u has numerators of at least 35 bits,
+    so the next lucky small prime lifts it for many steps."""
+    m = draw(st.integers(2, 4))
+    block = draw(st.lists(st.lists(st.integers(-6, 6), min_size=m, max_size=m), min_size=m, max_size=m))
+    det = determinant(block)
+    assume(det != 0 and det % 3 == 0)
+    wide = st.one_of(st.integers(2**40, 2**70), st.integers(-(2**70), -(2**40)))
+    u = draw(st.lists(st.lists(wide, min_size=m, max_size=m), min_size=1, max_size=2))
+    return [row + [col[i] for col in u] for i, row in enumerate(block)]
+
+
 def assert_kernel_matches(matrix):
     """The kernel, on the rows scaled to integers, against the reference on
     the rows as written."""
@@ -715,6 +743,25 @@ class TestKernelAgainstReference:
         assert_kernel_matches(matrix)
         with prime_source(small_primes):
             assert_kernel_matches(matrix)
+
+    @given(lifting_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_unlucky_primes_and_long_lifts(self, matrix):
+        drawn, lifts = [], []
+
+        def source():
+            for p in small_primes():
+                drawn.append(p)
+                yield p
+
+        with prime_source(source):
+            assert_kernel_matches(matrix)
+        drawn.clear()
+        with prime_source(source), logged_lifts(lifts):
+            nullspace_vector(matrix)
+        # 3 is dropped, and the prime that certifies lifts at least twice
+        assert drawn[0] == 3 and len(drawn) >= 2
+        assert lifts.count(drawn[-1]) >= 2
 
     @given(kernel_cases())
     @settings(max_examples=100, deadline=None)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jointlab import kernel
-from jointlab.errors import DimensionMismatchError
+from jointlab.errors import DimensionMismatchError, InternalInvariantViolation
 from jointlab.curves import CurveConfiguration, ParamCurve
 from jointlab.exact import (
     Point,
@@ -35,6 +35,7 @@ from conftest import (
     cube_points,
     fit_rows,
     integer_rows,
+    logged_lifts,
     prime_source,
     small_primes,
     walk_updates,
@@ -424,7 +425,7 @@ class TestSparseSteps:
     """A pivot step records only the rows below its pivot with a nonzero
     multiplier, and applying it updates only those entries."""
 
-    P = 2**61 - 1
+    P = next(kernel._primes())  # the first prime of the kernel
 
     @pytest.mark.parametrize(
         "points, d", [(cube_points(5, 3), 3), (cube_points(3, 4), 4)], ids=["3,5", "4,3"]
@@ -473,7 +474,7 @@ def draws(source, log):
 
 
 class TestModularRarePaths:
-    P = 2**61 - 1  # the first prime of the kernel
+    P = next(kernel._primes())  # the first prime of the kernel
 
     def assert_matches_reference(self, matrix):
         rows = integer_rows(matrix)
@@ -482,11 +483,21 @@ class TestModularRarePaths:
         expected = None if reference is None else integer_form(reference)
         assert nullspace_vector(rows) == expected
 
-    def test_primes_descend_from_the_mersenne_prime(self):
+    def assert_drops_the_first_prime(self, matrix):
+        self.assert_matches_reference(matrix)
+        drawn = []
+        with prime_source(draws(kernel._primes, drawn)):
+            nullspace_vector(integer_rows(matrix))
+        assert drawn[0] == self.P and len(drawn) == 2, matrix
+
+    def test_primes_descend_from_below_two_to_the_sixty(self):
+        # descending from the largest prime below 2^60, every prime drawn
+        # and every residue mod it is two 30-bit digits
         first = list(islice(kernel._primes(), 3))
-        assert first[0] == self.P
+        assert first[0] == self.P == 2**60 - 93
+        assert not any(kernel._is_prime(n) for n in range(self.P + 2, 2**60, 2))
         assert first == sorted(first, reverse=True)
-        assert all(pow(3, p - 1, p) == 1 for p in first)
+        assert all(p < 2**60 and pow(3, p - 1, p) == 1 for p in first)
         assert kernel._PRIMES[:3] == first
 
     def test_miller_rabin_against_trial_division(self):
@@ -499,23 +510,24 @@ class TestModularRarePaths:
 
     def test_singular_mod_the_first_prime_but_not_over_q(self):
         p = self.P
-        self.assert_matches_reference([[1, 0], [0, p]])
-        self.assert_matches_reference([[1, 0, 1], [0, p, 1]])
-        self.assert_matches_reference([[p, 1, 1]])
+        self.assert_drops_the_first_prime([[1, 0], [0, p]])
+        self.assert_drops_the_first_prime([[1, 0, 1], [0, p, 1]])
+        self.assert_drops_the_first_prime([[p, 1, 1]])
 
     def test_entries_all_multiples_of_the_prime(self):
         p = self.P
-        self.assert_matches_reference([[p, 2 * p], [3 * p, p]])
-        self.assert_matches_reference([[p, 2 * p, 5 * p], [3 * p, p, 4 * p]])
-        self.assert_matches_reference([[Fraction(p, 7), p], [2 * p, Fraction(p, 3)]])
+        self.assert_drops_the_first_prime([[p, 2 * p], [3 * p, p]])
+        self.assert_drops_the_first_prime([[p, 2 * p, 5 * p], [3 * p, p, 4 * p]])
+        self.assert_drops_the_first_prime([[Fraction(p, 7), p], [2 * p, Fraction(p, 3)]])
 
-    def test_numerators_too_large_for_one_prime_need_crt(self):
+    def test_numerators_too_large_for_one_prime_are_lifted(self):
         big = ([[1, 2**40 + 1]], [[3**30, 2**40 + 1]], [[1, 0, 2**70], [0, 1, -(3**50)]])
         for matrix in big:
-            drawn = []
-            with prime_source(draws(kernel._primes, drawn)):
-                self.assert_matches_reference(matrix)
-            assert len(drawn) >= 2, matrix
+            expected = integer_form(nullspace_vector_naive(matrix))
+            drawn, lifts = [], []
+            with prime_source(draws(kernel._primes, drawn)), logged_lifts(lifts):
+                assert nullspace_vector(integer_rows(matrix)) == expected
+            assert drawn == [self.P] and len(lifts) >= 1, matrix
 
     def test_first_prime_with_fewer_pivots_restarts(self):
         walks = []
@@ -532,24 +544,59 @@ class TestModularRarePaths:
         # rank: 3 loses the pivot at column 0, 5 finds both
         assert walks[:2] == [(3, [1]), (5, [0, 1])]
 
-    def test_first_prime_with_later_pivots_restarts(self):
-        drawn = []
-        with prime_source(draws(small_primes, drawn)):
-            assert nullspace_vector([[3, 1, 1]]) == integer_form((Fraction(-1, 3), 0, 1))
-        # 3 puts the pivot at column 1, 5 at column 0 but cannot hold -1/3
-        # alone, 7 joins 5 by CRT
-        assert drawn == [3, 5, 7]
+    def test_an_unlucky_prime_is_dropped_and_the_next_lifts(self):
+        drawn, lifts, moduli = [], [], []
+        reconstruct = kernel._rational_numerators
 
-    def test_a_later_prime_with_a_worse_pivot_list_is_skipped(self):
+        def reconstruct_spy(residues, modulus):
+            moduli.append(modulus)
+            return reconstruct(residues, modulus)
+
+        with prime_source(draws(small_primes, drawn)), logged_lifts(lifts):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(kernel, "_rational_numerators", reconstruct_spy)
+                assert nullspace_vector([[3, 1, 1]]) == integer_form((Fraction(-1, 3), 0, 1))
+        # 3 puts no pivot at column 0, whose vector (1, 0, 0) satisfies the
+        # pivot rows (there are none) but not row 0: 3 is dropped.  5 puts
+        # the pivot at column 0, cannot hold -1/3 alone and lifts it once,
+        # to modulus 25
+        assert drawn == [3, 5]
+        assert lifts == [5]
+        assert moduli == [3, 5, 25]
+
+    def test_a_prime_that_lifts_draws_no_second_prime(self):
         def source():
             yield from (5, 3, 7)
 
         drawn = []
         with prime_source(draws(source, drawn)):
             assert nullspace_vector([[3, 1, 1]]) == integer_form((Fraction(-1, 3), 0, 1))
-        # 5 puts the pivot at column 0 but cannot hold -1/3 alone, 3 puts it
-        # at column 1 and is skipped, 7 joins 5 by CRT
-        assert drawn == [5, 3, 7]
+        # 5 puts the pivot at column 0 and lifts -1/3; no second walk
+        assert drawn == [5]
+
+    def test_an_unlucky_prime_is_dropped_before_the_hadamard_guard(self):
+        # Column 2 is independent over Q only through row 2, which is 0 mod
+        # 5.  Mod 5 it is free, and its vector (-1/3, 0, 1) satisfies the
+        # two pivot rows after one lift step, to 25, so 5 is dropped then.
+        # The guard 2 * (3^2 + 1^2) * 1000001^2 is first passed at 5^20,
+        # 18 lift steps later.
+        matrix = [[3, 0, 1], [0, 1000001, 0], [0, 0, 5]]
+        self.assert_matches_reference(matrix)
+        drawn, lifts = [], []
+        with prime_source(draws(small_primes, drawn)), logged_lifts(lifts):
+            assert rank(matrix) == 3
+        assert drawn == [3, 5, 7]
+        assert lifts == [5]
+        assert 5**19 < 2 * (3**2 + 1**2) * 1000001**2 < 5**20
+
+    def test_lifting_past_the_hadamard_bound_is_a_bug(self, monkeypatch):
+        # a lift step that always returns the zero digit never converges
+        def stuck(residual, digit, *rest):
+            return residual, [0] * len(digit)
+
+        monkeypatch.setattr(kernel, "_lift", stuck)
+        with prime_source(small_primes), pytest.raises(InternalInvariantViolation):
+            nullspace_vector([[3, 1, 1]])
 
 
 class TestThreeReferences:

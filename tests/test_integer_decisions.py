@@ -45,6 +45,9 @@ INTEGER_ONLY = {
         "_back_substitute",
         "_rational_numerators",
         "_in_kernel",
+        "_pivot_block",
+        "_lift",
+        "_lifted",
         "_certified_walk",
     ),
     "polynomial": (
