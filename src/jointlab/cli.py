@@ -17,11 +17,16 @@ alone, or none when argv names no command, and parses once, with one
 parser that lists every command: the invoked one adds its own parsers and
 the others are stubs.  Help, usage and error text are therefore those of a
 parser with every command filled in.
+
+``entry`` is the process entry, behind ``python -m jointlab``, ``python -m
+jointlab.cli`` and the console script; ``main`` is for callers in a
+process that goes on running, such as tests and the benchmark's replay.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import re
 import sys
 
@@ -148,5 +153,22 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry() -> None:
+    """Run :func:`main` on ``sys.argv`` and exit the process with its code.
+
+    Once ``main`` returns, the output is complete, so ``gc.freeze()`` moves
+    every tracked object into the permanent generation, which the
+    interpreter's collections at shutdown skip, and the OS reclaims the
+    memory.  That saves the shutdown's full collections, a few ms per job.
+    atexit handlers still run and stdout and stderr are still flushed.  No
+    object is left that needs finalising: every file a command writes is
+    closed by a ``with`` block before ``main`` returns, and no jointlab class
+    defines ``__del__`` or uses weakref callbacks.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

