@@ -3,14 +3,15 @@
 Exit codes: 0 success (and inequality holds), 1 usage or input error,
 2 inequality violated, 3 internal invariant violation.
 
-A run starts only what its command runs.  This module is the dispatcher:
-``main``, the ``--poly``/``--params`` pre-pass, the one table of commands
-and their help, the parse, and what commands share: the ``integer`` and
-range argument types and :func:`load_lines`.  Each command is a module of
-:mod:`jointlab.commands` holding its parsers and its handler, and the
-handler imports the modules it runs, so a run loads and compiles only
-those: ``sweep`` never loads the polynomial layer or the file format, and
-only ``curve`` loads the curve module.  ``json`` and ``fractions`` are
+A run starts only what its command runs.  This module is the dispatcher
+alone: the one table of commands and their help, the parser that lists
+them, the ``--poly``/``--params`` pre-pass, ``main`` and ``entry``.  Each
+command is a module of :mod:`jointlab.commands` holding its parsers and its
+handler.  What commands share, the ``integer`` argument type and
+``load_lines``, is in that package too, so no command module imports this
+one.  The handler imports the modules it runs, so a run loads and compiles
+only those: ``sweep`` never loads the polynomial layer or the file format,
+and only ``curve`` loads the curve module.  ``json`` and ``fractions`` are
 imported where a file is read or written and where a Fraction is made, so
 a sweep loads neither.  ``main`` imports the invoked command's module
 alone, or none when argv names no command, and parses once, with one
@@ -27,55 +28,9 @@ from __future__ import annotations
 
 import argparse
 import gc
-import re
 import sys
 
 from .errors import GenericityFailureError, InternalInvariantViolation
-
-
-_INTEGER_RE = re.compile(r"^-?[0-9]+$")
-
-
-def integer(text: str) -> int:
-    """Parse an integer argument in ASCII digits, like ``"12"`` or ``"-3"``.
-
-    ``int`` alone would also take other scripts' digits and underscores.
-    As an argparse ``type`` a ValueError reads "invalid integer value".
-    """
-    literal = text.strip()
-    if not _INTEGER_RE.match(literal):
-        raise ValueError(f"invalid integer {text!r}")
-    return int(literal)
-
-
-def parse_range(text: str) -> list[int]:
-    """Accept "2..6" or a comma list "2,3,6"; refuse one that lists no
-    value, such as "6..2" or ",", since a sweep of it would do nothing."""
-    try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            values = list(range(integer(lo), integer(hi) + 1))
-        else:
-            values = [integer(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise ValueError(
-            f"invalid range {text!r}: expected A..B or a comma list such as 2,3,6"
-        ) from None
-    if not values:
-        raise ValueError(f"empty range {text!r}: it lists no value")
-    return values
-
-
-def load_lines(path):
-    """The configuration in the file; refuses one with no lines, on which
-    the bound and the trace are undefined (n >= 1)."""
-    from .geometry import load_configuration
-
-    config = load_configuration(path)
-    if config.n == 0:
-        raise ValueError(f"{path}: the configuration has no lines")
-    return config
-
 
 # each command of jointlab, in the order help lists them, with its help;
 # each is a module of jointlab.commands

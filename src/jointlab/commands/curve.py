@@ -3,8 +3,15 @@ joint."""
 
 from __future__ import annotations
 
-from ..cli import integer
 from ..exact import parse_rational
+from . import integer
+
+
+def _curve(cfg, i: int):
+    """The file's curve at index i, as ``--index`` and ``--curves`` name it."""
+    if not 0 <= i < len(cfg.curves):
+        raise ValueError(f"curve index {i} out of range")
+    return cfg.curves[i]
 
 
 def run(args) -> int:
@@ -16,22 +23,15 @@ def run(args) -> int:
         poly = curves.polynomial_from_text(args.poly, cfg.dim)
         indices = [args.index] if args.index is not None else range(len(cfg.curves))
         for i in indices:
-            if not 0 <= i < len(cfg.curves):
-                raise ValueError(f"curve index {i} out of range")
-            restriction = curves.restrict_to_curve(poly, cfg.curves[i])
+            restriction = curves.restrict_to_curve(poly, _curve(cfg, i))
             print(f"curve {i}: {unipoly_to_text(restriction)}")
         return 0
     indices = [integer(x) for x in args.curves.split(",")]
     params = [parse_rational(x) for x in args.params.split(",")]
     if len(indices) != len(params):
         raise ValueError("--curves and --params must have the same length")
-    pairs = []
-    for i, t in zip(indices, params):
-        if not 0 <= i < len(cfg.curves):
-            raise ValueError(f"curve index {i} out of range")
-        pairs.append((cfg.curves[i], t))
-    verdict = curves.curve_joint(pairs)
-    print("joint" if verdict else "not a joint")
+    pairs = [(_curve(cfg, i), t) for i, t in zip(indices, params)]
+    print("joint" if curves.curve_joint(pairs) else "not a joint")
     return 0
 
 

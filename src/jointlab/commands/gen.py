@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..cli import integer
+from . import integer
 
 
 def run(args) -> int:

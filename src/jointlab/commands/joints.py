@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from ..cli import integer
 from ..exact import format_rational
+from . import integer
 
 
 def run(args) -> int:

@@ -2,7 +2,25 @@
 
 from __future__ import annotations
 
-from ..cli import integer, parse_range
+from . import integer
+
+
+def parse_range(text: str) -> list[int]:
+    """Accept "2..6" or a comma list "2,3,6"; refuse one that lists no
+    value, such as "6..2" or ",", since a sweep of it would do nothing."""
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            values = list(range(integer(lo), integer(hi) + 1))
+        else:
+            values = [integer(part) for part in text.split(",") if part != ""]
+    except ValueError:
+        raise ValueError(
+            f"invalid range {text!r}: expected A..B or a comma list such as 2,3,6"
+        ) from None
+    if not values:
+        raise ValueError(f"empty range {text!r}: it lists no value")
+    return values
 
 
 def run(args) -> int:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..cli import load_lines
+from . import load_lines
 
 
 def run(args) -> int:

@@ -102,11 +102,12 @@ def write_json(path, obj) -> None:
 
 
 def read_json(path):
-    """Parse a JSON file; malformed JSON raises FileFormatError naming the path."""
+    """Parse a JSON file; malformed JSON, or bytes that are not UTF-8, raise
+    FileFormatError naming the path."""
     import json
 
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc

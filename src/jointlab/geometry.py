@@ -126,23 +126,18 @@ class JointSet(_Frozen):
 
     The keys are Points and the incident objects lines, or parametrized
     curves for curve joints.  The incidence is not changed after
-    construction, so the points are sorted once, on first use, by
-    :func:`~jointlab.exact.sort_points`, and kept.  The key is the
+    construction, so ``points`` holds the points sorted once, at
+    construction, by :func:`~jointlab.exact.sort_points`.  The key is the
     incidence.
     """
 
-    __slots__ = ("incidence", "_points")
+    __slots__ = ("incidence", "points")
 
     def __init__(self, incidence: dict[Point, frozenset]):
-        self._freeze(incidence, incidence=incidence, _points=None)
+        points = tuple(sort_points(incidence))
+        self._freeze(incidence, incidence=incidence, points=points)
 
     __hash__ = None  # the incidence is a dict
-
-    @property
-    def points(self) -> tuple[Point, ...]:
-        if self._points is None:
-            object.__setattr__(self, "_points", tuple(sort_points(self.incidence)))
-        return self._points
 
     def lines_through(self, point: Point) -> frozenset:
         return self.incidence[point]

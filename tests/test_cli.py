@@ -321,6 +321,20 @@ class TestCurveCommands:
             f"error: malformed factor {factor!r} in polynomial text {text!r}\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, index",
+        [
+            (["restrict", "--poly", "x1", "--index", "4"], 4),
+            (["restrict", "--poly", "x1", "--index", "-1"], -1),
+            (["joint", "--curves", "1,9,3", "--params", "0,0,0"], 9),
+            (["joint", "--curves", "1,-2,3", "--params", "0,0,0"], -2),
+        ],
+    )
+    def test_curve_index_out_of_range_exits_1(self, moment_file, capsys, argv, index):
+        code, out, err = run(capsys, "curve", argv[0], moment_file, *argv[1:])
+        assert (code, out) == (1, "")
+        assert err == f"error: curve index {index} out of range\n"
+
     def test_joint_verdicts(self, moment_file, capsys):
         code, out, _ = run(capsys, "curve", "joint", moment_file,
                            "--curves", "1,2,3", "--params", "0,0,0")
@@ -430,6 +444,8 @@ class TestErrorPaths:
              "lines[0].base[2]: zero denominator in rational literal '1/0'"),
             ("{not json", "{path}: not valid JSON (Expecting property name "
              "enclosed in double quotes: line 1 column 2 (char 1))"),
+            (b"\xff\xfe{}", "{path}: not valid JSON ('utf-8' codec can't decode "
+             "byte 0xff in position 0: invalid start byte)"),
         ]
         curve_files = [
             ("[]", "top level: expected an object"),
@@ -447,13 +463,15 @@ class TestErrorPaths:
              "curves[0].coords[0][1]: invalid rational literal '1/'"),
             ('{"dim": 3,', "{path}: not valid JSON (Expecting property name "
              "enclosed in double quotes: line 1 column 11 (char 10))"),
+            (b"\xff\xfe{}", "{path}: not valid JSON ('utf-8' codec can't decode "
+             "byte 0xff in position 0: invalid start byte)"),
         ]
         commands = [(text, message, argv) for text, message in line_files
                     for argv in (["joints"], ["trace"], ["bound"])]
         commands += [(text, message, ["curve", "restrict", "--poly", "x1"])
                      for text, message in curve_files]
         for text, message, argv in commands:
-            path.write_text(text)
+            path.write_bytes(text.encode() if isinstance(text, str) else text)
             code, out, err = run(capsys, *argv, str(path))
             assert (code, out) == (1, ""), (argv, text)
             assert err == f"error: {message.replace('{path}', str(path))}\n", (argv, text)

@@ -168,19 +168,89 @@ def test_bound_skips_the_trace_layer(tmp_path):
     assert loaded & {"jointlab.pipeline", "jointlab.polynomial"} == set()
 
 
+def imported_names(source: str, package: str) -> set[str]:
+    """The absolute names that the imports in source, a module of package,
+    name: each imported module, and for a from-import each name it takes
+    from its module as well, relative imports resolved."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parent = package.rsplit(".", node.level - 1)[0]
+                base = f"{parent}.{base}".rstrip(".")
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def module_imports(path: Path) -> set[str]:
+    """imported_names of the package's module at path."""
+    package = path.parent.relative_to(PACKAGE.parent).as_posix().replace("/", ".")
+    return imported_names(path.read_text(encoding="utf-8"), package)
+
+
 def test_no_module_imports_dataclasses():
-    users = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            if "dataclasses" in names:
-                users.append(str(path.relative_to(PACKAGE)))
+    users = [
+        str(path.relative_to(PACKAGE))
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if "dataclasses" in module_imports(path)
+    ]
     assert users == []
+
+
+@pytest.mark.parametrize(
+    "source, imports_cli",
+    [
+        ("from ..cli import integer", True),
+        ("from .. import cli", True),
+        ("from .. import errors, cli", True),
+        ("import jointlab.cli", True),
+        ("from jointlab.cli import main", True),
+        ("from jointlab import cli", True),
+        ("def run():\n    from ..cli import load_lines", True),
+        ("from . import integer", False),
+        ("from .. import curves", False),
+        ("from ..exact import parse_rational", False),
+        ("import jointlab.commands", False),
+    ],
+)
+def test_imported_names_resolves_imports(source, imports_cli):
+    names = imported_names(source, "jointlab.commands")
+    assert ("jointlab.cli" in names) == imports_cli
+
+
+def test_no_command_module_imports_the_cli():
+    # the commands stand below the dispatcher, which imports them
+    importers = [
+        path.name
+        for path in sorted((PACKAGE / "commands").glob("*.py"))
+        if "jointlab.cli" in module_imports(path)
+    ]
+    assert importers == []
+
+
+@pytest.mark.parametrize(
+    "module, loads_cli", [("jointlab.cli", False), ("jointlab", True)]
+)
+def test_python_m_runs_the_cli_module_once(tmp_path, module, loads_cli):
+    """``-X importtime`` lists each module the moment it is first imported,
+    so a module it never lists is absent from sys.modules.  ``python -m
+    jointlab.cli`` runs cli.py as __main__ and must not import it again as
+    jointlab.cli; ``python -m jointlab`` imports it once, from __main__.py."""
+    write_command_inputs(tmp_path)
+    child = fresh(["-X", "importtime", "-m", module, "bound", "grid.json"], tmp_path)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.startswith("n = 12, m = 8, d = 3\n")
+    imported = {
+        line.rpartition("|")[2].strip()
+        for line in child.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert {"jointlab", "jointlab.commands", "jointlab.commands.bound"} <= imported
+    assert ("jointlab.cli" in imported) == loads_cli
 
 
 COMMANDS = {
