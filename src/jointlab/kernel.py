@@ -4,20 +4,23 @@
 Rank and nullspace come from one walk over integer rows.  A caller with
 rational rows scales each to integers first, by
 :func:`~jointlab.exact.integer_form`, which changes neither rank nor
-nullspace.  The rows are eliminated modulo a prime below 2^60, so every
-residue and multiplier is two 30-bit digits of a CPython int (Cabay, "Exact
-solution of linear equations", SYMSAC 1971).  The kernel vectors an answer
-needs are back-substituted mod p, recovered as integer numerators over one
-denominator by rational reconstruction (Wang, Guy and Davenport, "P-adic
-reconstruction of rational numbers", SIGSAM Bull. 1982) and checked exactly
-in integers, M x = 0.  The checks prove that the pivots found mod p are the
-rational ones, so every answer is exact and is the one the selection rule
-defines.  A vector whose numerators are too large for one prime is lifted
-p-adically on the walk's own pivot steps (Dixon, "Exact solution of linear
-equations using p-adic expansions", Numer. Math. 1982) and reconstructed
-modulo p^s, so one walk serves every fit.  A prime whose pivots are not the
-rational ones is dropped, and the next prime walks from scratch.  The
-kernel names no Fraction: integers in, integers out.
+nullspace.  The rows are eliminated modulo a prime below 2^30, so every
+residue, multiplier and pivot inverse is one 30-bit digit of a CPython int
+(Cabay, "Exact solution of linear equations", SYMSAC 1971).  The kernel
+vectors an answer needs are back-substituted mod p, recovered as integer
+numerators over one denominator by rational reconstruction (Wang, Guy and
+Davenport, "P-adic reconstruction of rational numbers", SIGSAM Bull. 1982)
+and checked exactly in integers, M x = 0.  The checks prove that the pivots
+found mod p are the rational ones, so every answer is exact and is the one
+the selection rule defines.  A vector whose numerators are too large for one
+prime is lifted p-adically on the walk's own pivot steps (Dixon, "Exact
+solution of linear equations using p-adic expansions", Numer. Math. 1982)
+and reconstructed modulo p^s, so one walk serves every fit.  A lift step
+pays only for the nonzero digits of its vector, and a Hadamard guard, built
+once per prime from the full pivot rows, bounds how far any lift may go.  A
+prime whose pivots are not the rational ones is dropped, and the next prime
+walks from scratch.  The kernel names no Fraction: integers in, integers
+out.
 
 Only a run that ranks or fits loads this module: ``exact`` imports it on
 the first call of ``rank`` or ``nullspace_vector``.
@@ -39,7 +42,7 @@ _PRIMES: list[int] = []  # found by _primes, largest first
 
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin: the bases 2..37 decide every odd n below
-    3.3 * 10^24, far above 2^60."""
+    3.3 * 10^24, far above 2^30."""
     if n in _BASES:
         return True
     d, s = n - 1, 0
@@ -59,14 +62,15 @@ def _is_prime(n: int) -> bool:
 
 
 def _primes() -> Iterator[int]:
-    """The primes below 2^60 in descending order, from the largest one,
-    2^60 - 93 (``tests/test_exact.py`` checks that no odd number above it is
-    prime).  Each is two 30-bit digits, and so is every residue mod it.
-    Each is searched for once and kept in ``_PRIMES``."""
+    """The primes below 2^30 in descending order, from the largest one,
+    2^30 - 35 (``tests/test_exact.py`` checks that no odd number above it is
+    prime).  Each is one 30-bit digit of a CPython int, and so is every
+    residue, multiplier and pivot inverse mod it.  Each is searched for once
+    and kept in ``_PRIMES``."""
     i = 0
     while True:
         if i == len(_PRIMES):
-            p = _PRIMES[-1] - 2 if _PRIMES else 2**60 - 93
+            p = _PRIMES[-1] - 2 if _PRIMES else 2**30 - 35
             while not _is_prime(p):
                 p -= 2
             _PRIMES.append(p)
@@ -140,14 +144,18 @@ def _back_substitute(
 ) -> list[int]:
     """The kernel vector mod p that is 1 at a free column, 0 at the other
     free columns and supported on the k pivots before it: its pivot entries,
-    in pivot order.  col is the free column reduced by those k steps."""
+    in pivot order, each the residue nearest 0 (at most p // 2 in absolute
+    value).  col is the free column reduced by those k steps.  An integer
+    vector within p // 2 is so its own digit, and :func:`_lift` finds a zero
+    residual for it."""
     y = col[:k]
     for r in reversed(range(k)):
         t = y[r] * steps[r][1] % p
         y[r] = t
         if t:
             y[:r] = [(v - u * t) % p for v, u in zip(y[:r], reduced[pivots[r]])]
-    return [-t % p for t in y]
+    h = p // 2
+    return [h - (t + h) % p for t in y]
 
 
 def _rational_numerators(residues: list[int], modulus: int):
@@ -183,28 +191,43 @@ def _rational_numerators(residues: list[int], modulus: int):
     return nums, den
 
 
+def _combination(acc: list[int], cols, coefs) -> list[int]:
+    """acc plus coefs[t] times cols[t] for each t, entrywise in exact
+    integers.  A zero coefficient skips its column, which is never read, and
+    each column is read only as far as acc reaches."""
+    for col, a in zip(cols, coefs):
+        if a:
+            acc = [s + a * v for s, v in zip(acc, col)]
+    return acc
+
+
 def _in_kernel(
     columns: Sequence[Sequence[int]], f: int, support: list[int], nums: list[int], den: int
 ) -> bool:
     """Exact integer check of M x = 0 for x with den at column f, nums at
     the support columns and 0 elsewhere."""
     acc = [den * v for v in columns[f]]
-    for j, a in zip(support, nums):
-        if a:
-            acc = [s + a * v for s, v in zip(acc, columns[j])]
-    return not any(acc)
+    return not any(_combination(acc, map(columns.__getitem__, support), nums))
 
 
 def _pivot_block(rows: Sequence[Sequence[int]], pivots: list[int], steps: list[tuple]):
-    """The walk's row order and its pivot block: ``order[r]`` is the row
-    that the swaps of the steps leave in row r, and ``block[r]`` holds the
-    entries of row ``order[r]`` at the pivot columns.  The leading k x k
-    block is the matrix that the first k steps factor mod p."""
+    """The walk's row order, its pivot block and the Hadamard guard of every
+    lift on it.  ``order[r]`` is the row that the swaps of the steps leave in
+    row r, and ``block[t]`` holds the entries of pivot column ``pivots[t]``
+    in the pivot rows ``order[:K]``, in that order.  The leading k x k block
+    is the matrix that the first k steps factor mod p.  The guard is
+    2 * prod |row|^2 over the full pivot rows.  A full row's |row|^2 bounds
+    that of the part any leading block and free column reach, and each
+    factor is at least 1, so one guard serves every column lifted on this
+    prime."""
     order = list(range(len(rows)))
     for r, (sel, _, _) in enumerate(steps):
         order[r], order[sel] = order[sel], order[r]
-    block = [[rows[i][j] for j in pivots] for i in order[: len(pivots)]]
-    return order, block
+    top = [rows[i] for i in order[: len(pivots)]]
+    cols = list(zip(*top))
+    block = [cols[j] for j in pivots]
+    guard = 2 * prod(sum(map(mul, row, row)) for row in top)
+    return order, block, guard
 
 
 def _lift(residual: list[int], digit: list[int], block, order, walk, p: int):
@@ -213,13 +236,14 @@ def _lift(residual: list[int], digit: list[int], block, order, walk, p: int):
 
     The residual r (initially b) over the first k rows of the walk's row
     order is updated by the last digit in exact integers, r <- (r + A y)/p,
-    and the next digit, the solution mod p of A y = -r, is found with the
-    walk's own steps: :func:`_reduce`, then :func:`_back_substitute`.
+    column by column over the block's columns of nonzero digits.  The next
+    digit, the solution mod p of A y = -r, is found with the walk's own
+    steps: :func:`_reduce`, then :func:`_back_substitute`.
     Returns the new residual and digit.
     """
     pivots, reduced, steps = walk
     k = len(digit)
-    residual = [(c + sum(map(mul, row, digit))) // p for row, c in zip(block, residual)]
+    residual = [v // p for v in _combination(residual, block, digit)]
     col = [0] * len(order)
     for i, c in zip(order, residual):
         col[i] = c
@@ -227,40 +251,42 @@ def _lift(residual: list[int], digit: list[int], block, order, walk, p: int):
     return residual, digit
 
 
-def _lifted(columns, f: int, digit: list[int], found, block, order, walk, p: int):
+def _lifted(columns, f: int, digit: list[int], found, pivot_block, walk, p: int):
     """The kernel vector with 1 at free column f, supported on the k pivots
     before it, as ``(nums, den)``; or None when p is unlucky for f.
 
     digit is its pivot entries mod p and found their reconstruction mod p,
-    or None.  Until a reconstruction satisfies the k pivot rows, the vector
-    is lifted one more digit and reconstructed modulo p^s.  A vector that
-    satisfies the pivot rows is the only rational solution on them, since
-    the pivot block is invertible mod p and so over Q.  If it passes the
-    exact check it is certified; if it fails another row, column f is
-    independent of the pivots before it over Q, and p is unlucky.  Cramer's
-    rule and Hadamard's bound put the solution within reach of
-    reconstruction once p^s exceeds 2 * prod |row|^2 over the pivot rows
-    with column f; passing that bound is an implementation bug.
+    which failed the exact check, or None.  The vector is lifted one more
+    digit and reconstructed modulo p^s until a reconstruction passes the
+    exact check, which certifies it, or fails it but satisfies the k pivot
+    rows.  Such a vector is the only rational solution on the pivot rows,
+    since the pivot block is invertible mod p and so over Q; as it fails
+    another row, column f is independent of the pivots before it over Q,
+    and p is unlucky.  Cramer's rule and Hadamard's bound put the solution
+    within reach of reconstruction once p^s exceeds 2 * prod |row|^2 over
+    the pivot rows, and so once it exceeds the guard of
+    :func:`_pivot_block`; passing the guard is an implementation bug.
     """
+    order, block, guard = pivot_block
     k = len(digit)
     support = walk[0][:k]
-    a = block[:k]
     b = [columns[f][i] for i in order[:k]]
-    guard = 2 * prod(sum(v * v for v in row[:k]) + c * c for row, c in zip(a, b))
     residual, total, modulus = b, digit, p
     while True:
         if found is not None:
             nums, den = found
-            if not any(sum(map(mul, row, nums)) + c * den for row, c in zip(a, b)):
-                return found if _in_kernel(columns, f, support, nums, den) else None
+            if not any(_combination([den * c for c in b], block, nums)):
+                return None
         if modulus > guard:
             raise InternalInvariantViolation(
                 f"p-adic lifting passed the Hadamard bound at column {f}"
             )
-        residual, digit = _lift(residual, digit, a, order, walk, p)
+        residual, digit = _lift(residual, digit, block, order, walk, p)
         total = [t + modulus * d for t, d in zip(total, digit)]
         modulus *= p
         found = _rational_numerators(total, modulus)
+        if found is not None and _in_kernel(columns, f, support, *found):
+            return found
 
 
 def _certified_walk(rows: Sequence[Sequence[int]], select: bool):
@@ -282,11 +308,12 @@ def _certified_walk(rows: Sequence[Sequence[int]], select: bool):
     passes is the only kernel vector with its support.
 
     A vector whose reconstruction mod p fails, or fails the check, is
-    lifted by :func:`_lifted` on the pivot block, which is built once per
-    prime and only then.  Lifting either certifies the vector or shows that
-    its column is a pivot over Q that p missed.  Such a prime is unlucky: it
-    is dropped and the next prime walks from scratch.  Only the finitely
-    many primes dividing a pivot minor are unlucky, so the loop ends.
+    lifted by :func:`_lifted` on the pivot block and its guard, which are
+    built once per prime and only then.  Lifting either certifies the vector
+    or shows that its column is a pivot over Q that p missed.  Such a prime
+    is unlucky: it is dropped and the next prime walks from scratch.  Only
+    the finitely many primes dividing a pivot minor are unlucky, so the loop
+    ends.
     """
     if len({len(row) for row in rows}) > 1:
         raise ValueError("matrix rows have unequal lengths")
@@ -303,15 +330,15 @@ def _certified_walk(rows: Sequence[Sequence[int]], select: bool):
         if select and len(reduced) < n:
             needed.append(n - 1)
             cols.append(_reduce(columns[-1], steps, p))
-        order = block = None
+        pivot_block = None
         for f, col in zip(needed, cols):
             k = bisect_left(pivots, f)
             digit = _back_substitute(col, k, reduced, pivots, steps, p)
             found = _rational_numerators(digit, p)
             if found is None or not _in_kernel(columns, f, pivots[:k], *found):
-                if block is None:
-                    order, block = _pivot_block(rows, pivots, steps)
-                found = _lifted(columns, f, digit, found, block, order, walk, p)
+                if pivot_block is None:
+                    pivot_block = _pivot_block(rows, pivots, steps)
+                found = _lifted(columns, f, digit, found, pivot_block, walk, p)
                 if found is None:
                     break
         else:

@@ -51,6 +51,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from jointlab import kernel
 from jointlab.curves import (
     CurveConfiguration,
     ParamCurve,
@@ -715,6 +716,24 @@ def lifting_cases(draw):
     return [row + [col[i] for col in u] for i, row in enumerate(block)]
 
 
+@st.composite
+def past_one_prime_cases(draw):
+    """[A | u]: A an integer m x m block, invertible over Q, and u a column
+    of integers of 20 to 40 bits.  The selected vector (-A^-1 u, 1) has a
+    numerator or its denominator past 2^15, so no prime below 2^30 reaches
+    it alone: one prime reconstructs within isqrt(p // 2) < 2^15."""
+    m = draw(st.integers(1, 4))
+    small = st.integers(-40, 40)
+    block = draw(st.lists(st.lists(small, min_size=m, max_size=m), min_size=m, max_size=m))
+    assume(determinant(block) != 0)
+    wide = st.one_of(st.integers(2**20, 2**40), st.integers(-(2**40), -(2**20)))
+    u = draw(st.lists(wide, min_size=m, max_size=m))
+    matrix = [row + [c] for row, c in zip(block, u)]
+    nums, den = integer_form(nullspace_vector_naive(matrix))
+    assume(max(den, *map(abs, nums)) > 2**15)
+    return matrix
+
+
 def assert_kernel_matches(matrix):
     """The kernel, on the rows scaled to integers, against the reference on
     the rows as written."""
@@ -762,6 +781,14 @@ class TestKernelAgainstReference:
         # 3 is dropped, and the prime that certifies lifts at least twice
         assert drawn[0] == 3 and len(drawn) >= 2
         assert lifts.count(drawn[-1]) >= 2
+
+    @given(past_one_prime_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_vectors_past_one_prime_lift_on_the_kernels_primes(self, matrix):
+        lifts = []
+        with logged_lifts(lifts):
+            assert_kernel_matches(matrix)
+        assert lifts and lifts[0] == next(kernel._primes())
 
     @given(kernel_cases())
     @settings(max_examples=100, deadline=None)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, islice, product
 from math import gcd, isqrt
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from jointlab.exact import (
     rank,
     sort_points,
 )
-from jointlab.geometry import Configuration, JointSet, Line
+from jointlab.geometry import Configuration, JointSet, Line, find_joints
 from jointlab.polynomial import (
     Polynomial,
     fit_vanishing,
@@ -36,6 +37,7 @@ from conftest import (
     fit_rows,
     integer_rows,
     logged_lifts,
+    nine_hyperplanes,
     prime_source,
     small_primes,
     walk_updates,
@@ -388,8 +390,13 @@ class TestEarlyStop:
         # before column 35.  Every free column past the stop is free over Q
         # as well, so the selected last column is the only one reduced past
         # the stop, back-substituted and checked, and the first prime does.
+        # Its vector is integral, with numerators up to 26,136, above the
+        # reconstruction bound isqrt(p // 2) = 23,170 of one prime, so it
+        # lifts one step.  Its first digit is the vector itself, so the
+        # residual of that step is zero, and so is the column the second
+        # back-substitution takes.
         points = hyperplane_joints(range(1, 8))
-        walks, substituted, checked, drawn = [], [], [], []
+        walks, substituted, checked, drawn, lifts = [], [], [], [], []
         walk, back_substitute = kernel._walk, kernel._back_substitute
         in_kernel = kernel._in_kernel
 
@@ -410,14 +417,15 @@ class TestEarlyStop:
         monkeypatch.setattr(kernel, "_back_substitute", back_substitute_spy)
         monkeypatch.setattr(kernel, "_in_kernel", in_kernel_spy)
         monkeypatch.setattr(kernel, "_primes", draws(kernel._primes, drawn))
-        fit = fit_vanishing(points, 3)
+        with logged_lifts(lifts):
+            fit = fit_vanishing(points, 3)
         [(columns, p, pivots, reached, steps)] = walks
         assert (len(columns[0]), len(columns)) == (35, 56)
         assert pivots == list(range(35))
         assert reached == 35
-        assert substituted == [(kernel._reduce(columns[55], steps, p), 35)]
+        assert substituted == [(kernel._reduce(columns[55], steps, p), 35), ([0] * 35, 35)]
         assert checked == [55]
-        assert drawn == [p]
+        assert drawn == lifts == [p]
         assert fit == fit_naive(points, 3)
 
 
@@ -490,14 +498,14 @@ class TestModularRarePaths:
             nullspace_vector(integer_rows(matrix))
         assert drawn[0] == self.P and len(drawn) == 2, matrix
 
-    def test_primes_descend_from_below_two_to_the_sixty(self):
-        # descending from the largest prime below 2^60, every prime drawn
-        # and every residue mod it is two 30-bit digits
+    def test_primes_descend_from_below_two_to_the_thirty(self):
+        # descending from the largest prime below 2^30, every prime drawn
+        # and every residue mod it is one 30-bit digit
         first = list(islice(kernel._primes(), 3))
-        assert first[0] == self.P == 2**60 - 93
-        assert not any(kernel._is_prime(n) for n in range(self.P + 2, 2**60, 2))
+        assert first[0] == self.P == 2**30 - 35
+        assert not any(kernel._is_prime(n) for n in range(self.P + 2, 2**30, 2))
         assert first == sorted(first, reverse=True)
-        assert all(p < 2**60 and pow(3, p - 1, p) == 1 for p in first)
+        assert all(p < 2**30 and pow(3, p - 1, p) == 1 for p in first)
         assert kernel._PRIMES[:3] == first
 
     def test_miller_rabin_against_trial_division(self):
@@ -597,6 +605,103 @@ class TestModularRarePaths:
         monkeypatch.setattr(kernel, "_lift", stuck)
         with prime_source(small_primes), pytest.raises(InternalInvariantViolation):
             nullspace_vector([[3, 1, 1]])
+
+
+class TestLiftWork:
+    """The p-adic lift on the one-digit primes, counted.  One prime reaches
+    numerators and denominators up to isqrt(p // 2) = 23,170.  The kernel
+    vectors that the grid(3,7) fit (343 x 364 at b = 11) checks are
+    integral, and 60 of them have larger numerators; the selected vector of
+    the nine hyperplanes (84 x 120 at b = 7) is too large as well."""
+
+    P = next(kernel._primes())  # the first prime of the kernel
+
+    @pytest.mark.parametrize(
+        "points, lifted_columns",
+        [(cube_points(7, 3), 60), (list(find_joints(nine_hyperplanes())), 1)],
+        ids=["grid(3,7)", "9 hyperplanes"],
+    )
+    def test_each_lifted_column_takes_one_step_on_one_block(
+        self, monkeypatch, points, lifted_columns
+    ):
+        rows = fit_rows(points, 3)
+        drawn, lifts, blocks, steps_per_column = [], [], [], []
+        pivot_block, lifted = kernel._pivot_block, kernel._lifted
+
+        def pivot_block_spy(*args):
+            blocks.append(args)
+            return pivot_block(*args)
+
+        def lifted_spy(*args):
+            before = len(lifts)
+            found = lifted(*args)
+            steps_per_column.append(len(lifts) - before)
+            return found
+
+        monkeypatch.setattr(kernel, "_pivot_block", pivot_block_spy)
+        monkeypatch.setattr(kernel, "_lifted", lifted_spy)
+        monkeypatch.setattr(kernel, "_primes", draws(kernel._primes, drawn))
+        with logged_lifts(lifts):
+            nums, den = nullspace_vector(rows)
+        assert drawn == [self.P]
+        assert steps_per_column == [1] * lifted_columns
+        assert len(blocks) == 1  # and so one guard, however many columns lift
+        assert not any(sum(map(mul, row, nums)) for row in rows)
+
+    def test_the_pivot_block_is_built_once_per_prime(self, monkeypatch):
+        # 3 is dropped after its pivot-free column 0 fails the exact check,
+        # and 5 lifts the selected column (-1/3, 0, 1): each builds a block
+        blocks, drawn = [], []
+        pivot_block = kernel._pivot_block
+
+        def pivot_block_spy(rows, pivots, steps):
+            blocks.append(list(pivots))
+            return pivot_block(rows, pivots, steps)
+
+        monkeypatch.setattr(kernel, "_pivot_block", pivot_block_spy)
+        with prime_source(draws(small_primes, drawn)):
+            assert nullspace_vector([[3, 1, 1]]) == integer_form((Fraction(-1, 3), 0, 1))
+        assert drawn == [3, 5]
+        assert blocks == [[1], [0]]
+
+    def test_a_lift_step_reads_only_the_block_columns_of_nonzero_digits(self, monkeypatch):
+        rows = fit_rows(cube_points(7, 3), 3)
+        reading, reads, expected, sizes = [None], [], [], []
+        pivot_block, lift = kernel._pivot_block, kernel._lift
+
+        class Column(tuple):
+            """A block column that logs its index when it is read."""
+
+            def __iter__(self):
+                if reading[0] is not None:
+                    reading[0].append(self.index)
+                return super().__iter__()
+
+        def pivot_block_spy(*args):
+            order, block, guard = pivot_block(*args)
+            marked = []
+            for t, entries in enumerate(block):
+                column = Column(entries)
+                column.index = t
+                marked.append(column)
+            return order, marked, guard
+
+        def lift_spy(residual, digit, *rest):
+            expected.append([t for t, d in enumerate(digit) if d])
+            sizes.append(len(digit))
+            reading[0] = []
+            try:
+                return lift(residual, digit, *rest)
+            finally:
+                reads.append(reading[0])
+                reading[0] = None
+
+        monkeypatch.setattr(kernel, "_pivot_block", pivot_block_spy)
+        monkeypatch.setattr(kernel, "_lift", lift_spy)
+        nullspace_vector(rows)
+        assert reads == expected
+        # 60 steps of 12,775 digits in all, 360 of them nonzero
+        assert (len(reads), sum(sizes), sum(map(len, reads))) == (60, 12_775, 360)
 
 
 class TestThreeReferences:

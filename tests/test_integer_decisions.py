@@ -44,6 +44,7 @@ INTEGER_ONLY = {
         "_reduce",
         "_back_substitute",
         "_rational_numerators",
+        "_combination",
         "_in_kernel",
         "_pivot_block",
         "_lift",
