@@ -27,11 +27,7 @@ def run(args) -> int:
     from .. import harness
 
     if args.family == "grid":
-        rows = [
-            row
-            for k in parse_range(args.k)
-            for row in harness.sweep_grids(args.dim, k, k, force=args.force)
-        ]
+        rows = harness.sweep_grids(args.dim, parse_range(args.k), force=args.force)
     else:
         rows = harness.sweep_random(
             args.dim,

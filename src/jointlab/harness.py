@@ -58,14 +58,14 @@ def _make_row(d: int, k_or_n: int, seed: int | None, n: int, m: int) -> SweepRow
     )
 
 
-def sweep_grids(d: int, k_min: int, k_max: int, force: bool = False) -> list[SweepRow]:
-    """One row per grid size k in [k_min, k_max]; empty range gives no rows.
+def sweep_grids(d: int, ks: Sequence[int], force: bool = False) -> list[SweepRow]:
+    """One row per grid size k in ``ks``, in order; no k gives no rows.
 
-    The pair budget is checked on the grid's d * k^(d-1) lines before the
+    The pair budget is checked on each grid's d * k^(d-1) lines before that
     grid is built; arguments that grid refuses are left to it.
     """
     rows = []
-    for k in range(k_min, k_max + 1):
+    for k in ks:
         if d >= 3 and k >= 2:
             _guard_pairs(d * k ** (d - 1), force)
         config = grid(d, k)

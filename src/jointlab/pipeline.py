@@ -1,11 +1,17 @@
 """The contradiction argument as executable machinery.
 
 Given a configuration, the trace runner replays the whole argument on the
-concrete instance: count joints, check the extremal inequality in exact
-integers, prune low-incidence lines at a frozen threshold, bound the degree
-of a vanishing polynomial, fit one, and drive the derivative cascade.  The
-interesting output is *which* hypothesis fails on the instance, recorded
-step by step in a narrative.
+concrete instance as a list of steps: count joints, check the extremal
+inequality in exact integers, prune low-incidence lines at a frozen
+threshold, bound the degree of a vanishing polynomial, fit one, and drive
+the derivative cascade.  Each step is a function of one record of what the
+steps before it found; it returns its narrative step and, where the
+argument ends there, the outcome.  The interesting output is *which*
+hypothesis fails on the instance, recorded step by step in a narrative.
+The fit step also checks the fact the argument turns on: a polynomial of
+degree D with more than D zeros on a line vanishes on it, so every
+surviving line carrying more joints than the fit's degree must be one on
+which the fit vanishes.
 
 Every comparison along the way is exact and made in integers: a line
 carries fewer than m/(2n) joints when 2n * count < m, the inequality
@@ -302,147 +308,162 @@ def gradient_at_joints_check(p: Polynomial, joints: JointSet) -> GradientCheckRe
     return GradientCheckReport(statuses)
 
 
-def trace(config: Configuration) -> ProofTrace:
-    """Replay the whole argument on one configuration.
+class _Run:
+    """What one trace has found so far.  Each step sets its own fields from
+    those of the steps before it; ``b``, ``fitted`` and ``order`` stay None
+    when the trace ends before their step."""
 
-    The outcome reports how the counterfactual hypothesis fails here:
-    BOUND_HOLDS when the inequality already holds (the usual case, decided
-    first but the remaining steps still run for demonstration), ALL_PRUNED
-    when pruning wipes out every joint, DEGREE_NOT_DOMINATED when some
-    surviving line carries too few joints to force vanishing.  Exhausting
-    the cascade instead raises ContradictionBugError: it would mean a
-    nonzero constant vanished identically on a line.
-    """
-    if config.dim < 3:
-        raise ValueError("trace needs dimension >= 3")
-    d = config.dim
-    joints = find_joints(config)
-    n, m = config.n, len(joints)
-    steps: list[TraceStep] = []
-    steps.append(
-        TraceStep(
-            name="joints",
-            verdict=f"{m} joints on {n} lines",
-            detail={"n": str(n), "m": str(m), "dim": str(d)},
-        )
+    __slots__ = (
+        "config", "joints", "check", "pruned", "b",
+        "dominated", "fitted", "lines", "order",
     )
 
-    chk = bound_check(n, m, d)
-    steps.append(
-        TraceStep(
-            name="bound",
-            verdict="holds" if chk.holds else "violated",
-            detail={
-                "lhs": str(chk.lhs),
-                "rhs": str(chk.rhs),
-                "constant": f"{bound_constant(d):.6g}",
-            },
-        )
+    def __init__(self, config: Configuration):
+        self.config = config
+        self.b = self.fitted = self.order = None
+
+
+def _joints(run: _Run):
+    config = run.config
+    run.joints = find_joints(config)
+    n, m = config.n, len(run.joints)
+    detail = {"n": str(n), "m": str(m), "dim": str(config.dim)}
+    return TraceStep("joints", f"{m} joints on {n} lines", detail), None
+
+
+def _bound(run: _Run):
+    d = run.config.dim
+    chk = run.check = bound_check(run.config.n, len(run.joints), d)
+    detail = {
+        "lhs": str(chk.lhs),
+        "rhs": str(chk.rhs),
+        "constant": f"{bound_constant(d):.6g}",
+    }
+    return TraceStep("bound", "holds" if chk.holds else "violated", detail), None
+
+
+def _prune(run: _Run):
+    pr = run.pruned = prune(run.config, run.joints)
+    verdict = (
+        f"removed {len(pr.removed_lines)} line(s) and "
+        f"{len(pr.removed_points)} joint(s)"
     )
+    detail = {
+        "threshold": format_rational(pr.threshold),
+        "surviving_lines": str(pr.surviving.n),
+        "surviving_joints": str(len(pr.survivors)),
+    }
+    return TraceStep("prune", verdict, detail), None if pr.survivors else ALL_PRUNED
 
-    pr = prune(config, joints)
-    m_surv = len(pr.survivors)
-    steps.append(
-        TraceStep(
-            name="prune",
-            verdict=(
-                f"removed {len(pr.removed_lines)} line(s) and "
-                f"{len(pr.removed_points)} joint(s)"
-            ),
-            detail={
-                "threshold": format_rational(pr.threshold),
-                "surviving_lines": str(pr.surviving.n),
-                "surviving_joints": str(m_surv),
-            },
-        )
+
+def _degree(run: _Run):
+    b = run.b = min_fit_degree(len(run.pruned.survivors), run.config.dim)
+    least = min(run.pruned.counts.values())
+    run.dominated = least > b
+    verdict = (
+        f"every line carries > b joints ({least} > {b})"
+        if run.dominated
+        else f"some line carries <= b joints ({least} <= {b}): "
+        "vanishing on lines is not forced"
     )
+    detail = {"b": str(b), "min_line_joints": str(least)}
+    return TraceStep("degree", verdict, detail), None
 
-    b = fitted = order = None
 
-    def finish(outcome: str) -> ProofTrace:
-        """Close the narrative with the outcome; fields not reached stay None,
-        and the counts empty."""
-        steps.append(TraceStep(name="outcome", verdict=outcome, detail={}))
-        return ProofTrace(
-            outcome=outcome,
-            dim=d,
-            n=n,
-            m=m,
-            threshold=pr.threshold,
-            b=b,
-            per_line_joint_counts=pr.counts if b is not None else {},
-            fitted=fitted,
-            cascade_order=order,
-            narrative=tuple(steps),
-        )
-
-    if m_surv == 0:
-        return finish(ALL_PRUNED)
-
-    b = min_fit_degree(m_surv, d)
-    min_count = min(pr.counts.values())
-    dominated = min_count > b
-    steps.append(
-        TraceStep(
-            name="degree",
-            verdict=(
-                f"every line carries > b joints ({min_count} > {b})"
-                if dominated
-                else f"some line carries <= b joints ({min_count} <= {b}): "
-                "vanishing on lines is not forced"
-            ),
-            detail={"b": str(b), "min_line_joints": str(min_count)},
-        )
-    )
-
-    fitted = fit_vanishing(pr.survivors.points, d)
+def _fit(run: _Run):
+    pr = run.pruned
+    fitted = run.fitted = fit_vanishing(pr.survivors.points, run.config.dim)
+    top = fitted.degree()
     vanishing, failing = [], []
     for line in pr.surviving.sorted_lines():
         (vanishing if vanishes_on_line(fitted, line) else failing).append(line)
-    steps.append(
-        TraceStep(
-            name="fit",
-            verdict=(
-                f"degree {fitted.degree()} polynomial vanishes identically on "
-                f"{len(vanishing)} of {pr.surviving.n} surviving lines"
-            ),
-            detail={
-                "polynomial": polynomial_to_text(fitted),
-                "degree": str(fitted.degree()),
-                "vanishing_lines": str(len(vanishing)),
-            },
-        )
+    for line in failing:  # p has a zero at each of the line's surviving joints
+        if pr.counts[line] > top:
+            raise InternalInvariantViolation(
+                f"the degree {top} fit has {pr.counts[line]} zeros on {line!r} "
+                "yet does not vanish on it"
+            )
+    run.lines = failing + vanishing  # a failing line first settles order 0
+    verdict = (
+        f"degree {top} polynomial vanishes identically on "
+        f"{len(vanishing)} of {pr.surviving.n} surviving lines"
     )
+    detail = {
+        "polynomial": polynomial_to_text(fitted),
+        "degree": str(top),
+        "vanishing_lines": str(len(vanishing)),
+    }
+    return TraceStep("fit", verdict, detail), None
 
-    # a failing line first settles order 0 with one more call
-    order = cascade(fitted, failing + vanishing)
-    steps.append(
-        TraceStep(
-            name="cascade",
-            verdict=(
-                "the polynomial itself fails to vanish identically on some line"
-                if order < 0
-                else f"derivatives vanish on all lines through order {order}"
-            ),
-            detail={"order": str(order)},
-        )
+
+def _cascade(run: _Run):
+    order = run.order = cascade(run.fitted, run.lines)
+    verdict = (
+        "the polynomial itself fails to vanish identically on some line"
+        if order < 0
+        else f"derivatives vanish on all lines through order {order}"
     )
-
-    if order >= fitted.degree():
-        raise ContradictionBugError(
-            "every derivative of every order vanished identically on all "
-            "surviving lines; a nonzero constant cannot do that",
-            trace=finish(CONTRADICTION_BUG),
-        )
-    if chk.holds:
-        return finish(BOUND_HOLDS)
-    if not dominated:
-        return finish(DEGREE_NOT_DOMINATED)
+    step = TraceStep("cascade", verdict, {"order": str(order)})
+    if order >= run.fitted.degree():
+        return step, CONTRADICTION_BUG
+    if run.check.holds:
+        return step, BOUND_HOLDS
+    if not run.dominated:
+        return step, DEGREE_NOT_DOMINATED
     # Bound violated yet every surviving line dominated b and the cascade
     # still halted: no consistent reading of the argument allows this.
     raise InternalInvariantViolation(
         "inequality violated but the proof machinery found no failing step"
     )
+
+
+def trace(config: Configuration) -> ProofTrace:
+    """Replay the whole argument on one configuration.
+
+    The steps run in order: joints, bound, prune, degree, fit and cascade.
+    Each takes the one record of the run, sets what it found, and returns
+    its narrative step and, where the argument ends there, the outcome; the
+    trace stops at the first outcome and appends it as the last step.  The
+    fit step raises InternalInvariantViolation when a surviving line
+    carries more joints than the fit's degree yet the fit does not vanish
+    on it, which the argument's core fact rules out.
+
+    The outcome reports how the counterfactual hypothesis fails here:
+    ALL_PRUNED when pruning wipes out every joint; BOUND_HOLDS when the
+    inequality already holds (the usual case, decided after the cascade so
+    that every step runs for demonstration); DEGREE_NOT_DOMINATED when some
+    surviving line carries too few joints to force vanishing.  Exhausting
+    the cascade instead raises ContradictionBugError, carrying the trace: it
+    would mean a nonzero constant vanished identically on a line.
+    """
+    if config.dim < 3:
+        raise ValueError("trace needs dimension >= 3")
+    run, steps = _Run(config), []
+    for step in (_joints, _bound, _prune, _degree, _fit, _cascade):
+        record, outcome = step(run)
+        steps.append(record)
+        if outcome:
+            break
+    steps.append(TraceStep("outcome", outcome, {}))
+    result = ProofTrace(
+        outcome=outcome,
+        dim=config.dim,
+        n=config.n,
+        m=len(run.joints),
+        threshold=run.pruned.threshold,
+        b=run.b,
+        per_line_joint_counts=run.pruned.counts if run.b is not None else {},
+        fitted=run.fitted,
+        cascade_order=run.order,
+        narrative=tuple(steps),
+    )
+    if outcome == CONTRADICTION_BUG:
+        raise ContradictionBugError(
+            "every derivative of every order vanished identically on all "
+            "surviving lines; a nonzero constant cannot do that",
+            trace=result,
+        )
+    return result
 
 
 def trace_to_dict(tr: ProofTrace) -> dict:

@@ -155,6 +155,19 @@ def grid_with_tripods():
     return Configuration(3, list(grid(3, 7).lines) + [x_line] + branches)
 
 
+def box(sizes) -> Configuration:
+    """The axis-parallel lines through {0..a-1} x {0..b-1} x ... for sizes
+    (a, b, ...): per axis, one line per point of the other axes, in product
+    order, as grid(d, k) is box((k,) * d)."""
+    d = len(sizes)
+    lines = []
+    for axis in range(d):
+        unit = tuple(int(i == axis) for i in range(d))
+        for rest in product(*(range(k) for i, k in enumerate(sizes) if i != axis)):
+            lines.append(Line(rest[:axis] + (0,) + rest[axis:], unit))
+    return Configuration(d, lines)
+
+
 def nine_hyperplanes():
     """36 lines and 84 rational joints: the hyperplanes x.(1,t,t^2) = t^3 at
     nine t of mixed signs and denominators; line(a,b) is their meet."""

@@ -109,7 +109,7 @@ def test_criterion_2_bound_everywhere(tmp_path, capsys, corpus):
 
 @criterion(3, "tightness of the grid family")
 def test_criterion_3_tightness():
-    rows = sweep_grids(3, 2, 6)
+    rows = sweep_grids(3, range(2, 7))
     assert [r.k_or_n for r in rows] == [2, 3, 4, 5, 6]
     ratios = [float(r.ratio) for r in rows]
     expected = 3 ** -1.5

@@ -8,32 +8,32 @@ from jointlab.harness import CSV_COLUMNS, sweep_grids, sweep_random, write_csv
 
 class TestSweepGrids:
     def test_d3_rows(self):
-        rows = sweep_grids(3, 2, 4)
+        rows = sweep_grids(3, range(2, 5))
         assert [(r.n, r.m) for r in rows] == [(12, 8), (27, 27), (48, 64)]
         assert all(r.holds for r in rows)
         assert all(r.lhs <= r.rhs for r in rows)
 
     def test_ratio_constant_for_grids(self):
-        rows = sweep_grids(3, 2, 5)
+        rows = sweep_grids(3, range(2, 6))
         ratios = {r.ratio for r in rows}
         assert ratios == {"0.19245"}
 
     def test_d4_row(self):
-        (row,) = sweep_grids(4, 2, 2)
+        (row,) = sweep_grids(4, [2])
         assert (row.n, row.m) == (32, 16)
 
     def test_empty_range(self):
-        assert sweep_grids(3, 4, 3) == []
+        assert sweep_grids(3, range(4, 4)) == []
 
     def test_pair_guard(self):
         with pytest.raises(ValueError, match="force"):
-            sweep_grids(3, 19, 19)
+            sweep_grids(3, [19])
 
     def test_guard_fires_before_building(self, monkeypatch):
         built = []
         monkeypatch.setattr(harness, "grid", lambda d, k: built.append(k))
         with pytest.raises(ValueError, match="force"):
-            sweep_grids(3, 150, 150)
+            sweep_grids(3, [150])
         assert built == []
 
 
@@ -55,7 +55,7 @@ class TestSweepRandom:
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
-        rows = sweep_grids(3, 2, 4) + sweep_random(3, [5], [1, 2])
+        rows = sweep_grids(3, range(2, 5)) + sweep_random(3, [5], [1, 2])
         path = tmp_path / "sweep.csv"
         write_csv(rows, path)
         header, *records = csv.reader(path.read_text().splitlines())
@@ -75,6 +75,6 @@ class TestCsv:
 
     def test_seed_column_empty_for_grids(self, tmp_path):
         path = tmp_path / "sweep.csv"
-        write_csv(sweep_grids(3, 2, 2), path)
+        write_csv(sweep_grids(3, [2]), path)
         line = path.read_text().splitlines()[1]
         assert line.split(",")[2] == ""

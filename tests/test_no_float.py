@@ -17,7 +17,8 @@ ALLOWED = {
     "harness._make_row": "the 6-significant-digit ratio column of a sweep CSV; "
     "the row's verdict comes from the integers",
     "commands.bound.run": "prints bound_constant's decimal A(d)",
-    "pipeline.trace": "writes bound_constant's decimal A(d) into the trace",
+    "pipeline._bound": "writes bound_constant's decimal A(d) into the trace's "
+    "bound step",
 }
 
 FLOAT_FORMAT = re.compile(r"[eEfFgG%]$")

@@ -9,7 +9,11 @@ from hypothesis import strategies as st
 
 from jointlab.constructions import grid, grid_plus_orphan, planar_bundle
 from jointlab.curves import polynomial_from_text
-from jointlab.errors import InternalInvariantViolation, ZeroPolynomialError
+from jointlab.errors import (
+    ContradictionBugError,
+    InternalInvariantViolation,
+    ZeroPolynomialError,
+)
 from jointlab.exact import Point
 from jointlab.files import line_to_dict
 from jointlab.geometry import (
@@ -26,6 +30,7 @@ from jointlab.pipeline import (
     ALL_PRUNED,
     BOUND_HOLDS,
     CONTRADICTION_BUG,
+    DEGREE_NOT_DOMINATED,
     GRADIENT_ZERO,
     NOT_APPLICABLE,
     _check_prune_invariants,
@@ -37,9 +42,10 @@ from jointlab.pipeline import (
     trace,
     trace_to_dict,
 )
-from jointlab.polynomial import Polynomial, minimal_fit
+from jointlab.polynomial import Polynomial, minimal_fit, vanishes_on_line
 
 from conftest import (
+    box,
     grid_with_tripods,
     line_point,
     nine_hyperplanes,
@@ -410,6 +416,62 @@ class TestTrace:
             result = trace(config)
             assert result.outcome != CONTRADICTION_BUG, name
             assert result.outcome in (BOUND_HOLDS, ALL_PRUNED), name
+
+    def test_box_forces_vanishing_on_its_long_lines(self):
+        """box(4,4,1): 24 lines and 16 joints, b = deg p = 3, and the 8
+        lines in the plane z = 0 carry 4 joints each, more than deg p."""
+        result = trace(box((4, 4, 1)))
+        assert result.outcome == BOUND_HOLDS
+        assert (result.n, result.m, result.b, result.fitted.degree()) == (24, 16, 3, 3)
+        counts = result.per_line_joint_counts
+        forced = [line for line, count in counts.items() if count > 3]
+        assert len(forced) == 8
+        assert all(vanishes_on_line(result.fitted, line) for line in forced)
+
+    def test_a_forced_line_the_fit_misses_is_a_bug(self, monkeypatch):
+        forced = Line((0, 0, 0), (1, 0, 0))  # 4 joints of box(4,4,1)
+        decide = pipeline.vanishes_on_line
+        monkeypatch.setattr(
+            pipeline, "vanishes_on_line", lambda p, line: line != forced and decide(p, line)
+        )
+        with pytest.raises(InternalInvariantViolation, match="4 zeros on"):
+            trace(box((4, 4, 1)))
+
+
+class TestOutcomeBranches:
+    """The outcomes that no input reaches, since the bound holds and the
+    cascade halts, driven by replacing what the trace calls."""
+
+    @pytest.fixture
+    def violated(self, monkeypatch):
+        """The bound check reports every bound violated."""
+        check = pipeline.bound_check
+        monkeypatch.setattr(
+            pipeline, "bound_check", lambda n, m, d: check(n, m, d)._replace(holds=False)
+        )
+
+    def test_a_violated_bound_and_a_short_line_are_not_dominated(self, violated):
+        result = trace(grid(3, 5))  # 5 joints per line against b = 8
+        assert result.outcome == DEGREE_NOT_DOMINATED
+        bound_step = next(s for s in result.narrative if s.name == "bound")
+        assert bound_step.verdict == "violated"
+
+    def test_a_violated_bound_with_every_line_dominated_is_a_bug(
+        self, violated, monkeypatch
+    ):
+        monkeypatch.setattr(pipeline, "min_fit_degree", lambda m, d: 4)
+        with pytest.raises(InternalInvariantViolation, match="no failing step"):
+            trace(grid(3, 5))
+
+    def test_an_exhausted_cascade_raises_with_its_trace(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "cascade", lambda p, lines: p.degree())
+        with pytest.raises(ContradictionBugError) as raised:
+            trace(grid(3, 3))
+        tr = raised.value.trace
+        assert (tr.outcome, tr.cascade_order) == (CONTRADICTION_BUG, 4)
+        assert [s.name for s in tr.narrative] == [
+            "joints", "bound", "prune", "degree", "fit", "cascade", "outcome"
+        ]
 
 
 def affine_invariants(config: Configuration) -> dict:

@@ -1,29 +1,38 @@
 """The scripts in ``tools/`` still run against the package.
 
-Both reach package internals by name (``polynomial._distinct_points``,
-``polynomial._evaluation_matrix``, ``kernel._lift``, ``cli.main`` and
-``cli.entry``), so a rename inside the package shows here.  Each script
-runs once, at its smallest setting, in a fresh interpreter; the checks read
-the exit code and the shape of each printed row, never a time.
+The timing scripts reach package internals by name
+(``polynomial._distinct_points``, ``polynomial._evaluation_matrix``,
+``kernel._lift``, ``cli.main`` and ``cli.entry``), so a rename inside the
+package shows here; the parity script runs the command line of two source
+trees.  Each script runs in a fresh interpreter, the timing ones at their
+smallest setting; the checks read the exit code and the shape of each
+printed row, never a time.
 """
 
 import re
+import shutil
 import subprocess
 import sys
 
 from test_imports import ROOT
 
+SRC = ROOT / "src"
+
 MS = r"\d+\.\d ms"
 
 
-def tool(*argv: str) -> list[str]:
-    """The lines the script in tools/ prints; it must exit 0."""
-    child = subprocess.run(
+def run_tool(*argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
         [sys.executable, str(ROOT / "tools" / argv[0]), *argv[1:]],
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def tool(*argv: str) -> list[str]:
+    """The lines the script in tools/ prints; it must exit 0."""
+    child = run_tool(*argv)
     assert (child.returncode, child.stderr) == (0, ""), child.stderr
     return child.stdout.splitlines()
 
@@ -45,3 +54,29 @@ def test_job_phases_prints_each_end_and_the_floor():
     for line, end in zip(lines[2:4], [r"entry\(\)", r"sys\.exit\(main\(\)\)"]):
         assert re.fullmatch(rf"sweep-random +{end} +{MS} +{MS}", line), line
     assert re.fullmatch(rf"python -c pass +{MS}", lines[4]), lines[4]
+
+
+def test_parity_finds_no_difference_between_a_tree_and_itself():
+    assert tool("parity.py", str(SRC), str(SRC)) == [
+        "59 command lines, 21 files: 0 difference(s)"
+    ]
+
+
+def test_parity_names_the_command_whose_output_changed(tmp_path):
+    copy = tmp_path / "src"
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    pipeline = copy / "jointlab" / "pipeline.py"
+    text = pipeline.read_text(encoding="utf-8")
+    assert text.count("} surviving lines") == 1
+    pipeline.write_text(text.replace("} surviving lines", "} remaining lines"), "utf-8")
+    child = run_tool("parity.py", str(SRC), str(copy))
+    assert (child.returncode, child.stderr) == (1, "")
+    *report, summary = child.stdout.splitlines()
+    # the fit step's verdict: in trace's stdout and its JSON, where a fit runs
+    heads = [line for line in report if not line.startswith("  ")]
+    assert "trace grid-3-5.json --json grid-3-5.trace.json: stdout differs" in heads
+    assert "file grid-3-5.trace.json differs" in heads
+    assert all(h.startswith("trace ") or h.endswith(".trace.json differs") for h in heads)
+    fit = "  +[fit] degree 8 polynomial vanishes identically on 50 of 75 remaining lines"
+    assert any(line.startswith(fit) for line in report)
+    assert summary.endswith(f": {len(heads)} difference(s)")
