@@ -6,21 +6,33 @@ rational rows scales each to integers first, by
 :func:`~jointlab.exact.integer_form`, which changes neither rank nor
 nullspace.  The rows are eliminated modulo a prime below 2^30, so every
 residue, multiplier and pivot inverse is one 30-bit digit of a CPython int
-(Cabay, "Exact solution of linear equations", SYMSAC 1971).  The kernel
-vectors an answer needs are back-substituted mod p, recovered as integer
-numerators over one denominator by rational reconstruction (Wang, Guy and
-Davenport, "P-adic reconstruction of rational numbers", SIGSAM Bull. 1982)
-and checked exactly in integers, M x = 0.  The checks prove that the pivots
-found mod p are the rational ones, so every answer is exact and is the one
-the selection rule defines.  A vector whose numerators are too large for one
-prime is lifted p-adically on the walk's own pivot steps (Dixon, "Exact
-solution of linear equations using p-adic expansions", Numer. Math. 1982)
-and reconstructed modulo p^s, so one walk serves every fit.  A lift step
-pays only for the nonzero digits of its vector, and a Hadamard guard, built
-once per prime from the full pivot rows, bounds how far any lift may go.  A
-prime whose pivots are not the rational ones is dropped, and the next prime
-walks from scratch.  The kernel names no Fraction: integers in, integers
-out.
+(Cabay, "Exact solution of linear equations", SYMSAC 1971).  The walk makes
+no row swaps: it records the row of each pivot, and the rows keep the
+matrix's own order.  A pivot step holds its multipliers packed as one int
+of 64-bit lanes, lane i for row i, in the native byte order of
+``array("Q")``, with a mask of one byte per row that marks the nonzero
+lanes.  Applying a step to a column is one big-int multiply-add over every
+row at once.  Lanes are never negative and are reduced mod p after every
+2^64 // p^2 - 1 multiply-adds, so none carries into the next, and the
+masks let a column skip a step whose pivot row it holds as zero without
+reading the lane.
+
+The kernel vectors an answer needs are back-substituted mod p, recovered as
+integer numerators over one denominator by rational reconstruction (Wang,
+Guy and Davenport, "P-adic reconstruction of rational numbers", SIGSAM
+Bull. 1982) and checked exactly in integers, M x = 0.  The checks prove
+that the pivots found mod p are the rational ones, so every answer is exact
+and is the one the selection rule defines.  A vector that fails to
+reconstruct, or fails its check, is checked once more as its own digit: the
+residues nearest 0, as integers.  One whose numerators are still too large
+for one prime is lifted p-adically on the walk's own pivot steps (Dixon,
+"Exact solution of linear equations using p-adic expansions", Numer. Math.
+1982) and reconstructed modulo p^s, so one walk serves every fit.  A lift
+step pays only for the nonzero digits of its vector, and a Hadamard guard,
+built once per prime from the full pivot rows, bounds how far any lift may
+go.  A prime whose pivots are not the rational ones is dropped, and the
+next prime walks from scratch.  The kernel names no Fraction: integers in,
+integers out.
 
 Only a run that ranks or fits loads this module: ``exact`` imports it on
 the first call of ``rank`` or ``nullspace_vector``.
@@ -28,9 +40,10 @@ the first call of ``rank`` or ``nullspace_vector``.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from array import array
 from math import isqrt, prod
 from operator import mul
+from sys import byteorder
 from typing import Iterator, Sequence
 
 from .errors import InternalInvariantViolation
@@ -38,6 +51,8 @@ from .exact import lowest_terms
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PRIMES: list[int] = []  # found by _primes, largest first
+_BITS = 8 * array("Q").itemsize  # bits per lane of a packed column
+_LANE_MAX = (1 << _BITS) - 1
 
 
 def _is_prime(n: int) -> bool:
@@ -79,77 +94,106 @@ def _primes() -> Iterator[int]:
 
 
 def _walk(columns: Sequence[Sequence[int]], m: int, p: int):
-    """Left-looking row echelon walk of integer columns mod p.
+    """Left-looking row echelon walk of integer columns mod p, with no row
+    swaps.
 
     Columns are walked left to right.  A column is reduced only when the walk
     reaches it, by :func:`_reduce` with the pivot steps recorded so far.  Its
-    first nonzero entry at or below the next pivot row then becomes a pivot,
-    and the step is recorded: the row swap, the pivot inverse and, for each
-    row below the pivot whose entry is nonzero, in increasing order, the
-    pair (row, multiplier).  Rows with a zero multiplier are left out, so
-    applying the step touches only the entries it changes.
-    The walk stops once every row holds a pivot.
+    first nonzero entry in a row that holds no pivot yet, in the matrix's own
+    row order, then becomes a pivot, and the step is recorded: the pivot row,
+    the pivot inverse, the packed multipliers and their byte mask.  Lane i of
+    the multipliers holds p - f, for f the multiplier of row i, at each row
+    that holds no pivot and whose entry is nonzero, and 0 at every other
+    row; byte i of the mask is 1 exactly where lane i is nonzero.  The walk
+    stops once every row holds a pivot.
 
     Returns the pivot columns, the reduced columns the walk reached and the
-    steps.  Entry r of a reduced column is final once r steps precede it.
+    steps.  A reduced column is its entries in the pivot rows of the steps
+    before it, in step order: for a free column the right-hand side of its
+    back-substitution, for a pivot column its part of the triangular factor.
     """
     pivots: list[int] = []
     reduced: list[list[int]] = []
     steps: list[tuple] = []
+    rows: list[int] = []  # the pivot rows, in step order
     for j, column in enumerate(columns):
-        r = len(pivots)
-        if r == m:
+        if len(rows) == m:
             break
         col = _reduce(column, steps, p)
-        reduced.append(col)
-        sel = next((i for i in range(r, m) if col[i]), None)
-        if sel is None:
+        reduced.append([col[i] for i in rows])
+        for i in rows:
+            col[i] = 0
+        top = next(filter(None, col), 0)
+        if not top:
             continue
-        col[r], col[sel] = col[sel], col[r]
-        inv = pow(col[r], -1, p)
-        below = [(i, v * inv % p) for i, v in enumerate(col[r + 1 :], r + 1) if v]
-        steps.append((sel, inv, below))
+        sel = col.index(top)
+        inv = pow(top, -1, p)
+        col[sel] = 0
+        mask = int.from_bytes(bytes(map(bool, col)), "little")
+        neg = p - inv  # -1 / top
+        steps.append((sel, inv, _pack([v and v * neg % p for v in col]), mask))
+        rows.append(sel)
         pivots.append(j)
     return pivots, reduced, steps
 
 
+def _pack(residues) -> int:
+    """Residues below 2^64 as one int of 64-bit lanes, lane i holding
+    residue i, in the native byte order."""
+    return int.from_bytes(array("Q", residues).tobytes(), byteorder)
+
+
+def _unpack(col: int, m: int):
+    """The m lanes of a packed column, as a ``memoryview`` of 64-bit
+    unsigned ints."""
+    return memoryview(col.to_bytes(_BITS // 8 * m, byteorder)).cast("Q")
+
+
 def _reduce(column: Sequence[int], steps: list[tuple], p: int) -> list[int]:
-    """One integer column mod p with the recorded steps applied in order:
-    step r swaps rows r and sel, then, in place, takes each recorded
-    multiplier times entry r from the entry of its row.  A zero entry r
-    skips the step, and rows with a zero multiplier are never visited.
+    """One integer column mod p, in the matrix's row order, with the
+    recorded steps applied in order.  Step s reads top, the column's entry
+    in its pivot row, and adds top times its packed multipliers, so every
+    lane i gains top * (p - f), which is -top * f mod p: one multiply-add.
 
-    Only entry r is reduced mod p at step r; the entries below it are
-    reduced once at the end, which stays exact and saves a division per
-    update.
+    The column's residues stay a list, and the updates of the steps add up
+    in one packed int, which starts at 0.  A step whose pivot row is zero
+    both in the residues and in the masks of the steps applied so far is
+    skipped without reading the lane; a step whose top is 0 is skipped once
+    the lane is read.  After t multiply-adds a lane is below
+    p + t (p - 1)^2, so the lanes are reduced mod p after every
+    2^64 // p^2 - 1 of them (15 for p below 2^30), which keeps each within
+    its 64 bits, and added to the residues once at the end.
     """
-    col = [v % p for v in column]
-    for r, (sel, _, below) in enumerate(steps):
-        col[r], col[sel] = col[sel], col[r]
-        top = col[r] % p
-        col[r] = top
-        if top:
-            for i, f in below:
-                col[i] -= f * top
-    return [v % p for v in col]
+    m = len(column)
+    res = [v % p for v in column]
+    cadence = left = (1 << _BITS) // (p * p) - 1
+    flip = (m - 1) * (byteorder == "big")  # lane i sits |flip - i| lanes up
+    col = supp = 0
+    for q, _, mults, mask in steps:
+        if res[q] or supp >> 8 * q & 1:
+            top = (res[q] + (col >> _BITS * abs(flip - q) & _LANE_MAX)) % p
+            if top:
+                col += top * mults
+                supp |= mask
+                left -= 1
+                if not left:
+                    col = _pack([v % p for v in _unpack(col, m).tolist()])
+                    left = cadence
+    if col:
+        res = [(r + v) % p if v else r for r, v in zip(res, _unpack(col, m))]
+    return res
 
 
-def _back_substitute(
-    col: list[int],
-    k: int,
-    reduced: list[list[int]],
-    pivots: list[int],
-    steps: list[tuple],
-    p: int,
-) -> list[int]:
+def _back_substitute(y: list[int], walk, p: int) -> list[int]:
     """The kernel vector mod p that is 1 at a free column, 0 at the other
     free columns and supported on the k pivots before it: its pivot entries,
     in pivot order, each the residue nearest 0 (at most p // 2 in absolute
-    value).  col is the free column reduced by those k steps.  An integer
-    vector within p // 2 is so its own digit, and :func:`_lift` finds a zero
-    residual for it."""
-    y = col[:k]
-    for r in reversed(range(k)):
+    value).  y is the free column reduced by those k steps of the walk, read
+    at their pivot rows in step order.  An integer vector within p // 2 is
+    so its own digit, and the exact check passes it with no lift."""
+    pivots, reduced, steps = walk
+    y = list(y)
+    for r in reversed(range(len(y))):
         t = y[r] * steps[r][1] % p
         y[r] = t
         if t:
@@ -212,17 +256,16 @@ def _in_kernel(
 
 def _pivot_block(rows: Sequence[Sequence[int]], pivots: list[int], steps: list[tuple]):
     """The walk's row order, its pivot block and the Hadamard guard of every
-    lift on it.  ``order[r]`` is the row that the swaps of the steps leave in
-    row r, and ``block[t]`` holds the entries of pivot column ``pivots[t]``
-    in the pivot rows ``order[:K]``, in that order.  The leading k x k block
-    is the matrix that the first k steps factor mod p.  The guard is
-    2 * prod |row|^2 over the full pivot rows.  A full row's |row|^2 bounds
-    that of the part any leading block and free column reach, and each
-    factor is at least 1, so one guard serves every column lifted on this
-    prime."""
-    order = list(range(len(rows)))
-    for r, (sel, _, _) in enumerate(steps):
-        order[r], order[sel] = order[sel], order[r]
+    lift on it.  ``order`` is the pivot rows in step order followed by the
+    other rows, and ``block[t]`` holds the entries of pivot column
+    ``pivots[t]`` in the pivot rows ``order[:K]``, in that order.  The
+    leading k x k block is the matrix that the first k steps factor mod p.
+    The guard is 2 * prod |row|^2 over the full pivot rows.  A full row's
+    |row|^2 bounds that of the part any leading block and free column
+    reach, and each factor is at least 1, so one guard serves every column
+    lifted on this prime."""
+    order = [q for q, *_ in steps]
+    order += sorted(set(range(len(rows))).difference(order))
     top = [rows[i] for i in order[: len(pivots)]]
     cols = list(zip(*top))
     block = [cols[j] for j in pivots]
@@ -238,17 +281,17 @@ def _lift(residual: list[int], digit: list[int], block, order, walk, p: int):
     order is updated by the last digit in exact integers, r <- (r + A y)/p,
     column by column over the block's columns of nonzero digits.  The next
     digit, the solution mod p of A y = -r, is found with the walk's own
-    steps: :func:`_reduce`, then :func:`_back_substitute`.
+    steps: :func:`_reduce` with the first k of them, then
+    :func:`_back_substitute`.
     Returns the new residual and digit.
     """
-    pivots, reduced, steps = walk
     k = len(digit)
     residual = [v // p for v in _combination(residual, block, digit)]
     col = [0] * len(order)
     for i, c in zip(order, residual):
         col[i] = c
-    digit = _back_substitute(_reduce(col, steps[:k], p), k, reduced, pivots, steps, p)
-    return residual, digit
+    col = _reduce(col, walk[2][:k], p)
+    return residual, _back_substitute([col[i] for i in order[:k]], walk, p)
 
 
 def _lifted(columns, f: int, digit: list[int], found, pivot_block, walk, p: int):
@@ -308,12 +351,14 @@ def _certified_walk(rows: Sequence[Sequence[int]], select: bool):
     passes is the only kernel vector with its support.
 
     A vector whose reconstruction mod p fails, or fails the check, is
-    lifted by :func:`_lifted` on the pivot block and its guard, which are
-    built once per prime and only then.  Lifting either certifies the vector
-    or shows that its column is a pivot over Q that p missed.  Such a prime
-    is unlucky: it is dropped and the next prime walks from scratch.  Only
-    the finitely many primes dividing a pivot minor are unlucky, so the loop
-    ends.
+    checked once more as its own digit, the residues nearest 0 over
+    denominator 1, which an integral vector within p // 2 passes.  Failing
+    that too, it is lifted by :func:`_lifted` on the pivot block and its
+    guard, which are built once per prime and only then.  Lifting either
+    certifies the vector or shows that its column is a pivot over Q that p
+    missed.  Such a prime is unlucky: it is dropped and the next prime walks
+    from scratch.  Only the finitely many primes dividing a pivot minor are
+    unlucky, so the loop ends.
     """
     if len({len(row) for row in rows}) > 1:
         raise ValueError("matrix rows have unequal lengths")
@@ -329,18 +374,23 @@ def _certified_walk(rows: Sequence[Sequence[int]], select: bool):
         cols = [reduced[j] for j in needed]
         if select and len(reduced) < n:
             needed.append(n - 1)
-            cols.append(_reduce(columns[-1], steps, p))
+            col = _reduce(columns[-1], steps, p)
+            cols.append([col[q] for q, *_ in steps])
         pivot_block = None
         for f, col in zip(needed, cols):
-            k = bisect_left(pivots, f)
-            digit = _back_substitute(col, k, reduced, pivots, steps, p)
+            support = pivots[: len(col)]
+            digit = _back_substitute(col, walk, p)
             found = _rational_numerators(digit, p)
-            if found is None or not _in_kernel(columns, f, pivots[:k], *found):
-                if pivot_block is None:
-                    pivot_block = _pivot_block(rows, pivots, steps)
-                found = _lifted(columns, f, digit, found, pivot_block, walk, p)
-                if found is None:
-                    break
+            if found is not None and _in_kernel(columns, f, support, *found):
+                continue
+            if _in_kernel(columns, f, support, digit, 1):
+                found = digit, 1
+                continue
+            if pivot_block is None:
+                pivot_block = _pivot_block(rows, pivots, steps)
+            found = _lifted(columns, f, digit, found, pivot_block, walk, p)
+            if found is None:
+                break
         else:
             if not select:
                 return pivots, None

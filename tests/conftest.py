@@ -1,4 +1,3 @@
-from bisect import bisect_left
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, count, product
@@ -46,33 +45,27 @@ def fit_rows(points, d: int):
 
 
 def walk_updates(rows, p: int | None = None) -> int:
-    """The multiply-subtract updates of the kernel's walk of integer rows
-    mod p, by default the kernel's first prime: each column the walk reduced
-    is reduced again here by the steps recorded before it, counting one
-    update per recorded row of each step whose pivot-row entry is nonzero.
-    The replay must give the walk's own reduced columns, so the count is
-    that of the walk."""
+    """The multiply-adds of the kernel's walk of integer rows mod p, by
+    default the kernel's first prime: each column the walk reduced is
+    reduced again here, in a plain list of residues, by the steps recorded
+    before it, counting one multiply-add for each step whose entry in its
+    pivot row is nonzero.  The replay must give the walk's own reduced
+    columns, so the count is that of the walk."""
     if p is None:
         p = next(kernel._primes())
-    columns = list(zip(*rows))
-    pivots, reduced, steps = kernel._walk(columns, len(rows), p)
+    columns, m = list(zip(*rows)), len(rows)
+    pivots, reduced, steps = kernel._walk(columns, m, p)
+    lanes = [kernel._unpack(mults, m).tolist() for _, _, mults, _ in steps]
     updates = 0
     for j, done in enumerate(reduced):
-        k = bisect_left(pivots, j)  # the steps recorded before column j
+        k = len(done)  # the steps recorded before column j
         col = [v % p for v in columns[j]]
-        for r, (sel, _, below) in enumerate(steps[:k]):
-            col[r], col[sel] = col[sel], col[r]
-            top = col[r] % p
-            col[r] = top
+        for (q, *_), mults in zip(steps[:k], lanes):
+            top = col[q]
             if top:
-                updates += len(below)
-                for i, f in below:
-                    col[i] -= f * top
-        col = [v % p for v in col]
-        if pivots[k : k + 1] == [j]:  # the walk swapped its pivot into row k
-            sel = steps[k][0]
-            col[k], col[sel] = col[sel], col[k]
-        assert col == done, j
+                updates += 1
+                col = [(v + top * f) % p for v, f in zip(col, mults)]
+        assert [col[q] for q, *_ in steps[:k]] == done, j
     return updates
 
 

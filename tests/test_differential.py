@@ -658,7 +658,7 @@ def sparse_matrices(draw):
 
 
 @st.composite
-def kernel_cases(draw, shapes=("wide", "last", "deficient", "sparse", "any")):
+def kernel_cases(draw, shapes=("wide", "last", "deficient", "sparse", "huge", "any")):
     """A matrix whose shape drives one path of the walk, with zero rows and
     zero columns inserted and its entries written in a drawn form."""
     shape = draw(st.sampled_from(shapes))
@@ -678,6 +678,11 @@ def kernel_cases(draw, shapes=("wide", "last", "deficient", "sparse", "any")):
         rows = times(draw(matrices(m, k)), draw(matrices(k, c)), c)
     elif shape == "sparse":
         rows = draw(sparse_matrices())
+    elif shape == "huge":  # entries past 2^64 either way: reduced mod p before packing
+        big = st.one_of(st.integers(2**64, 2**70), st.integers(-(2**70), -(2**64)))
+        cell = st.one_of(entries, st.builds(Fraction, big))
+        c = draw(st.integers(1, 7))
+        rows = draw(st.lists(st.lists(cell, min_size=c, max_size=c), min_size=m, max_size=m))
     else:
         rows = draw(matrices(m, draw(st.integers(1, 7))))
     zeros = st.sampled_from((0, 0, 0, 1, 2))
@@ -719,9 +724,11 @@ def lifting_cases(draw):
 @st.composite
 def past_one_prime_cases(draw):
     """[A | u]: A an integer m x m block, invertible over Q, and u a column
-    of integers of 20 to 40 bits.  The selected vector (-A^-1 u, 1) has a
-    numerator or its denominator past 2^15, so no prime below 2^30 reaches
-    it alone: one prime reconstructs within isqrt(p // 2) < 2^15."""
+    of integers of 20 to 40 bits.  The selected vector (-A^-1 u, 1) is out
+    of reach of any one prime below 2^30: it is not integral and has a
+    numerator or its denominator past 2^15, while one prime reconstructs
+    within isqrt(p // 2) < 2^15, or it is integral with a numerator past
+    2^29, while an integral vector within p // 2 < 2^29 is its own digit."""
     m = draw(st.integers(1, 4))
     small = st.integers(-40, 40)
     block = draw(st.lists(st.lists(small, min_size=m, max_size=m), min_size=m, max_size=m))
@@ -730,7 +737,7 @@ def past_one_prime_cases(draw):
     u = draw(st.lists(wide, min_size=m, max_size=m))
     matrix = [row + [c] for row, c in zip(block, u)]
     nums, den = integer_form(nullspace_vector_naive(matrix))
-    assume(max(den, *map(abs, nums)) > 2**15)
+    assume(max(den, *map(abs, nums)) > (2**15 if den > 1 else 2**29))
     return matrix
 
 

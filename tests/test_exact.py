@@ -391,29 +391,33 @@ class TestEarlyStop:
         # as well, so the selected last column is the only one reduced past
         # the stop, back-substituted and checked, and the first prime does.
         # Its vector is integral, with numerators up to 26,136, above the
-        # reconstruction bound isqrt(p // 2) = 23,170 of one prime, so it
-        # lifts one step.  Its first digit is the vector itself, so the
-        # residual of that step is zero, and so is the column the second
-        # back-substitution takes.
+        # reconstruction bound isqrt(p // 2) = 23,170 of one prime but within
+        # p // 2, so its digit is the vector itself: the exact check passes
+        # the digit, and no lift step is taken.
         points = hyperplane_joints(range(1, 8))
-        walks, substituted, checked, drawn, lifts = [], [], [], [], []
-        walk, back_substitute = kernel._walk, kernel._back_substitute
-        in_kernel = kernel._in_kernel
+        walks, reductions, substituted, checked, drawn, lifts = [], [], [], [], [], []
+        walk, reduce_ = kernel._walk, kernel._reduce
+        back_substitute, in_kernel = kernel._back_substitute, kernel._in_kernel
 
         def walk_spy(columns, m, p):
             pivots, reduced, steps = walk(columns, m, p)
             walks.append((columns, p, list(pivots), len(reduced), steps))
             return pivots, reduced, steps
 
-        def back_substitute_spy(col, k, *rest):
-            substituted.append((list(col), k))
-            return back_substitute(col, k, *rest)
+        def reduce_spy(column, steps, p):
+            reductions.append(tuple(column))
+            return reduce_(column, steps, p)
 
-        def in_kernel_spy(columns, f, *rest):
-            checked.append(f)
-            return in_kernel(columns, f, *rest)
+        def back_substitute_spy(y, *rest):
+            substituted.append(list(y))
+            return back_substitute(y, *rest)
+
+        def in_kernel_spy(columns, f, support, nums, den):
+            checked.append((f, den))
+            return in_kernel(columns, f, support, nums, den)
 
         monkeypatch.setattr(kernel, "_walk", walk_spy)
+        monkeypatch.setattr(kernel, "_reduce", reduce_spy)
         monkeypatch.setattr(kernel, "_back_substitute", back_substitute_spy)
         monkeypatch.setattr(kernel, "_in_kernel", in_kernel_spy)
         monkeypatch.setattr(kernel, "_primes", draws(kernel._primes, drawn))
@@ -423,15 +427,19 @@ class TestEarlyStop:
         assert (len(columns[0]), len(columns)) == (35, 56)
         assert pivots == list(range(35))
         assert reached == 35
-        assert substituted == [(kernel._reduce(columns[55], steps, p), 35), ([0] * 35, 35)]
-        assert checked == [55]
-        assert drawn == lifts == [p]
+        # the 35 pivot columns in the walk, then the last column alone
+        assert reductions == columns[:35] + [columns[55]]
+        last = reduce_(columns[55], steps, p)
+        assert substituted == [[last[q] for q, *_ in steps]]
+        assert checked == [(55, 1)]
+        assert drawn == [p] and lifts == []
         assert fit == fit_naive(points, 3)
 
 
 class TestSparseSteps:
-    """A pivot step records only the rows below its pivot with a nonzero
-    multiplier, and applying it updates only those entries."""
+    """A pivot step packs the multipliers of only the rows that hold no
+    pivot yet and whose entry is nonzero, its mask marks just those rows,
+    and a column whose entry in the pivot row is zero skips the step."""
 
     P = next(kernel._primes())  # the first prime of the kernel
 
@@ -441,33 +449,107 @@ class TestSparseSteps:
     def test_steps_list_the_nonzero_rows_below_the_pivot(self, points, d):
         rows = fit_rows(points, d)
         m, p = len(rows), self.P
-        pivots, reduced, steps = kernel._walk(list(zip(*rows)), m, p)
+        columns = list(zip(*rows))
+        pivots, reduced, steps = kernel._walk(columns, m, p)
         assert len(steps) == len(pivots)
-        for r, (sel, inv, below) in enumerate(steps):
-            pivot = reduced[pivots[r]]  # swapped: its pivot is in row r
-            assert r <= sel < m and inv * pivot[r] % p == 1
-            listed = [i for i, _ in below]
-            assert listed == sorted(set(listed))
-            assert listed == [i for i in range(r + 1, m) if pivot[i]]
-            for i, f in below:
-                assert 0 < f < p and f == pivot[i] * inv % p
+        taken = []  # the pivot rows of the steps so far
+        for r, (q, inv, mults, mask) in enumerate(steps):
+            pivot = kernel._reduce(columns[pivots[r]], steps[:r], p)
+            assert reduced[pivots[r]] == [pivot[i] for i in taken]
+            free = [i for i in range(m) if i not in taken and pivot[i]]
+            assert q == free[0] and inv * pivot[q] % p == 1
+            taken.append(q)
+            lanes = kernel._unpack(mults, m).tolist()
+            assert [i for i, f in enumerate(lanes) if f] == free[1:]
+            assert mask == sum(1 << 8 * i for i in free[1:])
+            for i in free[1:]:
+                assert lanes[i] == -pivot[i] * inv % p
 
     def test_grid_fit_walk_updates(self):
         # The grid(3,5) fit is 125 x 165 at b = 8, the grid(4,3) fit 81 x 126
-        # at b = 5.  Rewriting every entry below each pivot would take
-        # 121,307 and 23,507 updates.
-        assert walk_updates(fit_rows(cube_points(5, 3), 3)) == 59_830
-        assert walk_updates(fit_rows(cube_points(3, 4), 4)) == 9_339
+        # at b = 5.  A multiply-add updates a whole column; updating only
+        # the listed entries, one scalar update each, took 59,830 and 9,339.
+        assert walk_updates(fit_rows(cube_points(5, 3), 3)) == 955
+        assert walk_updates(fit_rows(cube_points(3, 4), 4)) == 230
 
     def test_zero_multipliers_are_not_recorded(self):
+        p = self.P
         assert walk_updates([[1, 2], [3, 4]]) == 1
-        assert walk_updates([[1, 2], [0, 4]]) == 0
-        # column 0 swaps rows 0 and 1 and records row 3 only; column 1 is
-        # then (1, 1, 1, 0), so its step records row 2 only
+        assert walk_updates([[1, 0], [3, 4]]) == 0  # a zero top skips the step
+        # column 0 has its pivot in row 0 and row 1 has a zero multiplier
+        assert kernel._walk([(1, 0), (2, 4)], 2, p)[2][0][2:] == (0, 0)
+        # column 0 takes its pivot in row 1 and lists row 3 only; column 1 is
+        # then (1, 1, 1, 0), so its pivot is in row 0 and its step lists
+        # row 2 only
         rows = [[0, 1], [2, 1], [0, 1], [4, 2]]
-        _, _, steps = kernel._walk(list(zip(*rows)), 4, self.P)
-        assert steps == [(1, pow(2, -1, self.P), [(3, 2)]), (1, 1, [(2, 1)])]
+        _, _, steps = kernel._walk(list(zip(*rows)), 4, p)
+        assert steps == [
+            (1, pow(2, -1, p), kernel._pack([0, 0, 0, p - 2]), 1 << 24),
+            (0, 1, kernel._pack([0, 0, p - 1, 0]), 1 << 16),
+        ]
         assert walk_updates(rows) == 1
+
+
+class TestPackedLanes:
+    """A column's updates add up in one int of 64-bit lanes, one lane per
+    row, and are reduced mod p before a lane could carry into the next."""
+
+    P = next(kernel._primes())  # the first prime of the kernel
+
+    def test_pack_and_unpack_round_trip(self):
+        p = self.P
+        residues = [0, 1, 2, p // 2, p - 2, p - 1, 0]
+        residues += random.Random(7).choices(range(p), k=50)
+        assert kernel._unpack(kernel._pack(residues), len(residues)).tolist() == residues
+        # a lane holds up to 2^64 - 1 and a zero lane above it still counts
+        lanes = [0, 2**64 - 1, 0]
+        assert kernel._unpack(kernel._pack(lanes), 3).tolist() == lanes
+        # lanes add and scale without carries while each stays below 2^64
+        top = p - 1
+        total = kernel._pack(residues) + top * kernel._pack(residues[::-1])
+        expected = [a + top * b for a, b in zip(residues, residues[::-1])]
+        assert kernel._unpack(total, len(residues)).tolist() == expected
+
+    def test_lanes_are_reduced_before_they_carry(self):
+        # 20 steps with pivot rows 0..19, each adding top * (p - 1) to row 20
+        # alone, on a column with top p - 1 at every step: row 20 gains
+        # (p - 1)^2, nearly 2^60, per step, so without a reduction after
+        # every 15 its lane would pass 2^64 at the 17th
+        p, m = self.P, 21
+        mults = kernel._pack([0] * 20 + [p - 1])
+        steps = [(q, 1, mults, 1 << 8 * 20) for q in range(20)]
+        assert 16 * (p - 1) ** 2 < 2**64 < 17 * (p - 1) ** 2
+        # each step adds -(p - 1) = 1 mod p to row 20
+        assert kernel._reduce([-1] * 20 + [0], steps, p) == [p - 1] * 20 + [20]
+
+    def test_a_dense_column_reduces_its_lanes_between_multiply_adds(self, monkeypatch):
+        # 20 x 21, no entry zero: every step applies to every later column,
+        # so the columns past the 16th take more than 2^64 // p^2 - 1 = 15
+        # multiply-adds, and their lanes are reduced on the way
+        rng = random.Random(20)
+        matrix = [[rng.choice((-9, -5, -2, -1, 1, 3, 4, 8)) for _ in range(21)] for _ in range(20)]
+        assert (1 << 64) // (self.P * self.P) - 1 == 15
+        unpacks, reduce_, unpack = [], kernel._reduce, kernel._unpack
+
+        def reduce_spy(*args):
+            unpacks.append(0)
+            return reduce_(*args)
+
+        def unpack_spy(col, m):
+            if unpacks:
+                unpacks[-1] += 1
+            return unpack(col, m)
+
+        monkeypatch.setattr(kernel, "_reduce", reduce_spy)
+        monkeypatch.setattr(kernel, "_unpack", unpack_spy)
+        expected = integer_form(nullspace_vector_naive(matrix))
+        assert rank(matrix) == rank_naive(matrix) == 20
+        assert nullspace_vector(matrix) == expected
+        # the final unpack of a reduced column, and one lane reduction
+        assert max(unpacks) == 2
+        with prime_source(small_primes):
+            assert rank(matrix) == 20
+            assert nullspace_vector(matrix) == expected
 
 
 def draws(source, log):
@@ -609,16 +691,18 @@ class TestModularRarePaths:
 
 class TestLiftWork:
     """The p-adic lift on the one-digit primes, counted.  One prime reaches
-    numerators and denominators up to isqrt(p // 2) = 23,170.  The kernel
-    vectors that the grid(3,7) fit (343 x 364 at b = 11) checks are
-    integral, and 60 of them have larger numerators; the selected vector of
-    the nine hyperplanes (84 x 120 at b = 7) is too large as well."""
+    numerators and denominators up to isqrt(p // 2) = 23,170 by
+    reconstruction, and integral vectors within p // 2 as their own digits.
+    The kernel vectors that the grid(3,7) fit (343 x 364 at b = 11) checks
+    are integral, with numerators up to 2^26, so none of them lifts; the
+    selected vector of the nine hyperplanes (84 x 120 at b = 7) is too large
+    for one prime."""
 
     P = next(kernel._primes())  # the first prime of the kernel
 
     @pytest.mark.parametrize(
         "points, lifted_columns",
-        [(cube_points(7, 3), 60), (list(find_joints(nine_hyperplanes())), 1)],
+        [(cube_points(7, 3), 0), (list(find_joints(nine_hyperplanes())), 1)],
         ids=["grid(3,7)", "9 hyperplanes"],
     )
     def test_each_lifted_column_takes_one_step_on_one_block(
@@ -645,7 +729,10 @@ class TestLiftWork:
             nums, den = nullspace_vector(rows)
         assert drawn == [self.P]
         assert steps_per_column == [1] * lifted_columns
-        assert len(blocks) == 1  # and so one guard, however many columns lift
+        assert lifts == [self.P] * lifted_columns
+        # one block, and so one guard, however many columns lift; none if
+        # none does
+        assert len(blocks) == min(lifted_columns, 1)
         assert not any(sum(map(mul, row, nums)) for row in rows)
 
     def test_the_pivot_block_is_built_once_per_prime(self, monkeypatch):
@@ -665,7 +752,9 @@ class TestLiftWork:
         assert blocks == [[1], [0]]
 
     def test_a_lift_step_reads_only_the_block_columns_of_nonzero_digits(self, monkeypatch):
-        rows = fit_rows(cube_points(7, 3), 3)
+        # grid(3,8) (512 x 560 at b = 12) has kernel vectors with numerators
+        # up to 2^33, past p // 2, so some columns lift
+        rows = fit_rows(cube_points(8, 3), 3)
         reading, reads, expected, sizes = [None], [], [], []
         pivot_block, lift = kernel._pivot_block, kernel._lift
 
@@ -700,8 +789,9 @@ class TestLiftWork:
         monkeypatch.setattr(kernel, "_lift", lift_spy)
         nullspace_vector(rows)
         assert reads == expected
-        # 60 steps of 12,775 digits in all, 360 of them nonzero
-        assert (len(reads), sum(sizes), sum(map(len, reads))) == (60, 12_775, 360)
+        # 12 columns lift two steps each: 24 steps of 8,496 digits in all, 117
+        # of them nonzero
+        assert (len(reads), sum(sizes), sum(map(len, reads))) == (24, 8_496, 117)
 
 
 class TestThreeReferences:

@@ -117,6 +117,7 @@ def test_sweep_random_skips_the_polynomial_layer(tmp_path):
         "jointlab.kernel",
         "jointlab.files",
         "jointlab.projection",
+        "array",  # loaded only with the kernel
     }
     assert loaded & skipped == set()
     assert (tmp_path / "s.csv").is_file()

@@ -1,14 +1,15 @@
 """The exact decisions run in integers: the lowest terms, equality and
 hashing that every value shares, the modular kernel behind rank and
-nullspace (its primes, walk, reconstruction and certificate), the pruning
-fixpoint, the polynomial's constructor, fit, derivatives and integer
-evaluator, the vanishing test on lines and the cascade and gradient check
-built on it, and the curve's constructor, points, tangents, joint test and
-substitution name no Fraction, annotations included.  Callers scale
-rationals to integers before these decisions and make Fractions after, and
-on the benchmark inputs the fit, the vanishing test, the cascade and the
-verification of their joints as curve joints build none (the gradient
-check's count is in ``tests/test_pipeline.py``)."""
+nullspace (its primes, walk, packed lanes, reconstruction and
+certificate), the pruning fixpoint, the polynomial's constructor, fit,
+derivatives and integer evaluator, the vanishing test on lines and the
+cascade and gradient check built on it, and the curve's constructor,
+points, tangents, joint test and substitution name no Fraction,
+annotations included.  Callers scale rationals to integers before these
+decisions and make Fractions after, and on the benchmark inputs the fit,
+the vanishing test, the cascade and the verification of their joints as
+curve joints build none (the gradient check's count is in
+``tests/test_pipeline.py``)."""
 
 import ast
 from pathlib import Path
@@ -41,6 +42,8 @@ INTEGER_ONLY = {
         "_is_prime",
         "_primes",
         "_walk",
+        "_pack",
+        "_unpack",
         "_reduce",
         "_back_substitute",
         "_rational_numerators",

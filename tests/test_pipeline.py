@@ -714,7 +714,7 @@ class TestWorkCounts:
         trace(grid(3, 5))
         [rows] = fitted
         assert (len(rows), len(rows[0])) == (125, 165)
-        assert walk_updates(rows) == 59_830
+        assert walk_updates(rows) == 955
 
 
 class TestTraceJson:

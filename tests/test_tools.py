@@ -41,8 +41,12 @@ def test_fit_timing_prints_one_row_per_fit():
     lines = tool("fit_timing.py", "--repeat", "1", "grid(3,7)")
     assert len(lines) == 1
     # the 343 points of {0..6}^3 against the 364 monomials of degree <= 11,
-    # on one prime, with 60 columns lifted one step each
-    row = r"grid\(3,7\): 343 x 364, primes 1, lift steps 60, median \d+\.\d{3} s of 1"
+    # on one prime, with no column lifted; then the collector's passes of
+    # generations 0, 1 and 2 and their time
+    row = (
+        r"grid\(3,7\): 343 x 364, primes 1, lift steps 0, "
+        rf"gc passes \d+/\d+/\d+ in {MS}, median \d+\.\d{{3}} s of 1"
+    )
     assert re.fullmatch(row, lines[0]), lines[0]
 
 

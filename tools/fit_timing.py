@@ -3,10 +3,12 @@
 For each fit the script builds the integer evaluation matrix that
 ``fit_vanishing`` hands to ``exact.nullspace_vector``: the distinct joints,
 sorted, against the graded-lex basis of the fit bound.  It runs
-``nullspace_vector`` once to count the primes the kernel draws and its
-p-adic lift steps (calls of ``kernel._lift``), then times it ``--repeat``
-more times in-process and prints one line per fit: the matrix shape, the
-primes drawn, the lift steps and the median time.
+``nullspace_vector`` once to count the primes the kernel draws, its p-adic
+lift steps (calls of ``kernel._lift``) and the cyclic collector's passes of
+generations 0, 1 and 2 with the time they took (from ``gc.callbacks``),
+then times it ``--repeat`` more times in-process and prints one line per
+fit: the matrix shape, the primes drawn, the lift steps, the collector's
+passes and time, and the median time.
 
 The fits are the grids {0..k-1}^3 for k = 7 and 8, and the joints of the 13
 and 15 hyperplanes x.(1, t, t^2) = t^3 at the parameters below, whose
@@ -18,6 +20,7 @@ repository root as ``python tools/fit_timing.py [--repeat N] [fit ...]``.
 from __future__ import annotations
 
 import argparse
+import gc
 import statistics
 import sys
 import time
@@ -68,10 +71,12 @@ def fit_rows(points: list[Point]) -> list[list[int]]:
     return _evaluation_matrix(pts, monomial_basis(3, min_fit_degree(len(pts), 3)))
 
 
-def counted_run(rows) -> tuple[int, int]:
-    """Primes drawn and lift steps of one nullspace_vector call."""
+def counted_run(rows) -> tuple[int, int, list[int], float]:
+    """Primes drawn, lift steps, the collector's passes per generation and
+    their time in seconds, of one nullspace_vector call."""
     primes, lift = kernel._primes, kernel._lift
     drawn, lifts = [], []
+    passes, spent, started = [0, 0, 0], [0.0], []
 
     def logged_primes():
         for p in primes():
@@ -82,12 +87,21 @@ def counted_run(rows) -> tuple[int, int]:
         lifts.append(1)
         return lift(*args)
 
+    def logged_collection(phase, info):
+        if phase == "start":
+            started.append(time.perf_counter())
+        else:
+            passes[info["generation"]] += 1
+            spent[0] += time.perf_counter() - started.pop()
+
     kernel._primes, kernel._lift = logged_primes, logged_lift
+    gc.callbacks.append(logged_collection)
     try:
         nullspace_vector(rows)
     finally:
+        gc.callbacks.remove(logged_collection)
         kernel._primes, kernel._lift = primes, lift
-    return len(drawn), len(lifts)
+    return len(drawn), len(lifts), passes, spent[0]
 
 
 def main(argv=None) -> int:
@@ -102,7 +116,7 @@ def main(argv=None) -> int:
         parser.error("--repeat must be at least 1")
     for name in args.fits or FITS:
         rows = fit_rows(FITS[name]())
-        drawn, lifts = counted_run(rows)
+        drawn, lifts, passes, collecting = counted_run(rows)
         times = []
         for _ in range(args.repeat):
             start = time.perf_counter()
@@ -110,6 +124,7 @@ def main(argv=None) -> int:
             times.append(time.perf_counter() - start)
         print(
             f"{name}: {len(rows)} x {len(rows[0])}, primes {drawn}, lift steps {lifts}, "
+            f"gc passes {'/'.join(map(str, passes))} in {1e3 * collecting:.1f} ms, "
             f"median {statistics.median(times):.3f} s of {args.repeat}"
         )
     return 0
