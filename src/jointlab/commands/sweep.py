@@ -5,13 +5,15 @@ from __future__ import annotations
 from . import integer
 
 
-def parse_range(text: str) -> list[int]:
-    """Accept "2..6" or a comma list "2,3,6"; refuse one that lists no
-    value, such as "6..2" or ",", since a sweep of it would do nothing."""
+def parse_range(text: str) -> range | list[int]:
+    """Accept "2..6", as a range, or a comma list "2,3,6", as a list; refuse
+    one that lists no value, such as "6..2" or ",", since a sweep of it would
+    do nothing.  A range holds no list of its values, so the sweep's pair
+    guard refuses a huge one at its first value too large."""
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            values = list(range(integer(lo), integer(hi) + 1))
+            values = range(integer(lo), integer(hi) + 1)
         else:
             values = [integer(part) for part in text.split(",") if part != ""]
     except ValueError:

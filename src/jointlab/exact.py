@@ -191,16 +191,23 @@ def rank(rows: Sequence[Sequence[int]]) -> int:
     return len(_certified_walk(rows, select=False)[0])
 
 
-def nullspace_vector(rows: Sequence[Sequence[int]]) -> tuple[list[int], int] | None:
+def nullspace_vector(
+    rows: Sequence[Sequence[int]], ends: Sequence[int] = ()
+) -> tuple[list[int], int] | None:
     """One exact nonzero solution x of M x = 0 for integer rows, as
     ``(nums, den)`` with x = nums / den in its :func:`integer_form`, or None
     if only x = 0 works.
 
-    Selection rule, fixed for reproducibility: the highest-index free column
-    is set to 1, every other free column to 0, and the pivot variables are
-    back-substituted.  When the walk stopped early, that column is the last
-    one, and the only column past the last pivot that is ever reduced.
+    Selection rule, fixed for reproducibility: the block is the first
+    leading block of columns, of a width in ``ends`` or of the full width,
+    that has a free column.  A free column is one that takes no pivot, and
+    every column is free once every row holds a pivot.  Within the block,
+    the highest-index free column is set to 1, every other free column and
+    every column past the block to 0, and the pivot variables are
+    back-substituted.  When every row holds a pivot before the block ends,
+    that column is the block's last, and the only column past the last
+    pivot that is ever reduced.
     """
     from .kernel import _certified_walk
 
-    return _certified_walk(rows, select=True)[1]
+    return _certified_walk(rows, select=True, ends=ends)[1]

@@ -15,7 +15,12 @@ lanes.  Applying a step to a column is one big-int multiply-add over every
 row at once.  Lanes are never negative and are reduced mod p after every
 2^64 // p^2 - 1 multiply-adds, so none carries into the next, and the
 masks let a column skip a step whose pivot row it holds as zero without
-reading the lane.
+reading the lane.  A caller may name column counts at which the walk may
+stop: it then stops at the end of the first leading block of those widths
+that has a free column, and the kernel vector is that block's.  So one walk
+of the fit matrix at a degree bound b finds the fit of least degree, since
+its leading columns are the fit matrices of the lower degrees with each row
+scaled, which changes no kernel.
 
 The kernel vectors an answer needs are back-substituted mod p, recovered as
 integer numerators over one denominator by rational reconstruction (Wang,
@@ -93,7 +98,7 @@ def _primes() -> Iterator[int]:
         i += 1
 
 
-def _walk(columns: Sequence[Sequence[int]], m: int, p: int):
+def _walk(columns: Sequence[Sequence[int]], m: int, p: int, ends: Sequence[int] = ()):
     """Left-looking row echelon walk of integer columns mod p, with no row
     swaps.
 
@@ -105,7 +110,8 @@ def _walk(columns: Sequence[Sequence[int]], m: int, p: int):
     the multipliers holds p - f, for f the multiplier of row i, at each row
     that holds no pivot and whose entry is nonzero, and 0 at every other
     row; byte i of the mask is 1 exactly where lane i is nonzero.  The walk
-    stops once every row holds a pivot.
+    stops once every row holds a pivot, or on reaching one of the column
+    counts ``ends`` past a column that took no pivot.
 
     Returns the pivot columns, the reduced columns the walk reached and the
     steps.  A reduced column is its entries in the pivot rows of the steps
@@ -117,7 +123,7 @@ def _walk(columns: Sequence[Sequence[int]], m: int, p: int):
     steps: list[tuple] = []
     rows: list[int] = []  # the pivot rows, in step order
     for j, column in enumerate(columns):
-        if len(rows) == m:
+        if len(rows) == m or (len(pivots) < j and j in ends):
             break
         col = _reduce(column, steps, p)
         reduced.append([col[i] for i in rows])
@@ -332,20 +338,25 @@ def _lifted(columns, f: int, digit: list[int], found, pivot_block, walk, p: int)
             return found
 
 
-def _certified_walk(rows: Sequence[Sequence[int]], select: bool):
+def _certified_walk(rows: Sequence[Sequence[int]], select: bool, ends: Sequence[int] = ()):
     """The pivot columns over Q and, if select, the selection rule's kernel
     vector as ``(nums, den)`` (None when the kernel is zero); without
     select, None.
 
     Entries are ints, and the vector is the :func:`integer_form` of the
-    rational one, in :func:`lowest_terms`.
+    rational one, in :func:`lowest_terms`.  With ``ends``, column counts at
+    which the walk may stop, the rule applies within the first leading block
+    of one of those widths, or of the full width, that has a free column.
+    The walk stops at the end of that block, so the pivots are those it
+    holds, and the vector is 0 past it.
 
     Certificate.  No leading block of columns has a higher rank mod p than
     over Q, since a minor that is nonzero mod p is nonzero.  A free column
     the walk reached depends over Q on the pivots before it once the kernel
     vector with 1 there, supported on those pivots, passes the exact check.
     Once every such column passes, the ranks agree on every leading block,
-    so the pivots mod p are the pivots over Q.  So rank needs these checks
+    so the pivots mod p are the pivots over Q, and the first block with a
+    free column is the same over Q as mod p.  So rank needs these checks
     only when the mod-p rank is below both dimensions.  The selected column,
     the highest free one, is checked the same way, and the vector that
     passes is the only kernel vector with its support.
@@ -366,15 +377,20 @@ def _certified_walk(rows: Sequence[Sequence[int]], select: bool):
     columns = list(zip(*rows))
     n = len(columns)
     for p in _primes():
-        walk = pivots, reduced, steps = _walk(columns, m, p)
+        walk = pivots, reduced, steps = _walk(columns, m, p, ends)
         if len(pivots) == n or (len(pivots) == m and not select):
             return pivots, None
+        r = len(reduced)
+        # the end of the block the walk stopped in: r if r is an end past a
+        # free column, else the first end past r, as column r is free once
+        # every row holds a pivot
+        width = min(e for e in (*ends, n) if e > r or e == r > len(pivots))
         pivot_set = set(pivots)
-        needed = [j for j in range(len(reduced)) if j not in pivot_set]
+        needed = [j for j in range(r) if j not in pivot_set]
         cols = [reduced[j] for j in needed]
-        if select and len(reduced) < n:
-            needed.append(n - 1)
-            col = _reduce(columns[-1], steps, p)
+        if select and r < width:
+            needed.append(width - 1)
+            col = _reduce(columns[width - 1], steps, p)
             cols.append([col[q] for q, *_ in steps])
         pivot_block = None
         for f, col in zip(needed, cols):

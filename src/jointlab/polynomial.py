@@ -278,21 +278,24 @@ def _distinct_points(points: Iterable[Point], d: int) -> list[Point]:
     return pts
 
 
-def _fit_at_degree(pts: list[Point], d: int, b: int) -> Polynomial | None:
-    """A nonzero polynomial of degree <= b vanishing on the points, or None.
+def _fit(pts: list[Point], d: int, ends: Sequence[int] = ()) -> Polynomial:
+    """The fit of the points at the degree bound b = min_fit_degree, which
+    always exists: one nonzero polynomial of degree <= b vanishing on them.
 
-    The points are distinct and sorted, as :func:`_distinct_points` gives
-    them.  Deterministic: rows are the points in that order, columns the
-    graded-lex basis, and the nullspace selection rule of
-    :func:`nullspace_vector` picks the coefficient vector.
+    The points are distinct, sorted and not empty, as
+    :func:`_distinct_points` gives them.  Deterministic: rows are the points
+    in that order, columns the graded-lex basis, and the nullspace selection
+    rule of :func:`nullspace_vector`, stopped at the column counts ``ends``,
+    picks the coefficient vector.
     """
+    b = min_fit_degree(len(pts), d)
     basis = monomial_basis(d, b)
-    if not pts:
-        return Polynomial(d, {basis[0]: 1})
     matrix = _evaluation_matrix(pts, basis)
-    found = nullspace_vector(matrix)
+    found = nullspace_vector(matrix, ends)
     if found is None:
-        return None
+        raise InternalInvariantViolation(
+            f"no vanishing polynomial of degree <= {b} for {len(pts)} points"
+        )
     nums, den = found
     poly = Polynomial(d, dict(zip(basis, nums)), den)
     if poly.is_zero():
@@ -316,26 +319,25 @@ def fit_vanishing(points: Iterable[Point], d: int) -> Polynomial:
     pts = _distinct_points(points, d)
     if not pts:
         raise ValueError("need at least one point")
-    b = min_fit_degree(len(pts), d)
-    poly = _fit_at_degree(pts, d, b)
-    if poly is None:
-        raise InternalInvariantViolation(
-            f"no vanishing polynomial of degree <= {b} for {len(pts)} points"
-        )
-    return poly
+    return _fit(pts, d)
 
 
 def minimal_fit(points: Iterable[Point], d: int) -> Polynomial:
-    """The fit at the smallest degree b that admits one: the first fit at
-    b = 0, 1, ... that is not None, one elimination per degree.  Its degree
-    is b, since a fit of lower degree would be one at a smaller b; the
-    constant 1 for the empty set."""
+    """The fit at the smallest degree b* that admits one; the constant 1 for
+    the empty set.
+
+    One walk of the fit matrix at the bound b finds it.  The basis is in
+    graded-lex order, so the matrix's first C(k + d, d) columns are the fit
+    matrix at degree k with each row scaled by a power of its point's
+    denominator, which changes no kernel.  The walk stops at the end of the
+    first such block with a free column, the block of b*, and the selection
+    rule picks the vector the fit at b* alone would pick.
+    """
     pts = _distinct_points(points, d)
-    for b in range(min_fit_degree(len(pts), d) + 1):
-        poly = _fit_at_degree(pts, d, b)
-        if poly is not None:
-            return poly
-    raise InternalInvariantViolation("no vanishing polynomial up to the fit bound")
+    if not pts:
+        return Polynomial(d, {(0,) * d: 1})
+    b = min_fit_degree(len(pts), d)
+    return _fit(pts, d, [comb(k + d, d) for k in range(b)])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from math import isqrt
 import pytest
 
 from jointlab import kernel
-from jointlab.exact import Point, integer_form
+from jointlab.exact import Point, integer_form, nullspace_vector
 from jointlab.constructions import grid, grid_plus_orphan, planar_bundle, random_config
 from jointlab.curves import line_as_curve
 from jointlab.geometry import Configuration, Line
@@ -14,7 +14,6 @@ from jointlab.polynomial import (
     Polynomial,
     _distinct_points,
     _evaluation_matrix,
-    _fit_at_degree,
     min_fit_degree,
     monomial_basis,
 )
@@ -26,9 +25,17 @@ def cube_points(k: int, d: int):
 
 
 def fit_vanishing_at_degree(points, d: int, b: int):
-    """The fit at degree b, with the points prepared as fit_vanishing and
-    minimal_fit prepare them: deduplicated and sorted."""
-    return _fit_at_degree(_distinct_points(points, d), d, b)
+    """The fit at degree b, or None when no nonzero polynomial of degree <= b
+    vanishes on the points: the points prepared as fit_vanishing and
+    minimal_fit prepare them, deduplicated and sorted, and the kernel's
+    selection rule on their integer evaluation matrix against the graded-lex
+    basis of degree b; the constant 1 for no points."""
+    pts = _distinct_points(points, d)
+    basis = monomial_basis(d, b)
+    if not pts:
+        return Polynomial(d, {basis[0]: 1})
+    found = nullspace_vector(_evaluation_matrix(pts, basis))
+    return None if found is None else Polynomial(d, dict(zip(basis, found[0])), found[1])
 
 
 def line_point(line, t):

@@ -9,6 +9,7 @@ import pytest
 
 from jointlab import cli
 from jointlab.cli import main
+from jointlab.commands.sweep import parse_range
 from jointlab.constructions import grid, random_config
 from jointlab.errors import ContradictionBugError
 from jointlab.exact import format_rational, parse_rational
@@ -232,6 +233,25 @@ class TestSweep:
                          "--seeds", "1..3", "--csv", str(csv_path))
         assert code == 0
         assert len(list(csv.reader(csv_path.read_text().splitlines()))) == 1 + 6
+
+    def test_a_range_is_not_listed(self):
+        assert parse_range("2..6") == range(2, 7)
+        assert parse_range("2,3,6") == [2, 3, 6]
+        huge = parse_range("19..1000000000000")
+        assert type(huge) is range and len(huge) == 10**12 - 18
+
+    def test_guard_refuses_a_huge_range_at_once(self, tmp_path, capsys):
+        # grid(3, 19) has 1,083 lines, so the guard refuses the first k;
+        # the range's other values are never made.
+        csv_path = tmp_path / "x.csv"
+        code, out, err = run(capsys, "sweep", "grid", "--dim", "3", "--k",
+                             "19..1000000000000", "--csv", str(csv_path))
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: 1083 lines mean 1172889 candidate pairs > 1000000; "
+            "pass force=True (--force) to run anyway\n"
+        )
+        assert not csv_path.exists()
 
     def test_guard_message(self, tmp_path, capsys):
         code, _, err = run(capsys, "sweep", "random", "--dim", "3", "--n", "1001",

@@ -386,7 +386,8 @@ def assert_fits_match(d, points):
         assert fit_vanishing_at_degree(pts, d, b) == fit_at_degree_naive(
             points, d, b
         ), b
-    assert minimal_fit(pts, d).degree() == minimal_degree_naive(points, d)
+    b_star = minimal_degree_naive(points, d)
+    assert minimal_fit(pts, d) == fit_at_degree_naive(points, d, b_star)
 
 
 class TestFitsAgainstReference:
@@ -751,7 +752,33 @@ def assert_kernel_matches(matrix):
     assert nullspace_vector(rows) == expected
 
 
+def assert_stopped_kernel_matches(matrix, ends):
+    """The kernel stopped at the column counts ends, on the rows scaled to
+    integers, against the reference on the first leading block, of a width
+    in ends or the full width, with a nonzero kernel, padded with zeros."""
+    n = len(matrix[0])
+    for e in sorted({*ends, n}):
+        reference = nullspace_vector_naive([row[:e] for row in matrix])
+        if reference is not None:
+            expected = integer_form(tuple(reference) + (0,) * (n - e))
+            break
+    else:
+        expected = None
+    assert nullspace_vector(integer_rows(matrix), ends) == expected
+
+
 class TestKernelAgainstReference:
+    @given(kernel_cases(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_a_stopped_walk_selects_within_the_first_block_with_a_free_column(
+        self, matrix, data
+    ):
+        n = len(matrix[0])
+        ends = data.draw(st.lists(st.integers(1, n), max_size=4))
+        assert_stopped_kernel_matches(matrix, ends)
+        with prime_source(small_primes):
+            assert_stopped_kernel_matches(matrix, ends)
+
     @given(kernel_cases())
     @settings(max_examples=300, deadline=None)
     def test_rank_and_vector_equal_gauss_jordan(self, matrix):

@@ -399,8 +399,8 @@ class TestEarlyStop:
         walk, reduce_ = kernel._walk, kernel._reduce
         back_substitute, in_kernel = kernel._back_substitute, kernel._in_kernel
 
-        def walk_spy(columns, m, p):
-            pivots, reduced, steps = walk(columns, m, p)
+        def walk_spy(columns, m, p, ends):
+            pivots, reduced, steps = walk(columns, m, p, ends)
             walks.append((columns, p, list(pivots), len(reduced), steps))
             return pivots, reduced, steps
 
@@ -623,8 +623,8 @@ class TestModularRarePaths:
         walks = []
         walk = kernel._walk
 
-        def walk_spy(columns, m, p):
-            result = walk(columns, m, p)
+        def walk_spy(columns, m, p, ends):
+            result = walk(columns, m, p, ends)
             walks.append((p, list(result[0])))
             return result
 

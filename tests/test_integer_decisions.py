@@ -60,7 +60,7 @@ INTEGER_ONLY = {
         "_evaluator",
         "vanishes_on_line",
         "vanishes_at",
-        "_fit_at_degree",
+        "_fit",
     ),
     "pipeline": ("peel", "cascade", "gradient_at_joints_check"),
     "curves": (

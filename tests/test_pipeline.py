@@ -706,13 +706,14 @@ class TestWorkCounts:
         fitted = []
         nullspace_vector = polynomial.nullspace_vector
 
-        def spy(rows):
-            fitted.append(rows)
-            return nullspace_vector(rows)
+        def spy(rows, ends):
+            fitted.append((rows, ends))
+            return nullspace_vector(rows, ends)
 
         monkeypatch.setattr(polynomial, "nullspace_vector", spy)
         trace(grid(3, 5))
-        [rows] = fitted
+        [(rows, ends)] = fitted
+        assert ends == ()  # the trace fits at the bound, with no early stop
         assert (len(rows), len(rows[0])) == (125, 165)
         assert walk_updates(rows) == 955
 

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointlab import curves, polynomial
+from jointlab import curves, kernel, polynomial
+from jointlab.constructions import grid
 from jointlab.errors import DimensionMismatchError
 from jointlab.exact import Point, nullspace_vector
 from jointlab.curves import polynomial_from_text
-from jointlab.geometry import Configuration, Line
+from jointlab.geometry import Configuration, Line, find_joints
 from jointlab.pipeline import trace
 from jointlab.polynomial import (
     Polynomial,
@@ -27,9 +28,11 @@ from jointlab.polynomial import (
 )
 
 from conftest import (
+    box,
     cube_points,
     fit_vanishing_at_degree,
     line_point,
+    nine_hyperplanes,
     poly_product,
 )
 from oracles import (
@@ -374,9 +377,9 @@ class TestFitVanishing:
         pts = [pt(F(1) / 2, F(-2) / 3, 5), pt(0, F(1) / 7, 1), pt(3, 2, 1)]
         matrices = []
 
-        def spy(matrix):
+        def spy(matrix, ends):
             matrices.append(matrix)
-            return nullspace_vector(matrix)
+            return nullspace_vector(matrix, ends)
 
         monkeypatch.setattr(polynomial, "nullspace_vector", spy)
         fit_vanishing(pts, 3)
@@ -405,21 +408,66 @@ class TestMinimalVanishingDegree:
         pts = cube_points(2, 3)
         assert minimal_fit(pts, 3).degree() <= min_fit_degree(len(pts), 3)
 
-    def test_ranks_integer_rows_one_degree_at_a_time(self, monkeypatch):
+    def test_fits_integer_rows_in_one_walk(self, monkeypatch):
         # Half-integer cube corners: the rows reach the kernel scaled to ints,
-        # each degree is eliminated once, and the search stops at the minimal
-        # degree.
+        # as one matrix at the bound b = 2, whose walk may stop after the
+        # blocks of degree 0 and 1.
         pts = [Point(corner.nums, 2) for corner in cube_points(2, 3)]
-        matrices = []
+        calls = []
 
-        def spy(matrix):
-            matrices.append(matrix)
-            return nullspace_vector(matrix)
+        def spy(matrix, ends):
+            calls.append((matrix, ends))
+            return nullspace_vector(matrix, ends)
 
         monkeypatch.setattr(polynomial, "nullspace_vector", spy)
         assert minimal_fit(pts, 3).degree() == 2
-        assert [len(m[0]) for m in matrices] == [1, 4, 10]
-        assert all(type(v) is int for m in matrices for row in m for v in row)
+        [(matrix, ends)] = calls
+        assert (len(matrix), len(matrix[0]), ends) == (8, 10, [1, 4])
+        assert all(type(v) is int for row in matrix for v in row)
+
+    @pytest.mark.parametrize(
+        "build, b_star",
+        [(nine_hyperplanes, 7), (lambda: grid(3, 5), 5), (lambda: box((4, 4, 1)), 1)],
+        ids=["9 hyperplanes", "grid(3,5)", "box(4,4,1)"],
+    )
+    def test_one_walk_stops_at_the_minimal_block(self, monkeypatch, build, b_star):
+        # One matrix reaches the kernel and one prime walks it, and no column
+        # of the matrix past the C(b* + d, d) columns of degree <= b* is ever
+        # reduced: neither in the walk nor as a selected column.
+        config = build()
+        d, points = config.dim, find_joints(config).points
+        matrices, drawn, walked, reduced = [], [], [], []
+        spy_kernel, walk, reduce_, primes = (
+            polynomial.nullspace_vector, kernel._walk, kernel._reduce, kernel._primes
+        )
+
+        def kernel_spy(matrix, ends):
+            matrices.append(matrix)
+            return spy_kernel(matrix, ends)
+
+        def walk_spy(columns, m, p, ends):
+            walked.append(columns)
+            return walk(columns, m, p, ends)
+
+        def reduce_spy(column, steps, p):
+            reduced.append(column)
+            return reduce_(column, steps, p)
+
+        def primes_spy():
+            for p in primes():
+                drawn.append(p)
+                yield p
+
+        monkeypatch.setattr(polynomial, "nullspace_vector", kernel_spy)
+        monkeypatch.setattr(kernel, "_walk", walk_spy)
+        monkeypatch.setattr(kernel, "_reduce", reduce_spy)
+        monkeypatch.setattr(kernel, "_primes", primes_spy)
+        poly = minimal_fit(points, d)
+        assert poly.degree() == b_star
+        assert len(matrices) == len(drawn) == len(walked) == 1
+        index = {id(column): j for j, column in enumerate(walked[0])}
+        reached = [index[id(c)] for c in reduced if id(c) in index]
+        assert max(reached) < comb(b_star + d, d)
 
 
 class TestDimensionChecks:

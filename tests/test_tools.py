@@ -2,11 +2,11 @@
 
 The timing scripts reach package internals by name
 (``polynomial._distinct_points``, ``polynomial._evaluation_matrix``,
-``kernel._lift``, ``cli.main`` and ``cli.entry``), so a rename inside the
-package shows here; the parity script runs the command line of two source
-trees.  Each script runs in a fresh interpreter, the timing ones at their
-smallest setting; the checks read the exit code and the shape of each
-printed row, never a time.
+``kernel._lift``, ``kernel._walk``, ``cli.main`` and ``cli.entry``), so a
+rename inside the package shows here; the parity script runs the command
+line of two source trees.  Each script runs in a fresh interpreter, the
+timing ones at their smallest setting; the checks read the exit code and
+the shape of each printed row, never a time.
 """
 
 import re
@@ -42,10 +42,12 @@ def test_fit_timing_prints_one_row_per_fit():
     assert len(lines) == 1
     # the 343 points of {0..6}^3 against the 364 monomials of degree <= 11,
     # on one prime, with no column lifted; then the collector's passes of
-    # generations 0, 1 and 2 and their time
+    # generations 0, 1 and 2 and their time; then the minimal fit, of
+    # degree 7, whose walk stops after the 120 columns of degree <= 7
     row = (
         r"grid\(3,7\): 343 x 364, primes 1, lift steps 0, "
-        rf"gc passes \d+/\d+/\d+ in {MS}, median \d+\.\d{{3}} s of 1"
+        rf"gc passes \d+/\d+/\d+ in {MS}, median \d+\.\d{{3}} s of 1; "
+        r"minimal b\* 7, 120 of 364 columns walked, median \d+\.\d{3} s"
     )
     assert re.fullmatch(row, lines[0]), lines[0]
 

@@ -6,9 +6,13 @@ sorted, against the graded-lex basis of the fit bound.  It runs
 ``nullspace_vector`` once to count the primes the kernel draws, its p-adic
 lift steps (calls of ``kernel._lift``) and the cyclic collector's passes of
 generations 0, 1 and 2 with the time they took (from ``gc.callbacks``),
-then times it ``--repeat`` more times in-process and prints one line per
-fit: the matrix shape, the primes drawn, the lift steps, the collector's
-passes and time, and the median time.
+then times it ``--repeat`` more times in-process.  Beside it, the script
+runs the kernel call of ``minimal_fit`` (``fit --minimal``) on the same
+matrix: ``nullspace_vector`` with the walk free to stop at the end of each
+lower degree's block of columns.  It prints one line per fit: the matrix
+shape, the primes drawn, the lift steps, the collector's passes and time and
+the median time of the fit; then the minimal degree b*, the columns the
+minimal fit's walk reached and its median time.
 
 The fits are the grids {0..k-1}^3 for k = 7 and 8, and the joints of the 13
 and 15 hyperplanes x.(1, t, t^2) = t^3 at the parameters below, whose
@@ -26,6 +30,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -104,6 +109,40 @@ def counted_run(rows) -> tuple[int, int, list[int], float]:
     return len(drawn), len(lifts), passes, spent[0]
 
 
+def median_time(call, repeat: int) -> float:
+    """The median wall time in seconds of repeat calls."""
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def minimal_run(rows, repeat: int) -> tuple[int, int, float]:
+    """The minimal degree b*, the columns the walk reached and the median
+    time in seconds of the minimal fit's nullspace_vector call on the rows
+    of the fit at the bound b, whose walk may stop at the C(k + 3, 3)
+    columns of every degree k < b."""
+    b = min_fit_degree(len(rows), 3)
+    ends = [comb(k + 3, 3) for k in range(b)]
+    walk, reached = kernel._walk, []
+
+    def logged_walk(*args):
+        result = walk(*args)
+        reached.append(len(result[1]))
+        return result
+
+    kernel._walk = logged_walk
+    try:
+        nums, _ = nullspace_vector(rows, ends)
+    finally:
+        kernel._walk = walk
+    last = max(j for j, v in enumerate(nums) if v)
+    b_star = sum(monomial_basis(3, b)[last])
+    return b_star, reached[-1], median_time(lambda: nullspace_vector(rows, ends), repeat)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("fits", nargs="*", metavar="fit", help="any of " + ", ".join(FITS))
@@ -117,15 +156,13 @@ def main(argv=None) -> int:
     for name in args.fits or FITS:
         rows = fit_rows(FITS[name]())
         drawn, lifts, passes, collecting = counted_run(rows)
-        times = []
-        for _ in range(args.repeat):
-            start = time.perf_counter()
-            nullspace_vector(rows)
-            times.append(time.perf_counter() - start)
+        fit = median_time(lambda: nullspace_vector(rows), args.repeat)
+        b_star, reached, minimal = minimal_run(rows, args.repeat)
         print(
             f"{name}: {len(rows)} x {len(rows[0])}, primes {drawn}, lift steps {lifts}, "
             f"gc passes {'/'.join(map(str, passes))} in {1e3 * collecting:.1f} ms, "
-            f"median {statistics.median(times):.3f} s of {args.repeat}"
+            f"median {fit:.3f} s of {args.repeat}; minimal b* {b_star}, "
+            f"{reached} of {len(rows[0])} columns walked, median {minimal:.3f} s"
         )
     return 0
 
