@@ -192,7 +192,9 @@ def rank(rows: Sequence[Sequence[int]]) -> int:
 
 
 def nullspace_vector(
-    rows: Sequence[Sequence[int]], ends: Sequence[int] = ()
+    rows: Sequence[Sequence[int]],
+    ends: Sequence[int] = (),
+    exps: Sequence[Sequence[int]] | None = None,
 ) -> tuple[list[int], int] | None:
     """One exact nonzero solution x of M x = 0 for integer rows, as
     ``(nums, den)`` with x = nums / den in its :func:`integer_form`, or None
@@ -205,9 +207,16 @@ def nullspace_vector(
     the highest-index free column is set to 1, every other free column and
     every column past the block to 0, and the pivot variables are
     back-substituted.  When every row holds a pivot before the block ends,
-    that column is the block's last, and the only column past the last
-    pivot that is ever reduced.
+    that column is the block's last.
+
+    ``exps``, the exponent vectors of the columns' monomials in a monomial
+    order, such as a fit's graded-lex basis, change no answer, only the
+    work: the walk then skips every column whose monomial is a multiple of
+    an earlier free column's, and certifies only the corners, the free
+    columns divisible by no earlier one.  The selected column is reduced
+    alone, with the pivots before it, when the walk skipped it or stopped
+    before it.
     """
     from .kernel import _certified_walk
 
-    return _certified_walk(rows, select=True, ends=ends)[1]
+    return _certified_walk(rows, select=True, ends=ends, exps=exps)[1]

@@ -20,7 +20,16 @@ stop: it then stops at the end of the first leading block of those widths
 that has a free column, and the kernel vector is that block's.  So one walk
 of the fit matrix at a degree bound b finds the fit of least degree, since
 its leading columns are the fit matrices of the lower degrees with each row
-scaled, which changes no kernel.
+scaled, which changes no kernel.  A caller may also give each column's
+monomial, as an exponent vector in a monomial order such as graded lex.
+The walk then skips, unreduced, every column whose monomial is a multiple
+of an earlier free column's: if g vanishes on the points, so does x^u g,
+whose leading monomial is that of g times x^u.  Only the corners, the free
+columns divisible by no earlier free column, and the selected column are
+certified (the staircase of the Buchberger-Moller algorithm:
+Moller and Buchberger, "The construction of multivariate polynomials with
+preassigned zeros", EUROCAM 1982; Abbott, Bigatti, Kreuzer and Robbiano,
+"Computing ideals of points", J. Symbolic Comput. 30, 2000).
 
 The kernel vectors an answer needs are back-substituted mod p, recovered as
 integer numerators over one denominator by rational reconstruction (Wang,
@@ -32,12 +41,12 @@ reconstruct, or fails its check, is checked once more as its own digit: the
 residues nearest 0, as integers.  One whose numerators are still too large
 for one prime is lifted p-adically on the walk's own pivot steps (Dixon,
 "Exact solution of linear equations using p-adic expansions", Numer. Math.
-1982) and reconstructed modulo p^s, so one walk serves every fit.  A lift
-step pays only for the nonzero digits of its vector, and a Hadamard guard,
-built once per prime from the full pivot rows, bounds how far any lift may
-go.  A prime whose pivots are not the rational ones is dropped, and the
-next prime walks from scratch.  The kernel names no Fraction: integers in,
-integers out.
+1982) and reconstructed modulo p^s after 1, 2, 4, ... lift steps, so one
+walk serves every fit.  A lift step pays only for the nonzero digits of its
+vector, and a Hadamard guard, built once per prime from the full pivot
+rows, bounds how far any lift may go.  A prime whose pivots are not the
+rational ones is dropped, and the next prime walks from scratch.  The
+kernel names no Fraction: integers in, integers out.
 
 Only a run that ranks or fits loads this module: ``exact`` imports it on
 the first call of ``rank`` or ``nullspace_vector``.
@@ -46,6 +55,7 @@ the first call of ``rank`` or ``nullspace_vector``.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from math import isqrt, prod
 from operator import mul
 from sys import byteorder
@@ -98,7 +108,13 @@ def _primes() -> Iterator[int]:
         i += 1
 
 
-def _walk(columns: Sequence[Sequence[int]], m: int, p: int, ends: Sequence[int] = ()):
+def _walk(
+    columns: Sequence[Sequence[int]],
+    m: int,
+    p: int,
+    ends: Sequence[int] = (),
+    exps: Sequence[Sequence[int]] | None = None,
+):
     """Left-looking row echelon walk of integer columns mod p, with no row
     swaps.
 
@@ -113,24 +129,37 @@ def _walk(columns: Sequence[Sequence[int]], m: int, p: int, ends: Sequence[int] 
     stops once every row holds a pivot, or on reaching one of the column
     counts ``ends`` past a column that took no pivot.
 
+    With ``exps``, the exponent vectors of the columns' monomials in a
+    monomial order, the walk keeps the corners: the free columns whose
+    exponents are divisible by no earlier free column's.  A column divisible
+    by a corner's exponents is a monomial multiple of it and is free too, so
+    it is skipped unreduced.
+
     Returns the pivot columns, the reduced columns the walk reached and the
     steps.  A reduced column is its entries in the pivot rows of the steps
     before it, in step order: for a free column the right-hand side of its
     back-substitution, for a pivot column its part of the triangular factor.
+    A skipped column is None.
     """
     pivots: list[int] = []
-    reduced: list[list[int]] = []
+    reduced: list[list[int] | None] = []
     steps: list[tuple] = []
     rows: list[int] = []  # the pivot rows, in step order
+    corners: list[Sequence[int]] = []
     for j, column in enumerate(columns):
         if len(rows) == m or (len(pivots) < j and j in ends):
             break
+        if corners and any(all(map(int.__le__, c, exps[j])) for c in corners):
+            reduced.append(None)
+            continue
         col = _reduce(column, steps, p)
         reduced.append([col[i] for i in rows])
         for i in rows:
             col[i] = 0
         top = next(filter(None, col), 0)
         if not top:
+            if exps is not None:
+                corners.append(exps[j])
             continue
         sel = col.index(top)
         inv = pow(top, -1, p)
@@ -305,22 +334,28 @@ def _lifted(columns, f: int, digit: list[int], found, pivot_block, walk, p: int)
     before it, as ``(nums, den)``; or None when p is unlucky for f.
 
     digit is its pivot entries mod p and found their reconstruction mod p,
-    which failed the exact check, or None.  The vector is lifted one more
-    digit and reconstructed modulo p^s until a reconstruction passes the
-    exact check, which certifies it, or fails it but satisfies the k pivot
-    rows.  Such a vector is the only rational solution on the pivot rows,
-    since the pivot block is invertible mod p and so over Q; as it fails
-    another row, column f is independent of the pivots before it over Q,
-    and p is unlucky.  Cramer's rule and Hadamard's bound put the solution
-    within reach of reconstruction once p^s exceeds 2 * prod |row|^2 over
-    the pivot rows, and so once it exceeds the guard of
-    :func:`_pivot_block`; passing the guard is an implementation bug.
+    which failed the exact check, or None.  The vector is lifted one digit
+    at a time and reconstructed modulo p^s after s = 1, 2, 4, ... steps and
+    after the last step before the guard, so the reconstructions are
+    logarithmic in the lift's length (output-sensitive lifting: Steffy,
+    "Exact solutions to linear systems of equations using output sensitive
+    lifting", ACM Commun. Comput. Algebra 44(4), 2010).  It stops at a
+    reconstruction that passes the exact check, which certifies it, or fails
+    it but satisfies the k pivot rows.  Such a vector is the only rational
+    solution on the pivot rows, since the pivot block is invertible mod p
+    and so over Q; as it fails another row, column f is independent of the
+    pivots before it over Q, and p is unlucky.  That is decided only on a
+    reconstruction of every digit lifted so far.  Cramer's rule and
+    Hadamard's bound put the solution within reach of reconstruction once
+    p^s exceeds 2 * prod |row|^2 over the pivot rows, and so once it exceeds
+    the guard of :func:`_pivot_block`; passing the guard is an
+    implementation bug.
     """
     order, block, guard = pivot_block
     k = len(digit)
     support = walk[0][:k]
     b = [columns[f][i] for i in order[:k]]
-    residual, total, modulus = b, digit, p
+    residual, total, modulus, s = b, digit, p, 0
     while True:
         if found is not None:
             nums, den = found
@@ -333,12 +368,20 @@ def _lifted(columns, f: int, digit: list[int], found, pivot_block, walk, p: int)
         residual, digit = _lift(residual, digit, block, order, walk, p)
         total = [t + modulus * d for t, d in zip(total, digit)]
         modulus *= p
-        found = _rational_numerators(total, modulus)
-        if found is not None and _in_kernel(columns, f, support, *found):
-            return found
+        s += 1
+        found = None
+        if not s & (s - 1) or modulus > guard:
+            found = _rational_numerators(total, modulus)
+            if found is not None and _in_kernel(columns, f, support, *found):
+                return found
 
 
-def _certified_walk(rows: Sequence[Sequence[int]], select: bool, ends: Sequence[int] = ()):
+def _certified_walk(
+    rows: Sequence[Sequence[int]],
+    select: bool,
+    ends: Sequence[int] = (),
+    exps: Sequence[Sequence[int]] | None = None,
+):
     """The pivot columns over Q and, if select, the selection rule's kernel
     vector as ``(nums, den)`` (None when the kernel is zero); without
     select, None.
@@ -350,16 +393,30 @@ def _certified_walk(rows: Sequence[Sequence[int]], select: bool, ends: Sequence[
     The walk stops at the end of that block, so the pivots are those it
     holds, and the vector is 0 past it.
 
+    With ``exps``, the exponent vectors of the columns' monomials in a
+    monomial order, the walk skips the monomial multiples of its free
+    columns (see :func:`_walk`), and only the corners it reduced are
+    checked.  The selected column, the highest free column of the block,
+    need not be the last one, and it may be skipped: then it is reduced
+    alone, with the steps of the pivots before it, and checked as a corner
+    is.
+
     Certificate.  No leading block of columns has a higher rank mod p than
-    over Q, since a minor that is nonzero mod p is nonzero.  A free column
-    the walk reached depends over Q on the pivots before it once the kernel
-    vector with 1 there, supported on those pivots, passes the exact check.
-    Once every such column passes, the ranks agree on every leading block,
-    so the pivots mod p are the pivots over Q, and the first block with a
-    free column is the same over Q as mod p.  So rank needs these checks
-    only when the mod-p rank is below both dimensions.  The selected column,
-    the highest free one, is checked the same way, and the vector that
-    passes is the only kernel vector with its support.
+    over Q, since a minor that is nonzero mod p is nonzero: the walk's
+    pivots are independent mod p, so they are independent over Q.  A free
+    column the walk reduced depends over Q on the pivots before it once the
+    kernel vector with 1 there, supported on those pivots, passes the exact
+    check.  A skipped column, of monomial x^u times a corner's, depends over
+    Q on the columns before it through x^u g, for g the corner's certified
+    vector read as a polynomial: x^u g vanishes on the points too, and as
+    the order is a monomial order, its other monomials come before the
+    column's.  Once every check passes, the ranks agree on every leading
+    block, so the pivots mod p are the pivots over Q, and the first block
+    with a free column is the same over Q as mod p.  This holds for every
+    prime: an unlucky corner still fails its check and drops the prime.  So
+    rank needs these checks only when the mod-p rank is below both
+    dimensions.  The selected column is checked the same way, and the vector
+    that passes is the only kernel vector with its support.
 
     A vector whose reconstruction mod p fails, or fails the check, is
     checked once more as its own digit, the residues nearest 0 over
@@ -377,7 +434,7 @@ def _certified_walk(rows: Sequence[Sequence[int]], select: bool, ends: Sequence[
     columns = list(zip(*rows))
     n = len(columns)
     for p in _primes():
-        walk = pivots, reduced, steps = _walk(columns, m, p, ends)
+        walk = pivots, reduced, steps = _walk(columns, m, p, ends, exps)
         if len(pivots) == n or (len(pivots) == m and not select):
             return pivots, None
         r = len(reduced)
@@ -386,12 +443,17 @@ def _certified_walk(rows: Sequence[Sequence[int]], select: bool, ends: Sequence[
         # every row holds a pivot
         width = min(e for e in (*ends, n) if e > r or e == r > len(pivots))
         pivot_set = set(pivots)
-        needed = [j for j in range(r) if j not in pivot_set]
+        free = [j for j in range(r) if j not in pivot_set]
+        needed = [j for j in free if reduced[j] is not None]  # not skipped
         cols = [reduced[j] for j in needed]
-        if select and r < width:
-            needed.append(width - 1)
-            col = _reduce(columns[width - 1], steps, p)
-            cols.append([col[q] for q, *_ in steps])
+        # the selected column: the block's last once every row holds a pivot,
+        # else the highest free column the walk reached
+        f = width - 1 if r < width else free[-1]
+        if select and (f >= r or reduced[f] is None):  # reduced alone
+            k = bisect_left(pivots, f)
+            col = _reduce(columns[f], steps[:k], p)
+            needed.append(f)
+            cols.append([col[q] for q, *_ in steps[:k]])
         pivot_block = None
         for f, col in zip(needed, cols):
             support = pivots[: len(col)]

@@ -291,7 +291,7 @@ def _fit(pts: list[Point], d: int, ends: Sequence[int] = ()) -> Polynomial:
     b = min_fit_degree(len(pts), d)
     basis = monomial_basis(d, b)
     matrix = _evaluation_matrix(pts, basis)
-    found = nullspace_vector(matrix, ends)
+    found = nullspace_vector(matrix, ends, basis)
     if found is None:
         raise InternalInvariantViolation(
             f"no vanishing polynomial of degree <= {b} for {len(pts)} points"

@@ -51,20 +51,23 @@ def fit_rows(points, d: int):
     return _evaluation_matrix(pts, monomial_basis(d, min_fit_degree(len(pts), d)))
 
 
-def walk_updates(rows, p: int | None = None) -> int:
+def walk_updates(rows, p: int | None = None, exps=None) -> int:
     """The multiply-adds of the kernel's walk of integer rows mod p, by
-    default the kernel's first prime: each column the walk reduced is
-    reduced again here, in a plain list of residues, by the steps recorded
-    before it, counting one multiply-add for each step whose entry in its
-    pivot row is nonzero.  The replay must give the walk's own reduced
-    columns, so the count is that of the walk."""
+    default the kernel's first prime, with the columns' monomials exps if
+    given: each column the walk reduced is reduced again here, in a plain
+    list of residues, by the steps recorded before it, counting one
+    multiply-add for each step whose entry in its pivot row is nonzero.  The
+    replay must give the walk's own reduced columns, so the count is that of
+    the walk; a column it skipped counts none."""
     if p is None:
         p = next(kernel._primes())
     columns, m = list(zip(*rows)), len(rows)
-    pivots, reduced, steps = kernel._walk(columns, m, p)
+    pivots, reduced, steps = kernel._walk(columns, m, p, (), exps)
     lanes = [kernel._unpack(mults, m).tolist() for _, _, mults, _ in steps]
     updates = 0
     for j, done in enumerate(reduced):
+        if done is None:
+            continue
         k = len(done)  # the steps recorded before column j
         col = [v % p for v in columns[j]]
         for (q, *_), mults in zip(steps[:k], lanes):

@@ -26,7 +26,11 @@ determinant 3 divides, beside columns of 40-70-bit integers, make the
 prime 3 unlucky and every answer a lift of many steps.
 Point sets mix shared and coprime denominators, negative coordinates and
 repeated points, and some lie on a plane, which lowers the minimal degree
-below the fit bound.  The integer evaluation rows under the fits must equal
+below the fit bound.  Structured point sets (boxes, their images under
+rational affine maps, points on a few lines or planes, subsets of a grid)
+make the fit's walk skip the monomial multiples of its free columns, the
+selected column among them, and points with 30-300-digit coordinates make
+it lift for hundreds of steps.  The integer evaluation rows under the fits must equal
 the per-entry products of coordinate powers.
 
 Vanishing on a line is decided by integer evaluation at deg p + 1
@@ -44,8 +48,9 @@ zero on the line, whose partial derivatives below that power vanish too.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import lcm, prod
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -62,7 +67,7 @@ from jointlab.curves import (
     tangent_at,
 )
 from jointlab.constructions import grid
-from jointlab.exact import Point, integer_form, nullspace_vector, rank
+from jointlab.exact import Point, integer_form, nullspace_vector, rank, sort_points
 from jointlab.geometry import (
     Configuration,
     Line,
@@ -75,6 +80,7 @@ from jointlab.polynomial import (
     Polynomial,
     _evaluation_matrix,
     fit_vanishing,
+    grlex_key,
     min_fit_degree,
     minimal_fit,
     monomial_basis,
@@ -96,6 +102,7 @@ from conftest import (
 from oracles import (
     canonical_line_fraction,
     evaluation_matrix_by_powers,
+    evaluation_matrix_fraction,
     find_joints_rescan,
     find_s_joints_rescan,
     fraction_joints,
@@ -752,10 +759,11 @@ def assert_kernel_matches(matrix):
     assert nullspace_vector(rows) == expected
 
 
-def assert_stopped_kernel_matches(matrix, ends):
+def assert_stopped_kernel_matches(matrix, ends, exps=None):
     """The kernel stopped at the column counts ends, on the rows scaled to
-    integers, against the reference on the first leading block, of a width
-    in ends or the full width, with a nonzero kernel, padded with zeros."""
+    integers and with the columns' monomials exps if given, against the
+    reference on the first leading block, of a width in ends or the full
+    width, with a nonzero kernel, padded with zeros."""
     n = len(matrix[0])
     for e in sorted({*ends, n}):
         reference = nullspace_vector_naive([row[:e] for row in matrix])
@@ -764,7 +772,7 @@ def assert_stopped_kernel_matches(matrix, ends):
             break
     else:
         expected = None
-    assert nullspace_vector(integer_rows(matrix), ends) == expected
+    assert nullspace_vector(integer_rows(matrix), ends, exps) == expected
 
 
 class TestKernelAgainstReference:
@@ -832,3 +840,158 @@ class TestKernelAgainstReference:
         x = nullspace_vector_naive(matrix)
         assert x == nullspace_vector_bareiss(matrix)
         assert nullspace_vector(rows) == (None if x is None else integer_form(x))
+
+
+# ---------------------------------------------------------------------------
+# fits whose walk skips columns: the monomial multiples of a free column
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def points_of(draw, d, strategy, size):
+    return draw(st.lists(st.tuples(*[strategy] * d), min_size=size, max_size=size))
+
+
+@st.composite
+def structured_point_sets(draw):
+    """(d, points): point sets with structure, whose fit matrices have free
+    columns before every row holds a pivot, so that the fit's walk skips
+    the monomial multiples of its free columns: boxes with rational steps,
+    boxes under an invertible rational affine map, points on a few lines or
+    on one or two planes, and subsets of a grid."""
+    d = draw(st.sampled_from((2, 3)))
+    kind = draw(st.sampled_from(("box", "affine box", "lines", "planes", "grid subset")))
+    if kind in ("box", "affine box"):
+        sizes = draw(st.lists(st.integers(1, 4), min_size=d, max_size=d))
+        assume(prod(sizes) <= 24)
+        [start] = points_of(draw, d, small_fractions, 1)
+        [step] = points_of(draw, d, small_fractions.filter(bool), 1)
+        points = [
+            tuple(a + s * k for a, s, k in zip(start, step, ks))
+            for ks in product(*map(range, sizes))
+        ]
+        if kind == "affine box":
+            matrix = points_of(draw, d, small_fractions, d)
+            assume(rank_naive(matrix) == d)
+            [shift] = points_of(draw, d, small_fractions, 1)
+            points = [
+                tuple(sum(map(mul, row, x)) + c for row, c in zip(matrix, shift))
+                for x in points
+            ]
+    elif kind == "lines":
+        points = []
+        for _ in range(draw(st.integers(1, 3))):
+            [base, v] = points_of(draw, d, small_fractions, 2)
+            assume(any(v))
+            for t in draw(st.lists(small_fractions, min_size=1, max_size=5, unique=True)):
+                points.append(tuple(b + t * c for b, c in zip(base, v)))
+    elif kind == "planes":
+        d, points = 3, []
+        for _ in range(draw(st.integers(1, 2))):
+            [base, u, v] = points_of(draw, 3, small_fractions, 3)
+            assume(rank_naive([u, v]) == 2)
+            for s, t in product(range(draw(st.integers(1, 3))), range(draw(st.integers(1, 3)))):
+                points.append(tuple(b + s * x + t * y for b, x, y in zip(base, u, v)))
+    else:
+        cells = list(product(range(draw(st.integers(2, 4))), repeat=d))
+        points = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=20, unique=True))
+    return d, points
+
+
+def assert_staircase_fits_match(d, points, ends):
+    """fit_vanishing, minimal_fit, and the kernel with the fit's basis and
+    the column counts ends, against Gauss-Jordan."""
+    pts = [Point.of(p) for p in points]
+    assert fit_vanishing(pts, d) == fit_naive(points, d)
+    b_star = minimal_degree_naive(points, d)
+    assert minimal_fit(pts, d) == fit_at_degree_naive(points, d, b_star)
+    distinct = [tuple(p) for p in sort_points(set(pts))]
+    basis = monomial_basis(d, min_fit_degree(len(distinct), d))
+    matrix = evaluation_matrix_fraction(distinct, basis)
+    assert_stopped_kernel_matches(matrix, [e for e in ends if e <= len(basis)], basis)
+
+
+def skipped_columns(d, points):
+    """How many columns the fit's walk skipped, and whether it skipped the
+    selected column or stopped before it."""
+    walked, walk = [], kernel._walk
+
+    def walk_spy(columns, m, p, ends, exps):
+        walked.append((exps, walk(columns, m, p, ends, exps)))
+        return walked[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel, "_walk", walk_spy)
+        fit = fit_vanishing([Point.of(p) for p in points], d)
+    exps, (_, reduced, _) = walked[-1]
+    f = exps.index(max(fit.terms, key=grlex_key))
+    return reduced.count(None), f >= len(reduced) or reduced[f] is None
+
+
+class TestStaircaseAgainstReference:
+    """The fit's walk skips the monomial multiples of its free columns and
+    certifies only the corners and the selected column; the answers must
+    stay those of Gauss-Jordan, on the kernel's primes and on the small
+    ones, which are often unlucky for a corner."""
+
+    @given(structured_point_sets(), st.lists(st.integers(1, 40), max_size=3))
+    @settings(max_examples=80, deadline=None)
+    def test_structured_point_sets(self, drawn, ends):
+        assert_staircase_fits_match(*drawn, ends)
+
+    @given(structured_point_sets(), st.lists(st.integers(1, 40), max_size=3))
+    @settings(max_examples=80, deadline=None)
+    def test_structured_point_sets_with_small_primes(self, drawn, ends):
+        with prime_source(small_primes):
+            assert_staircase_fits_match(*drawn, ends)
+
+    @pytest.mark.parametrize(
+        "d, points, skipped",
+        [
+            (3, list(product(range(1, 5), range(-1, 3), (2,))), 9),
+            (
+                3,
+                [
+                    (x + Fraction(y, 2) + 1, y + 2 * z + Fraction(2, 3), z - Fraction(x, 3) - 1)
+                    for x, y, z in product(range(3), range(3), range(2))
+                ],
+                3,
+            ),
+            (3, [(s, t, 2 * s - t + 1) for s in range(3) for t in range(3)], 3),
+        ],
+        ids=["sub-box 4x4x1", "affine box 3x3x2", "plane"],
+    )
+    def test_the_selected_column_is_skipped(self, d, points, skipped):
+        # The selected column is a monomial multiple of a corner here, and on
+        # the sub-box it is not the last column: x1^2 x3, not x1^3.
+        assert skipped_columns(d, points) == (skipped, True)
+        for source in (kernel._primes, small_primes):
+            with prime_source(source):
+                assert_staircase_fits_match(d, points, [])
+
+
+@st.composite
+def big_point_sets(draw):
+    """(d, points): one to six random points in d = 2 or 3, with
+    coordinates of 30 to 300 digits, integers or over denominators of up to
+    a third as many digits.  Their fits' vectors are far past one prime."""
+    d = draw(st.sampled_from((2, 3)))
+    digits = draw(st.integers(30, 300))
+    num = st.builds(mul, st.sampled_from((1, -1)), st.integers(10 ** (digits - 1), 10**digits))
+    den = st.integers(1, 10 ** (digits // 3)) if draw(st.booleans()) else st.just(1)
+    coord = st.builds(Fraction, num, den)
+    return d, draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=6))
+
+
+class TestBigCoordinatesAgainstReference:
+    @given(big_point_sets())
+    @settings(max_examples=25, deadline=None)
+    def test_fits_lift_to_the_reference(self, drawn):
+        d, points = drawn
+        pts = [Point.of(p) for p in points]
+        lifts = []
+        with logged_lifts(lifts):
+            assert fit_vanishing(pts, d) == fit_naive(points, d)
+        assert lifts
+        b_star = minimal_degree_naive(points, d)
+        assert minimal_fit(pts, d) == fit_at_degree_naive(points, d, b_star)

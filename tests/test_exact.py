@@ -27,8 +27,10 @@ from jointlab.geometry import Configuration, JointSet, Line, find_joints
 from jointlab.polynomial import (
     Polynomial,
     fit_vanishing,
+    grlex_key,
     min_fit_degree,
     monomial_basis,
+    vanishes_at,
 )
 from jointlab.projection import mat_vec
 
@@ -399,9 +401,9 @@ class TestEarlyStop:
         walk, reduce_ = kernel._walk, kernel._reduce
         back_substitute, in_kernel = kernel._back_substitute, kernel._in_kernel
 
-        def walk_spy(columns, m, p, ends):
-            pivots, reduced, steps = walk(columns, m, p, ends)
-            walks.append((columns, p, list(pivots), len(reduced), steps))
+        def walk_spy(columns, m, p, ends, exps):
+            pivots, reduced, steps = walk(columns, m, p, ends, exps)
+            walks.append((columns, p, exps, list(pivots), reduced, steps))
             return pivots, reduced, steps
 
         def reduce_spy(column, steps, p):
@@ -423,10 +425,13 @@ class TestEarlyStop:
         monkeypatch.setattr(kernel, "_primes", draws(kernel._primes, drawn))
         with logged_lifts(lifts):
             fit = fit_vanishing(points, 3)
-        [(columns, p, pivots, reached, steps)] = walks
+        [(columns, p, exps, pivots, reduced, steps)] = walks
         assert (len(columns[0]), len(columns)) == (35, 56)
+        # the fit passes its basis, but no column is free before the stop,
+        # so none is skipped
+        assert exps == monomial_basis(3, 5)
         assert pivots == list(range(35))
-        assert reached == 35
+        assert len(reduced) == 35 and None not in reduced
         # the 35 pivot columns in the walk, then the last column alone
         assert reductions == columns[:35] + [columns[55]]
         last = reduce_(columns[55], steps, p)
@@ -434,6 +439,91 @@ class TestEarlyStop:
         assert checked == [(55, 1)]
         assert drawn == [p] and lifts == []
         assert fit == fit_naive(points, 3)
+
+
+T13 = tuple(
+    Fraction(t)
+    for t in ("1", "-2", "3", "-1/2", "3/2", "-1/3", "5/3", "-1/4", "7/4", "-5/4", "2/5", "-7/5", "5/2")
+)
+
+
+def box_points(*sizes):
+    """The points of {0..a-1} x {0..b-1} x ... for sizes (a, b, ...)."""
+    return [Point(pt, 1) for pt in product(*map(range, sizes))]
+
+
+class TestCorners:
+    """Given the columns' monomials, a fit's walk reduces and checks only the
+    corners, the free columns divisible by no earlier free column, and skips
+    their monomial multiples unreduced.  The selected column, the fit's
+    leading monomial, is reduced once: in the walk if it is a corner, else
+    alone, with the steps of the pivots before it."""
+
+    @pytest.mark.parametrize(
+        "points, d, corners, skipped, selected",
+        [
+            (cube_points(5, 3), 3, 3, 57, (8, 0, 0)),
+            (cube_points(3, 4), 4, 4, 56, (5, 0, 0, 0)),
+            (cube_points(8, 3), 3, 3, 165, (13, 0, 0)),
+            (box_points(20, 3, 3), 3, 2, 146, (6, 3, 0)),
+            (box_points(4, 4, 1), 3, 1, 9, (2, 0, 1)),
+            (list(find_joints(nine_hyperplanes()).points), 3, 0, 0, (7, 0, 0)),
+            (hyperplane_joints(T13), 3, 0, 0, (11, 0, 0)),
+        ],
+        ids=[
+            "grid(3,5)",
+            "grid(4,3)",
+            "grid(3,8)",
+            "box(20,3,3)",
+            "box(4,4,1)",
+            "9 hyperplanes",
+            "13 hyperplanes",
+        ],
+    )
+    def test_the_walk_checks_the_corners_and_skips_their_multiples(
+        self, monkeypatch, points, d, corners, skipped, selected
+    ):
+        walks, reductions, checked = [], [], []
+        walk, reduce_, in_kernel = kernel._walk, kernel._reduce, kernel._in_kernel
+
+        def walk_spy(columns, m, p, ends, exps):
+            result = walk(columns, m, p, ends, exps)
+            walks.append((columns, exps, result))
+            return result
+
+        def reduce_spy(column, steps, p):
+            reductions.append((id(column), len(steps)))
+            return reduce_(column, steps, p)
+
+        def in_kernel_spy(columns, f, *rest):
+            checked.append(f)
+            return in_kernel(columns, f, *rest)
+
+        monkeypatch.setattr(kernel, "_walk", walk_spy)
+        monkeypatch.setattr(kernel, "_reduce", reduce_spy)
+        monkeypatch.setattr(kernel, "_in_kernel", in_kernel_spy)
+        fit = fit_vanishing(points, d)
+        [(columns, exps, (pivots, reduced, steps))] = walks
+        free = [j for j in range(len(reduced)) if j not in pivots]
+        kept = [j for j in free if reduced[j] is not None]
+        assert (len(kept), reduced.count(None)) == (corners, skipped)
+        # the kept free columns are those divisible by no earlier free one
+        assert kept == [
+            j
+            for t, j in enumerate(free)
+            if not any(all(map(int.__le__, exps[i], exps[j])) for i in free[:t])
+        ]
+        assert max(fit.terms, key=grlex_key) == selected
+        f = exps.index(selected)
+        assert set(checked) == {*kept, f}
+        # no skipped column is reduced but the selected one, and that once,
+        # with the steps of the pivots before it
+        skips = {id(columns[j]) for j, done in enumerate(reduced) if done is None}
+        skips.discard(id(columns[f]))
+        assert not skips.intersection(column for column, _ in reductions)
+        assert [k for column, k in reductions if column == id(columns[f])] == [
+            sum(j < f for j in pivots)
+        ]
 
 
 class TestSparseSteps:
@@ -469,8 +559,13 @@ class TestSparseSteps:
         # The grid(3,5) fit is 125 x 165 at b = 8, the grid(4,3) fit 81 x 126
         # at b = 5.  A multiply-add updates a whole column; updating only
         # the listed entries, one scalar update each, took 59,830 and 9,339.
-        assert walk_updates(fit_rows(cube_points(5, 3), 3)) == 955
-        assert walk_updates(fit_rows(cube_points(3, 4), 4)) == 230
+        # Given the basis, the walk skips the monomial multiples of its free
+        # columns, and the updates of reducing them.
+        grid35, grid43 = fit_rows(cube_points(5, 3), 3), fit_rows(cube_points(3, 4), 4)
+        assert walk_updates(grid35) == 955
+        assert walk_updates(grid43) == 230
+        assert walk_updates(grid35, exps=monomial_basis(3, 8)) == 607
+        assert walk_updates(grid43, exps=monomial_basis(4, 5)) == 94
 
     def test_zero_multipliers_are_not_recorded(self):
         p = self.P
@@ -623,16 +718,17 @@ class TestModularRarePaths:
         walks = []
         walk = kernel._walk
 
-        def walk_spy(columns, m, p, ends):
-            result = walk(columns, m, p, ends)
-            walks.append((p, list(result[0])))
+        def walk_spy(columns, m, p, ends, exps):
+            result = walk(columns, m, p, ends, exps)
+            walks.append((p, exps, list(result[0])))
             return result
 
         with prime_source(small_primes), pytest.MonkeyPatch.context() as patch:
             patch.setattr(kernel, "_walk", walk_spy)
             self.assert_matches_reference([[3, 1], [0, 1]])
-        # rank: 3 loses the pivot at column 0, 5 finds both
-        assert walks[:2] == [(3, [1]), (5, [0, 1])]
+        # rank: 3 loses the pivot at column 0, 5 finds both; a matrix with no
+        # monomials skips no column
+        assert walks[:2] == [(3, None, [1]), (5, None, [0, 1])]
 
     def test_an_unlucky_prime_is_dropped_and_the_next_lifts(self):
         drawn, lifts, moduli = [], [], []
@@ -792,6 +888,54 @@ class TestLiftWork:
         # 12 columns lift two steps each: 24 steps of 8,496 digits in all, 117
         # of them nonzero
         assert (len(reads), sum(sizes), sum(map(len, reads))) == (24, 8_496, 117)
+
+
+    def test_reconstructions_grow_with_the_logarithm_of_the_lift(self, monkeypatch):
+        # Five points in 3-space with 100-digit integer coordinates: the fit
+        # (5 x 10 at b = 2) lifts its selected column for 221 steps, to the
+        # first power of p past the Hadamard guard.  It reconstructs after
+        # 1, 2, 4, ..., 128 steps and at that last step: 9 times.  A
+        # reconstruction after every step took 154 steps and 154 of them.
+        rng = random.Random(100)
+        points = [
+            Point([rng.randrange(-(10**100), 10**100) for _ in range(3)], 1) for _ in range(5)
+        ]
+        per_column, counts, guards = [], [None], []
+        pivot_block, lifted = kernel._pivot_block, kernel._lifted
+        lift, reconstruct = kernel._lift, kernel._rational_numerators
+
+        def pivot_block_spy(*args):
+            guards.append(pivot_block(*args)[2])
+            return pivot_block(*args)
+
+        def lifted_spy(*args):
+            counts[0] = [0, 0]
+            try:
+                return lifted(*args)
+            finally:
+                per_column.append(tuple(counts[0]))
+                counts[0] = None
+
+        def lift_spy(*args):
+            counts[0][0] += 1
+            return lift(*args)
+
+        def reconstruct_spy(*args):
+            if counts[0] is not None:
+                counts[0][1] += 1
+            return reconstruct(*args)
+
+        monkeypatch.setattr(kernel, "_pivot_block", pivot_block_spy)
+        monkeypatch.setattr(kernel, "_lifted", lifted_spy)
+        monkeypatch.setattr(kernel, "_lift", lift_spy)
+        monkeypatch.setattr(kernel, "_rational_numerators", reconstruct_spy)
+        fit = fit_vanishing(points, 3)
+        assert per_column == [(221, 9)]
+        # the modulus after s steps is p^(s + 1): step 221 is the first past
+        # the guard, and not a power of 2
+        [guard] = guards
+        assert self.P**221 <= guard < self.P**222
+        assert all(vanishes_at(fit, pt) for pt in points)
 
 
 class TestThreeReferences:

@@ -42,7 +42,7 @@ from jointlab.pipeline import (
     trace,
     trace_to_dict,
 )
-from jointlab.polynomial import Polynomial, minimal_fit, vanishes_on_line
+from jointlab.polynomial import Polynomial, minimal_fit, monomial_basis, vanishes_on_line
 
 from conftest import (
     box,
@@ -706,15 +706,19 @@ class TestWorkCounts:
         fitted = []
         nullspace_vector = polynomial.nullspace_vector
 
-        def spy(rows, ends):
-            fitted.append((rows, ends))
-            return nullspace_vector(rows, ends)
+        def spy(rows, ends, exps):
+            fitted.append((rows, ends, exps))
+            return nullspace_vector(rows, ends, exps)
 
         monkeypatch.setattr(polynomial, "nullspace_vector", spy)
         trace(grid(3, 5))
-        [(rows, ends)] = fitted
+        [(rows, ends, exps)] = fitted
         assert ends == ()  # the trace fits at the bound, with no early stop
+        assert exps == monomial_basis(3, 8)
         assert (len(rows), len(rows[0])) == (125, 165)
+        # the walk with the basis skips the 57 monomial multiples of the free
+        # columns x_i^5; without it, it reduces all 60 free columns
+        assert walk_updates(rows, exps=exps) == 607
         assert walk_updates(rows) == 955
 
 

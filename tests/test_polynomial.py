@@ -377,14 +377,17 @@ class TestFitVanishing:
         pts = [pt(F(1) / 2, F(-2) / 3, 5), pt(0, F(1) / 7, 1), pt(3, 2, 1)]
         matrices = []
 
-        def spy(matrix, ends):
-            matrices.append(matrix)
-            return nullspace_vector(matrix, ends)
+        def spy(matrix, ends, exps):
+            matrices.append((matrix, exps))
+            return nullspace_vector(matrix, ends, exps)
 
         monkeypatch.setattr(polynomial, "nullspace_vector", spy)
         fit_vanishing(pts, 3)
         assert len(matrices) == 1
-        assert all(type(v) is int for row in matrices[0] for v in row)
+        [(matrix, exps)] = matrices
+        assert all(type(v) is int for row in matrix for v in row)
+        # with the columns' monomials, the basis at the bound b = 1
+        assert exps == monomial_basis(3, 1)
 
     def test_fit_at_degree_none_when_impossible(self):
         # No nonzero linear polynomial vanishes on an affinely spanning set.
@@ -415,14 +418,15 @@ class TestMinimalVanishingDegree:
         pts = [Point(corner.nums, 2) for corner in cube_points(2, 3)]
         calls = []
 
-        def spy(matrix, ends):
-            calls.append((matrix, ends))
-            return nullspace_vector(matrix, ends)
+        def spy(matrix, ends, exps):
+            calls.append((matrix, ends, exps))
+            return nullspace_vector(matrix, ends, exps)
 
         monkeypatch.setattr(polynomial, "nullspace_vector", spy)
         assert minimal_fit(pts, 3).degree() == 2
-        [(matrix, ends)] = calls
+        [(matrix, ends, exps)] = calls
         assert (len(matrix), len(matrix[0]), ends) == (8, 10, [1, 4])
+        assert exps == monomial_basis(3, 2)
         assert all(type(v) is int for row in matrix for v in row)
 
     @pytest.mark.parametrize(
@@ -441,13 +445,13 @@ class TestMinimalVanishingDegree:
             polynomial.nullspace_vector, kernel._walk, kernel._reduce, kernel._primes
         )
 
-        def kernel_spy(matrix, ends):
+        def kernel_spy(matrix, ends, exps):
             matrices.append(matrix)
-            return spy_kernel(matrix, ends)
+            return spy_kernel(matrix, ends, exps)
 
-        def walk_spy(columns, m, p, ends):
+        def walk_spy(columns, m, p, ends, exps):
             walked.append(columns)
-            return walk(columns, m, p, ends)
+            return walk(columns, m, p, ends, exps)
 
         def reduce_spy(column, steps, p):
             reduced.append(column)

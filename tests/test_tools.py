@@ -41,11 +41,14 @@ def test_fit_timing_prints_one_row_per_fit():
     lines = tool("fit_timing.py", "--repeat", "1", "grid(3,7)")
     assert len(lines) == 1
     # the 343 points of {0..6}^3 against the 364 monomials of degree <= 11,
-    # on one prime, with no column lifted; then the collector's passes of
-    # generations 0, 1 and 2 and their time; then the minimal fit, of
-    # degree 7, whose walk stops after the 120 columns of degree <= 7
+    # on one prime; the walk checks the corners x1^7, x2^7 and x3^7 and
+    # skips the other 102 free columns, their monomial multiples, and no
+    # column is lifted; then the collector's passes of generations 0, 1 and
+    # 2 and their time; then the minimal fit, of degree 7, whose walk stops
+    # after the 120 columns of degree <= 7
     row = (
-        r"grid\(3,7\): 343 x 364, primes 1, lift steps 0, "
+        r"grid\(3,7\): 343 x 364, primes 1, corners checked 3, "
+        r"free columns skipped 102, lift steps 0, "
         rf"gc passes \d+/\d+/\d+ in {MS}, median \d+\.\d{{3}} s of 1; "
         r"minimal b\* 7, 120 of 364 columns walked, median \d+\.\d{3} s"
     )

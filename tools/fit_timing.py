@@ -1,24 +1,28 @@
 """Time the exact kernel on the scale fits that no benchmark workload reaches.
 
-For each fit the script builds the integer evaluation matrix that
-``fit_vanishing`` hands to ``exact.nullspace_vector``: the distinct joints,
-sorted, against the graded-lex basis of the fit bound.  It runs
-``nullspace_vector`` once to count the primes the kernel draws, its p-adic
-lift steps (calls of ``kernel._lift``) and the cyclic collector's passes of
-generations 0, 1 and 2 with the time they took (from ``gc.callbacks``),
-then times it ``--repeat`` more times in-process.  Beside it, the script
-runs the kernel call of ``minimal_fit`` (``fit --minimal``) on the same
-matrix: ``nullspace_vector`` with the walk free to stop at the end of each
-lower degree's block of columns.  It prints one line per fit: the matrix
-shape, the primes drawn, the lift steps, the collector's passes and time and
-the median time of the fit; then the minimal degree b*, the columns the
+For each fit the script builds the integer evaluation matrix and the
+graded-lex basis that ``fit_vanishing`` hands to
+``exact.nullspace_vector``: the distinct points, sorted, against the basis
+of the fit bound.  It runs ``nullspace_vector`` once to count the primes the
+kernel draws, the corners its walk checks (free columns divisible by no
+earlier free column), the free columns it skips as their monomial
+multiples, its p-adic lift steps (calls of ``kernel._lift``) and the cyclic
+collector's passes of generations 0, 1 and 2 with the time they took (from
+``gc.callbacks``), then times it ``--repeat`` more times in-process.
+Beside it, the script runs the kernel call of ``minimal_fit`` (``fit
+--minimal``) on the same matrix: ``nullspace_vector`` with the walk free to
+stop at the end of each lower degree's block of columns.  It prints one
+line per fit: the matrix shape, the primes drawn, the corners checked and
+the free columns skipped, the lift steps, the collector's passes and time
+and the median time of the fit; then the minimal degree b*, the columns the
 minimal fit's walk reached and its median time.
 
-The fits are the grids {0..k-1}^3 for k = 7 and 8, and the joints of the 13
-and 15 hyperplanes x.(1, t, t^2) = t^3 at the parameters below, whose
-joints are (e3, -e2, e1) of each three parameters.  A 15-hyperplane run
-takes a few seconds per repeat.  Standard library only; run it from the
-repository root as ``python tools/fit_timing.py [--repeat N] [fit ...]``.
+The fits are the grids {0..k-1}^3 for k = 5, 7 and 8, the box
+{0..19} x {0..2} x {0..2}, and the joints of the 13 and 15 hyperplanes
+x.(1, t, t^2) = t^3 at the parameters below, whose joints are (e3, -e2, e1)
+of each three parameters.  A 15-hyperplane run takes a few seconds per
+repeat.  Standard library only; run it from the repository root as
+``python tools/fit_timing.py [--repeat N] [fit ...]``.
 """
 
 from __future__ import annotations
@@ -51,8 +55,9 @@ T13 = tuple(
 T15 = T13 + (Fraction(4, 3), Fraction(-3, 4))
 
 
-def grid_points(k: int) -> list[Point]:
-    return [Point(pt, 1) for pt in product(range(k), repeat=3)]
+def box_points(*sizes: int) -> list[Point]:
+    """The points of {0..a-1} x {0..b-1} x {0..c-1} for sizes (a, b, c)."""
+    return [Point(pt, 1) for pt in product(*map(range, sizes))]
 
 
 def hyperplane_joints(ts) -> list[Point]:
@@ -64,29 +69,39 @@ def hyperplane_joints(ts) -> list[Point]:
 
 
 FITS = {
-    "grid(3,7)": lambda: grid_points(7),
-    "grid(3,8)": lambda: grid_points(8),
+    "grid(3,5)": lambda: box_points(5, 5, 5),
+    "grid(3,7)": lambda: box_points(7, 7, 7),
+    "grid(3,8)": lambda: box_points(8, 8, 8),
+    "box(20,3,3)": lambda: box_points(20, 3, 3),
     "hyperplanes-13": lambda: hyperplane_joints(T13),
     "hyperplanes-15": lambda: hyperplane_joints(T15),
 }
 
 
-def fit_rows(points: list[Point]) -> list[list[int]]:
+def fit_rows(points: list[Point]) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+    """The fit's integer evaluation matrix and its graded-lex basis."""
     pts = _distinct_points(points, 3)
-    return _evaluation_matrix(pts, monomial_basis(3, min_fit_degree(len(pts), 3)))
+    basis = monomial_basis(3, min_fit_degree(len(pts), 3))
+    return _evaluation_matrix(pts, basis), basis
 
 
-def counted_run(rows) -> tuple[int, int, list[int], float]:
-    """Primes drawn, lift steps, the collector's passes per generation and
-    their time in seconds, of one nullspace_vector call."""
-    primes, lift = kernel._primes, kernel._lift
-    drawn, lifts = [], []
+def counted_run(rows, basis) -> tuple[int, int, int, int, list[int], float]:
+    """Primes drawn, the corners the last walk checked and the free columns
+    it skipped, lift steps, the collector's passes per generation and their
+    time in seconds, of one nullspace_vector call."""
+    primes, walk, lift = kernel._primes, kernel._walk, kernel._lift
+    drawn, walked, lifts = [], [], []
     passes, spent, started = [0, 0, 0], [0.0], []
 
     def logged_primes():
         for p in primes():
             drawn.append(p)
             yield p
+
+    def logged_walk(*args):
+        result = walk(*args)
+        walked.append(result)
+        return result
 
     def logged_lift(*args):
         lifts.append(1)
@@ -99,14 +114,17 @@ def counted_run(rows) -> tuple[int, int, list[int], float]:
             passes[info["generation"]] += 1
             spent[0] += time.perf_counter() - started.pop()
 
-    kernel._primes, kernel._lift = logged_primes, logged_lift
+    kernel._primes, kernel._walk, kernel._lift = logged_primes, logged_walk, logged_lift
     gc.callbacks.append(logged_collection)
     try:
-        nullspace_vector(rows)
+        nullspace_vector(rows, (), basis)
     finally:
         gc.callbacks.remove(logged_collection)
-        kernel._primes, kernel._lift = primes, lift
-    return len(drawn), len(lifts), passes, spent[0]
+        kernel._primes, kernel._walk, kernel._lift = primes, walk, lift
+    pivots, reduced, _ = walked[-1]
+    free = len(reduced) - len(pivots)
+    skipped = reduced.count(None)
+    return len(drawn), free - skipped, skipped, len(lifts), passes, spent[0]
 
 
 def median_time(call, repeat: int) -> float:
@@ -119,7 +137,7 @@ def median_time(call, repeat: int) -> float:
     return statistics.median(times)
 
 
-def minimal_run(rows, repeat: int) -> tuple[int, int, float]:
+def minimal_run(rows, basis, repeat: int) -> tuple[int, int, float]:
     """The minimal degree b*, the columns the walk reached and the median
     time in seconds of the minimal fit's nullspace_vector call on the rows
     of the fit at the bound b, whose walk may stop at the C(k + 3, 3)
@@ -135,12 +153,12 @@ def minimal_run(rows, repeat: int) -> tuple[int, int, float]:
 
     kernel._walk = logged_walk
     try:
-        nums, _ = nullspace_vector(rows, ends)
+        nums, _ = nullspace_vector(rows, ends, basis)
     finally:
         kernel._walk = walk
     last = max(j for j, v in enumerate(nums) if v)
-    b_star = sum(monomial_basis(3, b)[last])
-    return b_star, reached[-1], median_time(lambda: nullspace_vector(rows, ends), repeat)
+    b_star = sum(basis[last])
+    return b_star, reached[-1], median_time(lambda: nullspace_vector(rows, ends, basis), repeat)
 
 
 def main(argv=None) -> int:
@@ -154,12 +172,13 @@ def main(argv=None) -> int:
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
     for name in args.fits or FITS:
-        rows = fit_rows(FITS[name]())
-        drawn, lifts, passes, collecting = counted_run(rows)
-        fit = median_time(lambda: nullspace_vector(rows), args.repeat)
-        b_star, reached, minimal = minimal_run(rows, args.repeat)
+        rows, basis = fit_rows(FITS[name]())
+        drawn, corners, skipped, lifts, passes, collecting = counted_run(rows, basis)
+        fit = median_time(lambda: nullspace_vector(rows, (), basis), args.repeat)
+        b_star, reached, minimal = minimal_run(rows, basis, args.repeat)
         print(
-            f"{name}: {len(rows)} x {len(rows[0])}, primes {drawn}, lift steps {lifts}, "
+            f"{name}: {len(rows)} x {len(rows[0])}, primes {drawn}, "
+            f"corners checked {corners}, free columns skipped {skipped}, lift steps {lifts}, "
             f"gc passes {'/'.join(map(str, passes))} in {1e3 * collecting:.1f} ms, "
             f"median {fit:.3f} s of {args.repeat}; minimal b* {b_star}, "
             f"{reached} of {len(rows[0])} columns walked, median {minimal:.3f} s"
