@@ -7,10 +7,11 @@ int when it is an integer and as a ``fractions.Fraction`` otherwise, and
 one common denominator, the form in which the toolkit computes.
 
 :func:`rank` and :func:`nullspace_vector` are the exact linear algebra:
-integer rows in, integers out.  Both run the certified modular walk of
-:mod:`jointlab.kernel`, which they import on their first call, so a run that
-never ranks or fits, such as a sweep whose lines meet at most in pairs,
-does not compile it.
+integer rows in, integers out.  :func:`rank` is one pass of fraction-free
+(Bareiss) elimination, here, with no prime.  :func:`nullspace_vector` runs
+the certified modular walk of :mod:`jointlab.kernel`, which it imports on
+its first call, so a run that never fits, such as ``joints``, ``bound`` or
+a sweep, does not compile it.
 
 The value form is defined here, once.  A rational result is integer
 numerators over one positive denominator in lowest terms, as
@@ -185,10 +186,33 @@ def sort_points(points: Iterable[Point]) -> list[Point]:
 
 def rank(rows: Sequence[Sequence[int]]) -> int:
     """Exact rank over the rationals of integer rows; an empty matrix has
-    rank 0."""
-    from .kernel import _certified_walk
+    rank 0.
 
-    return len(_certified_walk(rows, select=False)[0])
+    One pass of fraction-free elimination (Bareiss, "Sylvester's identity
+    and multistep integer-preserving Gaussian elimination", Math. Comp. 22,
+    1968).  Column by column, the first row at or below the r pivot rows
+    with a nonzero entry there is swapped up to row r, and its entry becomes
+    the pivot.  Each row below becomes pivot times itself minus its entry
+    times the pivot row, divided by the previous pivot, past column j: the
+    entries up to it are never read again.  By Sylvester's identity every
+    entry is then a minor of the input, so each division is exact and the
+    rank needs no prime and no certificate.  Ragged rows raise ValueError.
+    """
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("matrix rows have unequal lengths")
+    rows = [list(row) for row in rows]
+    r, prev = 0, 1
+    for j in range(len(rows[0]) if rows else 0):
+        sel = next((i for i in range(r, len(rows)) if rows[i][j]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        piv, tail = rows[r][j], rows[r][j + 1 :]
+        for row in rows[r + 1 :]:
+            f = row[j]
+            row[j + 1 :] = [(piv * v - f * u) // prev for v, u in zip(row[j + 1 :], tail)]
+        r, prev = r + 1, piv
+    return r
 
 
 def nullspace_vector(
@@ -219,4 +243,4 @@ def nullspace_vector(
     """
     from .kernel import _certified_walk
 
-    return _certified_walk(rows, select=True, ends=ends, exps=exps)[1]
+    return _certified_walk(rows, ends, exps)

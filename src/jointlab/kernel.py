@@ -1,11 +1,10 @@
-"""The certified modular walk behind ``exact.rank`` and
-``exact.nullspace_vector``.
+"""The certified modular walk behind ``exact.nullspace_vector``.
 
-Rank and nullspace come from one walk over integer rows.  A caller with
+A kernel vector comes from one walk over integer rows.  A caller with
 rational rows scales each to integers first, by
-:func:`~jointlab.exact.integer_form`, which changes neither rank nor
-nullspace.  The rows are eliminated modulo a prime below 2^30, so every
-residue, multiplier and pivot inverse is one 30-bit digit of a CPython int
+:func:`~jointlab.exact.integer_form`, which changes no nullspace.  The
+rows are eliminated modulo a prime below 2^30, so every residue,
+multiplier and pivot inverse is one 30-bit digit of a CPython int
 (Cabay, "Exact solution of linear equations", SYMSAC 1971).  The walk makes
 no row swaps: it records the row of each pivot, and the rows keep the
 matrix's own order.  A pivot step holds its multipliers packed as one int
@@ -48,8 +47,9 @@ rows, bounds how far any lift may go.  A prime whose pivots are not the
 rational ones is dropped, and the next prime walks from scratch.  The
 kernel names no Fraction: integers in, integers out.
 
-Only a run that ranks or fits loads this module: ``exact`` imports it on
-the first call of ``rank`` or ``nullspace_vector``.
+Only a run that fits loads this module: ``exact`` imports it on the first
+call of ``nullspace_vector``.  ``exact.rank`` eliminates fraction-free and
+needs none of it.
 """
 
 from __future__ import annotations
@@ -378,13 +378,11 @@ def _lifted(columns, f: int, digit: list[int], found, pivot_block, walk, p: int)
 
 def _certified_walk(
     rows: Sequence[Sequence[int]],
-    select: bool,
     ends: Sequence[int] = (),
     exps: Sequence[Sequence[int]] | None = None,
 ):
-    """The pivot columns over Q and, if select, the selection rule's kernel
-    vector as ``(nums, den)`` (None when the kernel is zero); without
-    select, None.
+    """The selection rule's kernel vector as ``(nums, den)``, or None when
+    the kernel is zero.
 
     Entries are ints, and the vector is the :func:`integer_form` of the
     rational one, in :func:`lowest_terms`.  With ``ends``, column counts at
@@ -413,10 +411,9 @@ def _certified_walk(
     column's.  Once every check passes, the ranks agree on every leading
     block, so the pivots mod p are the pivots over Q, and the first block
     with a free column is the same over Q as mod p.  This holds for every
-    prime: an unlucky corner still fails its check and drops the prime.  So
-    rank needs these checks only when the mod-p rank is below both
-    dimensions.  The selected column is checked the same way, and the vector
-    that passes is the only kernel vector with its support.
+    prime: an unlucky corner still fails its check and drops the prime.  The
+    selected column is checked the same way, and the vector that passes is
+    the only kernel vector with its support.
 
     A vector whose reconstruction mod p fails, or fails the check, is
     checked once more as its own digit, the residues nearest 0 over
@@ -435,8 +432,8 @@ def _certified_walk(
     n = len(columns)
     for p in _primes():
         walk = pivots, reduced, steps = _walk(columns, m, p, ends, exps)
-        if len(pivots) == n or (len(pivots) == m and not select):
-            return pivots, None
+        if len(pivots) == n:
+            return None
         r = len(reduced)
         # the end of the block the walk stopped in: r if r is an end past a
         # free column, else the first end past r, as column r is free once
@@ -449,7 +446,7 @@ def _certified_walk(
         # the selected column: the block's last once every row holds a pivot,
         # else the highest free column the walk reached
         f = width - 1 if r < width else free[-1]
-        if select and (f >= r or reduced[f] is None):  # reduced alone
+        if f >= r or reduced[f] is None:  # reduced alone
             k = bisect_left(pivots, f)
             col = _reduce(columns[f], steps[:k], p)
             needed.append(f)
@@ -470,11 +467,9 @@ def _certified_walk(
             if found is None:
                 break
         else:
-            if not select:
-                return pivots, None
             nums, den = found
             x = [0] * n
             x[needed[-1]] = den
             for j, a in zip(pivots, nums):
                 x[j] = a
-            return pivots, lowest_terms(x, den)
+            return lowest_terms(x, den)

@@ -2,10 +2,11 @@
 
 These deliberately avoid the code paths they check: rank and nullspace by
 naive Gauss-Jordan over Fractions and by fraction-free Bareiss elimination
-over the integers (the package eliminates modulo a prime and checks the
-answer exactly), vanishing fits from a Fraction evaluation matrix and the
-minimal degree by one rank per degree (the package scales rows to integers
-and eliminates once), integer evaluation rows by a product of coordinate
+over the integers (the package's kernel eliminates modulo a prime and
+checks the answer exactly; its rank, a row-wise Bareiss pass, is checked
+against Gauss-Jordan), vanishing fits from a Fraction evaluation matrix
+and the minimal degree by one rank per degree (the package scales rows to
+integers and eliminates once), integer evaluation rows by a product of coordinate
 powers per entry (the package extends an earlier monomial by one factor),
 monomial counting by stars-and-bars recursion (the package filters a
 product and uses math.comb), polynomial values and derivatives in Fraction

@@ -16,7 +16,10 @@ path of the left-looking walk: wide with a pivot in every row (the walk
 stops early), rows that fill only at the last column, rank-deficient wide
 and tall, mostly zero (some holding monomials at points with zero
 coordinates, so that pivots need row swaps and steps record few rows), zero
-rows and columns, and int and Fraction entries.  The
+rows and columns, and int and Fraction entries.  The shapes that ``rank``
+is called on in the package, 6 to 40 rows of at most 5 columns with
+repeated and negated rows and entries up to 10^12 times small rationals,
+are drawn too.  The
 references take the rows as drawn; the kernel takes them scaled to
 integers and returns the integer form of the reference's vector.
 The kernel and fit tests run again with the primes 3, 5, 7, ..., which are
@@ -666,7 +669,9 @@ def sparse_matrices(draw):
 
 
 @st.composite
-def kernel_cases(draw, shapes=("wide", "last", "deficient", "sparse", "huge", "any")):
+def kernel_cases(
+    draw, shapes=("wide", "last", "deficient", "sparse", "huge", "tall", "any")
+):
     """A matrix whose shape drives one path of the walk, with zero rows and
     zero columns inserted and its entries written in a drawn form."""
     shape = draw(st.sampled_from(shapes))
@@ -691,6 +696,18 @@ def kernel_cases(draw, shapes=("wide", "last", "deficient", "sparse", "huge", "a
         cell = st.one_of(entries, st.builds(Fraction, big))
         c = draw(st.integers(1, 7))
         rows = draw(st.lists(st.lists(cell, min_size=c, max_size=c), min_size=m, max_size=m))
+    elif shape == "tall":  # rank's inputs: directions through a point, tangents
+        c = draw(st.integers(1, 5))
+        big = st.builds(Fraction, st.integers(-(10**12), 10**12))
+        k = draw(st.integers(1, c))  # the rank is at most k
+        span = st.lists(st.one_of(entries, big), min_size=c, max_size=c)
+        basis = draw(st.lists(span, min_size=k, max_size=k))
+        rows = times(draw(matrices(draw(st.integers(1, 20)), k)), basis, c)
+        size = draw(st.integers(max(6, len(rows)), 40))
+        while len(rows) < size:  # repeated and negated rows
+            row = draw(st.sampled_from(rows))
+            rows.append(draw(st.sampled_from((list(row), [-v for v in row]))))
+        rows = list(draw(st.permutations(rows)))
     else:
         rows = draw(matrices(m, draw(st.integers(1, 7))))
     zeros = st.sampled_from((0, 0, 0, 1, 2))

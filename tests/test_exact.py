@@ -3,7 +3,7 @@ import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, islice, product
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from operator import mul
 
 import pytest
@@ -260,6 +260,27 @@ def test_value_classes_share_one_value_form(cls):
             assert hash(twin) == hash(value)
 
 
+class Measured:
+    """An integer entry that adds the size of every value computed from it
+    to ``sizes``."""
+
+    def __init__(self, value: int, sizes: list[int]):
+        self.value, self.sizes = value, sizes
+        sizes.append(abs(value))
+
+    def __bool__(self):
+        return bool(self.value)
+
+    def __mul__(self, other):
+        return Measured(self.value * other.value, self.sizes)
+
+    def __sub__(self, other):
+        return Measured(self.value - other.value, self.sizes)
+
+    def __floordiv__(self, other):
+        return Measured(self.value // getattr(other, "value", other), self.sizes)
+
+
 class TestRank:
     def test_identity(self):
         eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -290,6 +311,19 @@ class TestRank:
     def test_ragged_matrix_rejected(self):
         with pytest.raises(ValueError):
             rank([[1, 2], [1]])
+
+    def test_every_value_stays_within_hadamards_bound(self):
+        # Each update is divided by the previous pivot, so every entry is a
+        # minor, and every product rank forms is two minors of at most k + 1
+        # rows, k of them shared: within prod |row|^2 over the rows, which
+        # are nonzero.  Left undivided, the entries of 8 rows outgrow it.
+        rng = random.Random(5)
+        matrix = [
+            [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(8)] for _ in range(8)
+        ]
+        sizes = []
+        assert rank([[Measured(v, sizes) for v in row] for row in matrix]) == 8
+        assert max(sizes) <= prod(sum(v * v for v in row) for row in matrix)
 
 
 class TestNullspace:
@@ -726,8 +760,8 @@ class TestModularRarePaths:
         with prime_source(small_primes), pytest.MonkeyPatch.context() as patch:
             patch.setattr(kernel, "_walk", walk_spy)
             self.assert_matches_reference([[3, 1], [0, 1]])
-        # rank: 3 loses the pivot at column 0, 5 finds both; a matrix with no
-        # monomials skips no column
+        # the kernel vector: 3 loses the pivot at column 0, whose check drops
+        # it, and 5 finds both; a matrix with no monomials skips no column
         assert walks[:2] == [(3, None, [1]), (5, None, [0, 1])]
 
     def test_an_unlucky_prime_is_dropped_and_the_next_lifts(self):
@@ -770,7 +804,7 @@ class TestModularRarePaths:
         self.assert_matches_reference(matrix)
         drawn, lifts = [], []
         with prime_source(draws(small_primes, drawn)), logged_lifts(lifts):
-            assert rank(matrix) == 3
+            assert nullspace_vector(matrix) is None
         assert drawn == [3, 5, 7]
         assert lifts == [5]
         assert 5**19 < 2 * (3**2 + 1**2) * 1000001**2 < 5**20

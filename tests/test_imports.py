@@ -297,9 +297,14 @@ def write_command_inputs(path: Path) -> None:
 def test_every_command_runs_in_a_fresh_interpreter(tmp_path, name):
     write_command_inputs(tmp_path)
     argv = COMMANDS[name]
-    # the command's own module, the projection for project alone and the
-    # pipeline for trace alone
+    # the command's own module, the projection for project alone, the
+    # pipeline for trace alone, and the kernel, with array, for a fit alone:
+    # joints, bound, project, sweep grid and curve joint take their ranks in
+    # exact, by fraction-free elimination
     loaded = loaded_by(run_cli(*argv), tmp_path)
     assert command_modules(loaded) == {f"jointlab.commands.{argv[0]}"}
     assert ("jointlab.projection" in loaded) == (argv[0] == "project")
     assert ("jointlab.pipeline" in loaded) == (argv[0] == "trace")
+    fits = argv[0] in ("fit", "trace")
+    assert ("jointlab.kernel" in loaded) == fits
+    assert ("array" in loaded) == fits

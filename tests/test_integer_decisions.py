@@ -1,7 +1,7 @@
 """The exact decisions run in integers: the lowest terms, equality and
-hashing that every value shares, the modular kernel behind rank and
-nullspace (its primes, walk, packed lanes, reconstruction and
-certificate), the pruning fixpoint, the polynomial's constructor, fit,
+hashing that every value shares, the fraction-free rank, the modular
+kernel behind nullspace (its primes, walk, packed lanes, reconstruction
+and certificate), the pruning fixpoint, the polynomial's constructor, fit,
 derivatives and integer evaluator, the vanishing test on lines and the
 cascade and gradient check built on it, and the curve's constructor,
 points, tangents, joint test and substitution name no Fraction,

@@ -67,7 +67,7 @@ def test_job_phases_prints_each_end_and_the_floor():
 
 def test_parity_finds_no_difference_between_a_tree_and_itself():
     assert tool("parity.py", str(SRC), str(SRC)) == [
-        "59 command lines, 21 files: 0 difference(s)"
+        "64 command lines, 25 files: 0 difference(s)"
     ]
 
 

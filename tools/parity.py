@@ -17,11 +17,17 @@ The inputs, written in each working directory before the corpus runs:
 - in closed form, the 36 lines where the nine hyperplanes
   x.(1, t, t^2) = t^3 of ``nine_hyperplanes`` in ``tests/conftest.py``
   meet in pairs, and box(4,4,1), the axis-parallel lines through
-  {0..3} x {0..3} x {0}.
+  {0..3} x {0..3} x {0};
+- in closed form, the moment curve (t, t^2, t^3) and the three coordinate
+  axes, as curves.
 
-On each input the corpus runs ``trace --json``, ``joints``, ``bound``,
-``fit`` and ``fit --minimal``; it ends with a ``sweep grid``.  Standard
-library only; it imports neither tree.
+On each line input the corpus runs ``trace --json``, ``joints``,
+``bound``, ``fit`` and ``fit --minimal``, and on grid(3,5), grid(4,3) and
+the hyperplanes ``project --s 2 --seed 1``.  It runs ``curve joint`` at
+the origin on the three axes, a joint, and on the moment curve with the x
+and y axes, whose tangents span a plane.  It ends with a ``sweep grid``.
+So every command that takes a rank runs.  Standard library only; it
+imports neither tree.
 """
 
 from __future__ import annotations
@@ -76,6 +82,16 @@ def box(sizes) -> list[tuple]:
 
 WRITTEN = {"hyperplanes.json": hyperplanes(), "box-4-4-1.json": box((4, 4, 1))}
 
+PROJECTED = ("grid-3-5.json", "grid-4-3.json", "hyperplanes.json")
+
+# each curve's coordinate polynomials, by their coefficients
+CURVES = [
+    [["0", "1"], ["0", "0", "1"], ["0", "0", "0", "1"]],
+    [["0", "1"], ["0"], ["0"]],
+    [["0"], ["0", "1"], ["0"]],
+    [["0"], ["0"], ["0", "1"]],
+]
+
 
 def corpus() -> list[list[str]]:
     """The command lines, in the order they run."""
@@ -89,6 +105,13 @@ def corpus() -> list[list[str]]:
             ["fit", name],
             ["fit", name, "--minimal"],
         ]
+        if name in PROJECTED:
+            out = f"{stem}.project.json"
+            argvs.append(["project", name, "--s", "2", "--seed", "1", "-o", out])
+    for chosen in ("1,2,3", "0,1,2"):
+        argvs.append(
+            ["curve", "joint", "curves.json", "--curves", chosen, "--params", "0,0,0"]
+        )
     argvs.append(["sweep", "grid", "--dim", "3", "--k", "2..4", "--csv", "sweep-grid.csv"])
     return argvs
 
@@ -103,6 +126,8 @@ def write_inputs(cwd: Path) -> None:
             ],
         }
         (cwd / name).write_text(json.dumps(obj), encoding="utf-8")
+    curves = {"dim": 3, "curves": [{"coords": coords} for coords in CURVES]}
+    (cwd / "curves.json").write_text(json.dumps(curves), encoding="utf-8")
 
 
 def run_tree(src: Path, argvs: list[list[str]]) -> tuple[list[tuple], dict]:
